@@ -8,18 +8,14 @@ instrumentation, and the parameter/FLOP accounting behind them.
 from .data import Dataset, PartitionSpec, load_idx, partition, synth_blobs
 from .federation import (
     CoverageError,
-    CoverageReport,
     FederatedData,
     FederationConfig,
     GlobalState,
     IdxSpec,
-    Region,
-    RegionPartition,
     SynthSpec,
     aggregate,
     build_federated_data,
-    coverage_index,
-    decompose_regions,
+    coverage_counts,
     local_update,
     run,
     run_round,
@@ -31,7 +27,6 @@ from .metrics import (
     TheoryConstants,
     account,
     amortized,
-    emit,
     grad_norm_estimate,
     theorem1_rhs,
     theorem2_rhs,

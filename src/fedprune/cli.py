@@ -28,7 +28,7 @@ from .metrics import emit_csv, emit_jsonl
 from .nn import LayerLayout
 from .pruning import DIGIT_SEGMENTS, codename_coverage, parse_codename
 from .selfcheck import run_selfcheck
-from .tables import MNIST_LAYOUT, TABLE_ROWS, check_tables, computed_row
+from .tables import MNIST_LAYOUT, TABLE_ROWS, check_tables
 
 OUT_DIR_ENV = "FEDPRUNE_OUT"
 
@@ -116,7 +116,11 @@ def cmd_run(args) -> int:
         "uncovered_region_action": args.uncovered_region_action,
     }
     if args.seeds:
-        overrides["seeds"] = [int(s) for s in args.seeds.split(",")]
+        try:
+            overrides["seeds"] = _int_list("--seeds", args.seeds)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     if args.out:
         overrides["out_dir"] = args.out
     try:
@@ -183,43 +187,45 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_layout(text: str) -> LayerLayout:
-    return LayerLayout(tuple(int(p) for p in text.split(",")))
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def cmd_account(args) -> int:
-    layout = _parse_layout(args.layout) if args.layout else MNIST_LAYOUT
+    try:
+        return _account(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _account(args) -> int:
+    layout = MNIST_LAYOUT
+    if args.layout:
+        layout = LayerLayout(tuple(_int_list("--layout", args.layout)))
     if args.check_table:
-        rows = [r for r in TABLE_ROWS
-                if (args.codename is None or r.codename == args.codename)
-                and (r.family == args.family or args.codename is None)]
-        problems = check_tables(layout) if args.codename is None else []
+        rows = TABLE_ROWS
         if args.codename is not None:
+            wanted = (args.family, args.codename)
+            rows = tuple(r for r in TABLE_ROWS if (r.family, r.codename) == wanted)
             if not rows:
                 print(f"no stored row for {args.family} {args.codename}")
                 return 1
-            for row in rows:
-                amt, gamma = computed_row(row.family, row.codename, layout)
-                if round(amt.params_mean) != row.params or round(amt.flops_mean) != row.flops:
-                    problems.append(f"{row.family} {row.codename}: cost mismatch")
-                if row.gamma_min is not None and gamma != row.gamma_min:
-                    problems.append(f"{row.family} {row.codename}: gamma_min mismatch")
-        checked = len(rows) if args.codename is not None else len(TABLE_ROWS)
+        problems = check_tables(layout, rows)
         if problems:
             for p in problems:
                 print(f"MISMATCH {p}")
             return 1
-        print(f"table check passed: {checked} stored rows match")
+        print(f"table check passed: {len(rows)} stored rows match")
         return 0
 
     if not args.codename:
         print("error: --codename is required unless --check-table is given", file=sys.stderr)
         return 1
-    try:
-        assignment = parse_codename(args.codename, family=args.family)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    assignment = parse_codename(args.codename, family=args.family)
     from .metrics import account, amortized, full_account  # local to keep startup light
 
     full = full_account(layout)

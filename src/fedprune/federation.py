@@ -4,15 +4,15 @@ Each round q (1-based):
   1. sample floor(c*N) participants; slot k follows codename digit k
   2. generate each slot's mask from the current global model (or reuse a
      frozen one), prune, and run T local epochs of masked SGD
-  3. group parameter indices into regions by their exact coverage
-     signature and average each region over exactly its covering slots
-Regions covered by no slot keep the previous global value; that case is
+  3. set every parameter to the mean of its value over exactly the slots
+     whose masks cover it
+Parameters covered by no slot keep the previous global value; that case is
 reported as gamma_min = 0 and can be escalated to an error.
 
 Determinism: all randomness flows from named streams derived from
 (seed, stream, round[, slot]), so parallel slot execution would reproduce
-sequential results bit for bit. Region sums always run in ascending slot
-order for the same reason.
+sequential results bit for bit. Per-parameter sums always run in ascending
+slot order for the same reason.
 """
 
 from __future__ import annotations
@@ -49,80 +49,44 @@ _LOCAL_STREAM = 2
 
 
 class CoverageError(RuntimeError):
-    """A parameter region was covered by zero participants."""
+    """A parameter was covered by zero participants."""
 
 
 # ---------------------------------------------------------------------------
-# Regions
+# Coverage and aggregation
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Region:
-    signature: frozenset[int]  # participating slots whose mask covers these indices
-    indices: np.ndarray
-
-
-@dataclass(frozen=True)
-class RegionPartition:
-    regions: tuple[Region, ...]
-    size: int
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    per_region_count: tuple[int, ...]
-    gamma_min: int
-
-
-def decompose_regions(masks: list[Mask]) -> RegionPartition:
-    """Group every parameter index by the exact set of slots covering it."""
+def coverage_counts(masks: list[Mask]) -> np.ndarray:
+    """Number of slots whose mask covers each parameter index."""
     if not masks:
         raise ValueError("need at least one mask")
     length = len(masks[0])
     if any(len(m) != length for m in masks):
         raise ValueError("masks differ in length")
-    bits = np.stack([m.bits for m in masks])
-    signatures, inverse = np.unique(bits.T, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    regions = tuple(
-        Region(frozenset(np.flatnonzero(signatures[r]).tolist()), np.flatnonzero(inverse == r))
-        for r in range(len(signatures))
-    )
-    return RegionPartition(regions, length)
-
-
-def coverage_index(partition_: RegionPartition) -> CoverageReport:
-    counts = tuple(len(r.signature) for r in partition_.regions)
-    return CoverageReport(counts, min(counts))
+    return np.stack([m.bits for m in masks]).sum(axis=0, dtype=np.int64)
 
 
 def aggregate(
     previous_global: ParamVector,
     local_models: list[ParamVector],
     masks: list[Mask],
-    partition_: RegionPartition,
 ) -> ParamVector:
-    """Region-wise mean over exactly the covering slots, in ascending slot order.
+    """Per-parameter mean over exactly the covering slots, in ascending slot order.
 
-    Uncovered regions retain the previous global value.
+    Parameters no slot covers retain the previous global value.
     """
     total = previous_global.layout.total
-    if partition_.size != total:
-        raise ValueError("partition does not match the parameter vector")
     if len(local_models) != len(masks):
         raise ValueError("one mask per local model required")
-    covered = sum(len(r.signature) * len(r.indices) for r in partition_.regions)
-    if covered != sum(int(m.bits.sum()) for m in masks):
-        raise ValueError("partition is inconsistent with the masks")
-    out = previous_global.values.copy()
-    for region in partition_.regions:
-        if not region.signature:
-            continue
-        acc = np.zeros(len(region.indices))
-        for slot in sorted(region.signature):
-            acc += local_models[slot].values[region.indices]
-        out[region.indices] = acc / len(region.signature)
+    if any(len(m) != total for m in masks):
+        raise ValueError("mask length does not match the parameter vector")
+    counts = coverage_counts(masks)
+    acc = np.zeros(total)
+    for model, mask in zip(local_models, masks):
+        acc += np.where(mask.bits != 0, model.values, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(counts > 0, acc / counts, previous_global.values)
     return ParamVector(out, previous_global.layout)
 
 
@@ -311,7 +275,7 @@ def local_update(
 def run_round(
     state: GlobalState, config: FederationConfig, data: FederatedData
 ) -> tuple[GlobalState, RoundMetrics]:
-    """One full round: sample, mask, train, decompose, aggregate, measure."""
+    """One full round: sample, mask, train, aggregate, measure."""
     q = state.round + 1
     layout = state.params.layout
     assignment: PolicyAssignment = parse_codename(
@@ -344,15 +308,14 @@ def run_round(
             local_update(state.params, masks[k], shard, config, local_rng(state.seed, q, k))
         )
 
-    partition_ = decompose_regions(masks)
-    report = coverage_index(partition_)
-    if report.gamma_min == 0:
+    gamma_min = int(coverage_counts(masks).min())
+    if gamma_min == 0:
         message = f"round {q}: some parameters are covered by no participant (gamma_min = 0)"
         if config.uncovered_region_action == "error":
             raise CoverageError(message)
         warnings.warn(message)
 
-    new_params = aggregate(state.params, local_models, masks, partition_)
+    new_params = aggregate(state.params, local_models, masks)
     if not np.isfinite(new_params.values).all():
         raise FloatingPointError(f"round {q}: non-finite global parameters after aggregation")
 
@@ -372,7 +335,7 @@ def run_round(
         global_loss=loss,
         global_accuracy=acc,
         local_weighted_accuracy=local_acc,
-        gamma_min=report.gamma_min,
+        gamma_min=gamma_min,
         per_slot_delta_sq=tuple(deltas),
         grad_norm_sq_estimate=gnorm,
         amortized_params=amort.params_mean,

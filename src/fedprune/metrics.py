@@ -17,7 +17,6 @@ import numpy as np
 
 from .nn import LayerLayout, ParamVector, dataset_loss_and_grad, evaluate
 from .pruning import Mask, PruningPolicy
-from .pruning import default_maskable_set  # noqa: F401  (perfbench's tracer wraps this name)
 
 CSV_HEADER = [
     "round",
@@ -270,13 +269,6 @@ def emit_jsonl(records: list[RoundMetrics], sink) -> None:
     for r in records:
         row = _record_row(r)
         sink.write(json.dumps({k: row[k] for k in CSV_HEADER}) + "\n")
-
-
-def emit(records: list[RoundMetrics], csv_sink, jsonl_sink=None) -> None:
-    """Write the CSV stream and, when given a second sink, the JSON-lines twin."""
-    emit_csv(records, csv_sink)
-    if jsonl_sink is not None:
-        emit_jsonl(records, jsonl_sink)
 
 
 def read_metrics_csv(source) -> list[dict]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .federation import aggregate, decompose_regions
+from .federation import aggregate, coverage_counts
 from .nn import Batch, LayerLayout, OptimizerState, ParamVector, loss_and_grad, masked_sgd_step
 from .pruning import Mask, apply_mask
 
@@ -68,25 +68,18 @@ def _random_instance(rng: np.random.Generator):
     return n_params, n_slots, bits
 
 
-def region_partition_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
-    """decompose_regions vs a per-index signature scan."""
+def coverage_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
+    """coverage_counts vs a per-index count of covering slots."""
     for _ in range(runs):
         n_params, n_slots, bits = _random_instance(rng)
-        masks = [Mask(bits[s]) for s in range(n_slots)]
-        part = decompose_regions(masks)
-        seen = np.zeros(n_params, dtype=int)
-        for region in part.regions:
-            seen[region.indices] += 1
-            for i in region.indices:
-                expected = frozenset(int(s) for s in range(n_slots) if bits[s, i] == 1)
-                if expected != region.signature:
-                    return CheckResult(
-                        "region_partition_oracle", False,
-                        f"index {i}: signature {region.signature} != {expected}",
-                    )
-        if not (seen == 1).all():
-            return CheckResult("region_partition_oracle", False, "not an exact partition")
-    return CheckResult("region_partition_oracle", True, f"{runs} random instances")
+        counts = coverage_counts([Mask(bits[s]) for s in range(n_slots)])
+        for i in range(n_params):
+            expected = sum(1 for s in range(n_slots) if bits[s, i] == 1)
+            if counts[i] != expected:
+                return CheckResult(
+                    "coverage_oracle", False, f"index {i}: count {counts[i]} != {expected}"
+                )
+    return CheckResult("coverage_oracle", True, f"{runs} random instances")
 
 
 def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
@@ -101,7 +94,6 @@ def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
             ParamVector(prev, layout),
             [ParamVector(v, layout) for v in locals_],
             masks,
-            decompose_regions(masks),
         ).values
         want = _brute_force_aggregate(prev, locals_, bits)
         if not np.array_equal(got, want):
@@ -133,7 +125,7 @@ def mask_closure_check(rng: np.random.Generator, runs: int = 50) -> CheckResult:
 def _flat_layout(n_params: int) -> LayerLayout:
     """A layout whose flat vector has exactly n_params entries.
 
-    Aggregation and region logic only need vector length, so a single
+    Coverage and aggregation only need vector length, so a single
     (n-1)-to-1 affine layer ((n-1) weights + 1 bias) suffices.
     """
     if n_params < 2:
@@ -144,7 +136,7 @@ def _flat_layout(n_params: int) -> LayerLayout:
 def run_selfcheck(seed: int = 0, corrupt_gradient: bool = False) -> list[CheckResult]:
     results = [
         gradient_check(np.random.default_rng([seed, 10]), corrupt=corrupt_gradient),
-        region_partition_check(np.random.default_rng([seed, 11])),
+        coverage_check(np.random.default_rng([seed, 11])),
         aggregation_check(np.random.default_rng([seed, 12])),
         mask_closure_check(np.random.default_rng([seed, 13])),
     ]

@@ -27,7 +27,7 @@ from fedprune.federation import (
     SynthSpec,
     aggregate,
     build_federated_data,
-    decompose_regions,
+    coverage_counts,
     init_state,
     model_layout,
     run,
@@ -137,15 +137,12 @@ def test_criterion_3_region_and_aggregation_oracles():
             n_slots = int(rng.integers(1, 7))
             bits = rng.integers(0, 2, (n_slots, n_params), dtype=np.uint8)
             masks = [Mask(bits[s]) for s in range(n_slots)]
-            part = decompose_regions(masks)
+            counts = coverage_counts(masks)
 
             expected_signatures = brute_force_signatures(bits)
-            seen = np.zeros(n_params, dtype=int)
-            for region in part.regions:
-                seen[region.indices] += 1
-                for i in region.indices:
-                    assert region.signature == expected_signatures[i]
-            assert (seen == 1).all()
+            assert len(counts) == n_params
+            for i in range(n_params):
+                assert counts[i] == len(expected_signatures[i])
 
             layout = LayerLayout((n_params - 1, 1))
             prev = rng.normal(size=n_params)
@@ -154,7 +151,6 @@ def test_criterion_3_region_and_aggregation_oracles():
                 ParamVector(prev, layout),
                 [ParamVector(v, layout) for v in local_values],
                 masks,
-                part,
             ).values
             assert np.array_equal(got, brute_force_aggregate(prev, local_values, bits))
 

@@ -1,6 +1,8 @@
 import json
 import warnings
 
+import pytest
+
 from fedprune.cli import main
 
 QUICK_CONFIG = {
@@ -92,6 +94,27 @@ def test_coverage_flags_uncovered(capsys):
     out = capsys.readouterr().out
     assert "gamma_min: 0" in out
     assert "warning" in out.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "configs/quickstart.json", "--seeds", "1,x"],
+    ["account", "--layout", "784,x"],
+    ["account", "--layout", "0,5"],
+    ["account", "--family", "NP", "--layout", "20,32,16,10", "--codename", "1111223344"],
+    ["account", "--family", "NP", "--layout", "20,32,16,10", "--check-table"],
+    ["account", "--family", "NP", "--layout", "20,32,16,10", "--check-table",
+     "--codename", "1111223344"],
+])
+def test_malformed_input_is_an_error_not_a_crash(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_account_check_missing_row_fails(capsys):
+    assert main(["account", "--check-table", "--codename", "1234567777", "--family", "FS"]) == 1
+    assert capsys.readouterr().out == "no stored row for FS 1234567777\n"
 
 
 # ---------------------------------------------------------------------------

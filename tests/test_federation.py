@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_impl import reference_fedavg_rounds
+from reference_impl import brute_force_aggregate, brute_force_signatures, reference_fedavg_rounds
 
 from fedprune.federation import (
     CoverageError,
@@ -9,8 +11,7 @@ from fedprune.federation import (
     SynthSpec,
     aggregate,
     build_federated_data,
-    coverage_index,
-    decompose_regions,
+    coverage_counts,
     init_state,
     local_rng,
     local_update,
@@ -58,40 +59,30 @@ def desk_config(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# region decomposition and coverage
+# coverage counts
 # ---------------------------------------------------------------------------
 
 
 def test_decompose_two_mask_example():
-    part = decompose_regions(masks_from([[1, 1, 0, 0], [1, 0, 1, 0]]))
-    by_signature = {r.signature: sorted(r.indices.tolist()) for r in part.regions}
-    assert by_signature == {
-        frozenset({0, 1}): [0],
-        frozenset({0}): [1],
-        frozenset({1}): [2],
-        frozenset(): [3],
-    }
+    counts = coverage_counts(masks_from([[1, 1, 0, 0], [1, 0, 1, 0]]))
+    assert counts.tolist() == [2, 1, 1, 0]
 
 
 def test_decompose_all_ones_single_region():
-    part = decompose_regions(masks_from([[1, 1, 1]] * 4))
-    assert len(part.regions) == 1
-    assert part.regions[0].signature == frozenset({0, 1, 2, 3})
+    assert coverage_counts(masks_from([[1, 1, 1]] * 4)).tolist() == [4, 4, 4]
 
 
 def test_decompose_rejects_mixed_lengths():
     with pytest.raises(ValueError):
-        decompose_regions(masks_from([[1, 0], [1, 0, 1]]))
+        coverage_counts(masks_from([[1, 0], [1, 0, 1]]))
 
 
 def test_coverage_report_values():
-    part = decompose_regions(masks_from([[1, 1, 0, 0], [1, 0, 1, 0]]))
-    report = coverage_index(part)
-    assert report.gamma_min == 0
-    assert sorted(report.per_region_count) == [0, 1, 1, 2]
+    counts = coverage_counts(masks_from([[1, 1, 0, 0], [1, 0, 1, 0]]))
+    assert counts.min() == 0
+    assert sorted(counts.tolist()) == [0, 1, 1, 2]
 
-    full = coverage_index(decompose_regions(masks_from([[1, 1]] * 10)))
-    assert full.gamma_min == 10
+    assert coverage_counts(masks_from([[1, 1]] * 10)).min() == 10
 
 
 def test_codename_masks_reach_reference_gamma():
@@ -103,7 +94,7 @@ def test_codename_masks_reach_reference_gamma():
         masks = [
             generate_mask(p, params, maskable, 1) for p in assignment.per_slot_policies
         ]
-        assert coverage_index(decompose_regions(masks)).gamma_min == expected
+        assert coverage_counts(masks).min() == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -113,14 +104,11 @@ def test_decompose_matches_brute_force(seed):
     n_params = int(rng.integers(2, 65))
     n_slots = int(rng.integers(1, 7))
     bits = rng.integers(0, 2, (n_slots, n_params), dtype=np.uint8)
-    part = decompose_regions(masks_from(bits))
-    seen = np.zeros(n_params, dtype=int)
-    for region in part.regions:
-        seen[region.indices] += 1
-        for i in region.indices:
-            expected = frozenset(int(s) for s in range(n_slots) if bits[s, i])
-            assert region.signature == expected
-    assert (seen == 1).all()
+    counts = coverage_counts(masks_from(bits))
+    signatures = brute_force_signatures(bits)
+    assert len(counts) == n_params
+    for i in range(n_params):
+        assert counts[i] == len(signatures[i])
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +124,7 @@ def test_aggregate_worked_example():
         ParamVector(np.array([3.0, 0.0, 4.0]), layout),
     ]
     masks = masks_from([[1, 1, 0], [1, 0, 1]])
-    out = aggregate(prev, locals_, masks, decompose_regions(masks))
+    out = aggregate(prev, locals_, masks)
     assert out.values.tolist() == [2.0, 2.0, 4.0]
 
 
@@ -146,7 +134,7 @@ def test_aggregate_all_ones_is_fedavg_mean():
     prev = ParamVector(rng.normal(size=6), layout)
     locals_ = [ParamVector(rng.normal(size=6), layout) for _ in range(4)]
     masks = [Mask.ones(6) for _ in range(4)]
-    out = aggregate(prev, locals_, masks, decompose_regions(masks))
+    out = aggregate(prev, locals_, masks)
     manual = np.zeros(6)
     for lv in locals_:
         manual += lv.values
@@ -158,18 +146,30 @@ def test_aggregate_single_client_retains_uncovered():
     prev = ParamVector(np.array([5.0, 6.0, 7.0, 8.0]), layout)
     locals_ = [ParamVector(np.array([1.0, 2.0, 3.0, 4.0]), layout)]
     masks = masks_from([[1, 0, 1, 0]])
-    out = aggregate(prev, locals_, masks, decompose_regions(masks))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 0/0 at uncovered indices must stay silent
+        out = aggregate(prev, locals_, masks)
     assert out.values.tolist() == [1.0, 6.0, 3.0, 8.0]
 
 
-def test_aggregate_rejects_partition_mask_mismatch():
+def test_aggregate_rejects_wrong_length_mask():
+    layout = flat_layout(3)
+    prev = ParamVector(np.zeros(3), layout)
+    locals_ = [ParamVector(np.ones(3), layout), ParamVector(np.ones(3), layout)]
+    with pytest.raises(ValueError):
+        aggregate(prev, locals_, masks_from([[1, 1, 0, 1], [1, 0, 1, 0]]))
+    with pytest.raises(ValueError):
+        aggregate(prev, locals_, masks_from([[1, 1, 0], [1, 0]]))
+    with pytest.raises(ValueError):  # would broadcast silently without the check
+        aggregate(prev, locals_, masks_from([[1], [1]]))
+
+
+def test_aggregate_rejects_model_mask_count_mismatch():
     layout = flat_layout(3)
     prev = ParamVector(np.zeros(3), layout)
     locals_ = [ParamVector(np.ones(3), layout)]
-    masks = masks_from([[1, 1, 0]])
-    other = decompose_regions(masks_from([[1, 1, 1]]))
     with pytest.raises(ValueError):
-        aggregate(prev, locals_, masks, other)
+        aggregate(prev, locals_, masks_from([[1, 1, 0], [1, 0, 1]]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -187,7 +187,6 @@ def test_aggregate_matches_brute_force(seed):
         ParamVector(prev, layout),
         [ParamVector(v, layout) for v in local_values],
         masks,
-        decompose_regions(masks),
     ).values
     want = prev.copy()
     for i in range(n_params):
@@ -195,6 +194,41 @@ def test_aggregate_matches_brute_force(seed):
         if covering:
             want[i] = sum(local_values[s][i] for s in covering) / len(covering)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("family", ["WP", "NP", "FS"])
+@pytest.mark.parametrize(
+    ("codename", "uncovered"),
+    [("1111223344", False), ("2233445677", False), ("55", True), ("5566", True)],
+)
+def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codename, uncovered):
+    # codenames with and without an uncovered quartile; signed zeros in every
+    # input, compared bit pattern for bit pattern (array_equal has -0.0 == 0.0)
+    layout = LayerLayout((8, 8, 4))
+    rng = np.random.default_rng(7)
+    params = init_params(layout, 0)
+    maskable = default_maskable_set(layout, family)
+    policies = parse_codename(codename, family=family).per_slot_policies
+    masks = [generate_mask(p, params, maskable, 1) for p in policies]
+    bits = np.stack([m.bits for m in masks])
+    signed_zeros = rng.random(layout.total) < 0.25
+    prev = rng.normal(size=layout.total)
+    prev[signed_zeros] = -0.0
+    local_values = []
+    for mask in masks:
+        values = np.where(mask.bits != 0, rng.normal(size=layout.total), -0.0)
+        values[signed_zeros] = -0.0
+        local_values.append(values)
+    got = aggregate(
+        ParamVector(prev, layout),
+        [ParamVector(v, layout) for v in local_values],
+        masks,
+    ).values
+    want = brute_force_aggregate(prev, local_values, bits)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    counts = bits.sum(0)
+    assert (counts == 0).any() == uncovered
+    assert (signed_zeros & (counts > 0)).any()
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +371,7 @@ def test_round_results_independent_of_slot_execution_order():
             state.params, mask, data.train.subset(data.shards[participants[k]]),
             config, local_rng(state.seed, 1, k),
         )
-    redone = aggregate(state.params, slot_models, slot_masks, decompose_regions(slot_masks))
+    redone = aggregate(state.params, slot_models, slot_masks)
     assert np.array_equal(redone.values, new_state.params.values)
 
 

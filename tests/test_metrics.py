@@ -12,8 +12,8 @@ from fedprune.metrics import (
     TheoryConstants,
     account,
     amortized,
-    emit,
     emit_csv,
+    emit_jsonl,
     full_account,
     grad_norm_estimate,
     read_metrics_csv,
@@ -303,7 +303,8 @@ def test_emit_one_record_two_lines():
 def test_emit_round_trip_is_exact():
     records = [record(i) for i in range(1, 6)]
     csv_sink, jsonl_sink = io.StringIO(), io.StringIO()
-    emit(records, csv_sink, jsonl_sink)
+    emit_csv(records, csv_sink)
+    emit_jsonl(records, jsonl_sink)
     parsed = read_metrics_csv(io.StringIO(csv_sink.getvalue()))
     assert len(parsed) == len(records)
     for row, rec in zip(parsed, records):
