@@ -2,8 +2,9 @@
 
 Each round q (1-based):
   1. sample floor(c*N) participants; slot k follows codename digit k
-  2. generate each slot's mask from the current global model (or reuse a
-     frozen one), prune, and run T local epochs of masked SGD
+  2. rank the current global model once, derive each slot's mask from that
+     ranking (or reuse a frozen one), prune, and run T local epochs of
+     masked SGD
   3. set every parameter to the mean of its value over exactly the slots
      whose masks cover it
 Parameters covered by no slot keep the previous global value; that case is
@@ -38,9 +39,9 @@ from .pruning import (
     PolicyAssignment,
     apply_mask,
     default_maskable_set,
-    generate_mask,
     parse_codename,
     pruning_noise,
+    round_masks,
 )
 
 # named RNG streams; keep stable or recorded runs stop being reproducible
@@ -71,17 +72,20 @@ def aggregate(
     previous_global: ParamVector,
     local_models: list[ParamVector],
     masks: list[Mask],
+    counts: np.ndarray,
 ) -> ParamVector:
     """Per-parameter mean over exactly the covering slots, in ascending slot order.
 
-    Parameters no slot covers retain the previous global value.
+    `counts` is `coverage_counts(masks)`. Parameters no slot covers retain
+    the previous global value.
     """
     total = previous_global.layout.total
     if len(local_models) != len(masks):
         raise ValueError("one mask per local model required")
     if any(len(m) != total for m in masks):
         raise ValueError("mask length does not match the parameter vector")
-    counts = coverage_counts(masks)
+    if len(counts) != total:
+        raise ValueError("coverage counts do not match the parameter vector")
     acc = np.zeros(total)
     for model, mask in zip(local_models, masks):
         acc += np.where(mask.bits != 0, model.values, 0.0)
@@ -285,19 +289,15 @@ def run_round(
     participants = sample_participants(state, config)
 
     frozen = dict(state.frozen_masks)
-    masks: list[Mask] = []
-    deltas: list[float] = []
-    for k in range(len(participants)):
-        policy = assignment.per_slot_policies[k]
-        mask = generate_mask(policy, state.params, maskable, q, frozen.get(k))
+    masks = round_masks(assignment.per_slot_policies, state.params, maskable, q, frozen)
+    for k, (policy, mask) in enumerate(zip(assignment.per_slot_policies, masks)):
         if (
             policy.freeze_after_round is not None
             and q >= policy.freeze_after_round
             and k not in frozen
         ):
             frozen[k] = mask
-        masks.append(mask)
-        deltas.append(pruning_noise(state.params, mask))
+    deltas = [pruning_noise(state.params, mask) for mask in masks]
 
     local_models = []
     shards = []
@@ -308,14 +308,15 @@ def run_round(
             local_update(state.params, masks[k], shard, config, local_rng(state.seed, q, k))
         )
 
-    gamma_min = int(coverage_counts(masks).min())
+    counts = coverage_counts(masks)
+    gamma_min = int(counts.min())
     if gamma_min == 0:
         message = f"round {q}: some parameters are covered by no participant (gamma_min = 0)"
         if config.uncovered_region_action == "error":
             raise CoverageError(message)
         warnings.warn(message)
 
-    new_params = aggregate(state.params, local_models, masks)
+    new_params = aggregate(state.params, local_models, masks, counts)
     if not np.isfinite(new_params.values).all():
         raise FloatingPointError(f"round {q}: non-finite global parameters after aggregation")
 

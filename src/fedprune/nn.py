@@ -4,6 +4,11 @@ Everything operates on a flat float64 parameter vector so that pruning
 masks, region-wise averaging, and parameter accounting can all index the
 same address space. Layer l occupies [W_l | b_l] slices of the flat
 vector, with W_l stored row-major as (fan_in, fan_out).
+
+The optimizer step works in place: `masked_sgd_step` overwrites the
+parameter values, the momentum buffer and the gradient it is given, and
+returns the same objects. A local training step allocates no full-length
+vector besides the gradient `loss_and_grad` returns.
 """
 
 from __future__ import annotations
@@ -196,7 +201,7 @@ def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, np.ndarray]
     logp = _log_softmax(acts[-1])
     loss = float(-logp[np.arange(n), batch.labels].mean())
 
-    grad = np.zeros(layout.total)
+    grad = np.empty(layout.total)  # every weight and bias slice is written below
     # dL/dlogits for mean cross-entropy
     delta = np.exp(logp)
     delta[np.arange(n), batch.labels] -= 1.0
@@ -204,8 +209,8 @@ def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, np.ndarray]
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
         sl = layout.offsets[l]
-        grad[sl.weights] = (acts[l].T @ delta).ravel()
-        grad[sl.biases] = delta.sum(axis=0)
+        np.matmul(acts[l].T, delta, out=grad[sl.weights].reshape(w.shape))
+        np.sum(delta, axis=0, out=grad[sl.biases])
         if l > 0:
             delta = delta @ w.T
             delta[pre[l - 1] <= 0.0] = 0.0  # ReLU subgradient at 0 taken as 0
@@ -215,21 +220,26 @@ def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, np.ndarray]
 def masked_sgd_step(
     params: ParamVector, grad: np.ndarray, mask, opt: OptimizerState
 ) -> tuple[ParamVector, OptimizerState]:
-    """One SGD-with-momentum step on the mask-selected coordinates.
+    """One SGD-with-momentum step on the mask-selected coordinates, in place.
+
+    Updates `params.values` and `opt.momentum_buffer` in place and returns
+    the same `params` and `opt` objects. `grad` is consumed: it is used as
+    scratch space and holds no gradient afterwards.
 
     The gradient is masked before entering the momentum buffer, so
-    coordinates that start at exactly zero stay exactly zero.
+    coordinates that start at exactly zero stay exactly zero. The order is
+    g = grad*bits, buf = coef*buf + g, values -= lr*buf.
     """
     bits = _mask_bits(mask)
     if not (len(grad) == len(bits) == params.layout.total):
         raise ValueError("params, grad, and mask lengths differ")
-    g = grad * bits
-    buf = opt.momentum_coef * opt.momentum_buffer + g
-    new_values = params.values - opt.learning_rate * buf
-    return (
-        ParamVector(new_values, params.layout),
-        OptimizerState(buf, opt.momentum_coef, opt.learning_rate),
-    )
+    buf = opt.momentum_buffer
+    np.multiply(grad, bits, out=grad)
+    buf *= opt.momentum_coef
+    buf += grad
+    np.multiply(opt.learning_rate, buf, out=grad)
+    params.values -= grad
+    return params, opt
 
 
 def dataset_loss_and_grad(
@@ -245,7 +255,8 @@ def dataset_loss_and_grad(
         chunk = Batch(inputs[start : start + batch_size], labels[start : start + batch_size])
         loss, grad = loss_and_grad(params, chunk)
         total_loss += loss * len(chunk)
-        total_grad += grad * len(chunk)
+        grad *= len(chunk)
+        total_grad += grad
     return total_loss / n, total_grad / n
 
 

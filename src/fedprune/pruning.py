@@ -15,6 +15,7 @@ all later rounds.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -143,8 +144,13 @@ def neuron_blocks(layout: LayerLayout) -> list[np.ndarray]:
     return blocks
 
 
+@functools.cache
 def default_maskable_set(layout: LayerLayout, family: str) -> MaskableSet:
-    """WP prunes first-layer weight entries; NP/FS prune whole hidden neurons."""
+    """WP prunes first-layer weight entries; NP/FS prune whole hidden neurons.
+
+    Memoised: the result depends only on (layout, family) and is immutable,
+    so every caller shares one instance.
+    """
     if family == "WP":
         return MaskableSet(first_layer_weight_indices(layout))
     if family in ("NP", "FS"):
@@ -215,6 +221,24 @@ def segment_index_sets(
     return tuple(np.concatenate([blocks[j] for j in part]) for part in parts)
 
 
+def _reuses_frozen(policy: PruningPolicy, round_no: int, frozen: Mask | None) -> bool:
+    return (
+        frozen is not None
+        and policy.freeze_after_round is not None
+        and round_no > policy.freeze_after_round
+    )
+
+
+def _mask_from_segments(
+    segments: tuple[np.ndarray, ...], maskable: MaskableSet, kept: frozenset[int], total: int
+) -> Mask:
+    bits = np.ones(total, dtype=np.uint8)
+    bits[maskable.indices] = 0
+    for s in kept:
+        bits[segments[s - 1]] = 1
+    return Mask(bits)
+
+
 def generate_mask(
     policy: PruningPolicy,
     params: ParamVector,
@@ -223,18 +247,39 @@ def generate_mask(
     frozen: Mask | None = None,
 ) -> Mask:
     """Mask for the current round; recomputed from the live parameters unless frozen."""
-    if (
-        frozen is not None
-        and policy.freeze_after_round is not None
-        and round_no > policy.freeze_after_round
-    ):
+    if _reuses_frozen(policy, round_no, frozen):
         return frozen
     segments = segment_index_sets(params, maskable, policy.family)
-    bits = np.ones(params.layout.total, dtype=np.uint8)
-    bits[maskable.indices] = 0
-    for s in policy.kept_segments:
-        bits[segments[s - 1]] = 1
-    return Mask(bits)
+    return _mask_from_segments(segments, maskable, policy.kept_segments, params.layout.total)
+
+
+def round_masks(
+    policies: tuple[PruningPolicy, ...],
+    params: ParamVector,
+    maskable: MaskableSet,
+    round_no: int,
+    frozen: dict[int, Mask],
+) -> list[Mask]:
+    """Every slot's mask for one round, equal to `generate_mask` slot by slot.
+
+    All slots prune the same global model, so the ranking is computed at
+    most once per family and not at all when every slot reuses its frozen
+    mask (`frozen` maps slot -> mask).
+    """
+    segments: dict[str, tuple[np.ndarray, ...]] = {}
+    masks = []
+    for k, policy in enumerate(policies):
+        if _reuses_frozen(policy, round_no, frozen.get(k)):
+            masks.append(frozen[k])
+            continue
+        if policy.family not in segments:
+            segments[policy.family] = segment_index_sets(params, maskable, policy.family)
+        masks.append(
+            _mask_from_segments(
+                segments[policy.family], maskable, policy.kept_segments, params.layout.total
+            )
+        )
+    return masks
 
 
 def apply_mask(params: ParamVector, mask: Mask) -> ParamVector:

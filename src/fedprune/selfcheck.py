@@ -94,6 +94,7 @@ def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
             ParamVector(prev, layout),
             [ParamVector(v, layout) for v in locals_],
             masks,
+            coverage_counts(masks),
         ).values
         want = _brute_force_aggregate(prev, locals_, bits)
         if not np.array_equal(got, want):

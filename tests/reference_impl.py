@@ -39,6 +39,25 @@ def reference_fedavg_rounds(config, data, rounds):
     return history
 
 
+def reference_local_update(global_params, bits, shard, config, rng):
+    """Masked SGD with momentum written straight out, with fresh vectors every step."""
+    layout = global_params.layout
+    lr, coef = config.effective_learning_rate, config.momentum
+    values = np.where(bits != 0, global_params.values, 0.0)
+    buf = np.zeros(layout.total)
+    for _ in range(config.local_epochs):
+        order = rng.permutation(len(shard))
+        for s in range(0, len(shard), config.local_batch):
+            idx = order[s : s + config.local_batch]
+            _, grad = loss_and_grad(
+                ParamVector(values, layout), Batch(shard.inputs[idx], shard.labels[idx])
+            )
+            g = grad * bits
+            buf = coef * buf + g
+            values = values - lr * buf
+    return values
+
+
 def brute_force_aggregate(prev, local_values, bits):
     """Per-index 'mean over covering slots' definition of the global update."""
     out = prev.copy()

@@ -151,6 +151,7 @@ def test_criterion_3_region_and_aggregation_oracles():
                 ParamVector(prev, layout),
                 [ParamVector(v, layout) for v in local_values],
                 masks,
+                counts,
             ).values
             assert np.array_equal(got, brute_force_aggregate(prev, local_values, bits))
 

@@ -3,8 +3,15 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_impl import brute_force_aggregate, brute_force_signatures, reference_fedavg_rounds
+from reference_impl import (
+    brute_force_aggregate,
+    brute_force_signatures,
+    reference_fedavg_rounds,
+    reference_local_update,
+)
 
+import fedprune.federation
+import fedprune.pruning
 from fedprune.federation import (
     CoverageError,
     FederationConfig,
@@ -124,7 +131,7 @@ def test_aggregate_worked_example():
         ParamVector(np.array([3.0, 0.0, 4.0]), layout),
     ]
     masks = masks_from([[1, 1, 0], [1, 0, 1]])
-    out = aggregate(prev, locals_, masks)
+    out = aggregate(prev, locals_, masks, coverage_counts(masks))
     assert out.values.tolist() == [2.0, 2.0, 4.0]
 
 
@@ -134,7 +141,7 @@ def test_aggregate_all_ones_is_fedavg_mean():
     prev = ParamVector(rng.normal(size=6), layout)
     locals_ = [ParamVector(rng.normal(size=6), layout) for _ in range(4)]
     masks = [Mask.ones(6) for _ in range(4)]
-    out = aggregate(prev, locals_, masks)
+    out = aggregate(prev, locals_, masks, coverage_counts(masks))
     manual = np.zeros(6)
     for lv in locals_:
         manual += lv.values
@@ -148,7 +155,7 @@ def test_aggregate_single_client_retains_uncovered():
     masks = masks_from([[1, 0, 1, 0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # 0/0 at uncovered indices must stay silent
-        out = aggregate(prev, locals_, masks)
+        out = aggregate(prev, locals_, masks, coverage_counts(masks))
     assert out.values.tolist() == [1.0, 6.0, 3.0, 8.0]
 
 
@@ -157,19 +164,25 @@ def test_aggregate_rejects_wrong_length_mask():
     prev = ParamVector(np.zeros(3), layout)
     locals_ = [ParamVector(np.ones(3), layout), ParamVector(np.ones(3), layout)]
     with pytest.raises(ValueError):
-        aggregate(prev, locals_, masks_from([[1, 1, 0, 1], [1, 0, 1, 0]]))
+        aggregate(prev, locals_, masks_from([[1, 1, 0, 1], [1, 0, 1, 0]]), np.ones(4, int))
     with pytest.raises(ValueError):
-        aggregate(prev, locals_, masks_from([[1, 1, 0], [1, 0]]))
+        aggregate(prev, locals_, masks_from([[1, 1, 0], [1, 0]]), np.ones(3, int))
     with pytest.raises(ValueError):  # would broadcast silently without the check
-        aggregate(prev, locals_, masks_from([[1], [1]]))
+        aggregate(prev, locals_, masks_from([[1], [1]]), np.full(1, 2))
+    good = masks_from([[1, 1, 0], [1, 0, 1]])
+    with pytest.raises(ValueError):  # counts of another length would broadcast too
+        aggregate(prev, locals_, good, np.full(1, 2))
+    with pytest.raises(ValueError):
+        aggregate(prev, locals_, good, np.ones(4, int))
 
 
 def test_aggregate_rejects_model_mask_count_mismatch():
     layout = flat_layout(3)
     prev = ParamVector(np.zeros(3), layout)
     locals_ = [ParamVector(np.ones(3), layout)]
+    masks = masks_from([[1, 1, 0], [1, 0, 1]])
     with pytest.raises(ValueError):
-        aggregate(prev, locals_, masks_from([[1, 1, 0], [1, 0, 1]]))
+        aggregate(prev, locals_, masks, coverage_counts(masks))
 
 
 @settings(max_examples=80, deadline=None)
@@ -187,6 +200,7 @@ def test_aggregate_matches_brute_force(seed):
         ParamVector(prev, layout),
         [ParamVector(v, layout) for v in local_values],
         masks,
+        coverage_counts(masks),
     ).values
     want = prev.copy()
     for i in range(n_params):
@@ -223,6 +237,7 @@ def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codena
         ParamVector(prev, layout),
         [ParamVector(v, layout) for v in local_values],
         masks,
+        coverage_counts(masks),
     ).values
     want = brute_force_aggregate(prev, local_values, bits)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -309,6 +324,24 @@ def test_local_update_single_full_batch_step_oracle():
     assert np.array_equal(got.values, params.values - 0.25 * grad)
 
 
+def test_local_update_matches_reference_with_momentum_bitwise():
+    # 25-example shard, batch 10: every epoch ends on a short batch
+    config = desk_config(local_epochs=3, momentum=0.5)
+    data = build_federated_data(config)
+    layout = model_layout(config, data)
+    params = init_params(layout, 6)
+    theta = params.values.copy()
+    maskable = default_maskable_set(layout, "WP")
+    mask = generate_mask(parse_codename("2").per_slot_policies[0], params, maskable, 1)
+    shard = data.train.subset(data.shards[2])
+    assert len(shard) % config.local_batch != 0
+    got = local_update(params, mask, shard, config, local_rng(6, 1, 0))
+    want = reference_local_update(params, mask.bits, shard, config, local_rng(6, 1, 0))
+    assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
+    assert not np.array_equal(got.values, apply_mask(params, mask).values)
+    assert np.array_equal(params.values.view(np.int64), theta.view(np.int64))
+
+
 def test_local_update_preserves_masked_zeros():
     config = desk_config()
     data = build_federated_data(config)
@@ -371,8 +404,52 @@ def test_round_results_independent_of_slot_execution_order():
             state.params, mask, data.train.subset(data.shards[participants[k]]),
             config, local_rng(state.seed, 1, k),
         )
-    redone = aggregate(state.params, slot_models, slot_masks)
+    redone = aggregate(state.params, slot_models, slot_masks, coverage_counts(slot_masks))
     assert np.array_equal(redone.values, new_state.params.values)
+
+
+@pytest.mark.parametrize(
+    ("family", "codename", "freeze"),
+    [("WP", "1111223344", None), ("NP", "1111223344", None), ("FS", "2233445677", None),
+     ("WP", "1111556677", 2), ("NP", "2233445677", 2)],
+)
+def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
+    monkeypatch, family, codename, freeze
+):
+    config = desk_config(family=family, codename=codename, freeze_after_round=freeze)
+    data = build_federated_data(config)
+    layout = model_layout(config, data)
+    maskable = default_maskable_set(layout, family)
+    policies = parse_codename(codename, family, freeze).per_slot_policies
+
+    rank_calls, used = [], []
+    segment_index_sets = fedprune.pruning.segment_index_sets
+    local_update_ = fedprune.federation.local_update
+
+    def counted_ranking(*args):
+        rank_calls.append(args)
+        return segment_index_sets(*args)
+
+    def recorded_local_update(params, mask, *rest):
+        used.append(mask)
+        return local_update_(params, mask, *rest)
+
+    monkeypatch.setattr(fedprune.pruning, "segment_index_sets", counted_ranking)
+    monkeypatch.setattr(fedprune.federation, "local_update", recorded_local_update)
+
+    state = init_state(config, layout)
+    for q in range(1, 5):
+        theta = state.params.values.copy()
+        rank_calls.clear()
+        used.clear()
+        new_state, _ = run_round(state, config, data)
+        assert len(rank_calls) == (0 if freeze is not None and q > freeze else 1), f"round {q}"
+        assert np.array_equal(state.params.values.view(np.int64), theta.view(np.int64))
+        assert len(used) == len(policies)
+        for k, policy in enumerate(policies):
+            want = generate_mask(policy, state.params, maskable, q, state.frozen_masks.get(k))
+            assert np.array_equal(used[k].bits, want.bits), f"round {q}, slot {k}"
+        state = new_state
 
 
 def test_pretrained_freeze_in_engine():

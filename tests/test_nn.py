@@ -199,17 +199,24 @@ def test_step_reduces_to_plain_sgd():
     layout = LayerLayout((2, 1))
     params = ParamVector(np.array([1.0, -2.0, 0.5]), layout)
     grad = np.array([0.5, 1.0, -1.0])
-    opt = OptimizerState.fresh(layout, learning_rate=0.2, momentum_coef=0.0)
-    stepped, _ = masked_sgd_step(params, grad, np.ones(3), opt)
-    assert np.array_equal(stepped.values, params.values - 0.2 * grad)
+    expected = params.values - 0.2 * grad
+    values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.2, momentum_coef=0.0)
+    buf = opt.momentum_buffer
+    stepped, opt2 = masked_sgd_step(params, grad, np.ones(3), opt)
+    assert stepped is params and stepped.values is values
+    assert opt2 is opt and opt2.momentum_buffer is buf
+    assert np.array_equal(stepped.values, expected)
 
 
 def test_step_all_zero_mask_is_identity():
     layout = LayerLayout((2, 1))
     params = ParamVector(np.array([1.0, -2.0, 0.5]), layout)
-    opt = OptimizerState.fresh(layout, learning_rate=0.2, momentum_coef=0.5)
+    expected = params.values.copy()
+    values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.2, momentum_coef=0.5)
+    buf = opt.momentum_buffer
     stepped, opt2 = masked_sgd_step(params, np.array([9.0, 9.0, 9.0]), np.zeros(3), opt)
-    assert np.array_equal(stepped.values, params.values)
+    assert stepped.values is values and opt2.momentum_buffer is buf
+    assert np.array_equal(stepped.values, expected)
     assert not opt2.momentum_buffer.any()
 
 
@@ -217,10 +224,10 @@ def test_step_two_coordinate_arithmetic():
     # masked index 1 is untouched here; apply_mask is what zeroes it upstream
     layout = LayerLayout((1, 1))
     params = ParamVector(np.array([1.0, 1.0]), layout)
-    stepped, _ = masked_sgd_step(
-        params, np.array([2.0, 4.0]), np.array([1, 0]),
-        OptimizerState.fresh(layout, learning_rate=0.5, momentum_coef=0.0),
-    )
+    values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.5, momentum_coef=0.0)
+    buf = opt.momentum_buffer
+    stepped, opt2 = masked_sgd_step(params, np.array([2.0, 4.0]), np.array([1, 0]), opt)
+    assert stepped.values is values and opt2.momentum_buffer is buf
     assert np.array_equal(stepped.values, np.array([0.0, 1.0]))
 
 
@@ -228,11 +235,14 @@ def test_step_momentum_accumulates():
     layout = LayerLayout((1, 1))
     params = ParamVector(np.zeros(2), layout)
     opt = OptimizerState.fresh(layout, learning_rate=1.0, momentum_coef=0.5)
-    grad = np.array([1.0, 0.0])
-    params, opt = masked_sgd_step(params, grad, np.ones(2), opt)
+    values, buf = params.values, opt.momentum_buffer
+    # the step consumes its gradient argument, so each call gets a fresh one
+    params, opt = masked_sgd_step(params, np.array([1.0, 0.0]), np.ones(2), opt)
     assert params.values[0] == -1.0
-    params, opt = masked_sgd_step(params, grad, np.ones(2), opt)
+    params, opt = masked_sgd_step(params, np.array([1.0, 0.0]), np.ones(2), opt)
     assert params.values[0] == -1.0 - 1.5  # buffer 0.5*1 + 1
+    assert params.values is values and opt.momentum_buffer is buf
+    assert opt.momentum_buffer.tolist() == [1.5, 0.0]
 
 
 def test_step_rejects_length_mismatch():

@@ -51,6 +51,15 @@ def test_maskable_set_keeps_given_order():
     assert len(MaskableSet(np.array([], dtype=np.int64))) == 0
 
 
+@pytest.mark.parametrize("family", ["WP", "NP", "FS"])
+def test_default_maskable_set_is_shared_per_layout_and_family(family):
+    first = default_maskable_set(LayerLayout((6, 8, 3)), family)
+    assert default_maskable_set(LayerLayout((6, 8, 3)), family) is first
+    assert not first.indices.flags.writeable
+    other = default_maskable_set(LayerLayout((6, 4, 3)), family)
+    assert len(other) < len(first)
+
+
 # ---------------------------------------------------------------------------
 # ranking
 # ---------------------------------------------------------------------------
