@@ -36,7 +36,7 @@ _FED_KEYS = {
     "num_clients", "participation_ratio", "rounds", "local_epochs", "local_batch",
     "learning_rate", "momentum", "codename", "family", "freeze_after_round",
     "partition", "classes_per_client", "uncovered_region_action", "hidden_layers",
-    "test_batch", "loss_split", "static_slots", "smoothness_L", "init_seed",
+    "test_batch", "static_slots", "smoothness_L", "init_seed",
 }
 
 _SYNTH_KEYS = {

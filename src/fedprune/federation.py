@@ -29,11 +29,10 @@ from .metrics import (
     account,
     amortized,
     full_account,
-    grad_norm_estimate,
     theory_learning_rate,
     weighted_accuracy,
 )
-from .nn import Batch, LayerLayout, OptimizerState, ParamVector, evaluate, init_params, loss_and_grad, masked_sgd_step
+from .nn import LayerLayout, OptimizerState, ParamVector, evaluate, init_params, loss_and_grad, masked_sgd_step
 from .pruning import (
     Mask,
     PolicyAssignment,
@@ -140,7 +139,6 @@ class FederationConfig:
     uncovered_region_action: str = "warn"
     hidden_layers: tuple[int, ...] = (200,)
     test_batch: int = 128
-    loss_split: str = "test"
     static_slots: bool = False
     smoothness_L: float | None = None
 
@@ -159,8 +157,6 @@ class FederationConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.uncovered_region_action not in ("warn", "error"):
             raise ValueError("uncovered_region_action must be 'warn' or 'error'")
-        if self.loss_split not in ("test", "train"):
-            raise ValueError("loss_split must be 'test' or 'train'")
         if self.static_slots and self.num_clients != self.slots_per_round:
             raise ValueError("static slot binding requires num_clients == codename length")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
@@ -271,7 +267,7 @@ def local_update(
         order = rng.permutation(n)
         for start in range(0, n, config.local_batch):
             idx = order[start : start + config.local_batch]
-            _, grad = loss_and_grad(params, Batch(shard.inputs[idx], shard.labels[idx]))
+            _, grad = loss_and_grad(params, shard.inputs[idx], shard.labels[idx])
             params, opt = masked_sgd_step(params, grad, mask, opt)
     return params
 
@@ -297,7 +293,7 @@ def run_round(
             and k not in frozen
         ):
             frozen[k] = mask
-    deltas = [pruning_noise(state.params, mask) for mask in masks]
+    deltas = pruning_noise(state.params, masks)
 
     local_models = []
     shards = []
@@ -320,9 +316,8 @@ def run_round(
     if not np.isfinite(new_params.values).all():
         raise FloatingPointError(f"round {q}: non-finite global parameters after aggregation")
 
-    eval_split = data.test if config.loss_split == "test" else data.train
-    loss, acc = evaluate(new_params, None, eval_split, batch_size=config.test_batch)
-    gnorm = grad_norm_estimate(new_params, data.test, batch_size=config.test_batch)
+    # one pass over the test set gives loss, accuracy and the full-batch gradient
+    loss, acc, grad = evaluate(new_params, data.test, batch_size=config.test_batch, with_grad=True)
     n_slots = len(participants)
     local_acc = weighted_accuracy(
         [(1.0 / n_slots, local_models[k], shards[k]) for k in range(n_slots)],
@@ -337,8 +332,8 @@ def run_round(
         global_accuracy=acc,
         local_weighted_accuracy=local_acc,
         gamma_min=gamma_min,
-        per_slot_delta_sq=tuple(deltas),
-        grad_norm_sq_estimate=gnorm,
+        per_slot_delta_sq=deltas,
+        grad_norm_sq_estimate=float(grad @ grad),
         amortized_params=amort.params_mean,
         amortized_flops=amort.flops_mean,
         mask_sparsities=tuple(m.sparsity for m in masks),

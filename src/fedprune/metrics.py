@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import LayerLayout, ParamVector, dataset_loss_and_grad, evaluate
+from .nn import LayerLayout, ParamVector, evaluate
 from .pruning import Mask, PruningPolicy
 
 CSV_HEADER = [
@@ -115,7 +115,7 @@ def account(layout: LayerLayout, mask_or_policy) -> ModelAccount:
         if len(bits) != layout.total:
             raise ValueError("mask length does not match layout")
         params = int(bits.sum())
-        flops = int(bits[layout.weight_mask()].sum())
+        flops = sum(int(bits[sl.weights].sum()) for sl in layout.offsets)
         return ModelAccount(params, flops)
     if isinstance(mask_or_policy, PruningPolicy):
         policy = mask_or_policy
@@ -149,7 +149,7 @@ def amortized(accounts: list[ModelAccount], full: ModelAccount) -> AmortizedAcco
 
 
 # ---------------------------------------------------------------------------
-# Accuracy and gradient instrumentation
+# Accuracy instrumentation
 # ---------------------------------------------------------------------------
 
 
@@ -164,18 +164,9 @@ def weighted_accuracy(per_client: list[tuple[float, ParamVector, object]],
         raise ValueError(f"client weights must sum to 1, got {sum(weights)}")
     total = 0.0
     for w, params, dataset in per_client:
-        _, acc = evaluate(params, None, dataset, batch_size=batch_size)
+        _, acc, _ = evaluate(params, dataset, batch_size=batch_size)
         total += w * acc
     return total
-
-
-def grad_norm_estimate(params: ParamVector, dataset, batch_size: int = 128) -> float:
-    """Squared L2 norm of the full-batch gradient of the mean loss."""
-    _, grad = dataset_loss_and_grad(
-        params, np.asarray(dataset.inputs, dtype=np.float64),
-        np.asarray(dataset.labels, dtype=np.int64), batch_size=batch_size,
-    )
-    return float(grad @ grad)
 
 
 # ---------------------------------------------------------------------------

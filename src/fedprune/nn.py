@@ -5,6 +5,11 @@ masks, region-wise averaging, and parameter accounting can all index the
 same address space. Layer l occupies [W_l | b_l] slices of the flat
 vector, with W_l stored row-major as (fan_in, fan_out).
 
+One layer loop (`_activations`) and one backward pass (`_backward`) serve
+both a training minibatch (`loss_and_grad`) and a chunked pass over a
+whole dataset (`evaluate`), which returns loss, accuracy and, on request,
+the full-dataset gradient from the same forward pass.
+
 The optimizer step works in place: `masked_sgd_step` overwrites the
 parameter values, the momentum buffer and the gradient it is given, and
 returns the same objects. A local training step allocates no full-length
@@ -14,8 +19,12 @@ vector besides the gradient `loss_and_grad` returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .pruning import Mask
 
 
 @dataclass(frozen=True)
@@ -59,23 +68,12 @@ class LayerLayout:
         object.__setattr__(self, "total", cursor)
 
     @property
-    def num_layers(self) -> int:
-        return len(self.layer_sizes) - 1
-
-    @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
     @property
     def num_classes(self) -> int:
         return self.layer_sizes[-1]
-
-    def weight_mask(self) -> np.ndarray:
-        """Boolean vector marking weight-matrix (non-bias) positions."""
-        is_weight = np.zeros(self.total, dtype=bool)
-        for sl in self.offsets:
-            is_weight[sl.weights] = True
-        return is_weight
 
     def unpack(self, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Views of (W_l, b_l) per layer; W_l reshaped to (fan_in, fan_out)."""
@@ -101,26 +99,6 @@ class ParamVector:
                 f"parameter vector length {self.values.shape} does not match layout total {self.layout.total}"
             )
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
-
-
-@dataclass
-class Batch:
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2:
-            raise ValueError("batch inputs must be 2-D (batch x features)")
-        if self.labels.shape != (self.inputs.shape[0],):
-            raise ValueError("labels must be 1-D and match the batch size")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
 
 @dataclass
 class OptimizerState:
@@ -142,12 +120,6 @@ class OptimizerState:
         return cls(np.zeros(layout.total), momentum_coef, learning_rate)
 
 
-def _mask_bits(mask) -> np.ndarray:
-    # accepts a pruning.Mask or a raw 0/1 vector
-    bits = getattr(mask, "bits", mask)
-    return np.asarray(bits)
-
-
 def init_params(layout: LayerLayout, seed: int) -> ParamVector:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     rng = np.random.default_rng(seed)
@@ -158,19 +130,26 @@ def init_params(layout: LayerLayout, seed: int) -> ParamVector:
     return ParamVector(values, layout)
 
 
-def forward(params: ParamVector, batch: Batch) -> np.ndarray:
-    """Logits for a batch: affine layers with ReLU in between, linear output."""
+def _activations(params: ParamVector, inputs: np.ndarray) -> list[np.ndarray]:
+    """[inputs, a_1, ..., logits]: affine layers with ReLU in between, linear output."""
     layout = params.layout
-    if batch.inputs.shape[1] != layout.input_dim:
+    if inputs.ndim != 2:
+        raise ValueError("batch inputs must be 2-D (batch x features)")
+    if inputs.shape[1] != layout.input_dim:
         raise ValueError(
-            f"input dim {batch.inputs.shape[1]} does not match layout input {layout.input_dim}"
+            f"input dim {inputs.shape[1]} does not match layout input {layout.input_dim}"
         )
-    a = batch.inputs
+    acts = [inputs]
     layers = layout.unpack(params.values)
     for l, (w, b) in enumerate(layers):
-        z = a @ w + b
-        a = np.maximum(z, 0.0) if l < len(layers) - 1 else z
-    return a
+        z = acts[-1] @ w + b
+        acts.append(np.maximum(z, 0.0) if l < len(layers) - 1 else z)
+    return acts
+
+
+def forward(params: ParamVector, inputs) -> np.ndarray:
+    """Logits for a batch of inputs."""
+    return _activations(params, np.asarray(inputs, dtype=np.float64))[-1]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -178,47 +157,49 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its exact gradient via backprop."""
+def _backward(
+    params: ParamVector, acts: list[np.ndarray], logp: np.ndarray, labels: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Gradient of the batch's mean cross-entropy via backprop, written into `out`."""
     layout = params.layout
-    n = len(batch)
-    if n == 0:
-        raise ValueError("empty batch")
-    if batch.labels.max(initial=-1) >= layout.num_classes:
-        raise ValueError("label out of range for the output layer")
-
+    n = len(labels)
     layers = layout.unpack(params.values)
-    # forward, caching pre/post activations
-    acts = [batch.inputs]
-    pre = []
-    a = batch.inputs
-    for l, (w, b) in enumerate(layers):
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0) if l < len(layers) - 1 else z
-        acts.append(a)
-
-    logp = _log_softmax(acts[-1])
-    loss = float(-logp[np.arange(n), batch.labels].mean())
-
-    grad = np.empty(layout.total)  # every weight and bias slice is written below
     # dL/dlogits for mean cross-entropy
     delta = np.exp(logp)
-    delta[np.arange(n), batch.labels] -= 1.0
+    delta[np.arange(n), labels] -= 1.0
     delta /= n
     for l in range(len(layers) - 1, -1, -1):
         w, _ = layers[l]
         sl = layout.offsets[l]
-        np.matmul(acts[l].T, delta, out=grad[sl.weights].reshape(w.shape))
-        np.sum(delta, axis=0, out=grad[sl.biases])
+        np.matmul(acts[l].T, delta, out=out[sl.weights].reshape(w.shape))
+        np.sum(delta, axis=0, out=out[sl.biases])
         if l > 0:
             delta = delta @ w.T
-            delta[pre[l - 1] <= 0.0] = 0.0  # ReLU subgradient at 0 taken as 0
-    return loss, grad
+            delta[acts[l] <= 0.0] = 0.0  # ReLU subgradient at 0 taken as 0
+    return out
+
+
+def loss_and_grad(params: ParamVector, inputs, labels) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of a batch and its exact gradient."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != inputs.shape[:1]:
+        raise ValueError("labels must be 1-D and match the batch size")
+    n = len(labels)
+    if n == 0:
+        raise ValueError("empty batch")
+    if labels.max(initial=-1) >= params.layout.num_classes:
+        raise ValueError("label out of range for the output layer")
+    acts = _activations(params, inputs)
+    logp = _log_softmax(acts[-1])
+    loss = float(-logp[np.arange(n), labels].mean())
+    # every weight and bias slice is written by the backward pass
+    return loss, _backward(params, acts, logp, labels, np.empty(params.layout.total))
 
 
 def masked_sgd_step(
-    params: ParamVector, grad: np.ndarray, mask, opt: OptimizerState
+    params: ParamVector, grad: np.ndarray, mask: Mask, opt: OptimizerState
 ) -> tuple[ParamVector, OptimizerState]:
     """One SGD-with-momentum step on the mask-selected coordinates, in place.
 
@@ -230,7 +211,7 @@ def masked_sgd_step(
     coordinates that start at exactly zero stay exactly zero. The order is
     g = grad*bits, buf = coef*buf + g, values -= lr*buf.
     """
-    bits = _mask_bits(mask)
+    bits = mask.bits
     if not (len(grad) == len(bits) == params.layout.total):
         raise ValueError("params, grad, and mask lengths differ")
     buf = opt.momentum_buffer
@@ -242,46 +223,35 @@ def masked_sgd_step(
     return params, opt
 
 
-def dataset_loss_and_grad(
-    params: ParamVector, inputs: np.ndarray, labels: np.ndarray, batch_size: int = 128
-) -> tuple[float, np.ndarray]:
-    """Exact full-dataset mean loss and gradient, accumulated in chunks."""
-    n = len(labels)
-    if n == 0:
-        raise ValueError("empty dataset")
-    total_loss = 0.0
-    total_grad = np.zeros(params.layout.total)
-    for start in range(0, n, batch_size):
-        chunk = Batch(inputs[start : start + batch_size], labels[start : start + batch_size])
-        loss, grad = loss_and_grad(params, chunk)
-        total_loss += loss * len(chunk)
-        grad *= len(chunk)
-        total_grad += grad
-    return total_loss / n, total_grad / n
+def evaluate(
+    params: ParamVector, dataset, batch_size: int = 128, with_grad: bool = False
+) -> tuple[float, float, np.ndarray | None]:
+    """(mean loss, accuracy, mean gradient or None) over a dataset, in chunks.
 
-
-def evaluate(params: ParamVector, mask, dataset, batch_size: int = 128) -> tuple[float, float]:
-    """(mean loss, accuracy) of the mask-pruned model over a dataset.
-
-    Argmax ties resolve to the lowest class index. `mask=None` evaluates
-    the parameters as-is.
+    One forward pass per chunk gives the loss, the argmax accuracy (ties
+    resolve to the lowest class index) and, with `with_grad`, the exact
+    full-dataset gradient of the mean loss.
     """
     inputs = np.asarray(dataset.inputs, dtype=np.float64)
     labels = np.asarray(dataset.labels, dtype=np.int64)
+    if labels.shape != inputs.shape[:1]:
+        raise ValueError("labels must be 1-D and match the batch size")
     n = len(labels)
     if n == 0:
         raise ValueError("empty dataset")
-    if mask is not None:
-        bits = _mask_bits(mask)
-        eval_params = ParamVector(np.where(bits != 0, params.values, 0.0), params.layout)
-    else:
-        eval_params = params
     total_loss = 0.0
     correct = 0
+    if with_grad:
+        total_grad = np.zeros(params.layout.total)
+        work = np.empty(params.layout.total)  # one chunk's gradient, reused
     for start in range(0, n, batch_size):
-        chunk = Batch(inputs[start : start + batch_size], labels[start : start + batch_size])
-        logits = forward(eval_params, chunk)
-        logp = _log_softmax(logits)
-        total_loss += float(-logp[np.arange(len(chunk)), chunk.labels].sum())
-        correct += int((logits.argmax(axis=1) == chunk.labels).sum())
-    return total_loss / n, correct / n
+        chunk_labels = labels[start : start + batch_size]
+        acts = _activations(params, inputs[start : start + batch_size])
+        logp = _log_softmax(acts[-1])
+        total_loss += float(-logp[np.arange(len(chunk_labels)), chunk_labels].sum())
+        correct += int((acts[-1].argmax(axis=1) == chunk_labels).sum())
+        if with_grad:
+            _backward(params, acts, logp, chunk_labels, work)
+            work *= len(chunk_labels)
+            total_grad += work
+    return total_loss / n, correct / n, total_grad / n if with_grad else None

@@ -289,16 +289,22 @@ def apply_mask(params: ParamVector, mask: Mask) -> ParamVector:
     return ParamVector(np.where(mask.bits != 0, params.values, 0.0), params.layout)
 
 
-def pruning_noise(params: ParamVector, mask: Mask) -> float:
-    """Relative energy discarded by a mask: ||t - t*m||^2 / ||t||^2, in [0, 1]."""
-    if len(mask) != params.layout.total:
+def pruning_noise(params: ParamVector, masks: list[Mask]) -> tuple[float, ...]:
+    """Relative energy each mask discards: ||t - t*m||^2 / ||t||^2, in [0, 1].
+
+    ||t||^2 is computed once for all masks.
+    """
+    if any(len(mask) != params.layout.total for mask in masks):
         raise ValueError("mask length does not match parameter vector")
     total = float(params.values @ params.values)
     if total == 0.0:
         warnings.warn("pruning_noise of a zero-norm parameter vector is defined as 0")
-        return 0.0
-    dropped = params.values[mask.bits == 0]
-    return float(dropped @ dropped) / total
+        return tuple(0.0 for _ in masks)
+    noise = []
+    for mask in masks:
+        dropped = params.values[mask.bits == 0]
+        noise.append(float(dropped @ dropped) / total)
+    return tuple(noise)
 
 
 def codename_coverage(codename: str) -> tuple[dict[int, int], int]:

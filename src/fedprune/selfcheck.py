@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .federation import aggregate, coverage_counts
-from .nn import Batch, LayerLayout, OptimizerState, ParamVector, loss_and_grad, masked_sgd_step
+from .nn import LayerLayout, OptimizerState, ParamVector, loss_and_grad, masked_sgd_step
 from .pruning import Mask, apply_mask
 
 
@@ -18,15 +18,16 @@ class CheckResult:
     detail: str
 
 
-def _finite_difference_grad(params: ParamVector, batch: Batch, h: float = 1e-6) -> np.ndarray:
+def _finite_difference_grad(params: ParamVector, inputs: np.ndarray, labels: np.ndarray,
+                            h: float = 1e-6) -> np.ndarray:
     grad = np.zeros(params.layout.total)
     values = params.values
     for i in range(len(values)):
         bumped = values.copy()
         bumped[i] = values[i] + h
-        up, _ = loss_and_grad(ParamVector(bumped, params.layout), batch)
+        up, _ = loss_and_grad(ParamVector(bumped, params.layout), inputs, labels)
         bumped[i] = values[i] - h
-        down, _ = loss_and_grad(ParamVector(bumped, params.layout), batch)
+        down, _ = loss_and_grad(ParamVector(bumped, params.layout), inputs, labels)
         grad[i] = (up - down) / (2.0 * h)
     return grad
 
@@ -40,19 +41,20 @@ def gradient_check(rng: np.random.Generator, runs: int = 20,
         layout = LayerLayout(tuple(sizes))
         params = ParamVector(rng.normal(0.0, 1.0, layout.total), layout)
         n = int(rng.integers(1, 6))
-        batch = Batch(rng.normal(0.0, 1.0, (n, sizes[0])), rng.integers(0, sizes[-1], n))
-        _, analytic = loss_and_grad(params, batch)
+        inputs, labels = rng.normal(0.0, 1.0, (n, sizes[0])), rng.integers(0, sizes[-1], n)
+        _, analytic = loss_and_grad(params, inputs, labels)
         if corrupt:
             analytic = analytic + 1e-3
-        numeric = _finite_difference_grad(params, batch)
+        numeric = _finite_difference_grad(params, inputs, labels)
         scale = max(float(np.abs(numeric).max()), 1.0)
         worst = max(worst, float(np.abs(analytic - numeric).max()) / scale)
     passed = worst < 1e-5
     return CheckResult("gradient_finite_difference", passed, f"max relative error {worst:.3g}")
 
 
-def _brute_force_aggregate(prev: np.ndarray, locals_: list[np.ndarray],
-                           bits: np.ndarray) -> np.ndarray:
+def brute_force_aggregate(prev: np.ndarray, locals_: list[np.ndarray],
+                          bits: np.ndarray) -> np.ndarray:
+    """Per-index 'mean over covering slots' definition of the global update."""
     out = prev.copy()
     for i in range(len(prev)):
         covering = [s for s in range(len(locals_)) if bits[s, i] == 1]
@@ -96,7 +98,7 @@ def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
             masks,
             coverage_counts(masks),
         ).values
-        want = _brute_force_aggregate(prev, locals_, bits)
+        want = brute_force_aggregate(prev, locals_, bits)
         if not np.array_equal(got, want):
             return CheckResult(
                 "aggregation_oracle", False,
@@ -113,9 +115,9 @@ def mask_closure_check(rng: np.random.Generator, runs: int = 50) -> CheckResult:
         mask = Mask(rng.integers(0, 2, layout.total, dtype=np.uint8))
         params = apply_mask(ParamVector(rng.normal(0.0, 1.0, layout.total), layout), mask)
         opt = OptimizerState.fresh(layout, learning_rate=0.1, momentum_coef=0.5)
-        batch = Batch(rng.normal(0.0, 1.0, (4, sizes[0])), rng.integers(0, sizes[-1], 4))
+        inputs, labels = rng.normal(0.0, 1.0, (4, sizes[0])), rng.integers(0, sizes[-1], 4)
         for _ in range(10):
-            _, grad = loss_and_grad(params, batch)
+            _, grad = loss_and_grad(params, inputs, labels)
             params, opt = masked_sgd_step(params, grad, mask, opt)
             off = mask.bits == 0
             if params.values[off].any() or opt.momentum_buffer[off].any():

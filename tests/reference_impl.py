@@ -3,7 +3,7 @@
 import numpy as np
 
 from fedprune.federation import local_rng, model_layout, sample_rng
-from fedprune.nn import Batch, ParamVector, init_params, loss_and_grad
+from fedprune.nn import ParamVector, init_params, loss_and_grad
 
 
 def reference_fedavg_rounds(config, data, rounds):
@@ -26,8 +26,7 @@ def reference_fedavg_rounds(config, data, rounds):
                 for s in range(0, len(shard), config.local_batch):
                     idx = order[s : s + config.local_batch]
                     _, grad = loss_and_grad(
-                        ParamVector(values, layout),
-                        Batch(shard.inputs[idx], shard.labels[idx]),
+                        ParamVector(values, layout), shard.inputs[idx], shard.labels[idx]
                     )
                     values = values - lr * grad
             client_results.append(values)
@@ -49,23 +48,11 @@ def reference_local_update(global_params, bits, shard, config, rng):
         order = rng.permutation(len(shard))
         for s in range(0, len(shard), config.local_batch):
             idx = order[s : s + config.local_batch]
-            _, grad = loss_and_grad(
-                ParamVector(values, layout), Batch(shard.inputs[idx], shard.labels[idx])
-            )
+            _, grad = loss_and_grad(ParamVector(values, layout), shard.inputs[idx], shard.labels[idx])
             g = grad * bits
             buf = coef * buf + g
             values = values - lr * buf
     return values
-
-
-def brute_force_aggregate(prev, local_values, bits):
-    """Per-index 'mean over covering slots' definition of the global update."""
-    out = prev.copy()
-    for i in range(len(prev)):
-        covering = [s for s in range(len(local_values)) if bits[s, i]]
-        if covering:
-            out[i] = sum(local_values[s][i] for s in covering) / len(covering)
-    return out
 
 
 def brute_force_signatures(bits):
@@ -74,3 +61,64 @@ def brute_force_signatures(bits):
     return [
         frozenset(int(s) for s in range(n_slots) if bits[s, i]) for i in range(n_params)
     ]
+
+
+def _reference_forward(params, inputs):
+    """Per-layer pre-activations and activations: z_l = a_{l-1} @ W_l + b_l, ReLU between."""
+    layers = params.layout.unpack(params.values)
+    acts, pre = [inputs], []
+    for l, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
+        pre.append(z)
+        acts.append(np.maximum(z, 0.0) if l < len(layers) - 1 else z)
+    return layers, pre, acts
+
+
+def _reference_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def reference_evaluate(params, dataset, batch_size=128):
+    """(mean loss, accuracy) as a chunked sum of per-row losses and argmax hits."""
+    inputs = np.asarray(dataset.inputs, dtype=np.float64)
+    labels = np.asarray(dataset.labels, dtype=np.int64)
+    n = len(labels)
+    total_loss = 0.0
+    correct = 0
+    for start in range(0, n, batch_size):
+        x, y = inputs[start : start + batch_size], labels[start : start + batch_size]
+        logits = _reference_forward(params, x)[2][-1]
+        logp = _reference_log_softmax(logits)
+        total_loss += float(-logp[np.arange(len(y)), y].sum())
+        correct += int((logits.argmax(axis=1) == y).sum())
+    return total_loss / n, correct / n
+
+
+def reference_dataset_loss_and_grad(params, inputs, labels, batch_size=128):
+    """Full-dataset mean loss and gradient: per-chunk backprop, scaled by chunk size, summed."""
+    layout = params.layout
+    n = len(labels)
+    total_loss = 0.0
+    total_grad = np.zeros(layout.total)
+    for start in range(0, n, batch_size):
+        x, y = inputs[start : start + batch_size], labels[start : start + batch_size]
+        m = len(y)
+        layers, pre, acts = _reference_forward(params, x)
+        logp = _reference_log_softmax(acts[-1])
+        total_loss += float(-logp[np.arange(m), y].mean()) * m
+        grad = np.empty(layout.total)
+        delta = np.exp(logp)
+        delta[np.arange(m), y] -= 1.0
+        delta /= m
+        for l in range(len(layers) - 1, -1, -1):
+            w, _ = layers[l]
+            sl = layout.offsets[l]
+            grad[sl.weights] = (acts[l].T @ delta).ravel()
+            grad[sl.biases] = delta.sum(axis=0)
+            if l > 0:
+                delta = delta @ w.T
+                delta[pre[l - 1] <= 0.0] = 0.0
+        grad *= m
+        total_grad += grad
+    return total_loss / n, total_grad / n

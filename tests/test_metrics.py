@@ -15,14 +15,13 @@ from fedprune.metrics import (
     emit_csv,
     emit_jsonl,
     full_account,
-    grad_norm_estimate,
     read_metrics_csv,
     theorem1_rhs,
     theorem2_rhs,
     theory_learning_rate,
     weighted_accuracy,
 )
-from fedprune.nn import LayerLayout, ParamVector, init_params
+from fedprune.nn import LayerLayout, ParamVector, evaluate, init_params
 from fedprune.pruning import (
     DIGIT_SEGMENTS,
     PruningPolicy,
@@ -133,14 +132,12 @@ def test_weighted_accuracy_rejects_unnormalized_weights():
 
 
 def test_uniform_weights_over_equal_shards_equal_global_accuracy():
-    from fedprune.nn import evaluate
-
     layout = LayerLayout((4, 8, 3))
     params = init_params(layout, 5)
     data = synth_blobs(3, 20, 4, 0.4, seed=6)
     shard_a, shard_b = data.subset(np.arange(30)), data.subset(np.arange(30, 60))
     per_client = weighted_accuracy([(0.5, params, shard_a), (0.5, params, shard_b)])
-    _, global_acc = evaluate(params, None, data)
+    _, global_acc, _ = evaluate(params, data)
     assert per_client == pytest.approx(global_acc, abs=1e-12)
 
 
@@ -237,8 +234,13 @@ def test_theory_learning_rate():
 
 
 # ---------------------------------------------------------------------------
-# gradient norm estimate
+# gradient norm (the full-batch gradient `evaluate` returns with `with_grad`)
 # ---------------------------------------------------------------------------
+
+
+def grad_norm_sq(params, dataset):
+    _, _, grad = evaluate(params, dataset, with_grad=True)
+    return float(grad @ grad)
 
 
 def test_grad_norm_zero_at_symmetric_minimizer():
@@ -250,17 +252,15 @@ def test_grad_norm_zero_at_symmetric_minimizer():
         inputs = np.array([[1.0, 2.0], [1.0, 2.0]])
         labels = np.array([0, 1])
 
-    assert grad_norm_estimate(params, TwoPoint) < 1e-12
+    assert grad_norm_sq(params, TwoPoint) < 1e-12
 
 
 def test_grad_norm_decomposes_over_layers():
-    from fedprune.nn import dataset_loss_and_grad
-
     layout = LayerLayout((3, 4, 2))
     params = init_params(layout, 8)
     data = synth_blobs(2, 15, 3, 0.5, seed=9)
-    total = grad_norm_estimate(params, data)
-    _, grad = dataset_loss_and_grad(params, data.inputs, data.labels)
+    total = grad_norm_sq(params, data)
+    _, _, grad = evaluate(params, data, with_grad=True)
     per_layer = sum(
         float(grad[sl.weights] @ grad[sl.weights]) + float(grad[sl.biases] @ grad[sl.biases])
         for sl in layout.offsets

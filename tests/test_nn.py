@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_impl import reference_dataset_loss_and_grad, reference_evaluate
 
+from fedprune.data import synth_blobs
 from fedprune.nn import (
-    Batch,
     LayerLayout,
     OptimizerState,
     ParamVector,
@@ -15,9 +16,10 @@ from fedprune.nn import (
     loss_and_grad,
     masked_sgd_step,
 )
+from fedprune.pruning import Mask
 
 
-def finite_difference_grad(params, batch, h=1e-6):
+def finite_difference_grad(params, inputs, labels, h=1e-6):
     """Independent central-difference oracle for loss_and_grad."""
     grad = np.zeros(params.layout.total)
     for i in range(len(grad)):
@@ -25,8 +27,8 @@ def finite_difference_grad(params, batch, h=1e-6):
         up[i] += h
         down = params.values.copy()
         down[i] -= h
-        loss_up, _ = loss_and_grad(ParamVector(up, params.layout), batch)
-        loss_down, _ = loss_and_grad(ParamVector(down, params.layout), batch)
+        loss_up, _ = loss_and_grad(ParamVector(up, params.layout), inputs, labels)
+        loss_down, _ = loss_and_grad(ParamVector(down, params.layout), inputs, labels)
         grad[i] = (loss_up - loss_down) / (2 * h)
     return grad
 
@@ -96,14 +98,14 @@ def test_init_mnist_mlp_length():
 def test_forward_zero_params_gives_zero_logits():
     layout = LayerLayout((4, 3, 2))
     params = ParamVector(np.zeros(layout.total), layout)
-    logits = forward(params, Batch(np.random.default_rng(0).normal(size=(5, 4)), np.zeros(5, dtype=int)))
+    logits = forward(params, np.random.default_rng(0).normal(size=(5, 4)))
     assert np.array_equal(logits, np.zeros((5, 2)))
 
 
 def test_forward_single_affine():
     layout = LayerLayout((1, 1))
     params = ParamVector(np.array([2.5, -0.75]), layout)  # w, b
-    logits = forward(params, Batch([[3.0]], [0]))
+    logits = forward(params, [[3.0]])
     assert logits.shape == (1, 1)
     assert logits[0, 0] == pytest.approx(2.5 * 3.0 - 0.75, abs=1e-15)
 
@@ -120,7 +122,7 @@ def test_forward_matches_scalar_hand_calculation():
          0.0, 0.3]                         # b2
     )
     params = ParamVector(values, layout)
-    logits = forward(params, Batch([[1.0, 2.0, -1.0], [0.0, -1.0, 0.5]], [0, 0]))
+    logits = forward(params, [[1.0, 2.0, -1.0], [0.0, -1.0, 0.5]])
     assert np.allclose(logits, [[3.1, -2.8], [0.6, 0.45]], atol=1e-12)
 
 
@@ -128,7 +130,7 @@ def test_forward_rejects_shape_mismatch():
     layout = LayerLayout((3, 2))
     params = ParamVector(np.zeros(layout.total), layout)
     with pytest.raises(ValueError):
-        forward(params, Batch(np.zeros((2, 4)), [0, 1]))
+        forward(params, np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +141,7 @@ def test_forward_rejects_shape_mismatch():
 def test_uniform_logits_loss_is_log_c():
     layout = LayerLayout((6, 4))
     params = ParamVector(np.zeros(layout.total), layout)
-    batch = Batch(np.random.default_rng(1).normal(size=(8, 6)), np.arange(8) % 4)
-    loss, _ = loss_and_grad(params, batch)
+    loss, _ = loss_and_grad(params, np.random.default_rng(1).normal(size=(8, 6)), np.arange(8) % 4)
     assert loss == pytest.approx(math.log(4), abs=1e-12)
 
 
@@ -150,8 +151,8 @@ def test_zero_weights_ignore_input_scaling():
     rng = np.random.default_rng(2)
     inputs = rng.normal(size=(6, 5))
     labels = rng.integers(0, 3, 6)
-    loss1, _ = loss_and_grad(params, Batch(inputs, labels))
-    loss2, _ = loss_and_grad(params, Batch(inputs * 2.0, labels))
+    loss1, _ = loss_and_grad(params, inputs, labels)
+    loss2, _ = loss_and_grad(params, inputs * 2.0, labels)
     assert loss1 == loss2 == pytest.approx(math.log(3), abs=1e-12)
 
 
@@ -159,17 +160,35 @@ def test_gradient_matches_finite_differences_on_432_net():
     layout = LayerLayout((4, 3, 2))
     rng = np.random.default_rng(3)
     params = ParamVector(rng.normal(0, 1, layout.total), layout)
-    batch = Batch(rng.normal(size=(5, 4)), rng.integers(0, 2, 5))
-    _, analytic = loss_and_grad(params, batch)
-    numeric = finite_difference_grad(params, batch)
+    inputs, labels = rng.normal(size=(5, 4)), rng.integers(0, 2, 5)
+    _, analytic = loss_and_grad(params, inputs, labels)
+    numeric = finite_difference_grad(params, inputs, labels)
     assert relative_grad_error(analytic, numeric) < 1e-5
 
 
 def test_empty_batch_rejected():
     layout = LayerLayout((2, 2))
     params = ParamVector(np.zeros(layout.total), layout)
-    with pytest.raises(ValueError):
-        loss_and_grad(params, Batch(np.zeros((0, 2)), np.zeros(0, dtype=int)))
+    with pytest.raises(ValueError, match="empty batch"):
+        loss_and_grad(params, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize(
+    "inputs,labels,message",
+    [
+        (np.zeros(3), np.zeros(3, dtype=int), "2-D"),
+        (np.zeros((1, 3, 1)), np.zeros(1, dtype=int), "2-D"),
+        (np.zeros((3, 3)), np.zeros(2, dtype=int), "match the batch size"),
+        (np.zeros((3, 3)), np.zeros((3, 1), dtype=int), "match the batch size"),
+        (np.zeros((2, 3)), np.array([0, 2]), "label out of range"),
+        (np.zeros((2, 4)), np.array([0, 1]), "input dim"),
+    ],
+)
+def test_loss_and_grad_rejects_malformed_batches(inputs, labels, message):
+    layout = LayerLayout((3, 2))
+    params = ParamVector(np.zeros(layout.total), layout)
+    with pytest.raises(ValueError, match=message):
+        loss_and_grad(params, inputs, labels)
 
 
 @settings(max_examples=30, deadline=None)
@@ -184,9 +203,9 @@ def test_gradient_property_random_small_nets(seed):
         layout = LayerLayout(sizes)
     params = ParamVector(rng.normal(0, 1, layout.total), layout)
     n = int(rng.integers(1, 5))
-    batch = Batch(rng.normal(size=(n, sizes[0])), rng.integers(0, sizes[-1], n))
-    _, analytic = loss_and_grad(params, batch)
-    numeric = finite_difference_grad(params, batch)
+    inputs, labels = rng.normal(size=(n, sizes[0])), rng.integers(0, sizes[-1], n)
+    _, analytic = loss_and_grad(params, inputs, labels)
+    numeric = finite_difference_grad(params, inputs, labels)
     assert relative_grad_error(analytic, numeric) < 1e-5
 
 
@@ -202,7 +221,7 @@ def test_step_reduces_to_plain_sgd():
     expected = params.values - 0.2 * grad
     values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.2, momentum_coef=0.0)
     buf = opt.momentum_buffer
-    stepped, opt2 = masked_sgd_step(params, grad, np.ones(3), opt)
+    stepped, opt2 = masked_sgd_step(params, grad, Mask.ones(3), opt)
     assert stepped is params and stepped.values is values
     assert opt2 is opt and opt2.momentum_buffer is buf
     assert np.array_equal(stepped.values, expected)
@@ -214,7 +233,7 @@ def test_step_all_zero_mask_is_identity():
     expected = params.values.copy()
     values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.2, momentum_coef=0.5)
     buf = opt.momentum_buffer
-    stepped, opt2 = masked_sgd_step(params, np.array([9.0, 9.0, 9.0]), np.zeros(3), opt)
+    stepped, opt2 = masked_sgd_step(params, np.array([9.0, 9.0, 9.0]), Mask(np.zeros(3)), opt)
     assert stepped.values is values and opt2.momentum_buffer is buf
     assert np.array_equal(stepped.values, expected)
     assert not opt2.momentum_buffer.any()
@@ -226,7 +245,7 @@ def test_step_two_coordinate_arithmetic():
     params = ParamVector(np.array([1.0, 1.0]), layout)
     values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.5, momentum_coef=0.0)
     buf = opt.momentum_buffer
-    stepped, opt2 = masked_sgd_step(params, np.array([2.0, 4.0]), np.array([1, 0]), opt)
+    stepped, opt2 = masked_sgd_step(params, np.array([2.0, 4.0]), Mask([1, 0]), opt)
     assert stepped.values is values and opt2.momentum_buffer is buf
     assert np.array_equal(stepped.values, np.array([0.0, 1.0]))
 
@@ -237,9 +256,9 @@ def test_step_momentum_accumulates():
     opt = OptimizerState.fresh(layout, learning_rate=1.0, momentum_coef=0.5)
     values, buf = params.values, opt.momentum_buffer
     # the step consumes its gradient argument, so each call gets a fresh one
-    params, opt = masked_sgd_step(params, np.array([1.0, 0.0]), np.ones(2), opt)
+    params, opt = masked_sgd_step(params, np.array([1.0, 0.0]), Mask.ones(2), opt)
     assert params.values[0] == -1.0
-    params, opt = masked_sgd_step(params, np.array([1.0, 0.0]), np.ones(2), opt)
+    params, opt = masked_sgd_step(params, np.array([1.0, 0.0]), Mask.ones(2), opt)
     assert params.values[0] == -1.0 - 1.5  # buffer 0.5*1 + 1
     assert params.values is values and opt.momentum_buffer is buf
     assert opt.momentum_buffer.tolist() == [1.5, 0.0]
@@ -250,7 +269,7 @@ def test_step_rejects_length_mismatch():
     params = ParamVector(np.zeros(2), layout)
     opt = OptimizerState.fresh(layout, learning_rate=0.1)
     with pytest.raises(ValueError):
-        masked_sgd_step(params, np.zeros(3), np.ones(2), opt)
+        masked_sgd_step(params, np.zeros(3), Mask.ones(2), opt)
 
 
 @settings(max_examples=30, deadline=None)
@@ -262,10 +281,10 @@ def test_mask_closure_is_bitwise(seed, steps):
     values = rng.normal(0, 1, layout.total) * mask  # start pruned-to-zero
     params = ParamVector(np.where(mask == 1, values, 0.0), layout)
     opt = OptimizerState.fresh(layout, learning_rate=0.1, momentum_coef=0.5)
-    batch = Batch(rng.normal(size=(4, 3)), rng.integers(0, 2, 4))
+    inputs, labels = rng.normal(size=(4, 3)), rng.integers(0, 2, 4)
     for _ in range(steps):
-        _, grad = loss_and_grad(params, batch)
-        params, opt = masked_sgd_step(params, grad, mask, opt)
+        _, grad = loss_and_grad(params, inputs, labels)
+        params, opt = masked_sgd_step(params, grad, Mask(mask), opt)
         off = mask == 0
         assert (params.values[off] == 0.0).all()
         assert (opt.momentum_buffer[off] == 0.0).all()
@@ -276,16 +295,16 @@ def test_trajectory_determinism_is_bitwise():
     layout = LayerLayout((4, 3, 2))
     rng = np.random.default_rng(11)
     batches = [
-        Batch(rng.normal(size=(3, 4)), rng.integers(0, 2, 3)) for _ in range(10)
+        (rng.normal(size=(3, 4)), rng.integers(0, 2, 3)) for _ in range(10)
     ]
 
     def trajectory():
         params = init_params(layout, seed=5)
         opt = OptimizerState.fresh(layout, learning_rate=0.05, momentum_coef=0.5)
         out = []
-        for batch in batches:
-            _, grad = loss_and_grad(params, batch)
-            params, opt = masked_sgd_step(params, grad, np.ones(layout.total), opt)
+        for inputs, labels in batches:
+            _, grad = loss_and_grad(params, inputs, labels)
+            params, opt = masked_sgd_step(params, grad, Mask.ones(layout.total), opt)
             out.append(params.values.copy())
         return out
 
@@ -303,16 +322,8 @@ def test_evaluate_zero_params_uses_argmax_tie_rule():
     params = ParamVector(np.zeros(layout.total), layout)
     labels = np.array([0, 1, 1, 0, 2, 0])
     dataset = SmallDataset(np.random.default_rng(4).normal(size=(6, 3)), labels)
-    _, acc = evaluate(params, None, dataset)
+    _, acc, _ = evaluate(params, dataset)
     assert acc == pytest.approx(np.mean(labels == 0))
-
-
-def test_evaluate_all_ones_mask_equals_unmasked():
-    layout = LayerLayout((3, 4, 2))
-    rng = np.random.default_rng(5)
-    params = ParamVector(rng.normal(0, 1, layout.total), layout)
-    dataset = SmallDataset(rng.normal(size=(9, 3)), rng.integers(0, 2, 9))
-    assert evaluate(params, np.ones(layout.total), dataset) == evaluate(params, None, dataset)
 
 
 def test_evaluate_perfect_linear_classifier():
@@ -321,7 +332,7 @@ def test_evaluate_perfect_linear_classifier():
     dataset = SmallDataset(
         [[1.0, 0.0], [0.0, 1.0], [0.9, 0.1], [0.2, 0.8]], [0, 1, 0, 1]
     )
-    loss, acc = evaluate(params, None, dataset)
+    loss, acc, _ = evaluate(params, dataset)
     assert acc == 1.0
     assert loss >= 0.0
 
@@ -330,7 +341,7 @@ def test_evaluate_empty_dataset_rejected():
     layout = LayerLayout((2, 2))
     params = ParamVector(np.zeros(layout.total), layout)
     with pytest.raises(ValueError):
-        evaluate(params, None, SmallDataset(np.zeros((0, 2)), np.zeros(0, dtype=int)))
+        evaluate(params, SmallDataset(np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
 
 def test_evaluate_batches_do_not_change_result():
@@ -338,7 +349,39 @@ def test_evaluate_batches_do_not_change_result():
     rng = np.random.default_rng(6)
     params = ParamVector(rng.normal(0, 1, layout.total), layout)
     dataset = SmallDataset(rng.normal(size=(301, 3)), rng.integers(0, 3, 301))
-    loss_a, acc_a = evaluate(params, None, dataset, batch_size=128)
-    loss_b, acc_b = evaluate(params, None, dataset, batch_size=301)
+    loss_a, acc_a, _ = evaluate(params, dataset, batch_size=128)
+    loss_b, acc_b, _ = evaluate(params, dataset, batch_size=301)
     assert acc_a == acc_b
     assert loss_a == pytest.approx(loss_b, rel=1e-12)
+
+
+def bit_pattern(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "sizes,n,batch_size",
+    [
+        ((20, 32, 10), 500, 128),  # last chunk 116 rows
+        ((20, 32, 10), 500, 37),  # last chunk 19 rows
+        ((6, 5, 4, 3), 61, 8),  # two hidden layers, last chunk 5 rows
+        ((20, 32, 10), 50, 128),  # a single chunk shorter than batch_size
+    ],
+)
+def test_evaluate_matches_reference_oracles_bitwise(sizes, n, batch_size):
+    assert n % batch_size != 0
+    layout = LayerLayout(sizes)
+    classes = sizes[-1]
+    # several draws: a per-chunk rounding difference often vanishes in the final mean
+    for seed in range(64):
+        params = ParamVector(np.random.default_rng(seed).normal(0, 0.5, layout.total), layout)
+        data = synth_blobs(classes, n // classes + 1, sizes[0], 0.5, seed).subset(np.arange(n))
+        loss, acc, grad = evaluate(params, data, batch_size=batch_size, with_grad=True)
+        want_loss, want_acc = reference_evaluate(params, data, batch_size=batch_size)
+        _, want_grad = reference_dataset_loss_and_grad(
+            params, data.inputs, data.labels, batch_size=batch_size
+        )
+        assert bit_pattern(loss) == bit_pattern(want_loss), f"seed {seed}"
+        assert acc == want_acc, f"seed {seed}"
+        assert np.array_equal(bit_pattern(grad), bit_pattern(want_grad)), f"seed {seed}"
+        assert evaluate(params, data, batch_size=batch_size) == (loss, acc, None)

@@ -243,19 +243,38 @@ def test_apply_mask_rejects_length_mismatch():
 
 def test_noise_zero_for_full_mask():
     params = flat_params([1.0, -2.0, 3.0])
-    assert pruning_noise(params, Mask.ones(3)) == 0.0
+    assert pruning_noise(params, [Mask.ones(3)])[0] == 0.0
 
 
 def test_noise_arithmetic_top_two():
     params = flat_params([4.0, 3.0, 2.0, 1.0])
     mask = Mask(np.array([1, 1, 0, 0], dtype=np.uint8))
-    assert pruning_noise(params, mask) == pytest.approx(5.0 / 30.0, abs=1e-15)
+    assert pruning_noise(params, [mask])[0] == pytest.approx(5.0 / 30.0, abs=1e-15)
 
 
 def test_noise_zero_norm_warns():
     params = flat_params([0.0, 0.0, 0.0])
     with pytest.warns(UserWarning):
-        assert pruning_noise(params, Mask(np.array([1, 0, 0], dtype=np.uint8))) == 0.0
+        assert pruning_noise(params, [Mask(np.array([1, 0, 0], dtype=np.uint8))])[0] == 0.0
+    with pytest.warns(UserWarning):
+        assert pruning_noise(params, [Mask.ones(3), Mask(np.array([1, 0, 0], dtype=np.uint8))]) == (0.0, 0.0)
+
+
+def test_noise_one_value_per_mask_in_order():
+    params = flat_params([4.0, 3.0, 2.0, 1.0])
+    rows = ([1, 1, 0, 0], [1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 1, 0])
+    masks = [Mask(np.array(r, dtype=np.uint8)) for r in rows]
+    noise = pruning_noise(params, masks)
+    assert isinstance(noise, tuple)
+    assert noise == (5.0 / 30.0, 0.0, 29.0 / 30.0, 17.0 / 30.0)
+    assert noise == tuple(pruning_noise(params, [m])[0] for m in masks)
+    assert pruning_noise(params, []) == ()
+
+
+def test_noise_rejects_wrong_length_mask():
+    params = flat_params([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        pruning_noise(params, [Mask.ones(3), Mask.ones(4)])
 
 
 def test_wp_mask_minimizes_noise_exhaustively():
@@ -265,12 +284,12 @@ def test_wp_mask_minimizes_noise_exhaustively():
     params = ParamVector(rng.normal(0, 1, layout.total), layout)
     for kept_segments, kept_count in ((frozenset({1}), 4), (frozenset({1, 2}), 8)):
         wp_mask = generate_mask(PruningPolicy("WP", kept_segments), params, maskable, 1)
-        wp_noise = pruning_noise(params, wp_mask)
+        wp_noise = pruning_noise(params, [wp_mask])[0]
         for keep in itertools.combinations(range(16), kept_count):
             bits = np.ones(layout.total, dtype=np.uint8)
             bits[maskable.indices] = 0
             bits[maskable.indices[list(keep)]] = 1
-            assert wp_noise <= pruning_noise(params, Mask(bits)) + 1e-15
+            assert wp_noise <= pruning_noise(params, [Mask(bits)])[0] + 1e-15
 
 
 @settings(max_examples=100, deadline=None)
@@ -285,11 +304,11 @@ def test_noise_monotone_under_segment_inclusion(seed):
     smaller = frozenset(int(s) for s in segments[:-1]) or frozenset({int(segments[0])})
     larger = frozenset(int(s) for s in segments)
     noise_small = pruning_noise(
-        params, generate_mask(PruningPolicy(family, smaller), params, maskable, 1)
-    )
+        params, [generate_mask(PruningPolicy(family, smaller), params, maskable, 1)]
+    )[0]
     noise_large = pruning_noise(
-        params, generate_mask(PruningPolicy(family, larger), params, maskable, 1)
-    )
+        params, [generate_mask(PruningPolicy(family, larger), params, maskable, 1)]
+    )[0]
     assert noise_large <= noise_small + 1e-15
 
 
@@ -308,7 +327,7 @@ def test_segment_partition_and_sparsity_accounting(seed):
     mask = generate_mask(PruningPolicy(family, kept), params, maskable, 1)
     expected_ones = sum(len(segments[s - 1]) for s in kept)
     assert int(mask.bits[maskable.indices].sum()) == expected_ones
-    assert pruning_noise(params, mask) < 1.0  # delta^2 in [0, 1) for generated masks
+    assert pruning_noise(params, [mask])[0] < 1.0  # delta^2 in [0, 1) for generated masks
 
 
 # ---------------------------------------------------------------------------
