@@ -10,21 +10,23 @@ both a training minibatch (`loss_and_grad`) and a chunked pass over a
 whole dataset (`evaluate`), which returns loss, accuracy and, on request,
 the full-dataset gradient from the same forward pass.
 
+The training kernel takes one vector, shape (total,), with inputs (B, in),
+or a stack of g vectors, shape (g, total), with inputs (g, B, in): row i
+trains on batch i. Each slice of a stacked product is the same BLAS call
+as the unstacked product, so a row of a stacked step gets exactly the
+bits it would get alone.
+
 The optimizer step works in place: `masked_sgd_step` overwrites the
-parameter values, the momentum buffer and the gradient it is given, and
-returns the same objects. A local training step allocates no full-length
-vector besides the gradient `loss_and_grad` returns.
+parameter values, the momentum buffer and the gradient it is given.
+`loss_and_grad` writes into an `out=` buffer when given one, so a training
+loop allocates no full-length vector per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .pruning import Mask
 
 
 @dataclass(frozen=True)
@@ -76,25 +78,33 @@ class LayerLayout:
         return self.layer_sizes[-1]
 
     def unpack(self, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Views of (W_l, b_l) per layer; W_l reshaped to (fan_in, fan_out)."""
+        """Views of (W_l, b_l) per layer; W_l reshaped to (..., fan_in, fan_out).
+
+        `values` is one vector (total,) or a stack (g, total); a stack's
+        leading axis carries through to every view.
+        """
+        lead = values.shape[:-1]
         out = []
         for l, sl in enumerate(self.offsets):
-            w = values[sl.weights].reshape(self.layer_sizes[l], self.layer_sizes[l + 1])
-            b = values[sl.biases]
-            out.append((w, b))
+            shape = (*lead, self.layer_sizes[l], self.layer_sizes[l + 1])
+            out.append((values[..., sl.weights].reshape(shape), values[..., sl.biases]))
         return out
 
 
 @dataclass
 class ParamVector:
-    """Flat float64 parameter vector tied to its layer layout."""
+    """Flat float64 parameter vector tied to its layer layout.
+
+    `values` is one vector (total,), or a stack (g, total) of g vectors that
+    the layer loop and the SGD step advance together, one per row.
+    """
 
     values: np.ndarray
     layout: LayerLayout
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.layout.total,):
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.layout.total:
             raise ValueError(
                 f"parameter vector length {self.values.shape} does not match layout total {self.layout.total}"
             )
@@ -131,18 +141,26 @@ def init_params(layout: LayerLayout, seed: int) -> ParamVector:
 
 
 def _activations(params: ParamVector, inputs: np.ndarray) -> list[np.ndarray]:
-    """[inputs, a_1, ..., logits]: affine layers with ReLU in between, linear output."""
-    layout = params.layout
-    if inputs.ndim != 2:
-        raise ValueError("batch inputs must be 2-D (batch x features)")
-    if inputs.shape[1] != layout.input_dim:
+    """[inputs, a_1, ..., logits]: affine layers with ReLU in between, linear output.
+
+    One vector takes inputs (B, in); a stack of g vectors takes (g, B, in).
+    """
+    layout, values = params.layout, params.values
+    if inputs.ndim != values.ndim + 1:
         raise ValueError(
-            f"input dim {inputs.shape[1]} does not match layout input {layout.input_dim}"
+            "batch inputs must be 2-D (batch x features)" if values.ndim == 1
+            else "stacked batch inputs must be 3-D (slot x batch x features)"
         )
+    if inputs.shape[-1] != layout.input_dim:
+        raise ValueError(
+            f"input dim {inputs.shape[-1]} does not match layout input {layout.input_dim}"
+        )
+    if inputs.shape[:-2] != values.shape[:-1]:
+        raise ValueError("stacked inputs need one batch per parameter vector")
     acts = [inputs]
-    layers = layout.unpack(params.values)
+    layers = layout.unpack(values)
     for l, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b
+        z = acts[-1] @ w + b[..., None, :]
         acts.append(np.maximum(z, 0.0) if l < len(layers) - 1 else z)
     return acts
 
@@ -153,74 +171,97 @@ def forward(params: ParamVector, inputs) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    """Every label must name an output unit: 0 <= label < num_classes."""
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"label out of range for the output layer ({num_classes} classes)")
+
+
+def _label_index(labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Index of each row's label column: `logp[_label_index(labels)]` has labels' shape."""
+    return (*np.indices(labels.shape, sparse=True), labels)
 
 
 def _backward(
-    params: ParamVector, acts: list[np.ndarray], logp: np.ndarray, labels: np.ndarray,
-    out: np.ndarray,
+    params: ParamVector, acts: list[np.ndarray], logp: np.ndarray,
+    pick: tuple[np.ndarray, ...], out: np.ndarray,
 ) -> np.ndarray:
-    """Gradient of the batch's mean cross-entropy via backprop, written into `out`."""
-    layout = params.layout
-    n = len(labels)
-    layers = layout.unpack(params.values)
+    """Gradient of each batch's mean cross-entropy via backprop, written into `out`.
+
+    `pick` is `_label_index(labels)` for the batch's labels.
+    """
+    layers = params.layout.unpack(params.values)
+    grads = params.layout.unpack(out)
     # dL/dlogits for mean cross-entropy
     delta = np.exp(logp)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
+    delta[pick] -= 1.0
+    delta /= logp.shape[-2]
     for l in range(len(layers) - 1, -1, -1):
-        w, _ = layers[l]
-        sl = layout.offsets[l]
-        np.matmul(acts[l].T, delta, out=out[sl.weights].reshape(w.shape))
-        np.sum(delta, axis=0, out=out[sl.biases])
+        grad_w, grad_b = grads[l]
+        np.matmul(np.swapaxes(acts[l], -1, -2), delta, out=grad_w)
+        np.sum(delta, axis=-2, out=grad_b)
         if l > 0:
-            delta = delta @ w.T
+            delta = delta @ np.swapaxes(layers[l][0], -1, -2)
             delta[acts[l] <= 0.0] = 0.0  # ReLU subgradient at 0 taken as 0
     return out
 
 
-def loss_and_grad(params: ParamVector, inputs, labels) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy of a batch and its exact gradient."""
+def loss_and_grad(
+    params: ParamVector, inputs, labels, out: np.ndarray | None = None
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean softmax cross-entropy of a batch and its exact gradient.
+
+    One vector (total,) takes inputs (B, in) and labels (B,) and returns a
+    float loss. A stack (g, total) takes inputs (g, B, in) and labels (g, B)
+    and returns g losses; row i of its gradient has the bits the unstacked
+    call gives row i alone. The gradient is written into `out` (the shape of
+    `params.values`) when one is given, else into a new array.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != inputs.shape[:1]:
-        raise ValueError("labels must be 1-D and match the batch size")
-    n = len(labels)
-    if n == 0:
+    lead = params.values.ndim
+    if labels.ndim != lead or labels.shape != inputs.shape[:lead]:
+        raise ValueError("labels must match the batch size, one label per input row")
+    if labels.shape[-1] == 0:
         raise ValueError("empty batch")
-    if labels.max(initial=-1) >= params.layout.num_classes:
-        raise ValueError("label out of range for the output layer")
+    _check_labels(labels, params.layout.num_classes)
+    if out is None:
+        out = np.empty(params.values.shape)  # every weight and bias slice is written below
+    elif out.shape != params.values.shape:
+        raise ValueError("gradient buffer shape does not match the parameters")
     acts = _activations(params, inputs)
     logp = _log_softmax(acts[-1])
-    loss = float(-logp[np.arange(n), labels].mean())
-    # every weight and bias slice is written by the backward pass
-    return loss, _backward(params, acts, logp, labels, np.empty(params.layout.total))
+    pick = _label_index(labels)
+    loss = -logp[pick].mean(axis=-1)
+    return (float(loss) if loss.ndim == 0 else loss), _backward(params, acts, logp, pick, out)
 
 
 def masked_sgd_step(
-    params: ParamVector, grad: np.ndarray, mask: Mask, opt: OptimizerState
-) -> tuple[ParamVector, OptimizerState]:
-    """One SGD-with-momentum step on the mask-selected coordinates, in place.
+    params: ParamVector, grad: np.ndarray, bits: np.ndarray, opt: OptimizerState
+) -> None:
+    """One SGD-with-momentum step on the coordinates where `bits` is 1, in place.
 
-    Updates `params.values` and `opt.momentum_buffer` in place and returns
-    the same `params` and `opt` objects. `grad` is consumed: it is used as
-    scratch space and holds no gradient afterwards.
+    `params.values`, `grad`, `bits` (a mask's 0/1 bits) and
+    `opt.momentum_buffer` share one shape: (total,), or (g, total) for a
+    stack of g vectors stepped together. The values and the momentum buffer
+    are updated in place; `grad` is consumed as scratch space.
 
     The gradient is masked before entering the momentum buffer, so
     coordinates that start at exactly zero stay exactly zero. The order is
     g = grad*bits, buf = coef*buf + g, values -= lr*buf.
     """
-    bits = mask.bits
-    if not (len(grad) == len(bits) == params.layout.total):
-        raise ValueError("params, grad, and mask lengths differ")
-    buf = opt.momentum_buffer
+    values, buf = params.values, opt.momentum_buffer
+    if not (grad.shape == np.shape(bits) == buf.shape == values.shape):
+        raise ValueError("params, grad, mask and momentum buffer shapes differ")
     np.multiply(grad, bits, out=grad)
     buf *= opt.momentum_coef
     buf += grad
     np.multiply(opt.learning_rate, buf, out=grad)
-    params.values -= grad
-    return params, opt
+    values -= grad
 
 
 def evaluate(
@@ -239,6 +280,7 @@ def evaluate(
     n = len(labels)
     if n == 0:
         raise ValueError("empty dataset")
+    _check_labels(labels, params.layout.num_classes)
     total_loss = 0.0
     correct = 0
     if with_grad:
@@ -248,10 +290,11 @@ def evaluate(
         chunk_labels = labels[start : start + batch_size]
         acts = _activations(params, inputs[start : start + batch_size])
         logp = _log_softmax(acts[-1])
-        total_loss += float(-logp[np.arange(len(chunk_labels)), chunk_labels].sum())
-        correct += int((acts[-1].argmax(axis=1) == chunk_labels).sum())
+        pick = _label_index(chunk_labels)
+        total_loss += float(-logp[pick].sum())
+        correct += int((acts[-1].argmax(axis=-1) == chunk_labels).sum())
         if with_grad:
-            _backward(params, acts, logp, chunk_labels, work)
+            _backward(params, acts, logp, pick, work)
             work *= len(chunk_labels)
             total_grad += work
     return total_loss / n, correct / n, total_grad / n if with_grad else None

@@ -118,7 +118,7 @@ def mask_closure_check(rng: np.random.Generator, runs: int = 50) -> CheckResult:
         inputs, labels = rng.normal(0.0, 1.0, (4, sizes[0])), rng.integers(0, sizes[-1], 4)
         for _ in range(10):
             _, grad = loss_and_grad(params, inputs, labels)
-            params, opt = masked_sgd_step(params, grad, mask, opt)
+            masked_sgd_step(params, grad, mask.bits, opt)
             off = mask.bits == 0
             if params.values[off].any() or opt.momentum_buffer[off].any():
                 return CheckResult("mask_closure", False, "pruned coordinate moved off zero")

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -36,6 +37,7 @@ from fedprune.pruning import (
     generate_mask,
     parse_codename,
     pruning_noise,
+    round_masks,
 )
 from fedprune.selfcheck import brute_force_aggregate
 
@@ -304,8 +306,9 @@ def test_local_update_zero_lr_is_pruning_only():
     maskable = default_maskable_set(layout, "WP")
     mask = generate_mask(parse_codename("4").per_slot_policies[0], params, maskable, 1)
     shard = data.train.subset(data.shards[0])
-    out = local_update(params, mask, shard, config, local_rng(0, 1, 0))
-    assert np.array_equal(out.values, apply_mask(params, mask).values)
+    out = local_update(params, [mask], [shard], config, [local_rng(0, 1, 0)])
+    assert out.shape == (1, layout.total)
+    assert np.array_equal(out[0], apply_mask(params, mask).values)
 
 
 def test_local_update_single_full_batch_step_oracle():
@@ -319,11 +322,11 @@ def test_local_update_single_full_batch_step_oracle():
     params = init_params(layout, 4)
     shard = data.train.subset(data.shards[0])
     mask = Mask.ones(layout.total)
-    got = local_update(params, mask, shard, config, local_rng(4, 1, 0))
+    got = local_update(params, [mask], [shard], config, [local_rng(4, 1, 0)])
     # one full-batch step over the same seed-shuffled epoch order
     order = local_rng(4, 1, 0).permutation(len(shard))
     _, grad = loss_and_grad(params, shard.inputs[order], shard.labels[order])
-    assert np.array_equal(got.values, params.values - 0.25 * grad)
+    assert np.array_equal(got[0], params.values - 0.25 * grad)
 
 
 def test_local_update_matches_reference_with_momentum_bitwise():
@@ -337,10 +340,10 @@ def test_local_update_matches_reference_with_momentum_bitwise():
     mask = generate_mask(parse_codename("2").per_slot_policies[0], params, maskable, 1)
     shard = data.train.subset(data.shards[2])
     assert len(shard) % config.local_batch != 0
-    got = local_update(params, mask, shard, config, local_rng(6, 1, 0))
+    got = local_update(params, [mask], [shard], config, [local_rng(6, 1, 0)])[0]
     want = reference_local_update(params, mask.bits, shard, config, local_rng(6, 1, 0))
-    assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
-    assert not np.array_equal(got.values, apply_mask(params, mask).values)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert not np.array_equal(got, apply_mask(params, mask).values)
     assert np.array_equal(params.values.view(np.int64), theta.view(np.int64))
 
 
@@ -352,10 +355,10 @@ def test_local_update_preserves_masked_zeros():
     maskable = default_maskable_set(layout, "WP")
     mask = generate_mask(parse_codename("5").per_slot_policies[0], params, maskable, 1)
     shard = data.train.subset(data.shards[3])
-    out = local_update(params, mask, shard, config, local_rng(5, 1, 0))
+    out = local_update(params, [mask], [shard], config, [local_rng(5, 1, 0)])[0]
     off = mask.bits == 0
-    assert (out.values[off] == 0.0).all()
-    assert np.isfinite(out.values).all()
+    assert (out[off] == 0.0).all()
+    assert np.isfinite(out).all()
 
 
 def test_local_update_rejects_empty_shard():
@@ -363,10 +366,116 @@ def test_local_update_rejects_empty_shard():
     data = build_federated_data(config)
     layout = model_layout(config, data)
     params = init_params(layout, 0)
-    with pytest.raises(ValueError):
+    full = Mask.ones(layout.total)
+    with pytest.raises(ValueError, match="empty"):
+        local_update(params, [full], [data.train.subset([])], config, [local_rng(0, 1, 0)])
+    # one empty shard among non-empty ones is rejected too
+    with pytest.raises(ValueError, match="empty"):
         local_update(
-            params, Mask.ones(layout.total), data.train.subset([]), config, local_rng(0, 1, 0)
+            params, [full, full], [data.train.subset(data.shards[0]), data.train.subset([])],
+            config, [local_rng(0, 1, 0), local_rng(0, 1, 1)],
         )
+    with pytest.raises(ValueError, match="one mask, shard and rng per slot"):
+        local_update(
+            params, [full], [data.train.subset(data.shards[0])] * 2, config, [local_rng(0, 1, 0)]
+        )
+
+
+# A round's inputs to local_update: equal iid shards (one lockstep group of
+# all ten slots), and label-skew shards of 23 and 24 examples (two groups,
+# interleaved across slots). Every shard ends its epoch on a short batch.
+LOCKSTEP_ROUNDS = {
+    "iid-equal-shards": dict(
+        partition="iid", hidden_layers=(32,), families=[("WP", "1111223344")],
+        dataset=SynthSpec(10, 50, 20, 0.3, 20),
+    ),
+    # WP is the only family defined for more than one hidden layer
+    "skew-two-hidden-WP": dict(
+        partition="label-skew", hidden_layers=(16, 12), families=[("WP", "1111223344")],
+        dataset=SynthSpec(10, 47, 20, 0.3, 20),
+    ),
+    "skew-WP-NP-FS": dict(
+        partition="label-skew", hidden_layers=(32,),
+        families=[("WP", "1234"), ("NP", "1234"), ("FS", "45")],
+        dataset=SynthSpec(10, 47, 20, 0.3, 20),
+    ),
+}
+
+
+def lockstep_round(case):
+    """(config, global params, masks, shards, fresh-rngs factory) for round 1 of a case."""
+    spec = dict(LOCKSTEP_ROUNDS[case])
+    families = spec.pop("families")
+    config = desk_config(local_epochs=3, momentum=0.5, **spec)
+    data = build_federated_data(config)
+    layout = model_layout(config, data)
+    state = init_state(config, layout)
+    masks = []
+    for family, digits in families:
+        maskable = default_maskable_set(layout, family)
+        masks += [
+            generate_mask(policy, state.params, maskable, 1)
+            for policy in parse_codename(digits, family).per_slot_policies
+        ]
+    participants = sample_participants(state, config)
+    shards = [data.train.subset(data.shards[client]) for client in participants]
+
+    def rngs():
+        return [local_rng(config.seed, 1, k) for k in range(len(participants))]
+
+    return config, state.params, masks, shards, rngs
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
+def test_lockstep_matches_reference_local_update_bitwise(case):
+    config, params, masks, shards, rngs = lockstep_round(case)
+    lengths = [len(shard) for shard in shards]
+    assert all(n % config.local_batch for n in lengths)
+    if case.startswith("skew"):
+        assert len(set(lengths)) > 1
+    assert max(lengths.count(n) for n in lengths) > 1  # some slots do train together
+    theta = params.values.copy()
+    got = local_update(params, masks, shards, config, rngs())
+    assert got.shape == (len(masks), params.layout.total)
+    for k, (mask, shard, rng) in enumerate(zip(masks, shards, rngs())):
+        want = reference_local_update(params, mask.bits, shard, config, rng)
+        assert np.array_equal(got[k].view(np.int64), want.view(np.int64)), f"slot {k}"
+    assert np.array_equal(params.values.view(np.int64), theta.view(np.int64))
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
+def test_lockstep_results_independent_of_chunk_size(monkeypatch, case):
+    config, params, masks, shards, rngs = lockstep_round(case)
+    want = local_update(params, masks, shards, config, rngs())
+    lengths = [len(shard) for shard in shards]
+    largest_group = max(lengths.count(n) for n in lengths)
+    stack_sizes = []
+    loss_and_grad_ = fedprune.federation.loss_and_grad
+
+    def recorded(params, *args, **kwargs):
+        stack_sizes.append(len(params.values))
+        return loss_and_grad_(params, *args, **kwargs)
+
+    monkeypatch.setattr(fedprune.federation, "loss_and_grad", recorded)
+    for g in range(1, len(masks) + 1):
+        monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * params.layout.total * g)
+        stack_sizes.clear()
+        got = local_update(params, masks, shards, config, rngs())
+        assert max(stack_sizes) == min(g, largest_group), f"g = {g}"
+        assert sum(stack_sizes) == config.local_epochs * sum(-(-n // config.local_batch) for n in lengths)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"g = {g}"
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
+def test_lockstep_keeps_masked_coordinates_at_positive_zero(case):
+    config, params, masks, shards, rngs = lockstep_round(case)
+    got = local_update(params, masks, shards, config, rngs())
+    assert any((mask.bits == 0).any() for mask in masks)
+    for k, mask in enumerate(masks):
+        off = mask.bits == 0
+        assert (got[k][off].view(np.int64) == 0).all(), f"slot {k}"  # +0.0, not -0.0
+        assert (got[k][~off] != apply_mask(params, mask).values[~off]).any(), f"slot {k}"
+    assert np.isfinite(got).all()
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +511,40 @@ def test_round_results_independent_of_slot_execution_order():
     for k in reversed(range(len(participants))):
         mask = generate_mask(assignment.per_slot_policies[k], state.params, maskable, 1)
         slot_masks[k] = mask
-        slot_models[k] = local_update(
-            state.params, mask, data.train.subset(data.shards[participants[k]]),
-            config, local_rng(state.seed, 1, k),
+        # each slot trains alone, so no lockstep group spans two slots
+        alone = local_update(
+            state.params, [mask], [data.train.subset(data.shards[participants[k]])],
+            config, [local_rng(state.seed, 1, k)],
         )
+        slot_models[k] = ParamVector(alone[0], layout)
     redone = aggregate(state.params, slot_models, slot_masks, coverage_counts(slot_masks))
     assert np.array_equal(redone.values, new_state.params.values)
+
+
+def test_round_names_the_slot_and_client_of_a_non_finite_local_model():
+    config = desk_config(learning_rate=1e12, rounds=1)
+    data = build_federated_data(config)
+    state = init_state(config, model_layout(config, data))
+    participants = sample_participants(state, config)
+    masks = round_masks(
+        parse_codename(config.codename, config.family).per_slot_policies, state.params,
+        default_maskable_set(state.params.layout, config.family), 1, {},
+    )
+    shards = [data.train.subset(data.shards[client]) for client in participants]
+    with np.errstate(all="ignore"):
+        local = local_update(
+            state.params, masks, shards, config,
+            [local_rng(state.seed, 1, k) for k in range(len(participants))],
+        )
+        finite = np.isfinite(local).all(axis=1)
+        assert not finite.all() and finite.any()
+        k = int(np.flatnonzero(~finite)[0])
+        message = (
+            f"round 1: non-finite local model after local training in slot {k} "
+            f"(client {participants[k]})"
+        )
+        with pytest.raises(FloatingPointError, match=re.escape(message)):
+            run_round(state, config, data)
 
 
 @pytest.mark.parametrize(
@@ -424,7 +561,7 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
     maskable = default_maskable_set(layout, family)
     policies = parse_codename(codename, family, freeze).per_slot_policies
 
-    rank_calls, used = [], []
+    rank_calls, used, training_calls = [], [], []
     segment_index_sets = fedprune.pruning.segment_index_sets
     local_update_ = fedprune.federation.local_update
 
@@ -432,9 +569,10 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
         rank_calls.append(args)
         return segment_index_sets(*args)
 
-    def recorded_local_update(params, mask, *rest):
-        used.append(mask)
-        return local_update_(params, mask, *rest)
+    def recorded_local_update(params, masks, *rest):
+        training_calls.append(params)
+        used.extend(masks)
+        return local_update_(params, masks, *rest)
 
     monkeypatch.setattr(fedprune.pruning, "segment_index_sets", counted_ranking)
     monkeypatch.setattr(fedprune.federation, "local_update", recorded_local_update)
@@ -444,7 +582,9 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
         theta = state.params.values.copy()
         rank_calls.clear()
         used.clear()
+        training_calls.clear()
         new_state, _ = run_round(state, config, data)
+        assert len(training_calls) == 1 and training_calls[0] is state.params, f"round {q}"
         assert len(rank_calls) == (0 if freeze is not None and q > freeze else 1), f"round {q}"
         assert np.array_equal(state.params.values.view(np.int64), theta.view(np.int64))
         assert len(used) == len(policies)
@@ -477,9 +617,9 @@ def test_round_reads_the_test_set_once_and_backprops_only_in_local_training(monk
             in_local_training.pop()
 
     def counted(loss_and_grad_):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             grad_calls.append(bool(in_local_training))
-            return loss_and_grad_(*args)
+            return loss_and_grad_(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(fedprune.federation, "evaluate", recorded(global_evals, fedprune.federation.evaluate))

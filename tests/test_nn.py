@@ -191,6 +191,84 @@ def test_loss_and_grad_rejects_malformed_batches(inputs, labels, message):
         loss_and_grad(params, inputs, labels)
 
 
+@pytest.mark.parametrize("label", [-1, 3])
+def test_loss_and_grad_rejects_out_of_range_labels(label):
+    # -1 would otherwise index the last class and 3 would raise a bare IndexError
+    layout = LayerLayout((2, 3))
+    params = ParamVector(np.zeros(layout.total), layout)
+    with pytest.raises(ValueError, match="label out of range"):
+        loss_and_grad(params, np.zeros((2, 2)), np.array([0, label]))
+    stacked = ParamVector(np.zeros((2, layout.total)), layout)
+    with pytest.raises(ValueError, match="label out of range"):
+        loss_and_grad(stacked, np.zeros((2, 1, 2)), np.array([[0], [label]]))
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_evaluate_rejects_out_of_range_labels(label):
+    layout = LayerLayout((2, 3))
+    params = ParamVector(np.zeros(layout.total), layout)
+    dataset = SmallDataset(np.zeros((3, 2)), np.array([0, 1, label]))
+    for with_grad in (False, True):
+        with pytest.raises(ValueError, match="label out of range"):
+            evaluate(params, dataset, batch_size=2, with_grad=with_grad)
+
+
+@pytest.mark.parametrize(
+    "inputs,labels,out,message",
+    [
+        (np.zeros((2, 3)), np.zeros((2, 3), dtype=int), None, "3-D"),
+        (np.zeros((3, 1, 3)), np.zeros((3, 1), dtype=int), None, "one batch per parameter vector"),
+        (np.zeros((2, 1, 3)), np.zeros(2, dtype=int), None, "match the batch size"),
+        (np.zeros((2, 0, 3)), np.zeros((2, 0), dtype=int), None, "empty batch"),
+        (np.zeros((2, 1, 3)), np.zeros((2, 1), dtype=int), np.empty(8), "gradient buffer"),
+    ],
+)
+def test_stacked_loss_and_grad_rejects_malformed_batches(inputs, labels, out, message):
+    layout = LayerLayout((3, 2))
+    params = ParamVector(np.zeros((2, layout.total)), layout)
+    with pytest.raises(ValueError, match=message):
+        loss_and_grad(params, inputs, labels, out=out)
+
+
+def test_param_vector_takes_one_vector_or_a_stack():
+    layout = LayerLayout((3, 2))
+    assert ParamVector(np.zeros((4, layout.total)), layout).values.shape == (4, 8)
+    for shape in [(7,), (2, 7), (2, 2, 8), ()]:
+        with pytest.raises(ValueError, match="does not match layout total"):
+            ParamVector(np.zeros(shape), layout)
+
+
+@pytest.mark.parametrize("sizes", [(5, 3), (6, 7, 4), (4, 6, 5, 3)])
+def test_stacked_kernel_rows_match_unstacked_calls_bitwise(sizes):
+    """Row i of a stacked gradient and step has the bits of the unstacked call on row i."""
+    layout = LayerLayout(sizes)
+    rng = np.random.default_rng(len(sizes))
+    g, batch = 4, 3
+    values = rng.normal(0.0, 1.0, (g, layout.total))
+    bits = rng.integers(0, 2, (g, layout.total)).astype(np.uint8)
+    inputs = rng.normal(size=(g, batch, sizes[0]))
+    labels = rng.integers(0, sizes[-1], (g, batch))
+    buf = rng.normal(0.0, 1.0, (g, layout.total))
+    want = []
+    for i in range(g):
+        row = ParamVector(values[i].copy(), layout)
+        loss, grad = loss_and_grad(row, inputs[i], labels[i])
+        opt = OptimizerState(buf[i].copy(), momentum_coef=0.5, learning_rate=0.1)
+        masked_sgd_step(row, grad, bits[i], opt)
+        want.append((loss, row.values, opt.momentum_buffer))
+
+    stacked = ParamVector(values, layout)
+    grad = np.empty((g, layout.total))
+    losses, got = loss_and_grad(stacked, inputs, labels, out=grad)
+    assert got is grad
+    opt = OptimizerState(buf, momentum_coef=0.5, learning_rate=0.1)
+    masked_sgd_step(stacked, grad, bits, opt)
+    for i, (loss, row_values, row_buf) in enumerate(want):
+        assert losses[i] == loss
+        assert np.array_equal(values[i].view(np.int64), row_values.view(np.int64)), i
+        assert np.array_equal(buf[i].view(np.int64), row_buf.view(np.int64)), i
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_gradient_property_random_small_nets(seed):
@@ -221,10 +299,10 @@ def test_step_reduces_to_plain_sgd():
     expected = params.values - 0.2 * grad
     values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.2, momentum_coef=0.0)
     buf = opt.momentum_buffer
-    stepped, opt2 = masked_sgd_step(params, grad, Mask.ones(3), opt)
-    assert stepped is params and stepped.values is values
-    assert opt2 is opt and opt2.momentum_buffer is buf
-    assert np.array_equal(stepped.values, expected)
+    assert masked_sgd_step(params, grad, Mask.ones(3).bits, opt) is None
+    assert params.values is values and opt.momentum_buffer is buf
+    assert np.array_equal(values, expected)
+    assert np.array_equal(buf, np.array([0.5, 1.0, -1.0]))
 
 
 def test_step_all_zero_mask_is_identity():
@@ -233,10 +311,10 @@ def test_step_all_zero_mask_is_identity():
     expected = params.values.copy()
     values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.2, momentum_coef=0.5)
     buf = opt.momentum_buffer
-    stepped, opt2 = masked_sgd_step(params, np.array([9.0, 9.0, 9.0]), Mask(np.zeros(3)), opt)
-    assert stepped.values is values and opt2.momentum_buffer is buf
-    assert np.array_equal(stepped.values, expected)
-    assert not opt2.momentum_buffer.any()
+    masked_sgd_step(params, np.array([9.0, 9.0, 9.0]), np.zeros(3, dtype=np.uint8), opt)
+    assert params.values is values and opt.momentum_buffer is buf
+    assert np.array_equal(values, expected)
+    assert not buf.any()
 
 
 def test_step_two_coordinate_arithmetic():
@@ -245,9 +323,9 @@ def test_step_two_coordinate_arithmetic():
     params = ParamVector(np.array([1.0, 1.0]), layout)
     values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.5, momentum_coef=0.0)
     buf = opt.momentum_buffer
-    stepped, opt2 = masked_sgd_step(params, np.array([2.0, 4.0]), Mask([1, 0]), opt)
-    assert stepped.values is values and opt2.momentum_buffer is buf
-    assert np.array_equal(stepped.values, np.array([0.0, 1.0]))
+    masked_sgd_step(params, np.array([2.0, 4.0]), Mask([1, 0]).bits, opt)
+    assert params.values is values and opt.momentum_buffer is buf
+    assert np.array_equal(values, np.array([0.0, 1.0]))
 
 
 def test_step_momentum_accumulates():
@@ -256,12 +334,12 @@ def test_step_momentum_accumulates():
     opt = OptimizerState.fresh(layout, learning_rate=1.0, momentum_coef=0.5)
     values, buf = params.values, opt.momentum_buffer
     # the step consumes its gradient argument, so each call gets a fresh one
-    params, opt = masked_sgd_step(params, np.array([1.0, 0.0]), Mask.ones(2), opt)
-    assert params.values[0] == -1.0
-    params, opt = masked_sgd_step(params, np.array([1.0, 0.0]), Mask.ones(2), opt)
-    assert params.values[0] == -1.0 - 1.5  # buffer 0.5*1 + 1
+    masked_sgd_step(params, np.array([1.0, 0.0]), Mask.ones(2).bits, opt)
+    assert values[0] == -1.0
+    masked_sgd_step(params, np.array([1.0, 0.0]), Mask.ones(2).bits, opt)
+    assert values[0] == -1.0 - 1.5  # buffer 0.5*1 + 1
     assert params.values is values and opt.momentum_buffer is buf
-    assert opt.momentum_buffer.tolist() == [1.5, 0.0]
+    assert buf.tolist() == [1.5, 0.0]
 
 
 def test_step_rejects_length_mismatch():
@@ -269,7 +347,7 @@ def test_step_rejects_length_mismatch():
     params = ParamVector(np.zeros(2), layout)
     opt = OptimizerState.fresh(layout, learning_rate=0.1)
     with pytest.raises(ValueError):
-        masked_sgd_step(params, np.zeros(3), Mask.ones(2), opt)
+        masked_sgd_step(params, np.zeros(3), Mask.ones(2).bits, opt)
 
 
 @settings(max_examples=30, deadline=None)
@@ -284,7 +362,7 @@ def test_mask_closure_is_bitwise(seed, steps):
     inputs, labels = rng.normal(size=(4, 3)), rng.integers(0, 2, 4)
     for _ in range(steps):
         _, grad = loss_and_grad(params, inputs, labels)
-        params, opt = masked_sgd_step(params, grad, Mask(mask), opt)
+        masked_sgd_step(params, grad, mask, opt)
         off = mask == 0
         assert (params.values[off] == 0.0).all()
         assert (opt.momentum_buffer[off] == 0.0).all()
@@ -304,7 +382,7 @@ def test_trajectory_determinism_is_bitwise():
         out = []
         for inputs, labels in batches:
             _, grad = loss_and_grad(params, inputs, labels)
-            params, opt = masked_sgd_step(params, grad, Mask.ones(layout.total), opt)
+            masked_sgd_step(params, grad, Mask.ones(layout.total).bits, opt)
             out.append(params.values.copy())
         return out
 
