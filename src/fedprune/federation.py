@@ -11,11 +11,14 @@ Each round q (1-based):
 Parameters covered by no slot keep the previous global value; that case is
 reported as gamma_min = 0 and can be escalated to an error.
 
+Lockstep chunks train on the lanes (`fedprune.lanes`): lane j trains chunks
+j, j + L, ... in place in its rows of one (S, total) matrix.
+
 Determinism: all randomness flows from named streams derived from
 (seed, stream, round[, slot]), so the grouping of slots into lockstep
-chunks, or parallel slot execution, reproduces one-slot-at-a-time results
-bit for bit. Per-parameter sums always run in ascending slot order for the
-same reason.
+chunks, and the lane that trains a chunk, reproduce one-slot-at-a-time
+results bit for bit. Per-parameter sums always run in ascending slot order
+for the same reason.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lanes
 from .data import Dataset, PartitionSpec, load_idx, partition, stratified_subset, synth_blobs
 from .metrics import (
     RoundMetrics,
@@ -39,6 +43,7 @@ from .pruning import (
     Mask,
     PolicyAssignment,
     apply_mask,
+    codename_coverage,
     default_maskable_set,
     parse_codename,
     pruning_noise,
@@ -103,6 +108,22 @@ def aggregate(
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(counts > 0, acc / counts, previous_global.values)
     return ParamVector(out, previous_global.layout)
+
+
+def _uncovered_detail(counts: np.ndarray, layout: LayerLayout, codename: str) -> str:
+    """Where coverage fails: how many parameters, the first one's layer, the unkept segments."""
+    uncovered = np.flatnonzero(counts == 0)
+    first = int(uncovered[0])
+    l, sl = next(
+        (l, sl) for l, sl in enumerate(layout.offsets, 1) if first < sl.bias_start + sl.bias_len
+    )
+    part = "weights" if first < sl.bias_start else "biases"
+    segments, _ = codename_coverage(codename)
+    unkept = ", ".join(f"S{s}" for s, n in sorted(segments.items()) if n == 0) or "none"
+    return (
+        f"{len(uncovered)} uncovered parameters, the first (index {first}) in layer {l} {part}; "
+        f"quartile segments no slot of codename {codename} keeps: {unkept}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +288,19 @@ def _train_lockstep(
     labels: np.ndarray,
     rngs: list[np.random.Generator],
     config: FederationConfig,
+    momentum: np.ndarray,
+    grad: np.ndarray,
 ) -> None:
     """T epochs of masked SGD on g stacked models at once, in place.
 
     Row i of `params.values` (g, total) trains on shard i, given as
     `inputs[i]` (n, features) and `labels[i]` (n,); all g shards have the
     same length n, so every step has one batch size for all rows.
+    `momentum` and `grad` are (g, total) buffers; the momentum starts at 0.
     """
     g, n = labels.shape
-    opt = OptimizerState(
-        np.zeros_like(params.values), config.momentum, config.effective_learning_rate
-    )
-    grad = np.empty_like(params.values)
+    momentum[...] = 0.0
+    opt = OptimizerState(momentum, config.momentum, config.effective_learning_rate)
     rows = np.arange(g)[:, None]
     for _ in range(config.local_epochs):
         order = np.stack([rng.permutation(n) for rng in rngs])
@@ -294,43 +316,60 @@ def local_update(
     shards: list[Dataset],
     config: FederationConfig,
     rngs: list[np.random.Generator],
-) -> np.ndarray:
+) -> list[np.ndarray]:
     """T epochs of masked minibatch SGD for every slot, from the pruned global model.
 
-    Returns an (S, total) matrix whose row k is slot k's local model.
-    Slots whose shards have the same length share one batch schedule, short
-    last batch included, and train in lockstep: up to
+    Returns S row views of one (S, total) matrix; entry k is slot k's local
+    model. Slots whose shards have the same length share one batch
+    schedule, short last batch included, and train in lockstep: up to
     `max(1, _LOCKSTEP_BYTES // (8 * total))` of them at a time, as the rows
     of one stacked forward/backward pass and SGD step. Slot k draws one
-    permutation of its shard per epoch from `rngs[k]`, so row k has the
+    permutation of its shard per epoch from `rngs[k]`, so its row has the
     bits it would have if slot k trained alone.
+
+    The chunks run on the lanes: lane j trains chunks j, j + L, ... in place,
+    in the matrix rows that hold them (chunk order), with momentum, gradient
+    and mask buffers allocated here once per call.
     """
     if not len(masks) == len(shards) == len(rngs):
         raise ValueError("one mask, shard and rng per slot required")
     if any(len(shard) == 0 for shard in shards):
         raise ValueError("client shard is empty")
     layout = global_params.layout
-    local = np.empty((len(masks), layout.total))
     by_length: dict[int, list[int]] = {}
     for k, shard in enumerate(shards):
         by_length.setdefault(len(shard), []).append(k)
     width = max(1, _LOCKSTEP_BYTES // (8 * layout.total))
-    for slots in by_length.values():
-        for lo in range(0, len(slots), width):
-            chunk = slots[lo : lo + width]
-            params = ParamVector(
-                np.stack([apply_mask(global_params, masks[k]).values for k in chunk]), layout
-            )
-            _train_lockstep(
-                params,
-                np.stack([masks[k].bits for k in chunk]),
-                np.stack([shards[k].inputs for k in chunk]),
-                np.stack([shards[k].labels for k in chunk]),
-                [rngs[k] for k in chunk],
-                config,
-            )
-            local[chunk] = params.values
-    return local
+    chunks = [
+        slots[lo : lo + width] for slots in by_length.values() for lo in range(0, len(slots), width)
+    ]
+    order = [k for chunk in chunks for k in chunk]
+    first_row = np.cumsum([0] + [len(chunk) for chunk in chunks])
+    local = np.empty((len(order), layout.total))  # row i holds slot order[i]
+    step_rows = max(len(c) * min(config.local_batch, len(shards[c[0]])) for c in chunks)
+    n_lanes = min(lanes.width(step_rows * layout.total), len(chunks))
+    shape = (n_lanes, max(map(len, chunks)), layout.total)
+    momentum, grad, bits = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.uint8)
+
+    def train(c: int, lane: int) -> None:
+        chunk = chunks[c]
+        g = len(chunk)
+        rows = local[first_row[c] : first_row[c] + g]
+        for row, k in zip(rows, chunk):
+            apply_mask(global_params, masks[k], out=row)
+        _train_lockstep(
+            ParamVector(rows, layout),
+            np.stack([masks[k].bits for k in chunk], out=bits[lane, :g]),
+            np.stack([shards[k].inputs for k in chunk]),
+            np.stack([shards[k].labels for k in chunk]),
+            [rngs[k] for k in chunk],
+            config,
+            momentum[lane, :g],
+            grad[lane, :g],
+        )
+
+    lanes.on_lanes(range(len(chunks)), train, n_lanes)
+    return [local[i] for i in np.argsort(order)]
 
 
 def run_round(
@@ -359,19 +398,21 @@ def run_round(
     shards = [data.train.subset(data.shards[client]) for client in participants]
     rngs = [local_rng(state.seed, q, k) for k in range(len(participants))]
     local = local_update(state.params, masks, shards, config, rngs)
-    finite = np.isfinite(local).all(axis=1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise FloatingPointError(
-            f"round {q}: non-finite local model after local training in slot {k} "
-            f"(client {participants[k]})"
-        )
+    for k, row in enumerate(local):
+        if not np.isfinite(row).all():
+            raise FloatingPointError(
+                f"round {q}: non-finite local model after local training in slot {k} "
+                f"(client {participants[k]})"
+            )
     local_models = [ParamVector(row, layout) for row in local]
 
     counts = coverage_counts(masks)
     gamma_min = int(counts.min())
     if gamma_min == 0:
-        message = f"round {q}: some parameters are covered by no participant (gamma_min = 0)"
+        message = (
+            f"round {q}: some parameters are covered by no participant (gamma_min = 0): "
+            + _uncovered_detail(counts, layout, config.codename)
+        )
         if config.uncovered_region_action == "error":
             raise CoverageError(message)
         warnings.warn(message)

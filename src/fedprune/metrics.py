@@ -4,6 +4,9 @@ Parameter counts treat a model as "retained weights + retained biases";
 FLOPs count retained weight-matrix entries (one multiply-accumulate each,
 bias adds excluded) - the only definition that reproduces the full-MLP
 pair (159010, 158800) for the 784-200-10 network.
+
+`weighted_accuracy` evaluates its clients on the lanes (`fedprune.lanes`)
+and sums their weighted accuracies in client order.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lanes
 from .nn import LayerLayout, ParamVector, evaluate
 from .pruning import Mask, PruningPolicy
 
@@ -158,13 +162,23 @@ def weighted_accuracy(per_client: list[tuple[float, ParamVector, object]],
     """Weighted mean of per-client accuracies, each on that client's own data.
 
     Entries are (weight, already-masked params, dataset); weights must sum to 1.
+    The clients are evaluated on the lanes (lane j takes clients j, j + L, ...),
+    and `w * acc` is summed in client order.
     """
     weights = [w for w, _, _ in per_client]
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError(f"client weights must sum to 1, got {sum(weights)}")
+    accs = [0.0] * len(per_client)
+
+    def client(k: int, lane: int) -> None:
+        _, params, dataset = per_client[k]
+        accs[k] = evaluate(params, dataset, batch_size=batch_size)[1]
+
+    rows = max(min(batch_size, len(dataset.labels)) for _, _, dataset in per_client)
+    width = lanes.width(rows * per_client[0][1].layout.total)
+    lanes.on_lanes(range(len(per_client)), client, width)
     total = 0.0
-    for w, params, dataset in per_client:
-        _, acc, _ = evaluate(params, dataset, batch_size=batch_size)
+    for w, acc in zip(weights, accs):
         total += w * acc
     return total
 

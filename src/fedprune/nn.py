@@ -20,6 +20,11 @@ The optimizer step works in place: `masked_sgd_step` overwrites the
 parameter values, the momentum buffer and the gradient it is given.
 `loss_and_grad` writes into an `out=` buffer when given one, so a training
 loop allocates no full-length vector per step.
+
+`evaluate` spreads its chunks over the lanes (`fedprune.lanes`) in waves of
+L: each lane writes one chunk's loss sum, correct count and gradient into
+its own slot, and the caller adds them in chunk order, so every lane count
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import lanes
 
 
 @dataclass(frozen=True)
@@ -272,6 +279,11 @@ def evaluate(
     One forward pass per chunk gives the loss, the argmax accuracy (ties
     resolve to the lowest class index) and, with `with_grad`, the exact
     full-dataset gradient of the mean loss.
+
+    Chunks run in waves of L on the lanes: lane j computes chunk w + j's
+    loss sum, correct count and count-weighted gradient into its own slot,
+    and the wave's results are added in chunk order, so the sums do not
+    depend on L.
     """
     inputs = np.asarray(dataset.inputs, dtype=np.float64)
     labels = np.asarray(dataset.labels, dtype=np.int64)
@@ -281,20 +293,32 @@ def evaluate(
     if n == 0:
         raise ValueError("empty dataset")
     _check_labels(labels, params.layout.num_classes)
-    total_loss = 0.0
-    correct = 0
+    starts = range(0, n, batch_size)
+    width = min(lanes.width(min(batch_size, n) * params.layout.total), len(starts))
+    loss_sums, corrects = [0.0] * width, [0] * width
     if with_grad:
         total_grad = np.zeros(params.layout.total)
-        work = np.empty(params.layout.total)  # one chunk's gradient, reused
-    for start in range(0, n, batch_size):
+        work = np.empty((width, params.layout.total))  # each lane's chunk gradient, reused
+
+    def chunk(start: int, lane: int) -> None:
         chunk_labels = labels[start : start + batch_size]
         acts = _activations(params, inputs[start : start + batch_size])
         logp = _log_softmax(acts[-1])
         pick = _label_index(chunk_labels)
-        total_loss += float(-logp[pick].sum())
-        correct += int((acts[-1].argmax(axis=-1) == chunk_labels).sum())
+        loss_sums[lane] = float(-logp[pick].sum())
+        corrects[lane] = int((acts[-1].argmax(axis=-1) == chunk_labels).sum())
         if with_grad:
-            _backward(params, acts, logp, pick, work)
-            work *= len(chunk_labels)
-            total_grad += work
+            _backward(params, acts, logp, pick, work[lane])
+            work[lane] *= len(chunk_labels)
+
+    total_loss = 0.0
+    correct = 0
+    for first in range(0, len(starts), width):
+        wave = starts[first : first + width]
+        lanes.on_lanes(wave, chunk, width)
+        for lane in range(len(wave)):
+            total_loss += loss_sums[lane]
+            correct += corrects[lane]
+            if with_grad:
+                total_grad += work[lane]
     return total_loss / n, correct / n, total_grad / n if with_grad else None

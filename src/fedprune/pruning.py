@@ -282,11 +282,19 @@ def round_masks(
     return masks
 
 
-def apply_mask(params: ParamVector, mask: Mask) -> ParamVector:
-    """Element-wise product; pruned coordinates become exactly +0.0."""
+def apply_mask(params: ParamVector, mask: Mask, out: np.ndarray | None = None) -> ParamVector:
+    """Element-wise product; pruned coordinates become exactly +0.0.
+
+    The masked vector is written into `out` (shape (total,)) when one is
+    given, else into a new array.
+    """
     if len(mask) != params.layout.total:
         raise ValueError("mask length does not match parameter vector")
-    return ParamVector(np.where(mask.bits != 0, params.values, 0.0), params.layout)
+    if out is None:
+        out = np.empty(params.layout.total)
+    out[...] = 0.0
+    np.copyto(out, params.values, where=mask.bits.view(np.bool_))
+    return ParamVector(out, params.layout)
 
 
 def pruning_noise(params: ParamVector, masks: list[Mask]) -> tuple[float, ...]:

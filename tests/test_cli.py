@@ -223,6 +223,24 @@ def test_shipped_quickstart_config_runs(tmp_path):
     assert (tmp_path / "q" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("partition", ["iid", "label-skew"])
+def test_run_outputs_are_independent_of_lanes(tmp_path, use_lanes, partition):
+    outputs = {}
+    for lanes in (1, 2):
+        use_lanes(lanes)
+        out = tmp_path / f"lanes{lanes}"
+        assert main([
+            "run", "--config", "configs/quickstart.json", "--rounds", "3", "--seeds", "1,2",
+            "--partition", partition, "--out", str(out),
+        ]) == 0
+        outputs[lanes] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert sorted(outputs[1]) == [
+        "metrics_seed1.csv", "metrics_seed1.jsonl", "metrics_seed2.csv", "metrics_seed2.jsonl",
+        "summary.json",
+    ]
+    assert outputs[2] == outputs[1]
+
+
 def test_shipped_mnist_configs_parse():
     from fedprune.cli import load_run_config
 

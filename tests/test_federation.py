@@ -14,6 +14,7 @@ import fedprune.federation
 import fedprune.metrics
 import fedprune.nn
 import fedprune.pruning
+from fedprune.data import Dataset
 from fedprune.federation import (
     CoverageError,
     FederationConfig,
@@ -307,7 +308,7 @@ def test_local_update_zero_lr_is_pruning_only():
     mask = generate_mask(parse_codename("4").per_slot_policies[0], params, maskable, 1)
     shard = data.train.subset(data.shards[0])
     out = local_update(params, [mask], [shard], config, [local_rng(0, 1, 0)])
-    assert out.shape == (1, layout.total)
+    assert len(out) == 1 and out[0].shape == (layout.total,)
     assert np.array_equal(out[0], apply_mask(params, mask).values)
 
 
@@ -436,7 +437,7 @@ def test_lockstep_matches_reference_local_update_bitwise(case):
     assert max(lengths.count(n) for n in lengths) > 1  # some slots do train together
     theta = params.values.copy()
     got = local_update(params, masks, shards, config, rngs())
-    assert got.shape == (len(masks), params.layout.total)
+    assert np.shape(got) == (len(masks), params.layout.total)
     for k, (mask, shard, rng) in enumerate(zip(masks, shards, rngs())):
         want = reference_local_update(params, mask.bits, shard, config, rng)
         assert np.array_equal(got[k].view(np.int64), want.view(np.int64)), f"slot {k}"
@@ -446,7 +447,7 @@ def test_lockstep_matches_reference_local_update_bitwise(case):
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
 def test_lockstep_results_independent_of_chunk_size(monkeypatch, case):
     config, params, masks, shards, rngs = lockstep_round(case)
-    want = local_update(params, masks, shards, config, rngs())
+    want = np.stack(local_update(params, masks, shards, config, rngs()))
     lengths = [len(shard) for shard in shards]
     largest_group = max(lengths.count(n) for n in lengths)
     stack_sizes = []
@@ -460,7 +461,7 @@ def test_lockstep_results_independent_of_chunk_size(monkeypatch, case):
     for g in range(1, len(masks) + 1):
         monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * params.layout.total * g)
         stack_sizes.clear()
-        got = local_update(params, masks, shards, config, rngs())
+        got = np.stack(local_update(params, masks, shards, config, rngs()))
         assert max(stack_sizes) == min(g, largest_group), f"g = {g}"
         assert sum(stack_sizes) == config.local_epochs * sum(-(-n // config.local_batch) for n in lengths)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"g = {g}"
@@ -476,6 +477,34 @@ def test_lockstep_keeps_masked_coordinates_at_positive_zero(case):
         assert (got[k][off].view(np.int64) == 0).all(), f"slot {k}"  # +0.0, not -0.0
         assert (got[k][~off] != apply_mask(params, mask).values[~off]).any(), f"slot {k}"
     assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
+def test_local_update_is_independent_of_lanes_and_chunk_size(use_lanes, monkeypatch, case, lanes):
+    config, params, masks, shards, rngs = lockstep_round(case)
+    use_lanes(1)
+    want = np.stack(local_update(params, masks, shards, config, rngs()))
+    use_lanes(lanes)
+    for g in range(1, len(masks) + 1):
+        monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * params.layout.total * g)
+        got = np.stack(local_update(params, masks, shards, config, rngs()))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"g = {g}"
+
+
+def test_an_error_in_a_helper_lane_reaches_the_caller(use_lanes, monkeypatch):
+    config, params, masks, shards, rngs = lockstep_round("iid-equal-shards")
+    want = np.stack(local_update(params, masks, shards, config, rngs()))
+    use_lanes(2)
+    monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * params.layout.total)
+    bad = shards[1]  # chunk 1 of one slot each: lane 1 trains it
+    labels = bad.labels.copy()
+    labels[-1] = bad.num_classes  # no output unit for this label
+    broken = [*shards[:1], Dataset(bad.inputs, labels, bad.num_classes + 1), *shards[2:]]
+    with pytest.raises(ValueError, match="label out of range"):
+        local_update(params, masks, broken, config, rngs())
+    got = np.stack(local_update(params, masks, shards, config, rngs()))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +550,7 @@ def test_round_results_independent_of_slot_execution_order():
     assert np.array_equal(redone.values, new_state.params.values)
 
 
-def test_round_names_the_slot_and_client_of_a_non_finite_local_model():
+def test_round_names_the_slot_and_client_of_a_non_finite_local_model(use_lanes):
     config = desk_config(learning_rate=1e12, rounds=1)
     data = build_federated_data(config)
     state = init_state(config, model_layout(config, data))
@@ -531,20 +560,22 @@ def test_round_names_the_slot_and_client_of_a_non_finite_local_model():
         default_maskable_set(state.params.layout, config.family), 1, {},
     )
     shards = [data.train.subset(data.shards[client]) for client in participants]
-    with np.errstate(all="ignore"):
-        local = local_update(
-            state.params, masks, shards, config,
-            [local_rng(state.seed, 1, k) for k in range(len(participants))],
-        )
-        finite = np.isfinite(local).all(axis=1)
-        assert not finite.all() and finite.any()
-        k = int(np.flatnonzero(~finite)[0])
-        message = (
-            f"round 1: non-finite local model after local training in slot {k} "
-            f"(client {participants[k]})"
-        )
-        with pytest.raises(FloatingPointError, match=re.escape(message)):
-            run_round(state, config, data)
+    for lanes in (1, 2):
+        use_lanes(lanes)
+        with np.errstate(all="ignore"):
+            local = local_update(
+                state.params, masks, shards, config,
+                [local_rng(state.seed, 1, k) for k in range(len(participants))],
+            )
+            finite = np.isfinite(local).all(axis=1)
+            assert not finite.all() and finite.any()
+            k = int(np.flatnonzero(~finite)[0])
+            message = (
+                f"round 1: non-finite local model after local training in slot {k} "
+                f"(client {participants[k]})"
+            )
+            with pytest.raises(FloatingPointError, match=re.escape(message)):
+                run_round(state, config, data)
 
 
 @pytest.mark.parametrize(
@@ -594,7 +625,10 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
         state = new_state
 
 
-def test_round_reads_the_test_set_once_and_backprops_only_in_local_training(monkeypatch):
+def test_round_reads_the_test_set_once_and_backprops_only_in_local_training(
+    monkeypatch, use_lanes
+):
+    use_lanes(2)  # the per-slot accuracies run on two lanes
     config = desk_config()
     data = build_federated_data(config)
     expected_history, expected_params = run(config, data)
@@ -689,6 +723,26 @@ def test_uncovered_quartile_warns_and_optionally_errors():
     )
     with pytest.raises(CoverageError):
         run_round(init_state(strict, model_layout(strict, data)), strict, data)
+
+
+def test_coverage_failure_names_the_uncovered_count_layer_and_segments():
+    # FS keeps hidden neurons in natural order; digit 4 drops S4, the last 8 of 32
+    expected = re.escape(
+        "round 1: some parameters are covered by no participant (gamma_min = 0): "
+        f"{8 * (20 + 1 + 10)} uncovered parameters, the first (index 24) in layer 1 weights; "
+        "quartile segments no slot of codename 4444444444 keeps: S4"
+    )
+    config = desk_config(codename="4444444444", family="FS", rounds=0)
+    data = build_federated_data(config)
+    state = init_state(config, model_layout(config, data))
+    assert state.params.layout.layer_sizes == (20, 32, 10)
+    with pytest.warns(UserWarning, match=expected):
+        run_round(state, config, data)
+    strict = desk_config(
+        codename="4444444444", family="FS", rounds=0, uncovered_region_action="error"
+    )
+    with pytest.raises(CoverageError, match=expected):
+        run_round(state, strict, data)
 
 
 def test_uncovered_region_parameters_never_move():

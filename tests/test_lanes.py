@@ -1,0 +1,141 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fedprune.lanes
+from fedprune.data import synth_blobs
+from fedprune.lanes import lane_count, on_lanes, width
+from fedprune.nn import LayerLayout, ParamVector, evaluate
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    ("environ", "cpus", "lanes"),
+    [
+        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+        ({}, 2, 1),  # unpinned BLAS already uses every CPU
+        ({"OMP_NUM_THREADS": "2"}, 2, 1),
+        ({"MKL_NUM_THREADS": "2"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 8, 2),  # the first one set wins
+        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "many"}, 2, 1),
+    ],
+)
+def test_lane_count_divides_cpus_by_blas_threads(environ, cpus, lanes):
+    assert lane_count(environ, cpus) == lanes
+
+
+def test_width_is_one_inside_a_lane_and_for_small_work(use_lanes, monkeypatch):
+    use_lanes(3)
+    assert width(0) == 3
+    seen = []
+    on_lanes(range(3), lambda item, lane: seen.append(width(10**9)), 3)
+    assert seen == [1, 1, 1]
+    monkeypatch.setattr(fedprune.lanes, "MIN_WORK", 100)
+    assert width(99) == 1 and width(100) == 3
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_lane_j_takes_items_j_j_plus_l_in_order(use_lanes, lanes):
+    use_lanes(lanes)
+    calls = []
+    items = list("abcdefg")
+    on_lanes(items, lambda item, lane: calls.append((item, lane, threading.get_ident())), lanes)
+    by_lane = {}
+    for item, lane, thread in calls:
+        by_lane.setdefault(lane, []).append((item, thread))
+    assert sorted(by_lane) == list(range(lanes))
+    for lane, done in by_lane.items():
+        assert [item for item, _ in done] == items[lane::lanes]
+        assert len({thread for _, thread in done}) == 1
+    assert by_lane[0][0][1] == threading.get_ident()  # lane 0 runs in the caller
+    assert all(by_lane[j][0][1] != threading.get_ident() for j in range(1, lanes))
+
+
+def test_a_failure_waits_for_every_lane_and_the_first_in_lane_order_is_raised(use_lanes):
+    use_lanes(3)
+    finished = []
+
+    def work(item, lane):
+        if item == 1:
+            raise ValueError("lane 1")
+        if item == 2:
+            time.sleep(0.05)
+            finished.append(item)
+            raise KeyError("lane 2")
+        finished.append(item)
+
+    with pytest.raises(ValueError, match="lane 1"):
+        on_lanes(range(6), work, 3)
+    assert sorted(finished) == [0, 2, 3]  # lanes 1 and 2 stopped at their failures
+    finished.clear()
+    with pytest.raises(ValueError, match="lane 1"):
+        on_lanes([1, 2], work, 2)  # lane 0 fails first and lane 1 still finishes
+    assert finished == [2]
+    finished.clear()
+    on_lanes([0, 3, 6], work, 3)
+    assert sorted(finished) == [0, 3, 6]
+
+
+def test_a_helper_lane_keeps_the_callers_errstate(use_lanes):
+    use_lanes(2)
+
+    def overflow(item, lane):
+        if lane == 1:
+            np.float64(1e308) * np.float64(10.0)
+
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            on_lanes(range(2), overflow, 2)
+    with np.errstate(all="ignore"):
+        on_lanes(range(2), overflow, 2)
+
+
+def test_one_lane_never_makes_the_pool(monkeypatch):
+    monkeypatch.setattr(fedprune.lanes, "_pool", None)
+    on_lanes(range(5), lambda item, lane: None, 1)
+    assert fedprune.lanes._pool is None
+
+
+def test_importing_the_cli_and_checking_the_table_start_no_thread_pool():
+    script = (
+        "import sys, threading\n"
+        "import fedprune.cli\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert threading.active_count() == 1\n"
+        "assert fedprune.cli.main(['account', '--check-table']) == 0\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert threading.active_count() == 1\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_more_lanes_than_cores_under_fast_thread_switching_give_the_one_lane_bits(use_lanes):
+    layout = LayerLayout((20, 32, 10))
+    params = ParamVector(np.random.default_rng(3).normal(0, 0.5, layout.total), layout)
+    data = synth_blobs(10, 80, 20, 0.5, 3)
+    use_lanes(1)
+    want = evaluate(params, data, 16, with_grad=True)
+    use_lanes(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = evaluate(params, data, 16, with_grad=True)
+            assert np.float64(got[0]).view(np.int64) == np.float64(want[0]).view(np.int64)
+            assert got[1] == want[1]
+            assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))
+    finally:
+        sys.setswitchinterval(interval)

@@ -141,6 +141,27 @@ def test_uniform_weights_over_equal_shards_equal_global_accuracy():
     assert per_client == pytest.approx(global_acc, abs=1e-12)
 
 
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_weighted_accuracy_is_independent_of_lanes(use_lanes, lanes):
+    layout = LayerLayout((4, 8, 3))
+    data = synth_blobs(3, 60, 4, 0.8, seed=6)
+    sizes = [7, 19, 33, 12, 40, 25, 44]  # some clients span several chunks of 16
+    cuts = np.cumsum([0, *sizes])
+    rng = np.random.default_rng(1)
+    rows = rng.permutation(len(data))
+    weights = rng.dirichlet(np.ones(len(sizes)))  # summed in another order, the last bit moves
+    per_client = [
+        (w, init_params(layout, k), data.subset(rows[cuts[k] : cuts[k + 1]]))
+        for k, w in enumerate(weights)
+    ]
+    want = 0.0  # one client after another, in client order
+    for w, params, shard in per_client:
+        want += w * evaluate(params, shard, batch_size=16)[1]
+    use_lanes(lanes)
+    got = weighted_accuracy(per_client, batch_size=16)
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # theorem calculators (hand-computed fixed sets, 1e-12)
 # ---------------------------------------------------------------------------

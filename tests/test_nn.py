@@ -463,3 +463,20 @@ def test_evaluate_matches_reference_oracles_bitwise(sizes, n, batch_size):
         assert acc == want_acc, f"seed {seed}"
         assert np.array_equal(bit_pattern(grad), bit_pattern(want_grad)), f"seed {seed}"
         assert evaluate(params, data, batch_size=batch_size) == (loss, acc, None)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_evaluate_is_independent_of_lanes(use_lanes, lanes):
+    layout = LayerLayout((20, 32, 10))
+    n, batch_size = 463, 37  # 13 chunks, the last of 19 rows: no multiple of 2 or 3
+    for seed in range(8):
+        params = ParamVector(np.random.default_rng(seed).normal(0, 0.5, layout.total), layout)
+        data = synth_blobs(10, n // 10 + 1, 20, 0.5, seed).subset(np.arange(n))
+        use_lanes(1)
+        want_loss, want_acc, want_grad = evaluate(params, data, batch_size, with_grad=True)
+        use_lanes(lanes)
+        loss, acc, grad = evaluate(params, data, batch_size, with_grad=True)
+        assert bit_pattern(loss) == bit_pattern(want_loss), f"seed {seed}"
+        assert acc == want_acc, f"seed {seed}"
+        assert np.array_equal(bit_pattern(grad), bit_pattern(want_grad)), f"seed {seed}"
+        assert evaluate(params, data, batch_size) == (loss, acc, None)
