@@ -19,8 +19,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fedprune.federation import FederationConfig, SynthSpec, build_federated_data, model_layout, run
-from fedprune.metrics import account, amortized, full_account
-from fedprune.pruning import codename_coverage, parse_codename
+from fedprune.tables import computed_row
 
 DEFAULT_CODENAMES = [
     "1111111111",
@@ -61,11 +60,7 @@ def main() -> int:
             history, _ = run(config)
             finals.append(history[-1].global_accuracy)
         layout = model_layout(config, build_federated_data(config))
-        assignment = parse_codename(codename, family=args.family)
-        amt = amortized(
-            [account(layout, p) for p in assignment.per_slot_policies], full_account(layout)
-        )
-        _, gamma = codename_coverage(codename)
+        amt, gamma = computed_row(args.family, codename, layout)
         row = {
             "codename": codename,
             "family": args.family,

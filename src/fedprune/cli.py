@@ -143,7 +143,11 @@ def cmd_run(args) -> int:
     try:
         for seed in config.seeds:
             fed = replace(config.federation, seed=int(seed))
-            data = build_federated_data(fed)
+            try:
+                data = build_federated_data(fed)
+            except ValueError as exc:
+                print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
+                return 1
             history, _ = run_federation(fed, data)
             csv_path = config.out_dir / f"metrics_seed{seed}.csv"
             jsonl_path = config.out_dir / f"metrics_seed{seed}.jsonl"
@@ -225,12 +229,12 @@ def _account(args) -> int:
     if not args.codename:
         print("error: --codename is required unless --check-table is given", file=sys.stderr)
         return 1
-    assignment = parse_codename(args.codename, family=args.family)
+    policies = parse_codename(args.codename, family=args.family)
     from .metrics import account, amortized, full_account  # local to keep startup light
 
     full = full_account(layout)
     per_slot = []
-    for k, policy in enumerate(assignment.per_slot_policies):
+    for k, policy in enumerate(policies):
         acct = account(layout, policy)
         per_slot.append(acct)
         kept = ",".join(f"S{s}" for s in sorted(policy.kept_segments))

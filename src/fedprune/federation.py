@@ -41,10 +41,8 @@ from .metrics import (
 from .nn import LayerLayout, OptimizerState, ParamVector, evaluate, init_params, loss_and_grad, masked_sgd_step
 from .pruning import (
     Mask,
-    PolicyAssignment,
     apply_mask,
     codename_coverage,
-    default_maskable_set,
     parse_codename,
     pruning_noise,
     round_masks,
@@ -192,7 +190,11 @@ class FederationConfig:
             raise ValueError("uncovered_region_action must be 'warn' or 'error'")
         if self.static_slots and self.num_clients != self.slots_per_round:
             raise ValueError("static slot binding requires num_clients == codename length")
+        if self.test_batch < 1:
+            raise ValueError("test_batch must be >= 1")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
+        if any(h < 1 for h in self.hidden_layers):
+            raise ValueError(f"hidden layer sizes must be positive, got {list(self.hidden_layers)}")
         parse_codename(self.codename, self.family, self.freeze_after_round)  # validates
 
     @property
@@ -378,21 +380,10 @@ def run_round(
     """One full round: sample, mask, train, aggregate, measure."""
     q = state.round + 1
     layout = state.params.layout
-    assignment: PolicyAssignment = parse_codename(
-        config.codename, config.family, config.freeze_after_round
-    )
-    maskable = default_maskable_set(layout, config.family)
+    policies = parse_codename(config.codename, config.family, config.freeze_after_round)
     participants = sample_participants(state, config)
 
-    frozen = dict(state.frozen_masks)
-    masks = round_masks(assignment.per_slot_policies, state.params, maskable, q, frozen)
-    for k, (policy, mask) in enumerate(zip(assignment.per_slot_policies, masks)):
-        if (
-            policy.freeze_after_round is not None
-            and q >= policy.freeze_after_round
-            and k not in frozen
-        ):
-            frozen[k] = mask
+    masks, frozen = round_masks(policies, state.params, q, state.frozen_masks)
     deltas = pruning_noise(state.params, masks)
 
     shards = [data.train.subset(data.shards[client]) for client in participants]

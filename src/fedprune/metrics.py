@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lanes
 from .nn import LayerLayout, ParamVector, evaluate
-from .pruning import Mask, PruningPolicy
+from .pruning import Mask, PruningPolicy, quartile_segments
 
 CSV_HEADER = [
     "round",
@@ -125,17 +125,16 @@ def account(layout: LayerLayout, mask_or_policy) -> ModelAccount:
         policy = mask_or_policy
         dropped = frozenset({1, 2, 3, 4}) - policy.kept_segments
         if policy.family == "WP":
-            # WP's maskable set is the first layer's weights
-            m = layout.offsets[0].weight_len
-            sizes = [len(part) for part in np.array_split(np.arange(m), 4)]
-            cut = sum(sizes[s - 1] for s in dropped)
+            # WP's units are the first layer's weights
+            segments = quartile_segments(np.arange(layout.offsets[0].weight_len))
+            cut = sum(len(segments[s - 1]) for s in dropped)
             return ModelAccount(full.params_total - cut, full.flops_total - cut)
         # NP/FS: whole hidden neurons go; params lose in+1+out, flops in+out each
         if len(layout.layer_sizes) != 3:
             raise ValueError("neuron-structured accounting needs exactly one hidden layer")
         d_in, hidden, d_out = layout.layer_sizes
-        sizes = [len(part) for part in np.array_split(np.arange(hidden), 4)]
-        cut_neurons = sum(sizes[s - 1] for s in dropped)
+        segments = quartile_segments(np.arange(hidden))
+        cut_neurons = sum(len(segments[s - 1]) for s in dropped)
         return ModelAccount(
             full.params_total - cut_neurons * (d_in + 1 + d_out),
             full.flops_total - cut_neurons * (d_in + d_out),

@@ -1,21 +1,23 @@
 """Pruning-mask generation, quartile policies, codenames, and noise measurement.
 
-Three mask families are supported:
-  WP - per-weight magnitude ranking over a maskable index set
-  NP - per-neuron ranking by L1 norm of incoming weights; pruning a neuron
-       drops its incoming weights, its bias, and its outgoing weights
-  FS - fixed sub-network: neurons kept in natural order (params-independent)
+Every family ranks units, splits the ranking into four quartile segments
+S1..S4 (S1 = strongest-ranked; `quartile_segments` decides the split) and
+keeps the segments a policy names:
+  WP - units are the first-layer weights, ranked by magnitude
+  NP - units are the hidden neurons of a one-hidden-layer MLP, ranked by the
+       L1 norm of their incoming weights; pruning a neuron drops its
+       incoming weights, its bias and its outgoing weights
+  FS - fixed sub-network: the NP units in natural order (params-independent)
+Parameters that belong to no unit are kept by every mask. Masks are written
+from the layer layout: no index set over the parameters is built.
 
-A policy keeps a subset of the four ranked quartile segments S1..S4
-(S1 = strongest-ranked). Codename digits 1-7 pick the subset per
-participation slot. An optional freeze round turns any family into a
-pre-trained-mask scheme: the mask computed at that round is reused for
-all later rounds.
+Codename digits 1-7 pick the kept segments per participation slot. An
+optional freeze round turns any family into a pre-trained-mask scheme: the
+mask computed at that round is reused for all later rounds (`round_masks`).
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -64,28 +66,6 @@ class Mask:
 
 
 @dataclass(frozen=True)
-class MaskableSet:
-    """Ordered parameter indices subject to ranking/pruning."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.ascontiguousarray(np.asarray(self.indices, dtype=np.int64))
-        if idx.ndim != 1:
-            raise ValueError("maskable indices must be 1-D")
-        ordered = np.sort(idx)
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("maskable indices contain duplicates")
-        if len(ordered) and ordered[0] < 0:
-            raise ValueError("maskable indices must be non-negative")
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class PruningPolicy:
     """Mask-generation rule: family + kept quartile segments + freeze round."""
 
@@ -106,93 +86,9 @@ class PruningPolicy:
         object.__setattr__(self, "kept_segments", kept)
 
 
-@dataclass(frozen=True)
-class PolicyAssignment:
-    codename: str
-    per_slot_policies: tuple[PruningPolicy, ...]
-
-    def __len__(self) -> int:
-        return len(self.per_slot_policies)
-
-
 # ---------------------------------------------------------------------------
-# Maskable sets and ranking
+# Ranking and masks
 # ---------------------------------------------------------------------------
-
-
-def first_layer_weight_indices(layout: LayerLayout) -> np.ndarray:
-    sl = layout.offsets[0]
-    return np.arange(sl.weight_start, sl.weight_start + sl.weight_len, dtype=np.int64)
-
-
-def neuron_blocks(layout: LayerLayout) -> list[np.ndarray]:
-    """Per-hidden-neuron parameter indices: incoming weights, bias, outgoing weights.
-
-    Only defined for single-hidden-layer MLPs; neuron pruning on deeper
-    nets has no unambiguous reading.
-    """
-    if len(layout.layer_sizes) != 3:
-        raise ValueError("neuron-structured pruning needs exactly one hidden layer")
-    d_in, hidden, d_out = layout.layer_sizes
-    w1, w2 = layout.offsets[0], layout.offsets[1]
-    blocks = []
-    for j in range(hidden):
-        incoming = w1.weight_start + np.arange(d_in, dtype=np.int64) * hidden + j
-        bias = np.array([w1.bias_start + j], dtype=np.int64)
-        outgoing = w2.weight_start + j * d_out + np.arange(d_out, dtype=np.int64)
-        blocks.append(np.concatenate([incoming, bias, outgoing]))
-    return blocks
-
-
-@functools.cache
-def default_maskable_set(layout: LayerLayout, family: str) -> MaskableSet:
-    """WP prunes first-layer weight entries; NP/FS prune whole hidden neurons.
-
-    Memoised: the result depends only on (layout, family) and is immutable,
-    so every caller shares one instance.
-    """
-    if family == "WP":
-        return MaskableSet(first_layer_weight_indices(layout))
-    if family in ("NP", "FS"):
-        return MaskableSet(np.concatenate(neuron_blocks(layout)))
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _ranked_neuron_blocks(
-    params: ParamVector, maskable: MaskableSet, family: str
-) -> list[np.ndarray]:
-    blocks = neuron_blocks(params.layout)
-    member = np.zeros(params.layout.total, dtype=bool)
-    member[maskable.indices] = True
-    if not all(member[b].all() for b in blocks):
-        raise ValueError("maskable set must cover every hidden-neuron parameter")
-    if family == "FS":
-        return blocks
-    # NP: neurons by L1 norm of incoming weights, descending; stable sort
-    # keeps ties in natural neuron order
-    d_in, hidden, _ = params.layout.layer_sizes
-    w1 = params.layout.offsets[0]
-    incoming = params.values[w1.weights].reshape(d_in, hidden)
-    norms = np.abs(incoming).sum(axis=0)
-    order = np.argsort(-norms, kind="stable")
-    return [blocks[j] for j in order]
-
-
-def rank_maskable(params: ParamVector, maskable: MaskableSet, family: str) -> np.ndarray:
-    """Flat permutation of the maskable indices in rank order.
-
-    Ties break toward the lower original index/neuron, keeping masks
-    deterministic.
-    """
-    if len(maskable) == 0:
-        raise ValueError("maskable set is empty")
-    if family == "WP":
-        idx = maskable.indices
-        order = np.argsort(-np.abs(params.values[idx]), kind="stable")
-        return idx[order]
-    if family in ("NP", "FS"):
-        return np.concatenate(_ranked_neuron_blocks(params, maskable, family))
-    raise ValueError(f"unknown family {family!r}")
 
 
 def quartile_segments(ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -204,82 +100,82 @@ def quartile_segments(ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return s1, s2, s3, s4
 
 
-def segment_index_sets(
-    params: ParamVector, maskable: MaskableSet, family: str
-) -> tuple[np.ndarray, ...]:
-    """S1..S4 as parameter-index arrays.
+def segment_index_sets(params: ParamVector, family: str) -> tuple[np.ndarray, ...]:
+    """S1..S4 as arrays of unit indices, strongest-ranked first.
 
-    For WP the quartiles split the ranked maskable indices; for NP/FS they
-    split the ranked neurons and expand each quartile to its parameters.
+    Units are positions inside W1 for WP and hidden-neuron ids for NP/FS.
+    The sorts are stable, so ties go to the lower unit index.
     """
+    layout = params.layout
+    w1 = params.values[layout.offsets[0].weights]
     if family == "WP":
-        return quartile_segments(rank_maskable(params, maskable, family))
-    blocks = _ranked_neuron_blocks(params, maskable, family)
-    if len(blocks) < 4:
+        return quartile_segments(np.argsort(-np.abs(w1), kind="stable"))
+    if family not in ("NP", "FS"):
+        raise ValueError(f"unknown family {family!r}")
+    # neuron pruning on deeper nets has no unambiguous reading
+    if len(layout.layer_sizes) != 3:
+        raise ValueError("neuron-structured pruning needs exactly one hidden layer")
+    d_in, hidden, _ = layout.layer_sizes
+    if hidden < 4:
         raise ValueError("need at least 4 neurons to form quartiles")
-    parts = np.array_split(np.arange(len(blocks)), 4)
-    return tuple(np.concatenate([blocks[j] for j in part]) for part in parts)
+    if family == "FS":
+        return quartile_segments(np.arange(hidden))
+    norms = np.abs(w1.reshape(d_in, hidden)).sum(axis=0)
+    return quartile_segments(np.argsort(-norms, kind="stable"))
 
 
-def _reuses_frozen(policy: PruningPolicy, round_no: int, frozen: Mask | None) -> bool:
-    return (
-        frozen is not None
-        and policy.freeze_after_round is not None
-        and round_no > policy.freeze_after_round
-    )
+def _unit_mask(layout: LayerLayout, family: str, keep: np.ndarray) -> Mask:
+    """Mask that prunes the units whose entry in the 0/1 vector `keep` is 0.
 
-
-def _mask_from_segments(
-    segments: tuple[np.ndarray, ...], maskable: MaskableSet, kept: frozenset[int], total: int
-) -> Mask:
-    bits = np.ones(total, dtype=np.uint8)
-    bits[maskable.indices] = 0
-    for s in kept:
-        bits[segments[s - 1]] = 1
+    A WP unit is one W1 entry. An NP/FS unit is hidden neuron j: column j of
+    W1 (in, h), entry j of b1 and row j of W2 (h, out). Every other
+    parameter is kept.
+    """
+    bits = np.ones(layout.total, dtype=np.uint8)
+    if family == "WP":
+        bits[layout.offsets[0].weights] = keep
+    else:
+        (w1, b1), (w2, _) = layout.unpack(bits)
+        w1[...] = keep
+        b1[...] = keep
+        w2[...] = keep[:, None]
     return Mask(bits)
-
-
-def generate_mask(
-    policy: PruningPolicy,
-    params: ParamVector,
-    maskable: MaskableSet,
-    round_no: int,
-    frozen: Mask | None = None,
-) -> Mask:
-    """Mask for the current round; recomputed from the live parameters unless frozen."""
-    if _reuses_frozen(policy, round_no, frozen):
-        return frozen
-    segments = segment_index_sets(params, maskable, policy.family)
-    return _mask_from_segments(segments, maskable, policy.kept_segments, params.layout.total)
 
 
 def round_masks(
     policies: tuple[PruningPolicy, ...],
     params: ParamVector,
-    maskable: MaskableSet,
     round_no: int,
     frozen: dict[int, Mask],
-) -> list[Mask]:
-    """Every slot's mask for one round, equal to `generate_mask` slot by slot.
+) -> tuple[list[Mask], dict[int, Mask]]:
+    """Every slot's mask for one round, and the frozen masks after it.
 
-    All slots prune the same global model, so the ranking is computed at
-    most once per family and not at all when every slot reuses its frozen
-    mask (`frozen` maps slot -> mask).
+    `frozen` maps slot -> mask and is left as it is. A slot whose policy
+    freezes after round F reuses its frozen mask in every round after F; in
+    round F, or the first later round in which it has none, its fresh mask is
+    recorded. All other masks come from the live parameters: all slots prune
+    the same global model, so the ranking runs at most once per family and
+    not at all when every slot reuses its frozen mask.
     """
+    frozen = dict(frozen)
     segments: dict[str, tuple[np.ndarray, ...]] = {}
     masks = []
     for k, policy in enumerate(policies):
-        if _reuses_frozen(policy, round_no, frozen.get(k)):
+        freeze = policy.freeze_after_round
+        if freeze is not None and round_no > freeze and k in frozen:
             masks.append(frozen[k])
             continue
         if policy.family not in segments:
-            segments[policy.family] = segment_index_sets(params, maskable, policy.family)
-        masks.append(
-            _mask_from_segments(
-                segments[policy.family], maskable, policy.kept_segments, params.layout.total
-            )
-        )
-    return masks
+            segments[policy.family] = segment_index_sets(params, policy.family)
+        units = segments[policy.family]
+        keep = np.zeros(sum(map(len, units)), dtype=np.uint8)
+        for s in policy.kept_segments:
+            keep[units[s - 1]] = 1
+        mask = _unit_mask(params.layout, policy.family, keep)
+        if freeze is not None and round_no >= freeze:
+            frozen.setdefault(k, mask)
+        masks.append(mask)
+    return masks, frozen
 
 
 def apply_mask(params: ParamVector, mask: Mask, out: np.ndarray | None = None) -> ParamVector:
@@ -318,12 +214,11 @@ def pruning_noise(params: ParamVector, masks: list[Mask]) -> tuple[float, ...]:
 def codename_coverage(codename: str) -> tuple[dict[int, int], int]:
     """Per-quartile coverage counts for a codename and their minimum.
 
-    Non-maskable parameters are kept by every slot, so the minimum over
-    S1..S4 is the minimum coverage index of the whole model.
+    Parameters outside every unit are kept by every slot, so the minimum
+    over S1..S4 is the minimum coverage index of the whole model.
     """
-    assignment = parse_codename(codename)
     counts = {s: 0 for s in (1, 2, 3, 4)}
-    for policy in assignment.per_slot_policies:
+    for policy in parse_codename(codename):
         for s in policy.kept_segments:
             counts[s] += 1
     return counts, min(counts.values())
@@ -331,7 +226,7 @@ def codename_coverage(codename: str) -> tuple[dict[int, int], int]:
 
 def parse_codename(
     codename: str, family: str = "WP", freeze_after_round: int | None = None
-) -> PolicyAssignment:
+) -> tuple[PruningPolicy, ...]:
     """Digit string -> one pruning policy per participation slot.
 
     The digit fixes the kept quartile segments; family and freeze schedule
@@ -342,7 +237,4 @@ def parse_codename(
     bad = sorted(set(codename) - set(DIGIT_SEGMENTS))
     if bad:
         raise ValueError(f"codename may only contain digits 1-7, got {bad}")
-    policies = tuple(
-        PruningPolicy(family, DIGIT_SEGMENTS[d], freeze_after_round) for d in codename
-    )
-    return PolicyAssignment(codename, policies)
+    return tuple(PruningPolicy(family, DIGIT_SEGMENTS[d], freeze_after_round) for d in codename)

@@ -4,6 +4,7 @@ import numpy as np
 
 from fedprune.federation import local_rng, model_layout, sample_rng
 from fedprune.nn import ParamVector, init_params, loss_and_grad
+from fedprune.pruning import Mask
 
 
 def reference_fedavg_rounds(config, data, rounds):
@@ -122,3 +123,61 @@ def reference_dataset_loss_and_grad(params, inputs, labels, batch_size=128):
         grad *= m
         total_grad += grad
     return total_loss / n, total_grad / n
+
+
+def reference_neuron_blocks(layout):
+    """Per-hidden-neuron flat parameter indices: incoming weights, bias, outgoing weights."""
+    d_in, hidden, d_out = layout.layer_sizes
+    w1, w2 = layout.offsets[0], layout.offsets[1]
+    return [
+        np.concatenate([
+            w1.weight_start + np.arange(d_in) * hidden + j,
+            [w1.bias_start + j],
+            w2.weight_start + j * d_out + np.arange(d_out),
+        ])
+        for j in range(hidden)
+    ]
+
+
+def reference_segments(params, family):
+    """(S1..S4 as flat parameter-index arrays, the index set they partition)."""
+    layout = params.layout
+    if family == "WP":
+        w1 = layout.offsets[0]
+        maskable = np.arange(w1.weight_start, w1.weight_start + w1.weight_len)
+        ranked = maskable[np.argsort(-np.abs(params.values[maskable]), kind="stable")]
+        return np.array_split(ranked, 4), maskable
+    blocks = reference_neuron_blocks(layout)
+    if family == "NP":
+        d_in, hidden, _ = layout.layer_sizes
+        incoming = params.values[layout.offsets[0].weights].reshape(d_in, hidden)
+        order = np.argsort(-np.abs(incoming).sum(axis=0), kind="stable")
+        blocks = [blocks[j] for j in order]
+    parts = np.array_split(np.arange(len(blocks)), 4)
+    segments = [np.concatenate([blocks[j] for j in part]) for part in parts]
+    return segments, np.concatenate(blocks)
+
+
+def reference_masks(policies, params, round_no, frozen):
+    """One slot at a time: (masks, frozen masks after the round) from flat index sets.
+
+    A slot reuses its frozen mask after its freeze round F and records its
+    fresh mask from round F on if it has none.
+    """
+    frozen = dict(frozen)
+    masks = []
+    for k, policy in enumerate(policies):
+        freeze = policy.freeze_after_round
+        if k in frozen and freeze is not None and round_no > freeze:
+            masks.append(frozen[k])
+            continue
+        segments, maskable = reference_segments(params, policy.family)
+        bits = np.ones(params.layout.total, dtype=np.uint8)
+        bits[maskable] = 0
+        for s in policy.kept_segments:
+            bits[segments[s - 1]] = 1
+        mask = Mask(bits)
+        if freeze is not None and round_no >= freeze and k not in frozen:
+            frozen[k] = mask
+        masks.append(mask)
+    return masks, frozen

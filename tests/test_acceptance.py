@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_impl import brute_force_signatures, reference_fedavg_rounds
+from reference_impl import brute_force_signatures, reference_fedavg_rounds, reference_neuron_blocks
 
 from fedprune.cli import main
 from fedprune.data import load_idx
@@ -40,10 +40,8 @@ from fedprune.pruning import (
     Mask,
     PruningPolicy,
     codename_coverage,
-    default_maskable_set,
-    generate_mask,
-    neuron_blocks,
     pruning_noise,
+    round_masks,
 )
 from fedprune.selfcheck import brute_force_aggregate
 from fedprune.tables import MNIST_LAYOUT, TABLE_ROWS, check_tables
@@ -197,7 +195,7 @@ def test_criterion_5_coverage_necessity():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             history, final = run(config, data)
-        blocks = neuron_blocks(layout)
+        blocks = reference_neuron_blocks(layout)
         uncovered = np.concatenate(blocks[3 * len(blocks) // 4 :])  # S4 neurons, fixed under FS
         assert all(r.gamma_min == 0 for r in history)
         assert np.array_equal(final.values[uncovered], theta0[uncovered])
@@ -328,43 +326,38 @@ def test_criterion_7_pruning_noise_properties():
             family = ("WP", "NP", "FS")[int(rng.integers(3))]
             digit = str(rng.integers(1, 8))
             params = ParamVector(rng.normal(0, 1, layout.total), layout)
-            mask = generate_mask(
-                PruningPolicy(family, DIGIT_SEGMENTS[digit]),
-                params, default_maskable_set(layout, family), 1,
-            )
+            (mask,), _ = round_masks((PruningPolicy(family, DIGIT_SEGMENTS[digit]),), params, 1, {})
             noise = pruning_noise(params, [mask])[0]
             assert 0.0 <= noise < 1.0
 
-        # WP minimizes noise over all equal-sparsity masks (maskable size 16)
+        # WP minimizes noise over all equal-sparsity masks (16 first-layer weights)
         wp_layout = LayerLayout((4, 4, 2))
-        maskable = default_maskable_set(wp_layout, "WP")
         params = ParamVector(rng.normal(0, 1, wp_layout.total), wp_layout)
         for kept_segments, kept_count in (
             (frozenset({1}), 4),
             (frozenset({1, 2}), 8),
             (frozenset({1, 2, 3}), 12),
         ):
-            wp_mask = generate_mask(PruningPolicy("WP", kept_segments), params, maskable, 1)
+            (wp_mask,), _ = round_masks((PruningPolicy("WP", kept_segments),), params, 1, {})
             wp_noise = pruning_noise(params, [wp_mask])[0]
             for keep in itertools.combinations(range(16), kept_count):
                 bits = np.ones(wp_layout.total, dtype=np.uint8)
-                bits[maskable.indices] = 0
-                bits[maskable.indices[list(keep)]] = 1
+                bits[:16] = 0  # W1 comes first in the flat vector
+                bits[list(keep)] = 1
                 assert wp_noise <= pruning_noise(params, [Mask(bits)])[0] + 1e-15
 
         # monotone under segment inclusion, 100 random instances
         for _ in range(100):
             family = ("WP", "NP", "FS")[int(rng.integers(3))]
-            maskable = default_maskable_set(layout, family)
             params = ParamVector(rng.normal(0, 1, layout.total), layout)
             chosen = rng.choice(4, size=int(rng.integers(2, 5)), replace=False) + 1
             larger = frozenset(int(s) for s in chosen)
             smaller = frozenset(int(s) for s in sorted(chosen)[:-1]) or frozenset({int(chosen[0])})
             noise_larger = pruning_noise(
-                params, [generate_mask(PruningPolicy(family, larger), params, maskable, 1)]
+                params, round_masks((PruningPolicy(family, larger),), params, 1, {})[0]
             )[0]
             noise_smaller = pruning_noise(
-                params, [generate_mask(PruningPolicy(family, smaller), params, maskable, 1)]
+                params, round_masks((PruningPolicy(family, smaller),), params, 1, {})[0]
             )[0]
             assert noise_larger <= noise_smaller + 1e-15
 

@@ -148,6 +148,24 @@ def test_run_rejects_removed_loss_split_key(tmp_path, capsys):
     assert "unknown config keys" in err and "loss_split" in err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"test_batch": 0},
+    {"hidden_layers": [0]},
+    {"hidden_layers": [16, -2]},
+    {"partition": "label-skew", "classes_per_client": 0},
+    {"synth_dim": 5},
+    {"synth_samples_per_class": 0},
+], ids=["test-batch-0", "hidden-0", "hidden-negative", "classes-per-client-0",
+        "synth-dim-below-classes", "synth-samples-0"])
+def test_run_reports_bad_config_values_without_a_traceback(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bad config {path}: ")
+    assert not (out / "metrics_seed1.csv").exists()
+
+
 def test_run_three_seeds_three_files_plus_summary(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "out"

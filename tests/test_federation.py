@@ -8,6 +8,8 @@ from reference_impl import (
     brute_force_signatures,
     reference_fedavg_rounds,
     reference_local_update,
+    reference_masks,
+    reference_neuron_blocks,
 )
 
 import fedprune.federation
@@ -34,8 +36,6 @@ from fedprune.nn import LayerLayout, ParamVector, init_params, loss_and_grad
 from fedprune.pruning import (
     Mask,
     apply_mask,
-    default_maskable_set,
-    generate_mask,
     parse_codename,
     pruning_noise,
     round_masks,
@@ -49,6 +49,12 @@ def flat_layout(n):
 
 def masks_from(rows):
     return [Mask(np.asarray(r, dtype=np.uint8)) for r in rows]
+
+
+def codename_masks(codename, family, params):
+    """Round-1 masks of a codename's slots, nothing frozen."""
+    masks, _ = round_masks(parse_codename(codename, family), params, 1, {})
+    return masks
 
 
 def desk_config(**overrides):
@@ -101,12 +107,7 @@ def test_codename_masks_reach_reference_gamma():
     layout = LayerLayout((8, 8, 4))
     params = init_params(layout, 0)
     for codename, expected in (("1111223344", 8), ("1111556677", 6), ("1111111111", 10)):
-        assignment = parse_codename(codename, family="WP")
-        maskable = default_maskable_set(layout, "WP")
-        masks = [
-            generate_mask(p, params, maskable, 1) for p in assignment.per_slot_policies
-        ]
-        assert coverage_counts(masks).min() == expected
+        assert coverage_counts(codename_masks(codename, "WP", params)).min() == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -226,9 +227,7 @@ def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codena
     layout = LayerLayout((8, 8, 4))
     rng = np.random.default_rng(7)
     params = init_params(layout, 0)
-    maskable = default_maskable_set(layout, family)
-    policies = parse_codename(codename, family=family).per_slot_policies
-    masks = [generate_mask(p, params, maskable, 1) for p in policies]
+    masks = codename_masks(codename, family, params)
     bits = np.stack([m.bits for m in masks])
     signed_zeros = rng.random(layout.total) < 0.25
     prev = rng.normal(size=layout.total)
@@ -304,8 +303,7 @@ def test_local_update_zero_lr_is_pruning_only():
     data = build_federated_data(config)
     layout = model_layout(config, data)
     params = init_params(layout, 0)
-    maskable = default_maskable_set(layout, "WP")
-    mask = generate_mask(parse_codename("4").per_slot_policies[0], params, maskable, 1)
+    (mask,) = codename_masks("4", "WP", params)
     shard = data.train.subset(data.shards[0])
     out = local_update(params, [mask], [shard], config, [local_rng(0, 1, 0)])
     assert len(out) == 1 and out[0].shape == (layout.total,)
@@ -337,8 +335,7 @@ def test_local_update_matches_reference_with_momentum_bitwise():
     layout = model_layout(config, data)
     params = init_params(layout, 6)
     theta = params.values.copy()
-    maskable = default_maskable_set(layout, "WP")
-    mask = generate_mask(parse_codename("2").per_slot_policies[0], params, maskable, 1)
+    (mask,) = codename_masks("2", "WP", params)
     shard = data.train.subset(data.shards[2])
     assert len(shard) % config.local_batch != 0
     got = local_update(params, [mask], [shard], config, [local_rng(6, 1, 0)])[0]
@@ -353,8 +350,7 @@ def test_local_update_preserves_masked_zeros():
     data = build_federated_data(config)
     layout = model_layout(config, data)
     params = init_params(layout, 5)
-    maskable = default_maskable_set(layout, "WP")
-    mask = generate_mask(parse_codename("5").per_slot_policies[0], params, maskable, 1)
+    (mask,) = codename_masks("5", "WP", params)
     shard = data.train.subset(data.shards[3])
     out = local_update(params, [mask], [shard], config, [local_rng(5, 1, 0)])[0]
     off = mask.bits == 0
@@ -413,11 +409,7 @@ def lockstep_round(case):
     state = init_state(config, layout)
     masks = []
     for family, digits in families:
-        maskable = default_maskable_set(layout, family)
-        masks += [
-            generate_mask(policy, state.params, maskable, 1)
-            for policy in parse_codename(digits, family).per_slot_policies
-        ]
+        masks += codename_masks(digits, family, state.params)
     participants = sample_participants(state, config)
     shards = [data.train.subset(data.shards[client]) for client in participants]
 
@@ -532,13 +524,13 @@ def test_round_results_independent_of_slot_execution_order():
     new_state, _ = run_round(state, config, data)
 
     # recompute local models in reverse slot order, then aggregate by slot
-    assignment = parse_codename(config.codename, config.family)
-    maskable = default_maskable_set(layout, config.family)
+    policies = parse_codename(config.codename, config.family)
     participants = sample_participants(state, config)
     slot_masks = [None] * len(participants)
     slot_models = [None] * len(participants)
     for k in reversed(range(len(participants))):
-        mask = generate_mask(assignment.per_slot_policies[k], state.params, maskable, 1)
+        # the slot's mask on its own, straight from the index-set oracle
+        (mask,), _ = reference_masks(policies[k : k + 1], state.params, 1, {})
         slot_masks[k] = mask
         # each slot trains alone, so no lockstep group spans two slots
         alone = local_update(
@@ -555,10 +547,7 @@ def test_round_names_the_slot_and_client_of_a_non_finite_local_model(use_lanes):
     data = build_federated_data(config)
     state = init_state(config, model_layout(config, data))
     participants = sample_participants(state, config)
-    masks = round_masks(
-        parse_codename(config.codename, config.family).per_slot_policies, state.params,
-        default_maskable_set(state.params.layout, config.family), 1, {},
-    )
+    masks = codename_masks(config.codename, config.family, state.params)
     shards = [data.train.subset(data.shards[client]) for client in participants]
     for lanes in (1, 2):
         use_lanes(lanes)
@@ -589,8 +578,7 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
     config = desk_config(family=family, codename=codename, freeze_after_round=freeze)
     data = build_federated_data(config)
     layout = model_layout(config, data)
-    maskable = default_maskable_set(layout, family)
-    policies = parse_codename(codename, family, freeze).per_slot_policies
+    policies = parse_codename(codename, family, freeze)
 
     rank_calls, used, training_calls = [], [], []
     segment_index_sets = fedprune.pruning.segment_index_sets
@@ -618,10 +606,11 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
         assert len(training_calls) == 1 and training_calls[0] is state.params, f"round {q}"
         assert len(rank_calls) == (0 if freeze is not None and q > freeze else 1), f"round {q}"
         assert np.array_equal(state.params.values.view(np.int64), theta.view(np.int64))
-        assert len(used) == len(policies)
-        for k, policy in enumerate(policies):
-            want = generate_mask(policy, state.params, maskable, q, state.frozen_masks.get(k))
-            assert np.array_equal(used[k].bits, want.bits), f"round {q}, slot {k}"
+        want, frozen = reference_masks(policies, state.params, q, state.frozen_masks)
+        assert len(used) == len(want)
+        for k, mask in enumerate(want):
+            assert np.array_equal(used[k].bits, mask.bits), f"round {q}, slot {k}"
+        assert sorted(new_state.frozen_masks) == sorted(frozen), f"round {q}"
         state = new_state
 
 
@@ -677,7 +666,6 @@ def test_pretrained_freeze_in_engine():
     config = desk_config(freeze_after_round=2, rounds=0)
     data = build_federated_data(config)
     layout = model_layout(config, data)
-    maskable = default_maskable_set(layout, "WP")
     state = init_state(config, layout)
     states = [state]
     metrics = []
@@ -688,25 +676,23 @@ def test_pretrained_freeze_in_engine():
     assert not states[1].frozen_masks and len(states[2].frozen_masks) == 10
 
     # rounds 3 and 4 must reuse the round-2 masks even though theta moved
-    assignment = parse_codename(config.codename, config.family, config.freeze_after_round)
     for q in (3, 4):
         theta_before = states[q - 1].params
-        for k, policy in enumerate(assignment.per_slot_policies):
+        adaptive_masks = codename_masks(config.codename, config.family, theta_before)  # no freeze
+        for k, adaptive in enumerate(adaptive_masks):
             frozen = states[q - 1].frozen_masks[k]
-            adaptive = generate_mask(policy, theta_before, maskable, 1)  # no freeze
             expected = pruning_noise(theta_before, [frozen])[0]
             assert metrics[q - 1].per_slot_delta_sq[k] == pytest.approx(expected, abs=1e-15)
             if not np.array_equal(adaptive.bits, frozen.bits):
                 assert metrics[q - 1].per_slot_delta_sq[k] != pytest.approx(
                     pruning_noise(theta_before, [adaptive])[0], abs=1e-18
                 )
+    policies = parse_codename(config.codename, config.family)
+    adaptive_masks = codename_masks(config.codename, config.family, states[3].params)
     assert any(
-        not np.array_equal(
-            generate_mask(p, states[3].params, maskable, 1).bits,
-            states[3].frozen_masks[k].bits,
-        )
-        for k, p in enumerate(assignment.per_slot_policies)
-        if p.kept_segments != frozenset({1, 2, 3, 4})
+        not np.array_equal(adaptive.bits, states[3].frozen_masks[k].bits)
+        for k, adaptive in enumerate(adaptive_masks)
+        if policies[k].kept_segments != frozenset({1, 2, 3, 4})
     )
 
 
@@ -757,9 +743,7 @@ def test_uncovered_region_parameters_never_move():
         warnings_module.simplefilter("ignore")
         history, final = run(config, data)
     # S4 under FS = last quarter of hidden neurons, fixed across rounds
-    from fedprune.pruning import neuron_blocks
-
-    blocks = neuron_blocks(layout)
+    blocks = reference_neuron_blocks(layout)
     s4 = np.concatenate(blocks[3 * len(blocks) // 4 :])
     assert all(r.gamma_min == 0 for r in history)
     assert np.array_equal(final.values[s4], theta0[s4])

@@ -22,13 +22,7 @@ from fedprune.metrics import (
     weighted_accuracy,
 )
 from fedprune.nn import LayerLayout, ParamVector, evaluate, init_params
-from fedprune.pruning import (
-    DIGIT_SEGMENTS,
-    PruningPolicy,
-    default_maskable_set,
-    generate_mask,
-    parse_codename,
-)
+from fedprune.pruning import DIGIT_SEGMENTS, PruningPolicy, parse_codename, round_masks
 
 MNIST_LAYOUT = LayerLayout((784, 200, 10))
 
@@ -73,7 +67,7 @@ def test_mask_and_policy_accounts_agree(family, digit):
     # dual route: analytic counting vs popcounts of a real generated mask
     policy = PruningPolicy(family, DIGIT_SEGMENTS[digit])
     params = init_params(MNIST_LAYOUT, 3)
-    mask = generate_mask(policy, params, default_maskable_set(MNIST_LAYOUT, family), 1)
+    (mask,), _ = round_masks((policy,), params, 1, {})
     assert account(MNIST_LAYOUT, mask) == account(MNIST_LAYOUT, policy)
 
 
@@ -81,8 +75,8 @@ def test_amortized_matches_reference_grid():
     full = full_account(MNIST_LAYOUT)
 
     def amortize(codename, family):
-        assignment = parse_codename(codename, family=family)
-        return amortized([account(MNIST_LAYOUT, p) for p in assignment.per_slot_policies], full)
+        policies = parse_codename(codename, family=family)
+        return amortized([account(MNIST_LAYOUT, p) for p in policies], full)
 
     all_full = amortize("1111111111", "WP")
     assert (all_full.params_mean, all_full.params_ratio) == (159010, 1.00)

@@ -3,22 +3,20 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_impl import reference_masks
 
 from fedprune.nn import LayerLayout, ParamVector, init_params
 from fedprune.pruning import (
     DIGIT_SEGMENTS,
+    FAMILIES,
     Mask,
-    MaskableSet,
     PruningPolicy,
     apply_mask,
     codename_coverage,
-    default_maskable_set,
-    generate_mask,
-    neuron_blocks,
     parse_codename,
     pruning_noise,
     quartile_segments,
-    rank_maskable,
+    round_masks,
     segment_index_sets,
 )
 
@@ -30,34 +28,14 @@ def flat_params(values):
     return ParamVector(values, LayerLayout((len(values) - 1, 1)))
 
 
-# ---------------------------------------------------------------------------
-# maskable sets
-# ---------------------------------------------------------------------------
+def one_mask(family, kept, params):
+    """The round-1 mask of a single slot that keeps the segments `kept`."""
+    masks, _ = round_masks((PruningPolicy(family, frozenset(kept)),), params, 1, {})
+    return masks[0]
 
 
-@pytest.mark.parametrize("indices, message", [
-    ([3, 1, 3], "duplicates"),
-    ([0, 0], "duplicates"),
-    ([2, -1, 5], "non-negative"),
-    ([[0, 1], [2, 3]], "1-D"),
-])
-def test_maskable_set_rejects_invalid_indices(indices, message):
-    with pytest.raises(ValueError, match=message):
-        MaskableSet(np.array(indices))
-
-
-def test_maskable_set_keeps_given_order():
-    assert MaskableSet(np.array([5, 0, 3])).indices.tolist() == [5, 0, 3]
-    assert len(MaskableSet(np.array([], dtype=np.int64))) == 0
-
-
-@pytest.mark.parametrize("family", ["WP", "NP", "FS"])
-def test_default_maskable_set_is_shared_per_layout_and_family(family):
-    first = default_maskable_set(LayerLayout((6, 8, 3)), family)
-    assert default_maskable_set(LayerLayout((6, 8, 3)), family) is first
-    assert not first.indices.flags.writeable
-    other = default_maskable_set(LayerLayout((6, 4, 3)), family)
-    assert len(other) < len(first)
+def ranking(params, family):
+    return np.concatenate(segment_index_sets(params, family)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -66,56 +44,65 @@ def test_default_maskable_set_is_shared_per_layout_and_family(family):
 
 
 def test_wp_ranking_sorts_by_magnitude():
-    params = flat_params([0.1, 0.9, 0.5, 0.7])
-    order = rank_maskable(params, MaskableSet(np.arange(4)), "WP")
-    assert order.tolist() == [1, 3, 2, 0]
+    params = flat_params([0.1, 0.9, 0.5, 0.7, 5.0])  # the bias is no unit
+    assert ranking(params, "WP") == [1, 3, 2, 0]
 
 
 def test_wp_ranking_breaks_ties_by_index():
-    params = flat_params([-0.5, 0.5, 0.5, 0.1])
-    order = rank_maskable(params, MaskableSet(np.arange(4)), "WP")
-    assert order.tolist() == [0, 1, 2, 3]
+    params = flat_params([-0.5, 0.5, 0.5, 0.1, 0.0])
+    assert ranking(params, "WP") == [0, 1, 2, 3]
 
 
 def test_fs_ranking_is_identity_over_neurons():
     layout = LayerLayout((2, 4, 1))
     params = ParamVector(np.random.default_rng(0).normal(size=layout.total), layout)
-    order = rank_maskable(params, default_maskable_set(layout, "FS"), "FS")
-    assert order.tolist() == np.concatenate(neuron_blocks(layout)).tolist()
+    assert [s.tolist() for s in segment_index_sets(params, "FS")] == [[0], [1], [2], [3]]
 
 
 def test_np_ranking_prefers_heavier_neuron():
-    # [2,2,1] net: neuron 0 incoming (1,1) -> L1 2; neuron 1 incoming (3,-3) -> L1 6
-    layout = LayerLayout((2, 2, 1))
+    # [2,4,1] net; incoming L1 norms per neuron: 2, 6, 0, 4
+    layout = LayerLayout((2, 4, 1))
     values = np.zeros(layout.total)
-    values[0], values[1] = 1.0, 3.0   # W1 row 0
-    values[2], values[3] = 1.0, -3.0  # W1 row 1
+    values[0:4] = [1.0, 3.0, 0.0, 2.0]    # W1 row 0
+    values[4:8] = [1.0, -3.0, 0.0, -2.0]  # W1 row 1
     params = ParamVector(values, layout)
-    order = rank_maskable(params, default_maskable_set(layout, "NP"), "NP")
-    blocks = neuron_blocks(layout)
-    assert order.tolist() == np.concatenate([blocks[1], blocks[0]]).tolist()
+    assert ranking(params, "NP") == [1, 3, 0, 2]
+    # S1 is neuron 1: its W1 column, its bias and its W2 row survive, and b2
+    assert np.flatnonzero(one_mask("NP", {1}, params).bits).tolist() == [1, 5, 9, 13, 16]
 
 
 def test_np_rejects_layout_without_hidden_layer():
     layout = LayerLayout((4, 2))
     params = ParamVector(np.zeros(layout.total), layout)
-    with pytest.raises(ValueError):
-        rank_maskable(params, MaskableSet(np.arange(4)), "NP")
+    for family in ("NP", "FS"):
+        with pytest.raises(ValueError, match="exactly one hidden layer"):
+            segment_index_sets(params, family)
+
+
+def test_neuron_pruning_needs_four_neurons():
+    layout = LayerLayout((4, 3, 2))
+    params = ParamVector(np.ones(layout.total), layout)
+    with pytest.raises(ValueError, match="at least 4 neurons"):
+        one_mask("NP", {1}, params)
+    with pytest.raises(ValueError, match="at least 4 entries"):
+        one_mask("WP", {1}, flat_params([1.0, 2.0, 3.0, 0.0]))
 
 
 def test_neuron_block_contents():
-    layout = LayerLayout((2, 2, 1))
-    blocks = neuron_blocks(layout)
-    # flat order: W1 (2x2), b1 (2), W2 (2x1), b2 (1)
-    assert blocks[0].tolist() == [0, 2, 4, 6]
-    assert blocks[1].tolist() == [1, 3, 5, 7]
-    assert len(blocks[0]) == 2 + 1 + 1
+    layout = LayerLayout((2, 4, 1))
+    params = init_params(layout, 0)
+    # flat order: W1 (2x4), b1 (4), W2 (4x1), b2 (1); digit 2 drops S2 = neuron 1
+    mask = one_mask("FS", DIGIT_SEGMENTS["2"], params)
+    assert np.flatnonzero(mask.bits == 0).tolist() == [1, 5, 9, 13]
 
 
 def test_neuron_block_size_mnist():
-    blocks = neuron_blocks(MNIST_LAYOUT)
-    assert len(blocks) == 200
-    assert all(len(b) == 795 for b in blocks)
+    params = init_params(MNIST_LAYOUT, 0)
+    mask = one_mask("FS", {1, 2, 3}, params)
+    (w1, b1), (w2, b2) = MNIST_LAYOUT.unpack(1 - mask.bits.astype(np.int64))
+    pruned = w1.sum(axis=0) + b1 + w2.sum(axis=1)
+    assert pruned.tolist() == [0] * 150 + [795] * 50
+    assert not b2.any()
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +137,7 @@ def test_quartiles_partition_property(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# generate_mask / apply_mask
+# round_masks / apply_mask
 # ---------------------------------------------------------------------------
 
 
@@ -158,65 +145,94 @@ def test_full_policy_gives_all_ones_for_every_family():
     for family in ("WP", "NP", "FS"):
         layout = LayerLayout((6, 8, 3))
         params = init_params(layout, 1)
-        mask = generate_mask(
-            PruningPolicy(family, frozenset({1, 2, 3, 4})),
-            params, default_maskable_set(layout, family), round_no=1,
-        )
+        mask = one_mask(family, {1, 2, 3, 4}, params)
         assert mask.bits.all()
         assert mask.sparsity == 1.0
 
 
 def test_wp_75_percent_counts_on_mnist_mlp():
     params = init_params(MNIST_LAYOUT, 0)
-    maskable = default_maskable_set(MNIST_LAYOUT, "WP")
-    mask = generate_mask(PruningPolicy("WP", frozenset({1, 2, 3})), params, maskable, 1)
-    assert int(mask.bits[maskable.indices].sum()) == 117600
+    mask = one_mask("WP", {1, 2, 3}, params)
+    assert int(mask.bits[MNIST_LAYOUT.offsets[0].weights].sum()) == 117600
     assert int(mask.bits.sum()) == 119810
 
 
 def test_np_75_percent_counts_on_mnist_mlp():
     params = init_params(MNIST_LAYOUT, 0)
-    maskable = default_maskable_set(MNIST_LAYOUT, "NP")
-    mask = generate_mask(PruningPolicy("NP", frozenset({1, 2, 3})), params, maskable, 1)
+    mask = one_mask("NP", {1, 2, 3}, params)
     assert int(mask.bits.sum()) == 159010 - 50 * 795 == 119260
 
 
 def test_mask_keeps_non_maskable_indices():
     layout = LayerLayout((4, 4, 2))
     params = init_params(layout, 3)
-    maskable = default_maskable_set(layout, "WP")
-    mask = generate_mask(PruningPolicy("WP", frozenset({1})), params, maskable, 1)
-    outside = np.setdiff1d(np.arange(layout.total), maskable.indices)
-    assert mask.bits[outside].all()
+    mask = one_mask("WP", {1}, params)
+    assert mask.bits[layout.offsets[0].weight_len :].all()
+    assert int(mask.bits[layout.offsets[0].weights].sum()) == 4
 
 
 def test_pretrained_freeze_reuses_round3_mask():
     layout = LayerLayout((6, 8, 3))
-    maskable = default_maskable_set(layout, "WP")
-    policy = PruningPolicy("WP", frozenset({1, 2}), freeze_after_round=3)
+    policies = (PruningPolicy("WP", frozenset({1, 2}), freeze_after_round=3),)
     rng = np.random.default_rng(9)
     params = init_params(layout, 2)
-    frozen = None
+    frozen = {}
     history = []
     for round_no in range(1, 8):
-        mask = generate_mask(policy, params, maskable, round_no, frozen)
-        if round_no >= 3 and frozen is None:
-            frozen = mask
+        (mask,), frozen = round_masks(policies, params, round_no, frozen)
+        assert (0 in frozen) == (round_no >= 3)
         history.append(mask)
         params = ParamVector(rng.normal(0, 1, layout.total), layout)  # drift
     for later in history[3:]:
         assert np.array_equal(later.bits, history[2].bits)
+    assert frozen[0] is history[2]
+
+
+def test_round_masks_leaves_the_given_frozen_masks_alone():
+    layout = LayerLayout((6, 8, 3))
+    params = init_params(layout, 2)
+    policies = parse_codename("15", "NP", freeze_after_round=1)
+    given_frozen = {0: Mask.ones(layout.total)}
+    masks, frozen = round_masks(policies, params, 2, given_frozen)
+    assert given_frozen == {0: masks[0]} and sorted(frozen) == [0, 1]
+    assert frozen[1] is masks[1] and not masks[1].bits.all()
 
 
 def test_adaptive_mask_tracks_parameters():
     layout = LayerLayout((4, 8, 2))
-    maskable = default_maskable_set(layout, "WP")
-    policy = PruningPolicy("WP", frozenset({1}))
     a = ParamVector(np.arange(layout.total, dtype=float), layout)
     b = ParamVector(np.arange(layout.total, dtype=float)[::-1].copy(), layout)
-    mask_a = generate_mask(policy, a, maskable, 1)
-    mask_b = generate_mask(policy, b, maskable, 1)
-    assert not np.array_equal(mask_a.bits, mask_b.bits)
+    assert not np.array_equal(one_mask("WP", {1}, a).bits, one_mask("WP", {1}, b).bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    family=st.sampled_from(FAMILIES),
+    two_hidden=st.booleans(),
+    freeze=st.sampled_from([None, 2]),
+    first_round=st.integers(1, 3),
+)
+def test_round_masks_match_the_index_set_oracle(seed, family, two_hidden, freeze, first_round):
+    # tied weights (five values) exercise the stable tie-break of both rankings;
+    # two hidden layers are defined under WP only; a first round after the
+    # freeze round has no frozen mask to reuse yet
+    rng = np.random.default_rng(seed)
+    hidden = rng.integers(4, 13, size=2 if two_hidden and family == "WP" else 1)
+    layout = LayerLayout((int(rng.integers(1, 9)), *map(int, hidden), int(rng.integers(1, 6))))
+    digits = list("1234567") + list(rng.choice(list("1234567"), size=int(rng.integers(0, 4))))
+    policies = parse_codename("".join(rng.permutation(digits)), family, freeze)
+    frozen_got, frozen_want = {}, {}
+    for round_no in range(first_round, first_round + 4):
+        values = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=layout.total)
+        params = ParamVector(values, layout)
+        got, frozen_got = round_masks(policies, params, round_no, frozen_got)
+        want, frozen_want = reference_masks(policies, params, round_no, frozen_want)
+        assert len(got) == len(want) == len(policies)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert np.array_equal(g.bits, w.bits), f"round {round_no}, slot {k}"
+        assert sorted(frozen_got) == sorted(frozen_want)
+        assert all(np.array_equal(frozen_got[k].bits, frozen_want[k].bits) for k in frozen_want)
 
 
 def test_empty_kept_segments_rejected():
@@ -279,16 +295,14 @@ def test_noise_rejects_wrong_length_mask():
 
 def test_wp_mask_minimizes_noise_exhaustively():
     rng = np.random.default_rng(17)
-    layout = LayerLayout((4, 4, 2))  # 16 first-layer weights
-    maskable = default_maskable_set(layout, "WP")
+    layout = LayerLayout((4, 4, 2))  # 16 first-layer weights, at indices 0..15
     params = ParamVector(rng.normal(0, 1, layout.total), layout)
     for kept_segments, kept_count in ((frozenset({1}), 4), (frozenset({1, 2}), 8)):
-        wp_mask = generate_mask(PruningPolicy("WP", kept_segments), params, maskable, 1)
-        wp_noise = pruning_noise(params, [wp_mask])[0]
+        wp_noise = pruning_noise(params, [one_mask("WP", kept_segments, params)])[0]
         for keep in itertools.combinations(range(16), kept_count):
             bits = np.ones(layout.total, dtype=np.uint8)
-            bits[maskable.indices] = 0
-            bits[maskable.indices[list(keep)]] = 1
+            bits[:16] = 0
+            bits[list(keep)] = 1
             assert wp_noise <= pruning_noise(params, [Mask(bits)])[0] + 1e-15
 
 
@@ -299,16 +313,11 @@ def test_noise_monotone_under_segment_inclusion(seed):
     layout = LayerLayout((5, 8, 3))
     params = ParamVector(rng.normal(0, 1, layout.total), layout)
     family = ("WP", "NP", "FS")[int(rng.integers(3))]
-    maskable = default_maskable_set(layout, family)
     segments = sorted(rng.choice(4, size=int(rng.integers(2, 5)), replace=False) + 1)
     smaller = frozenset(int(s) for s in segments[:-1]) or frozenset({int(segments[0])})
     larger = frozenset(int(s) for s in segments)
-    noise_small = pruning_noise(
-        params, [generate_mask(PruningPolicy(family, smaller), params, maskable, 1)]
-    )[0]
-    noise_large = pruning_noise(
-        params, [generate_mask(PruningPolicy(family, larger), params, maskable, 1)]
-    )[0]
+    noise_small = pruning_noise(params, [one_mask(family, smaller, params)])[0]
+    noise_large = pruning_noise(params, [one_mask(family, larger, params)])[0]
     assert noise_large <= noise_small + 1e-15
 
 
@@ -319,14 +328,15 @@ def test_segment_partition_and_sparsity_accounting(seed):
     layout = LayerLayout((5, 8, 3))
     params = ParamVector(rng.normal(0, 1, layout.total), layout)
     family = ("WP", "NP", "FS")[int(rng.integers(3))]
-    maskable = default_maskable_set(layout, family)
-    segments = segment_index_sets(params, maskable, family)
-    joined = np.concatenate(segments)
-    assert sorted(joined.tolist()) == sorted(maskable.indices.tolist())
+    segments = segment_index_sets(params, family)
+    units = 5 * 8 if family == "WP" else 8
+    assert sorted(np.concatenate(segments).tolist()) == list(range(units))
     kept = frozenset(int(s) for s in rng.choice(4, size=int(rng.integers(1, 5)), replace=False) + 1)
-    mask = generate_mask(PruningPolicy(family, kept), params, maskable, 1)
-    expected_ones = sum(len(segments[s - 1]) for s in kept)
-    assert int(mask.bits[maskable.indices].sum()) == expected_ones
+    mask = one_mask(family, kept, params)
+    kept_units = sum(len(segments[s - 1]) for s in kept)
+    # a WP unit is one parameter; an NP/FS unit is 5 incoming + 1 bias + 3 outgoing
+    per_unit = 1 if family == "WP" else 5 + 1 + 3
+    assert int((mask.bits == 0).sum()) == (units - kept_units) * per_unit
     assert pruning_noise(params, [mask])[0] < 1.0  # delta^2 in [0, 1) for generated masks
 
 
@@ -336,19 +346,19 @@ def test_segment_partition_and_sparsity_accounting(seed):
 
 
 def test_parse_codename_all_full():
-    assignment = parse_codename("1111111111")
-    assert len(assignment) == 10
-    assert all(p.kept_segments == frozenset({1, 2, 3, 4}) for p in assignment.per_slot_policies)
+    policies = parse_codename("1111111111")
+    assert isinstance(policies, tuple) and len(policies) == 10
+    assert all(p.kept_segments == frozenset({1, 2, 3, 4}) for p in policies)
 
 
 def test_parse_codename_mixed():
-    assignment = parse_codename("1111223344", family="NP", freeze_after_round=3)
-    kept = [p.kept_segments for p in assignment.per_slot_policies]
+    policies = parse_codename("1111223344", family="NP", freeze_after_round=3)
+    kept = [p.kept_segments for p in policies]
     assert kept[:4] == [frozenset({1, 2, 3, 4})] * 4
     assert kept[4:6] == [frozenset({1, 3, 4})] * 2
     assert kept[6:8] == [frozenset({1, 2, 4})] * 2
     assert kept[8:] == [frozenset({1, 2, 3})] * 2
-    assert all(p.family == "NP" and p.freeze_after_round == 3 for p in assignment.per_slot_policies)
+    assert all(p.family == "NP" and p.freeze_after_round == 3 for p in policies)
 
 
 def test_parse_codename_rejects_bad_input():

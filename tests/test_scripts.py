@@ -1,0 +1,49 @@
+"""The scripts under scripts/ run end to end against the package's current API."""
+
+import csv
+import subprocess
+import sys
+from pathlib import Path
+
+from fedprune.nn import LayerLayout
+from fedprune.tables import computed_row
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *argv, cwd):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *argv],
+        capture_output=True, text=True, cwd=cwd, timeout=120,
+    )
+
+
+def test_synth_sweep_row_matches_computed_row(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = run_script(
+        "synth_sweep.py", "--codenames", "1111223344", "--rounds", "1", "--seeds", "1",
+        "--out", str(out), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as f:
+        (row,) = list(csv.DictReader(f))
+    # the sweep's model: 20 synthetic features, one hidden layer of 32, 10 classes
+    amt, gamma = computed_row("WP", "1111223344", LayerLayout((20, 32, 10)))
+    assert row == {
+        "codename": "1111223344",
+        "family": "WP",
+        "gamma_min": str(gamma),
+        "params_amortized": str(round(amt.params_mean)),
+        "params_ratio": str(amt.params_ratio),
+        "flops_amortized": str(round(amt.flops_mean)),
+        "flops_ratio": str(amt.flops_ratio),
+        "acc_mean": row["acc_mean"],
+        "acc_std": "0.0",
+    }
+    assert 0.0 <= float(row["acc_mean"]) <= 1.0
+
+
+def test_mnist_trend_help_exits_zero(tmp_path):
+    proc = run_script("mnist_trend.py", "--help", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "--mnist-dir" in proc.stdout

@@ -16,6 +16,7 @@ TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # them as absent until the benchmark drops or retargets them.
 STALE = {
     ("fedprune.federation", "decompose_regions"),
+    ("fedprune.federation", "default_maskable_set"),
     ("fedprune.metrics", "default_maskable_set"),
     ("fedprune.federation", "generate_mask"),
     ("fedprune.federation", "grad_norm_estimate"),
