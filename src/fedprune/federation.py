@@ -5,7 +5,8 @@ Each round q (1-based):
   2. rank the current global model once, derive each slot's mask from that
      ranking (or reuse a frozen one), prune, and run T local epochs of
      masked SGD; slots with equally long shards train in lockstep, as rows
-     of one (g, total) matrix
+     of one (g, total) matrix. Slots with one policy share one mask, so
+     pruning noise, coverage counts and accounting run once per distinct mask
   3. set every parameter to the mean of its value over exactly the slots
      whose masks cover it
 Parameters covered by no slot keep the previous global value; that case is
@@ -24,6 +25,7 @@ for the same reason.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +45,7 @@ from .pruning import (
     Mask,
     apply_mask,
     codename_coverage,
+    distinct,
     parse_codename,
     pruning_noise,
     round_masks,
@@ -73,13 +76,21 @@ class CoverageError(RuntimeError):
 
 
 def coverage_counts(masks: list[Mask]) -> np.ndarray:
-    """Number of slots whose mask covers each parameter index."""
+    """Number of slots whose mask covers each parameter index.
+
+    Each distinct mask object is added once, times the number of slots that
+    hold it.
+    """
     if not masks:
         raise ValueError("need at least one mask")
     length = len(masks[0])
     if any(len(m) != length for m in masks):
         raise ValueError("masks differ in length")
-    return np.stack([m.bits for m in masks]).sum(axis=0, dtype=np.int64)
+    holders = Counter(map(id, masks))
+    counts = np.zeros(length, dtype=np.int64)
+    for key, mask in distinct(masks).items():
+        counts += np.int64(holders[key]) * mask.bits
+    return counts
 
 
 def aggregate(
@@ -100,9 +111,13 @@ def aggregate(
         raise ValueError("mask length does not match the parameter vector")
     if len(counts) != total:
         raise ValueError("coverage counts do not match the parameter vector")
+    # acc starts at +0.0 and never becomes -0.0, so the -0.0 that a pruned
+    # negative coordinate gives (x * 0) changes no bit of it: for finite
+    # models only the covering slots contribute
     acc = np.zeros(total)
+    term = np.empty(total)
     for model, mask in zip(local_models, masks):
-        acc += np.where(mask.bits != 0, model.values, 0.0)
+        acc += np.multiply(model.values, mask.bits, out=term)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(counts > 0, acc / counts, previous_global.values)
     return ParamVector(out, previous_global.layout)
@@ -196,6 +211,14 @@ class FederationConfig:
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError(f"hidden layer sizes must be positive, got {list(self.hidden_layers)}")
         parse_codename(self.codename, self.family, self.freeze_after_round)  # validates
+        # neuron units are the neurons of one hidden layer, split into quartiles
+        if self.family in ("NP", "FS") and (
+            len(self.hidden_layers) != 1 or self.hidden_layers[0] < 4
+        ):
+            raise ValueError(
+                f"family {self.family} needs exactly one hidden layer of at least 4 neurons, "
+                f"got {list(self.hidden_layers)}"
+            )
 
     @property
     def slots_per_round(self) -> int:
@@ -419,7 +442,8 @@ def run_round(
         [(1.0 / n_slots, local_models[k], shards[k]) for k in range(n_slots)],
         batch_size=config.test_batch,
     )
-    amort = amortized([account(layout, m) for m in masks], full_account(layout))
+    accounts = {key: account(layout, mask) for key, mask in distinct(masks).items()}
+    amort = amortized([accounts[id(m)] for m in masks], full_account(layout))
 
     new_state = GlobalState(q, new_params, frozen, state.seed)
     record = RoundMetrics(

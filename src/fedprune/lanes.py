@@ -1,15 +1,20 @@
 """Lanes: independent pieces of a round's work spread over the process's CPUs.
 
-`on_lanes(items, work, count)` calls `work(item, lane)` for every item on
-L lanes. Lane j takes items j, j + L, j + 2L, ... in order; lane 0 runs in
-the calling thread and lanes 1..L-1 on a thread pool created on first use.
-Each lane runs in a copy of the caller's context, so `np.errstate` and
-other context variables hold there as they do in the caller. The call
-returns once every lane has finished; if lanes fail, the first failure in
-lane order is raised.
+`on_lanes(items, work, count, commit)` calls `work(item, lane)` for every
+item on L lanes. Lane j takes items j, j + L, j + 2L, ... in order; lane 0
+runs in the calling thread and lanes 1..L-1 on a thread pool created on
+first use. Each lane runs in a copy of the caller's context, so
+`np.errstate` and other context variables hold there as they do in the
+caller. The call returns once every lane has finished; if lanes fail, the
+first failure in lane order is raised.
 
 A lane computes what it would compute alone, on data no other lane writes,
-so the results do not depend on L. The caller combines them in item order.
+so the results do not depend on L. The caller combines them in item order
+through `commit(item, lane)`: after its work on an item, a lane waits until
+every earlier item is committed and then commits its own, so commits run
+one at a time, in item order, each right after its item's work. A lane
+reuses its buffers for its next item only after its own commit, and no lane
+waits at a barrier for the slowest lane of a wave.
 
 L is fixed at import. With C the CPUs this process may run on and B the BLAS
 thread count it was started with (the first of OPENBLAS_NUM_THREADS,
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import threading
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -77,17 +83,45 @@ def _executor(workers: int):
     return _pool[1]
 
 
-def on_lanes(items, work, count: int) -> None:
+def on_lanes(items, work, count: int, commit=None) -> None:
     """work(item, lane) for every item on L = min(count, len(items)) lanes.
 
     Lane j takes items j, j + L, ... in order; `count` comes from `width()`.
+    With `commit`, the lane that worked on item i then calls
+    commit(item, lane) once items 0..i-1 are committed. A failure in `work`
+    or `commit` of item i releases the lanes waiting to commit: no item
+    after i is committed, and each lane stops before its next commit.
+
+    With `commit` the lanes of one call wait for each other, and the pool is
+    shared: calls from two threads outside the lanes must not overlap, or the
+    waiting lanes of one call could hold the threads the other needs.
     """
     lanes = max(1, min(count, len(items)))
+    turn = threading.Condition()
+    committed = 0  # items 0..committed-1 are committed
+    failed = False
 
     def lane(j):
+        nonlocal committed, failed
         _inside.set(True)
-        for item in items[j::lanes]:
-            work(item, j)
+        try:
+            for i in range(j, len(items), lanes):
+                work(items[i], j)
+                if commit is None:
+                    continue
+                with turn:
+                    turn.wait_for(lambda: committed == i or failed)
+                    if failed:
+                        return
+                commit(items[i], j)  # alone: no other lane holds the turn
+                with turn:
+                    committed = i + 1
+                    turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
 
     contexts = [contextvars.copy_context() for _ in range(lanes)]
     pending = []

@@ -6,7 +6,8 @@ bias adds excluded) - the only definition that reproduces the full-MLP
 pair (159010, 158800) for the 784-200-10 network.
 
 `weighted_accuracy` evaluates its clients on the lanes (`fedprune.lanes`)
-and sums their weighted accuracies in client order.
+and sums their weighted accuracies in client order, in the lanes' ordered
+commit.
 """
 
 from __future__ import annotations
@@ -162,23 +163,25 @@ def weighted_accuracy(per_client: list[tuple[float, ParamVector, object]],
 
     Entries are (weight, already-masked params, dataset); weights must sum to 1.
     The clients are evaluated on the lanes (lane j takes clients j, j + L, ...),
-    and `w * acc` is summed in client order.
+    and each lane's ordered commit adds `w * acc` to the total in client order.
     """
     weights = [w for w, _, _ in per_client]
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError(f"client weights must sum to 1, got {sum(weights)}")
-    accs = [0.0] * len(per_client)
+    rows = max(min(batch_size, len(dataset.labels)) for _, _, dataset in per_client)
+    width = lanes.width(rows * per_client[0][1].layout.total)
+    accs = [0.0] * width  # each lane's latest accuracy
+    total = 0.0
 
     def client(k: int, lane: int) -> None:
         _, params, dataset = per_client[k]
-        accs[k] = evaluate(params, dataset, batch_size=batch_size)[1]
+        accs[lane] = evaluate(params, dataset, batch_size=batch_size)[1]
 
-    rows = max(min(batch_size, len(dataset.labels)) for _, _, dataset in per_client)
-    width = lanes.width(rows * per_client[0][1].layout.total)
-    lanes.on_lanes(range(len(per_client)), client, width)
-    total = 0.0
-    for w, acc in zip(weights, accs):
-        total += w * acc
+    def add(k: int, lane: int) -> None:
+        nonlocal total
+        total += weights[k] * accs[lane]
+
+    lanes.on_lanes(range(len(per_client)), client, width, commit=add)
     return total
 
 

@@ -21,10 +21,10 @@ parameter values, the momentum buffer and the gradient it is given.
 `loss_and_grad` writes into an `out=` buffer when given one, so a training
 loop allocates no full-length vector per step.
 
-`evaluate` spreads its chunks over the lanes (`fedprune.lanes`) in waves of
-L: each lane writes one chunk's loss sum, correct count and gradient into
-its own slot, and the caller adds them in chunk order, so every lane count
-gives the same bits.
+`evaluate` spreads its chunks over the lanes (`fedprune.lanes`): each lane
+computes one chunk's loss sum, correct count and gradient into its own
+slot and then, in its ordered commit, adds them to the totals in chunk
+order, so every lane count gives the same bits.
 """
 
 from __future__ import annotations
@@ -280,10 +280,10 @@ def evaluate(
     resolve to the lowest class index) and, with `with_grad`, the exact
     full-dataset gradient of the mean loss.
 
-    Chunks run in waves of L on the lanes: lane j computes chunk w + j's
-    loss sum, correct count and count-weighted gradient into its own slot,
-    and the wave's results are added in chunk order, so the sums do not
-    depend on L.
+    Chunks run on the lanes: lane j computes chunk j, j + L, ...'s loss
+    sum, correct count and count-weighted gradient into its own slot, and
+    its ordered commit adds them to the totals in chunk order, so the sums
+    do not depend on L.
     """
     inputs = np.asarray(dataset.inputs, dtype=np.float64)
     labels = np.asarray(dataset.labels, dtype=np.int64)
@@ -299,6 +299,8 @@ def evaluate(
     if with_grad:
         total_grad = np.zeros(params.layout.total)
         work = np.empty((width, params.layout.total))  # each lane's chunk gradient, reused
+    total_loss = 0.0
+    correct = 0
 
     def chunk(start: int, lane: int) -> None:
         chunk_labels = labels[start : start + batch_size]
@@ -311,14 +313,12 @@ def evaluate(
             _backward(params, acts, logp, pick, work[lane])
             work[lane] *= len(chunk_labels)
 
-    total_loss = 0.0
-    correct = 0
-    for first in range(0, len(starts), width):
-        wave = starts[first : first + width]
-        lanes.on_lanes(wave, chunk, width)
-        for lane in range(len(wave)):
-            total_loss += loss_sums[lane]
-            correct += corrects[lane]
-            if with_grad:
-                total_grad += work[lane]
+    def add(start: int, lane: int) -> None:
+        nonlocal total_loss, correct, total_grad
+        total_loss += loss_sums[lane]
+        correct += corrects[lane]
+        if with_grad:
+            total_grad += work[lane]
+
+    lanes.on_lanes(starts, chunk, width, commit=add)
     return total_loss / n, correct / n, total_grad / n if with_grad else None

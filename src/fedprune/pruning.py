@@ -100,16 +100,43 @@ def quartile_segments(ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return s1, s2, s3, s4
 
 
+def _ranked_segments(strength: np.ndarray) -> tuple[np.ndarray, ...]:
+    """S1..S4 of units ranked by descending `strength`, ties to the lower index.
+
+    Each segment holds its unit indices in ascending order. The segments are
+    the `quartile_segments` of that ranking, found by selection instead of a
+    sort: `np.partition` gives the strength at each segment boundary, units
+    above it lie before the boundary, and of the units tied with it the
+    lowest indices fill the places left.
+    """
+    n = len(strength)
+    ends = np.cumsum([len(s) for s in quartile_segments(np.arange(n))])[:3]
+    key = -strength  # ascending key: the strongest unit first
+    cuts = np.partition(key, ends - 1)[ends - 1]
+    before = np.zeros(n, dtype=bool)  # units ranked before the previous boundary
+    segments = []
+    for end, cut in zip(ends, cuts):
+        first = key < cut
+        tied = np.flatnonzero(key == cut)
+        first[tied[: end - np.count_nonzero(first)]] = True
+        segments.append(np.flatnonzero(first & ~before))
+        before = first
+    segments.append(np.flatnonzero(~before))
+    return tuple(segments)
+
+
 def segment_index_sets(params: ParamVector, family: str) -> tuple[np.ndarray, ...]:
-    """S1..S4 as arrays of unit indices, strongest-ranked first.
+    """S1..S4 as arrays of unit indices, each in ascending unit order.
 
     Units are positions inside W1 for WP and hidden-neuron ids for NP/FS.
-    The sorts are stable, so ties go to the lower unit index.
+    WP ranks by |weight|, NP by the L1 norm of a neuron's incoming weights,
+    both descending with ties to the lower unit index; FS keeps the natural
+    order.
     """
     layout = params.layout
     w1 = params.values[layout.offsets[0].weights]
     if family == "WP":
-        return quartile_segments(np.argsort(-np.abs(w1), kind="stable"))
+        return _ranked_segments(np.abs(w1))
     if family not in ("NP", "FS"):
         raise ValueError(f"unknown family {family!r}")
     # neuron pruning on deeper nets has no unambiguous reading
@@ -120,8 +147,7 @@ def segment_index_sets(params: ParamVector, family: str) -> tuple[np.ndarray, ..
         raise ValueError("need at least 4 neurons to form quartiles")
     if family == "FS":
         return quartile_segments(np.arange(hidden))
-    norms = np.abs(w1.reshape(d_in, hidden)).sum(axis=0)
-    return quartile_segments(np.argsort(-norms, kind="stable"))
+    return _ranked_segments(np.abs(w1.reshape(d_in, hidden)).sum(axis=0))
 
 
 def _unit_mask(layout: LayerLayout, family: str, keep: np.ndarray) -> Mask:
@@ -155,48 +181,65 @@ def round_masks(
     round F, or the first later round in which it has none, its fresh mask is
     recorded. All other masks come from the live parameters: all slots prune
     the same global model, so the ranking runs at most once per family and
-    not at all when every slot reuses its frozen mask.
+    not at all when every slot reuses its frozen mask, and slots that keep
+    the same segments of the same family get the same `Mask` object.
     """
     frozen = dict(frozen)
     segments: dict[str, tuple[np.ndarray, ...]] = {}
+    fresh: dict[tuple[str, frozenset[int]], Mask] = {}
     masks = []
     for k, policy in enumerate(policies):
         freeze = policy.freeze_after_round
         if freeze is not None and round_no > freeze and k in frozen:
             masks.append(frozen[k])
             continue
-        if policy.family not in segments:
-            segments[policy.family] = segment_index_sets(params, policy.family)
-        units = segments[policy.family]
-        keep = np.zeros(sum(map(len, units)), dtype=np.uint8)
-        for s in policy.kept_segments:
-            keep[units[s - 1]] = 1
-        mask = _unit_mask(params.layout, policy.family, keep)
+        key = (policy.family, policy.kept_segments)
+        if key not in fresh:
+            if policy.family not in segments:
+                segments[policy.family] = segment_index_sets(params, policy.family)
+            units = segments[policy.family]
+            keep = np.zeros(sum(map(len, units)), dtype=np.uint8)
+            for s in policy.kept_segments:
+                keep[units[s - 1]] = 1
+            fresh[key] = _unit_mask(params.layout, policy.family, keep)
+        mask = fresh[key]
         if freeze is not None and round_no >= freeze:
             frozen.setdefault(k, mask)
         masks.append(mask)
     return masks, frozen
 
 
+def distinct(masks: list[Mask]) -> dict[int, Mask]:
+    """The distinct mask objects among `masks`, keyed by `id`, in first-use order.
+
+    `round_masks` hands one object to all slots of one policy, so per-mask
+    work done once per distinct object serves every slot that shares it.
+    """
+    return {id(mask): mask for mask in masks}
+
+
 def apply_mask(params: ParamVector, mask: Mask, out: np.ndarray | None = None) -> ParamVector:
-    """Element-wise product; pruned coordinates become exactly +0.0.
+    """Element-wise product; for finite values pruned coordinates become exactly +0.0.
 
     The masked vector is written into `out` (shape (total,)) when one is
-    given, else into a new array.
+    given, else into a new array. Adding +0.0 after the product turns the
+    -0.0 of a pruned negative value (and a kept -0.0) into +0.0 and leaves
+    every other value as it is.
     """
     if len(mask) != params.layout.total:
         raise ValueError("mask length does not match parameter vector")
     if out is None:
         out = np.empty(params.layout.total)
-    out[...] = 0.0
-    np.copyto(out, params.values, where=mask.bits.view(np.bool_))
+    np.multiply(params.values, mask.bits, out=out)
+    out += 0.0
     return ParamVector(out, params.layout)
 
 
 def pruning_noise(params: ParamVector, masks: list[Mask]) -> tuple[float, ...]:
     """Relative energy each mask discards: ||t - t*m||^2 / ||t||^2, in [0, 1].
 
-    ||t||^2 is computed once for all masks.
+    ||t||^2 is computed once for all masks, and each distinct mask object's
+    share once for all slots that hold it.
     """
     if any(len(mask) != params.layout.total for mask in masks):
         raise ValueError("mask length does not match parameter vector")
@@ -204,11 +247,11 @@ def pruning_noise(params: ParamVector, masks: list[Mask]) -> tuple[float, ...]:
     if total == 0.0:
         warnings.warn("pruning_noise of a zero-norm parameter vector is defined as 0")
         return tuple(0.0 for _ in masks)
-    noise = []
-    for mask in masks:
+    noise = {}
+    for key, mask in distinct(masks).items():
         dropped = params.values[mask.bits == 0]
-        noise.append(float(dropped @ dropped) / total)
-    return tuple(noise)
+        noise[key] = float(dropped @ dropped) / total
+    return tuple(noise[id(mask)] for mask in masks)
 
 
 def codename_coverage(codename: str) -> tuple[dict[int, int], int]:

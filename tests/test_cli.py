@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+import fedprune.cli
 from fedprune.cli import main
 
 QUICK_CONFIG = {
@@ -166,6 +167,24 @@ def test_run_reports_bad_config_values_without_a_traceback(tmp_path, capsys, ove
     assert not (out / "metrics_seed1.csv").exists()
 
 
+@pytest.mark.parametrize("family", ["NP", "FS"])
+@pytest.mark.parametrize("hidden", [[16, 8], [3]], ids=["two-hidden", "three-neurons"])
+def test_run_rejects_neuron_pruning_layouts_before_building_data(
+    tmp_path, capsys, monkeypatch, family, hidden
+):
+    def no_data(config):
+        raise AssertionError("data built for a config that cannot run")
+
+    monkeypatch.setattr(fedprune.cli, "build_federated_data", no_data)
+    path = write_config(tmp_path, family=family, hidden_layers=hidden)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad config {path}: ")
+    assert f"family {family} needs exactly one hidden layer of at least 4 neurons" in err
+    assert not (out / "metrics_seed1.csv").exists()
+
+
 def test_run_three_seeds_three_files_plus_summary(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "out"
@@ -244,7 +263,7 @@ def test_shipped_quickstart_config_runs(tmp_path):
 @pytest.mark.parametrize("partition", ["iid", "label-skew"])
 def test_run_outputs_are_independent_of_lanes(tmp_path, use_lanes, partition):
     outputs = {}
-    for lanes in (1, 2):
+    for lanes in (1, 2, 3):
         use_lanes(lanes)
         out = tmp_path / f"lanes{lanes}"
         assert main([
@@ -256,7 +275,7 @@ def test_run_outputs_are_independent_of_lanes(tmp_path, use_lanes, partition):
         "metrics_seed1.csv", "metrics_seed1.jsonl", "metrics_seed2.csv", "metrics_seed2.jsonl",
         "summary.json",
     ]
-    assert outputs[2] == outputs[1]
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
 
 
 def test_shipped_mnist_configs_parse():

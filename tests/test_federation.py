@@ -223,7 +223,8 @@ def test_aggregate_matches_brute_force(seed):
 )
 def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codename, uncovered):
     # codenames with and without an uncovered quartile; signed zeros in every
-    # input, compared bit pattern for bit pattern (array_equal has -0.0 == 0.0)
+    # input, compared bit pattern for bit pattern (array_equal has -0.0 == 0.0);
+    # local models hold -0.0, then non-zero values, where their masks prune
     layout = LayerLayout((8, 8, 4))
     rng = np.random.default_rng(7)
     params = init_params(layout, 0)
@@ -232,19 +233,21 @@ def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codena
     signed_zeros = rng.random(layout.total) < 0.25
     prev = rng.normal(size=layout.total)
     prev[signed_zeros] = -0.0
-    local_values = []
-    for mask in masks:
-        values = np.where(mask.bits != 0, rng.normal(size=layout.total), -0.0)
-        values[signed_zeros] = -0.0
-        local_values.append(values)
-    got = aggregate(
-        ParamVector(prev, layout),
-        [ParamVector(v, layout) for v in local_values],
-        masks,
-        coverage_counts(masks),
-    ).values
-    want = brute_force_aggregate(prev, local_values, bits)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for pruned in ("signed-zero", "nonzero"):
+        local_values = []
+        for mask in masks:
+            fill = -0.0 if pruned == "signed-zero" else rng.normal(size=layout.total)
+            values = np.where(mask.bits != 0, rng.normal(size=layout.total), fill)
+            values[signed_zeros] = -0.0
+            local_values.append(values)
+        got = aggregate(
+            ParamVector(prev, layout),
+            [ParamVector(v, layout) for v in local_values],
+            masks,
+            coverage_counts(masks),
+        ).values
+        want = brute_force_aggregate(prev, local_values, bits)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), pruned
     counts = bits.sum(0)
     assert (counts == 0).any() == uncovered
     assert (signed_zeros & (counts > 0)).any()
@@ -284,6 +287,15 @@ def test_config_rejects_codename_length_mismatch():
 def test_config_rejects_bad_ratio():
     with pytest.raises(ValueError):
         desk_config(participation_ratio=0.0)
+
+
+@pytest.mark.parametrize("family", ["NP", "FS"])
+@pytest.mark.parametrize("hidden", [(16, 8), (3,)], ids=["two-hidden", "three-neurons"])
+def test_config_rejects_layouts_neuron_pruning_cannot_split(family, hidden):
+    with pytest.raises(ValueError, match="exactly one hidden layer of at least 4 neurons"):
+        desk_config(family=family, hidden_layers=hidden)
+    desk_config(family="WP", hidden_layers=hidden)  # WP units are W1 entries: both are fine
+    desk_config(family=family, hidden_layers=(4,))
 
 
 def test_default_learning_rate_follows_analysis_schedule():

@@ -85,6 +85,65 @@ def test_a_failure_waits_for_every_lane_and_the_first_in_lane_order_is_raised(us
     assert sorted(finished) == [0, 3, 6]
 
 
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_commits_run_in_item_order_on_the_lane_that_did_the_work(use_lanes, lanes):
+    use_lanes(lanes)
+    events = []
+
+    def work(item, lane):
+        events.append(("start", item, lane, threading.get_ident()))
+        time.sleep(0.003 * (7 - item))  # later items finish first
+        events.append(("work", item, lane, threading.get_ident()))
+
+    def commit(item, lane):
+        events.append(("commit", item, lane, threading.get_ident()))
+
+    on_lanes(range(8), work, lanes, commit=commit)
+    commits = [event for event in events if event[0] == "commit"]
+    assert [item for _, item, _, _ in commits] == list(range(8))
+    for _, item, lane, thread in commits:
+        assert lane == item % lanes
+        done = events.index(("work", item, lane, thread))  # same lane, same thread
+        assert done < events.index(("commit", item, lane, thread))
+        if item + lanes < 8:  # a lane moves on only after its own commit
+            nxt = ("start", item + lanes, lane, thread)
+            assert events.index(("commit", item, lane, thread)) < events.index(nxt)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("phase", ["work", "commit"])
+@pytest.mark.parametrize("k", [0, 4])
+def test_a_failure_in_work_or_commit_releases_the_waiting_lanes(use_lanes, lanes, phase, k):
+    use_lanes(lanes)
+    committed = []
+    outcome = []
+
+    def work(item, lane):
+        if phase == "work" and item == k:
+            raise ValueError(f"item {item}")
+        time.sleep(0.002 * (9 - item))
+
+    def commit(item, lane):
+        if phase == "commit" and item == k:
+            raise ValueError(f"item {item}")
+        committed.append(item)
+
+    def call():
+        try:
+            on_lanes(range(9), work, lanes, commit=commit)
+        except ValueError as exc:
+            outcome.append(exc)
+
+    watchdog = threading.Thread(target=call, daemon=True)
+    watchdog.start()
+    watchdog.join(timeout=10)
+    assert not watchdog.is_alive(), "on_lanes did not return after a failure"
+    assert [str(exc) for exc in outcome] == [f"item {k}"]
+    assert committed == list(range(len(committed))) and len(committed) <= k
+    if phase == "commit":  # item k commits only after items 0..k-1
+        assert committed == list(range(k))
+
+
 def test_a_helper_lane_keeps_the_callers_errstate(use_lanes):
     use_lanes(2)
 

@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_impl import reference_masks
+from reference_impl import reference_masks, reference_segments
 
+from fedprune.federation import coverage_counts
+from fedprune.metrics import account
 from fedprune.nn import LayerLayout, ParamVector, init_params
 from fedprune.pruning import (
     DIGIT_SEGMENTS,
@@ -235,6 +237,52 @@ def test_round_masks_match_the_index_set_oracle(seed, family, two_hidden, freeze
         assert all(np.array_equal(frozen_got[k].bits, frozen_want[k].bits) for k in frozen_want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    quarters=st.integers(1, 12),
+    remainder=st.sampled_from([0, 1, 2, 3]),
+    family=st.sampled_from(["WP", "NP"]),
+    data=st.data(),
+)
+def test_selection_ranking_equals_the_stable_argsort_oracle(quarters, remainder, family, data):
+    # few distinct magnitudes, both signed zeros: most units tie with others,
+    # also at the segment boundaries; every n % 4 gives other segment sizes
+    units = 4 * quarters + remainder
+    layout = LayerLayout((units, 1, 2) if family == "WP" else (3, units, 2))
+    values = data.draw(st.lists(
+        st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]),
+        min_size=layout.total, max_size=layout.total,
+    ))
+    params = ParamVector(np.array(values), layout)
+    if family == "WP":
+        want, _ = reference_segments(params, family)
+        got = segment_index_sets(params, family)
+        for s, (g, w) in enumerate(zip(got, want), 1):
+            assert g.tolist() == sorted(w - layout.offsets[0].weight_start), f"S{s}"
+    policies = parse_codename("1234567", family)
+    got, _ = round_masks(policies, params, 1, {})
+    want, _ = reference_masks(policies, params, 1, {})
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g.bits, w.bits), f"slot {k}"
+
+
+def test_slots_with_one_policy_share_one_mask_and_its_measures():
+    params = init_params(MNIST_LAYOUT, 0)
+    for family in FAMILIES:
+        policies = parse_codename("1111223344", family)
+        masks, _ = round_masks(policies, params, 1, {})
+        assert len({id(m) for m in masks}) == 4
+        for a, b in itertools.combinations(range(10), 2):
+            assert (masks[a] is masks[b]) == (policies[a] == policies[b])
+        copies = [Mask(m.bits.copy()) for m in masks]  # ten distinct objects
+        assert pruning_noise(params, masks) == pruning_noise(params, copies)
+        assert pruning_noise(params, masks) == tuple(pruning_noise(params, [m])[0] for m in copies)
+        assert [account(MNIST_LAYOUT, m) for m in masks] == [account(MNIST_LAYOUT, m) for m in copies]
+        want = np.stack([m.bits for m in copies]).sum(axis=0, dtype=np.int64)
+        assert np.array_equal(coverage_counts(masks), want)
+        assert np.array_equal(coverage_counts(copies), want)
+
+
 def test_empty_kept_segments_rejected():
     with pytest.raises(ValueError):
         PruningPolicy("WP", frozenset())
@@ -245,6 +293,15 @@ def test_apply_mask_identity_and_zeroing():
     assert np.array_equal(apply_mask(params, Mask.ones(4)).values, params.values)
     masked = apply_mask(params, Mask(np.array([1, 1, 0, 0], dtype=np.uint8)))
     assert masked.values.tolist() == [4.0, 3.0, 0.0, 0.0]
+
+
+def test_apply_mask_writes_positive_zero_where_negative_values_are_pruned():
+    params = flat_params([-4.0, -3.0, 2.0, -1.0])
+    out = np.full(4, np.nan)
+    masked = apply_mask(params, Mask(np.array([0, 1, 0, 0], dtype=np.uint8)), out=out)
+    assert masked.values is out
+    assert out.tolist() == [0.0, -3.0, 0.0, 0.0]
+    assert not np.signbit(out[[0, 2, 3]]).any()  # +0.0, not the -0.0 of -4.0 * 0
 
 
 def test_apply_mask_rejects_length_mismatch():
