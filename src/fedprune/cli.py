@@ -24,7 +24,7 @@ from .federation import (
     build_federated_data,
     run as run_federation,
 )
-from .metrics import emit_csv, emit_jsonl
+from .metrics import account, amortized, emit_csv, emit_jsonl, full_account
 from .nn import LayerLayout
 from .pruning import DIGIT_SEGMENTS, codename_coverage, parse_codename
 from .selfcheck import run_selfcheck
@@ -230,7 +230,6 @@ def _account(args) -> int:
         print("error: --codename is required unless --check-table is given", file=sys.stderr)
         return 1
     policies = parse_codename(args.codename, family=args.family)
-    from .metrics import account, amortized, full_account  # local to keep startup light
 
     full = full_account(layout)
     per_slot = []

@@ -115,24 +115,6 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
     return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), num_classes)
 
 
-def write_idx(dataset: Dataset, images_path, labels_path, rows: int | None = None,
-              cols: int | None = None) -> None:
-    """Inverse of load_idx for fixture building; inputs must be k/255 values."""
-    n, d = dataset.inputs.shape
-    if rows is None or cols is None:
-        side = int(round(d ** 0.5))
-        rows, cols = (side, side) if side * side == d else (1, d)
-    if rows * cols != d:
-        raise ValueError(f"rows*cols = {rows * cols} does not match feature count {d}")
-    pixels = np.rint(dataset.inputs * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABELS_MAGIC, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
-
-
 # ---------------------------------------------------------------------------
 # Synthetic data
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Parameters covered by no slot keep the previous global value; that case is
 reported as gamma_min = 0 and can be escalated to an error.
 
 Lockstep chunks train on the lanes (`fedprune.lanes`): lane j trains chunks
-j, j + L, ... in place in its rows of one (S, total) matrix.
+j, j + L, ... in place in its rows of one (S, total) matrix, then counts each
+row's correct predictions on its shard for the round's local accuracy.
 
 Determinism: all randomness flows from named streams derived from
 (seed, stream, round[, slot]), so the grouping of slots into lockstep
@@ -40,7 +41,7 @@ from .metrics import (
     theory_learning_rate,
     weighted_accuracy,
 )
-from .nn import LayerLayout, OptimizerState, ParamVector, evaluate, init_params, loss_and_grad, masked_sgd_step
+from .nn import LayerLayout, OptimizerState, ParamVector, evaluate, forward, init_params, loss_and_grad, masked_sgd_step
 from .pruning import (
     Mask,
     apply_mask,
@@ -201,6 +202,12 @@ class FederationConfig:
             raise ValueError("rounds must be >= 0; local_epochs and local_batch >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        if self.learning_rate is not None and not self.learning_rate >= 0.0:
+            raise ValueError("learning_rate must be non-negative")
+        if self.smoothness_L is not None and not self.smoothness_L > 0.0:
+            raise ValueError("smoothness_L must be positive")
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be non-negative")
         if self.uncovered_region_action not in ("warn", "error"):
             raise ValueError("uncovered_region_action must be 'warn' or 'error'")
         if self.static_slots and self.num_clients != self.slots_per_round:
@@ -341,20 +348,23 @@ def local_update(
     shards: list[Dataset],
     config: FederationConfig,
     rngs: list[np.random.Generator],
-) -> list[np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """T epochs of masked minibatch SGD for every slot, from the pruned global model.
 
-    Returns S row views of one (S, total) matrix; entry k is slot k's local
-    model. Slots whose shards have the same length share one batch
-    schedule, short last batch included, and train in lockstep: up to
-    `max(1, _LOCKSTEP_BYTES // (8 * total))` of them at a time, as the rows
-    of one stacked forward/backward pass and SGD step. Slot k draws one
-    permutation of its shard per epoch from `rngs[k]`, so its row has the
-    bits it would have if slot k trained alone.
+    Returns S row views of one (S, total) matrix, entry k being slot k's
+    local model, and an (S,) int64 array of how many examples of its own
+    shard each model classifies correctly. Slots whose shards have the
+    same length share one batch schedule, short last batch included, and
+    train in lockstep: up to `max(1, _LOCKSTEP_BYTES // (8 * total))` of
+    them at a time, as the rows of one stacked forward/backward pass and
+    SGD step. Slot k draws one permutation of its shard per epoch from
+    `rngs[k]`, so its row has the bits it would have if slot k trained alone.
 
     The chunks run on the lanes: lane j trains chunks j, j + L, ... in place,
     in the matrix rows that hold them (chunk order), with momentum, gradient
-    and mask buffers allocated here once per call.
+    and mask buffers allocated here once per call, then counts the chunk's
+    correct predictions in slices of `config.test_batch` rows, as `evaluate`
+    would for each slot alone.
     """
     if not len(masks) == len(shards) == len(rngs):
         raise ValueError("one mask, shard and rng per slot required")
@@ -375,26 +385,33 @@ def local_update(
     n_lanes = min(lanes.width(step_rows * layout.total), len(chunks))
     shape = (n_lanes, max(map(len, chunks)), layout.total)
     momentum, grad, bits = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.uint8)
+    correct = np.zeros(len(shards), dtype=np.int64)  # one entry per slot: no lane shares one
 
     def train(c: int, lane: int) -> None:
         chunk = chunks[c]
         g = len(chunk)
-        rows = local[first_row[c] : first_row[c] + g]
-        for row, k in zip(rows, chunk):
+        rows = ParamVector(local[first_row[c] : first_row[c] + g], layout)
+        for row, k in zip(rows.values, chunk):
             apply_mask(global_params, masks[k], out=row)
+        inputs = np.stack([shards[k].inputs for k in chunk])
+        labels = np.stack([shards[k].labels for k in chunk])
         _train_lockstep(
-            ParamVector(rows, layout),
+            rows,
             np.stack([masks[k].bits for k in chunk], out=bits[lane, :g]),
-            np.stack([shards[k].inputs for k in chunk]),
-            np.stack([shards[k].labels for k in chunk]),
+            inputs,
+            labels,
             [rngs[k] for k in chunk],
             config,
             momentum[lane, :g],
             grad[lane, :g],
         )
+        for start in range(0, labels.shape[1], config.test_batch):
+            stop = start + config.test_batch
+            hits = forward(rows, inputs[:, start:stop]).argmax(axis=-1) == labels[:, start:stop]
+            correct[chunk] += hits.sum(axis=-1)
 
     lanes.on_lanes(range(len(chunks)), train, n_lanes)
-    return [local[i] for i in np.argsort(order)]
+    return [local[i] for i in np.argsort(order)], correct
 
 
 def run_round(
@@ -411,7 +428,7 @@ def run_round(
 
     shards = [data.train.subset(data.shards[client]) for client in participants]
     rngs = [local_rng(state.seed, q, k) for k in range(len(participants))]
-    local = local_update(state.params, masks, shards, config, rngs)
+    local, correct = local_update(state.params, masks, shards, config, rngs)
     for k, row in enumerate(local):
         if not np.isfinite(row).all():
             raise FloatingPointError(
@@ -436,11 +453,10 @@ def run_round(
         raise FloatingPointError(f"round {q}: non-finite global parameters after aggregation")
 
     # one pass over the test set gives loss, accuracy and the full-batch gradient
-    loss, acc, grad = evaluate(new_params, data.test, batch_size=config.test_batch, with_grad=True)
+    loss, acc, grad = evaluate(new_params, data.test, batch_size=config.test_batch)
     n_slots = len(participants)
     local_acc = weighted_accuracy(
-        [(1.0 / n_slots, local_models[k], shards[k]) for k in range(n_slots)],
-        batch_size=config.test_batch,
+        [(1.0 / n_slots, hits, len(shard)) for hits, shard in zip(correct.tolist(), shards)]
     )
     accounts = {key: account(layout, mask) for key, mask in distinct(masks).items()}
     amort = amortized([accounts[id(m)] for m in masks], full_account(layout))
@@ -456,7 +472,6 @@ def run_round(
         grad_norm_sq_estimate=float(grad @ grad),
         amortized_params=amort.params_mean,
         amortized_flops=amort.flops_mean,
-        mask_sparsities=tuple(m.sparsity for m in masks),
     )
     return new_state, record
 

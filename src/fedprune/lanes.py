@@ -20,8 +20,9 @@ L is fixed at import. With C the CPUs this process may run on and B the BLAS
 thread count it was started with (the first of OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS and MKL_NUM_THREADS that is set, else C), L = max(1, C // B):
 lanes use the cores that BLAS leaves idle. A caller asks `width(work)` how
-many lanes its items are worth; work started inside a lane, or work whose
-matrix products are too small to leave the GIL for long, gets one lane.
+many lanes its items are worth; work whose matrix products are too small to
+leave the GIL for long gets one lane, and so does work started inside a lane
+(none is today), which could otherwise wait on pool threads its caller holds.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ FLOPs count retained weight-matrix entries (one multiply-accumulate each,
 bias adds excluded) - the only definition that reproduces the full-MLP
 pair (159010, 158800) for the 784-200-10 network.
 
-`weighted_accuracy` evaluates its clients on the lanes (`fedprune.lanes`)
-and sums their weighted accuracies in client order, in the lanes' ordered
-commit.
+`weighted_accuracy` is arithmetic over correct counts that the round engine
+takes while it trains; it sums the weighted accuracies in client order.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lanes
-from .nn import LayerLayout, ParamVector, evaluate
+from .nn import LayerLayout
 from .pruning import Mask, PruningPolicy, quartile_segments
 
 CSV_HEADER = [
@@ -61,7 +59,6 @@ class RoundMetrics:
     grad_norm_sq_estimate: float
     amortized_params: float
     amortized_flops: float
-    mask_sparsities: tuple[float, ...] = ()
 
     @property
     def delta_sq_mean(self) -> float:
@@ -157,31 +154,18 @@ def amortized(accounts: list[ModelAccount], full: ModelAccount) -> AmortizedAcco
 # ---------------------------------------------------------------------------
 
 
-def weighted_accuracy(per_client: list[tuple[float, ParamVector, object]],
-                      batch_size: int = 128) -> float:
+def weighted_accuracy(per_client: list[tuple[float, int, int]]) -> float:
     """Weighted mean of per-client accuracies, each on that client's own data.
 
-    Entries are (weight, already-masked params, dataset); weights must sum to 1.
-    The clients are evaluated on the lanes (lane j takes clients j, j + L, ...),
-    and each lane's ordered commit adds `w * acc` to the total in client order.
+    Entries are (weight, correct predictions, examples); weights must sum
+    to 1. `w * (correct / count)` is added to the total in client order.
     """
     weights = [w for w, _, _ in per_client]
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError(f"client weights must sum to 1, got {sum(weights)}")
-    rows = max(min(batch_size, len(dataset.labels)) for _, _, dataset in per_client)
-    width = lanes.width(rows * per_client[0][1].layout.total)
-    accs = [0.0] * width  # each lane's latest accuracy
     total = 0.0
-
-    def client(k: int, lane: int) -> None:
-        _, params, dataset = per_client[k]
-        accs[lane] = evaluate(params, dataset, batch_size=batch_size)[1]
-
-    def add(k: int, lane: int) -> None:
-        nonlocal total
-        total += weights[k] * accs[lane]
-
-    lanes.on_lanes(range(len(per_client)), client, width, commit=add)
+    for w, correct, count in per_client:
+        total += w * (correct / count)
     return total
 
 
@@ -276,17 +260,3 @@ def emit_jsonl(records: list[RoundMetrics], sink) -> None:
     for r in records:
         row = _record_row(r)
         sink.write(json.dumps({k: row[k] for k in CSV_HEADER}) + "\n")
-
-
-def read_metrics_csv(source) -> list[dict]:
-    """Parse an emitted CSV back into typed rows (round-trip oracle)."""
-    reader = csv.DictReader(source)
-    if reader.fieldnames != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {reader.fieldnames}")
-    out = []
-    for row in reader:
-        parsed = {k: float(row[k]) for k in CSV_HEADER}
-        parsed["round"] = int(row["round"])
-        parsed["gamma_min"] = int(row["gamma_min"])
-        out.append(parsed)
-    return out

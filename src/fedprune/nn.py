@@ -7,8 +7,8 @@ vector, with W_l stored row-major as (fan_in, fan_out).
 
 One layer loop (`_activations`) and one backward pass (`_backward`) serve
 both a training minibatch (`loss_and_grad`) and a chunked pass over a
-whole dataset (`evaluate`), which returns loss, accuracy and, on request,
-the full-dataset gradient from the same forward pass.
+whole dataset (`evaluate`), which returns loss, accuracy and the
+full-dataset gradient from the same forward pass.
 
 The training kernel takes one vector, shape (total,), with inputs (B, in),
 or a stack of g vectors, shape (g, total), with inputs (g, B, in): row i
@@ -173,7 +173,7 @@ def _activations(params: ParamVector, inputs: np.ndarray) -> list[np.ndarray]:
 
 
 def forward(params: ParamVector, inputs) -> np.ndarray:
-    """Logits for a batch of inputs."""
+    """Logits for inputs (B, in), or (g, B, in) for a stack of g vectors."""
     return _activations(params, np.asarray(inputs, dtype=np.float64))[-1]
 
 
@@ -272,13 +272,13 @@ def masked_sgd_step(
 
 
 def evaluate(
-    params: ParamVector, dataset, batch_size: int = 128, with_grad: bool = False
-) -> tuple[float, float, np.ndarray | None]:
-    """(mean loss, accuracy, mean gradient or None) over a dataset, in chunks.
+    params: ParamVector, dataset, batch_size: int = 128
+) -> tuple[float, float, np.ndarray]:
+    """(mean loss, accuracy, mean gradient) over a dataset, in chunks.
 
     One forward pass per chunk gives the loss, the argmax accuracy (ties
-    resolve to the lowest class index) and, with `with_grad`, the exact
-    full-dataset gradient of the mean loss.
+    resolve to the lowest class index) and the exact full-dataset gradient
+    of the mean loss.
 
     Chunks run on the lanes: lane j computes chunk j, j + L, ...'s loss
     sum, correct count and count-weighted gradient into its own slot, and
@@ -296,9 +296,8 @@ def evaluate(
     starts = range(0, n, batch_size)
     width = min(lanes.width(min(batch_size, n) * params.layout.total), len(starts))
     loss_sums, corrects = [0.0] * width, [0] * width
-    if with_grad:
-        total_grad = np.zeros(params.layout.total)
-        work = np.empty((width, params.layout.total))  # each lane's chunk gradient, reused
+    total_grad = np.zeros(params.layout.total)
+    work = np.empty((width, params.layout.total))  # each lane's chunk gradient, reused
     total_loss = 0.0
     correct = 0
 
@@ -309,16 +308,14 @@ def evaluate(
         pick = _label_index(chunk_labels)
         loss_sums[lane] = float(-logp[pick].sum())
         corrects[lane] = int((acts[-1].argmax(axis=-1) == chunk_labels).sum())
-        if with_grad:
-            _backward(params, acts, logp, pick, work[lane])
-            work[lane] *= len(chunk_labels)
+        _backward(params, acts, logp, pick, work[lane])
+        work[lane] *= len(chunk_labels)
 
     def add(start: int, lane: int) -> None:
         nonlocal total_loss, correct, total_grad
         total_loss += loss_sums[lane]
         correct += corrects[lane]
-        if with_grad:
-            total_grad += work[lane]
+        total_grad += work[lane]
 
     lanes.on_lanes(starts, chunk, width, commit=add)
-    return total_loss / n, correct / n, total_grad / n if with_grad else None
+    return total_loss / n, correct / n, total_grad / n

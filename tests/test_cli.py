@@ -156,8 +156,12 @@ def test_run_rejects_removed_loss_split_key(tmp_path, capsys):
     {"partition": "label-skew", "classes_per_client": 0},
     {"synth_dim": 5},
     {"synth_samples_per_class": 0},
+    {"learning_rate": -0.1},
+    {"learning_rate": None, "smoothness_L": 0},
+    {"init_seed": -1},
 ], ids=["test-batch-0", "hidden-0", "hidden-negative", "classes-per-client-0",
-        "synth-dim-below-classes", "synth-samples-0"])
+        "synth-dim-below-classes", "synth-samples-0", "learning-rate-negative",
+        "smoothness-L-0", "init-seed-negative"])
 def test_run_reports_bad_config_values_without_a_traceback(tmp_path, capsys, overrides):
     path = write_config(tmp_path, **overrides)
     out = tmp_path / "out"
@@ -299,7 +303,9 @@ def test_run_dataset_idx_missing_file(tmp_path, capsys):
 def test_run_from_idx_files_end_to_end(tmp_path):
     import numpy as np
 
-    from fedprune.data import Dataset, write_idx
+    from file_formats import write_idx
+
+    from fedprune.data import Dataset
 
     rng = np.random.default_rng(0)
 

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from file_formats import write_idx
 from hypothesis import given, settings, strategies as st
 
 from fedprune.data import (
@@ -13,7 +14,6 @@ from fedprune.data import (
     partition,
     stratified_subset,
     synth_blobs,
-    write_idx,
 )
 
 IMAGES_MAGIC = 0x00000803

@@ -1,4 +1,5 @@
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from reference_impl import (
 )
 
 import fedprune.federation
-import fedprune.metrics
 import fedprune.nn
 import fedprune.pruning
 from fedprune.data import Dataset
@@ -32,7 +32,7 @@ from fedprune.federation import (
     run_round,
     sample_participants,
 )
-from fedprune.nn import LayerLayout, ParamVector, init_params, loss_and_grad
+from fedprune.nn import LayerLayout, ParamVector, evaluate, init_params, loss_and_grad
 from fedprune.pruning import (
     Mask,
     apply_mask,
@@ -317,7 +317,7 @@ def test_local_update_zero_lr_is_pruning_only():
     params = init_params(layout, 0)
     (mask,) = codename_masks("4", "WP", params)
     shard = data.train.subset(data.shards[0])
-    out = local_update(params, [mask], [shard], config, [local_rng(0, 1, 0)])
+    out, _ = local_update(params, [mask], [shard], config, [local_rng(0, 1, 0)])
     assert len(out) == 1 and out[0].shape == (layout.total,)
     assert np.array_equal(out[0], apply_mask(params, mask).values)
 
@@ -333,7 +333,7 @@ def test_local_update_single_full_batch_step_oracle():
     params = init_params(layout, 4)
     shard = data.train.subset(data.shards[0])
     mask = Mask.ones(layout.total)
-    got = local_update(params, [mask], [shard], config, [local_rng(4, 1, 0)])
+    got, _ = local_update(params, [mask], [shard], config, [local_rng(4, 1, 0)])
     # one full-batch step over the same seed-shuffled epoch order
     order = local_rng(4, 1, 0).permutation(len(shard))
     _, grad = loss_and_grad(params, shard.inputs[order], shard.labels[order])
@@ -350,7 +350,7 @@ def test_local_update_matches_reference_with_momentum_bitwise():
     (mask,) = codename_masks("2", "WP", params)
     shard = data.train.subset(data.shards[2])
     assert len(shard) % config.local_batch != 0
-    got = local_update(params, [mask], [shard], config, [local_rng(6, 1, 0)])[0]
+    (got,), _ = local_update(params, [mask], [shard], config, [local_rng(6, 1, 0)])
     want = reference_local_update(params, mask.bits, shard, config, local_rng(6, 1, 0))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert not np.array_equal(got, apply_mask(params, mask).values)
@@ -364,7 +364,7 @@ def test_local_update_preserves_masked_zeros():
     params = init_params(layout, 5)
     (mask,) = codename_masks("5", "WP", params)
     shard = data.train.subset(data.shards[3])
-    out = local_update(params, [mask], [shard], config, [local_rng(5, 1, 0)])[0]
+    (out,), _ = local_update(params, [mask], [shard], config, [local_rng(5, 1, 0)])
     off = mask.bits == 0
     assert (out[off] == 0.0).all()
     assert np.isfinite(out).all()
@@ -440,7 +440,7 @@ def test_lockstep_matches_reference_local_update_bitwise(case):
         assert len(set(lengths)) > 1
     assert max(lengths.count(n) for n in lengths) > 1  # some slots do train together
     theta = params.values.copy()
-    got = local_update(params, masks, shards, config, rngs())
+    got, _ = local_update(params, masks, shards, config, rngs())
     assert np.shape(got) == (len(masks), params.layout.total)
     for k, (mask, shard, rng) in enumerate(zip(masks, shards, rngs())):
         want = reference_local_update(params, mask.bits, shard, config, rng)
@@ -451,7 +451,7 @@ def test_lockstep_matches_reference_local_update_bitwise(case):
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
 def test_lockstep_results_independent_of_chunk_size(monkeypatch, case):
     config, params, masks, shards, rngs = lockstep_round(case)
-    want = np.stack(local_update(params, masks, shards, config, rngs()))
+    want = np.stack(local_update(params, masks, shards, config, rngs())[0])
     lengths = [len(shard) for shard in shards]
     largest_group = max(lengths.count(n) for n in lengths)
     stack_sizes = []
@@ -465,7 +465,7 @@ def test_lockstep_results_independent_of_chunk_size(monkeypatch, case):
     for g in range(1, len(masks) + 1):
         monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * params.layout.total * g)
         stack_sizes.clear()
-        got = np.stack(local_update(params, masks, shards, config, rngs()))
+        got = np.stack(local_update(params, masks, shards, config, rngs())[0])
         assert max(stack_sizes) == min(g, largest_group), f"g = {g}"
         assert sum(stack_sizes) == config.local_epochs * sum(-(-n // config.local_batch) for n in lengths)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"g = {g}"
@@ -474,7 +474,7 @@ def test_lockstep_results_independent_of_chunk_size(monkeypatch, case):
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
 def test_lockstep_keeps_masked_coordinates_at_positive_zero(case):
     config, params, masks, shards, rngs = lockstep_round(case)
-    got = local_update(params, masks, shards, config, rngs())
+    got, _ = local_update(params, masks, shards, config, rngs())
     assert any((mask.bits == 0).any() for mask in masks)
     for k, mask in enumerate(masks):
         off = mask.bits == 0
@@ -488,17 +488,17 @@ def test_lockstep_keeps_masked_coordinates_at_positive_zero(case):
 def test_local_update_is_independent_of_lanes_and_chunk_size(use_lanes, monkeypatch, case, lanes):
     config, params, masks, shards, rngs = lockstep_round(case)
     use_lanes(1)
-    want = np.stack(local_update(params, masks, shards, config, rngs()))
+    want = np.stack(local_update(params, masks, shards, config, rngs())[0])
     use_lanes(lanes)
     for g in range(1, len(masks) + 1):
         monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * params.layout.total * g)
-        got = np.stack(local_update(params, masks, shards, config, rngs()))
+        got = np.stack(local_update(params, masks, shards, config, rngs())[0])
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"g = {g}"
 
 
 def test_an_error_in_a_helper_lane_reaches_the_caller(use_lanes, monkeypatch):
     config, params, masks, shards, rngs = lockstep_round("iid-equal-shards")
-    want = np.stack(local_update(params, masks, shards, config, rngs()))
+    want = np.stack(local_update(params, masks, shards, config, rngs())[0])
     use_lanes(2)
     monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * params.layout.total)
     bad = shards[1]  # chunk 1 of one slot each: lane 1 trains it
@@ -507,7 +507,7 @@ def test_an_error_in_a_helper_lane_reaches_the_caller(use_lanes, monkeypatch):
     broken = [*shards[:1], Dataset(bad.inputs, labels, bad.num_classes + 1), *shards[2:]]
     with pytest.raises(ValueError, match="label out of range"):
         local_update(params, masks, broken, config, rngs())
-    got = np.stack(local_update(params, masks, shards, config, rngs()))
+    got = np.stack(local_update(params, masks, shards, config, rngs())[0])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -545,11 +545,11 @@ def test_round_results_independent_of_slot_execution_order():
         (mask,), _ = reference_masks(policies[k : k + 1], state.params, 1, {})
         slot_masks[k] = mask
         # each slot trains alone, so no lockstep group spans two slots
-        alone = local_update(
+        (alone,), _ = local_update(
             state.params, [mask], [data.train.subset(data.shards[participants[k]])],
             config, [local_rng(state.seed, 1, k)],
         )
-        slot_models[k] = ParamVector(alone[0], layout)
+        slot_models[k] = ParamVector(alone, layout)
     redone = aggregate(state.params, slot_models, slot_masks, coverage_counts(slot_masks))
     assert np.array_equal(redone.values, new_state.params.values)
 
@@ -564,7 +564,7 @@ def test_round_names_the_slot_and_client_of_a_non_finite_local_model(use_lanes):
     for lanes in (1, 2):
         use_lanes(lanes)
         with np.errstate(all="ignore"):
-            local = local_update(
+            local, _ = local_update(
                 state.params, masks, shards, config,
                 [local_rng(state.seed, 1, k) for k in range(len(participants))],
             )
@@ -629,20 +629,19 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
 def test_round_reads_the_test_set_once_and_backprops_only_in_local_training(
     monkeypatch, use_lanes
 ):
-    use_lanes(2)  # the per-slot accuracies run on two lanes
+    use_lanes(2)  # lockstep chunks and test-set chunks run on two lanes
     config = desk_config()
     data = build_federated_data(config)
     expected_history, expected_params = run(config, data)
 
-    global_evals, local_evals, grad_calls = [], [], []
+    evals, grad_calls = [], []
     in_local_training = []
     local_update_ = fedprune.federation.local_update
+    evaluate_ = fedprune.nn.evaluate
 
-    def recorded(calls, evaluate):
-        def wrapper(params, dataset, batch_size=128, with_grad=False):
-            calls.append((dataset, with_grad))
-            return evaluate(params, dataset, batch_size=batch_size, with_grad=with_grad)
-        return wrapper
+    def recorded_evaluate(params, dataset, *args, **kwargs):
+        evals.append(dataset)
+        return evaluate_(params, dataset, *args, **kwargs)
 
     def tracked_local_update(*args):
         in_local_training.append(True)
@@ -657,21 +656,73 @@ def test_round_reads_the_test_set_once_and_backprops_only_in_local_training(
             return loss_and_grad_(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fedprune.federation, "evaluate", recorded(global_evals, fedprune.federation.evaluate))
-    monkeypatch.setattr(fedprune.metrics, "evaluate", recorded(local_evals, fedprune.metrics.evaluate))
+    # every name a fedprune module binds to evaluate, so no per-slot pass goes uncounted
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fedprune" and getattr(module, "evaluate", None) is evaluate_:
+            monkeypatch.setattr(module, "evaluate", recorded_evaluate)
     monkeypatch.setattr(fedprune.federation, "local_update", tracked_local_update)
     monkeypatch.setattr(fedprune.federation, "loss_and_grad", counted(fedprune.federation.loss_and_grad))
     monkeypatch.setattr(fedprune.nn, "loss_and_grad", counted(fedprune.nn.loss_and_grad))
 
     history, params = run(config, data)
-    rounds, slots = config.rounds, config.slots_per_round
-    assert len(global_evals) == rounds
-    assert all(dataset is data.test and with_grad for dataset, with_grad in global_evals)
-    assert len(local_evals) == rounds * slots
-    assert all(dataset is not data.test and not with_grad for dataset, with_grad in local_evals)
+    assert len(evals) == config.rounds  # one test-set pass per round, no per-slot pass
+    assert all(dataset is data.test for dataset in evals)
     assert grad_calls and all(grad_calls)
     assert history == expected_history
     assert np.array_equal(params.values.view(np.int64), expected_params.values.view(np.int64))
+
+
+# Label-skew rounds with 23- and 24-example shards and test_batch 16, so every
+# slot's shard spans two slices of the accuracy count. The blobs overlap
+# (spread 1.5), so the slots' accuracies differ and their sum depends on its order.
+LOCAL_ACCURACY_CONFIGS = {
+    "WP": dict(family="WP", hidden_layers=(32,)),
+    "NP-hidden-24": dict(family="NP", hidden_layers=(24,)),
+}
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(LOCAL_ACCURACY_CONFIGS))
+def test_local_accuracy_equals_a_per_slot_evaluate_sum_bitwise(use_lanes, monkeypatch, case, lanes):
+    config = desk_config(
+        partition="label-skew", test_batch=16, local_epochs=2,
+        dataset=SynthSpec(10, 47, 20, 1.5, 20), **LOCAL_ACCURACY_CONFIGS[case],
+    )
+    data = build_federated_data(config)
+    layout = model_layout(config, data)
+    trained, slice_rows = [], []
+    local_update_, forward_ = fedprune.federation.local_update, fedprune.federation.forward
+
+    def recorded_local_update(params, masks, shards, *rest):
+        rows, correct = local_update_(params, masks, shards, *rest)
+        trained.append((rows, shards, correct))
+        return rows, correct
+
+    def recorded_forward(params, inputs):
+        slice_rows.append(inputs.shape[-2])
+        return forward_(params, inputs)
+
+    monkeypatch.setattr(fedprune.federation, "local_update", recorded_local_update)
+    monkeypatch.setattr(fedprune.federation, "forward", recorded_forward)
+    use_lanes(lanes)
+    n_slots = config.slots_per_round
+    for g in range(1, n_slots + 1):
+        monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * layout.total * g)
+        trained.clear()
+        slice_rows.clear()
+        history, _ = run(config, data)
+        assert max(slice_rows) == config.test_batch, f"g = {g}"  # slices, not whole shards
+        assert len(trained) == len(history) == config.rounds
+        for record, (rows, shards, correct) in zip(history, trained):
+            lengths = [len(shard) for shard in shards]
+            assert min(lengths) > config.test_batch and len(set(lengths)) > 1
+            want = 0.0  # one slot after another, in slot order
+            for k, (row, shard) in enumerate(zip(rows, shards)):
+                acc = evaluate(ParamVector(row, layout), shard, batch_size=config.test_batch)[1]
+                assert correct[k] / len(shard) == acc, f"g = {g}, round {record.round}, slot {k}"
+                want += (1.0 / n_slots) * acc
+            got = np.float64(record.local_weighted_accuracy)
+            assert got.view(np.int64) == np.float64(want).view(np.int64), f"g = {g}, round {record.round}"
 
 
 def test_pretrained_freeze_in_engine():
@@ -809,7 +860,6 @@ def test_round_metrics_are_populated():
     assert record.gamma_min == 8
     assert len(record.per_slot_delta_sq) == 10
     assert all(0.0 <= d < 1.0 for d in record.per_slot_delta_sq)
-    assert len(record.mask_sparsities) == 10
     # desk layout (20,32,10): 1002 params, WP 75% keeps 842; mix = 4 full + 6 pruned
     assert record.amortized_params == (4 * 1002 + 6 * 842) / 10
     assert 0.0 <= record.global_accuracy <= 1.0

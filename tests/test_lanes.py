@@ -186,13 +186,13 @@ def test_more_lanes_than_cores_under_fast_thread_switching_give_the_one_lane_bit
     params = ParamVector(np.random.default_rng(3).normal(0, 0.5, layout.total), layout)
     data = synth_blobs(10, 80, 20, 0.5, 3)
     use_lanes(1)
-    want = evaluate(params, data, 16, with_grad=True)
+    want = evaluate(params, data, 16)
     use_lanes(4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            got = evaluate(params, data, 16, with_grad=True)
+            got = evaluate(params, data, 16)
             assert np.float64(got[0]).view(np.int64) == np.float64(want[0]).view(np.int64)
             assert got[1] == want[1]
             assert np.array_equal(got[2].view(np.int64), want[2].view(np.int64))

@@ -208,9 +208,8 @@ def test_evaluate_rejects_out_of_range_labels(label):
     layout = LayerLayout((2, 3))
     params = ParamVector(np.zeros(layout.total), layout)
     dataset = SmallDataset(np.zeros((3, 2)), np.array([0, 1, label]))
-    for with_grad in (False, True):
-        with pytest.raises(ValueError, match="label out of range"):
-            evaluate(params, dataset, batch_size=2, with_grad=with_grad)
+    with pytest.raises(ValueError, match="label out of range"):
+        evaluate(params, dataset, batch_size=2)
 
 
 @pytest.mark.parametrize(
@@ -454,7 +453,7 @@ def test_evaluate_matches_reference_oracles_bitwise(sizes, n, batch_size):
     for seed in range(64):
         params = ParamVector(np.random.default_rng(seed).normal(0, 0.5, layout.total), layout)
         data = synth_blobs(classes, n // classes + 1, sizes[0], 0.5, seed).subset(np.arange(n))
-        loss, acc, grad = evaluate(params, data, batch_size=batch_size, with_grad=True)
+        loss, acc, grad = evaluate(params, data, batch_size=batch_size)
         want_loss, want_acc = reference_evaluate(params, data, batch_size=batch_size)
         _, want_grad = reference_dataset_loss_and_grad(
             params, data.inputs, data.labels, batch_size=batch_size
@@ -462,7 +461,6 @@ def test_evaluate_matches_reference_oracles_bitwise(sizes, n, batch_size):
         assert bit_pattern(loss) == bit_pattern(want_loss), f"seed {seed}"
         assert acc == want_acc, f"seed {seed}"
         assert np.array_equal(bit_pattern(grad), bit_pattern(want_grad)), f"seed {seed}"
-        assert evaluate(params, data, batch_size=batch_size) == (loss, acc, None)
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 3])
@@ -473,10 +471,9 @@ def test_evaluate_is_independent_of_lanes(use_lanes, lanes):
         params = ParamVector(np.random.default_rng(seed).normal(0, 0.5, layout.total), layout)
         data = synth_blobs(10, n // 10 + 1, 20, 0.5, seed).subset(np.arange(n))
         use_lanes(1)
-        want_loss, want_acc, want_grad = evaluate(params, data, batch_size, with_grad=True)
+        want_loss, want_acc, want_grad = evaluate(params, data, batch_size)
         use_lanes(lanes)
-        loss, acc, grad = evaluate(params, data, batch_size, with_grad=True)
+        loss, acc, grad = evaluate(params, data, batch_size)
         assert bit_pattern(loss) == bit_pattern(want_loss), f"seed {seed}"
         assert acc == want_acc, f"seed {seed}"
         assert np.array_equal(bit_pattern(grad), bit_pattern(want_grad)), f"seed {seed}"
-        assert evaluate(params, data, batch_size) == (loss, acc, None)
