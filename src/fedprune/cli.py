@@ -2,7 +2,8 @@
 
 Run configs are flat JSON; every key shares its name with the
 FederationConfig field it sets, and CLI flags override file values.
-Exit codes for `run`: 1 config error, 2 coverage violation, 3 I/O error.
+Exit codes for `run`: 1 config error, 2 coverage violation, 3 I/O error,
+4 training diverged (a non-finite model; the message names where).
 """
 
 from __future__ import annotations
@@ -84,18 +85,19 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         raise ValueError(f"dataset must be 'synthetic' or 'idx', got {kind!r}")
 
     seeds = raw.get("seeds")
-    if seeds is None:
-        seeds = [raw.get("seed", 0)]
+    seeds = tuple(int(s) for s in ([raw.get("seed", 0)] if seeds is None else seeds))
     if not seeds:
         raise ValueError("at least one seed is required")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must not repeat, got {list(seeds)}")
 
     fed_kwargs = {k: raw[k] for k in _FED_KEYS if k in raw}
     if "hidden_layers" in fed_kwargs:
         fed_kwargs["hidden_layers"] = tuple(fed_kwargs["hidden_layers"])
-    federation = FederationConfig(dataset=dataset, seed=int(seeds[0]), **fed_kwargs)
+    federation = FederationConfig(dataset=dataset, seed=seeds[0], **fed_kwargs)
 
     out_dir = raw.get("out_dir") or os.environ.get(OUT_DIR_ENV, "runs")
-    return RunConfig(federation, tuple(int(s) for s in seeds), Path(out_dir))
+    return RunConfig(federation, seeds, Path(out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +106,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        "rounds": args.rounds,
-        "codename": args.codename,
-        "family": args.family,
-        "learning_rate": args.learning_rate,
-        "momentum": args.momentum,
-        "local_epochs": args.local_epochs,
-        "local_batch": args.local_batch,
-        "partition": args.partition,
-        "uncovered_region_action": args.uncovered_region_action,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k in _FED_KEYS}  # flags named as keys
     if args.seeds:
         try:
             overrides["seeds"] = _int_list("--seeds", args.seeds)
@@ -132,17 +124,12 @@ def cmd_run(args) -> int:
         print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
         return 1
 
-    try:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory {config.out_dir}: {exc}", file=sys.stderr)
-        return 3
-
-    final_accuracies = []
+    final_accuracies = []  # None for a seed with no rounds: null in summary.json
     final_losses = []
     try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
         for seed in config.seeds:
-            fed = replace(config.federation, seed=int(seed))
+            fed = replace(config.federation, seed=seed)
             try:
                 data = build_federated_data(fed)
             except ValueError as exc:
@@ -156,39 +143,42 @@ def cmd_run(args) -> int:
             with open(jsonl_path, "w") as jsonl_file:
                 emit_jsonl(history, jsonl_file)
             last = history[-1] if history else None
-            acc = last.global_accuracy if last else float("nan")
-            loss = last.global_loss if last else float("nan")
+            acc, loss = (last.global_accuracy, last.global_loss) if last else (None, None)
             final_accuracies.append(acc)
             final_losses.append(loss)
-            print(f"seed {seed}: rounds={len(history)} final_acc={acc:.4f} "
-                  f"final_loss={loss:.4f} -> {csv_path}")
+            print(f"seed {seed}: rounds={len(history)} final_acc={_four(acc)} "
+                  f"final_loss={_four(loss)} -> {csv_path}")
+        ran = None not in final_accuracies  # every seed runs the same number of rounds
+        summary = {
+            "codename": config.federation.codename,
+            "family": config.federation.family,
+            "seeds": list(config.seeds),
+            "final_accuracy_per_seed": final_accuracies,
+            "final_accuracy_mean": float(np.mean(final_accuracies)) if ran else None,
+            "final_accuracy_std": float(np.std(final_accuracies)) if ran else None,
+            "final_loss_mean": float(np.mean(final_losses)) if ran else None,
+        }
+        text = json.dumps(summary, indent=2, allow_nan=False)
+        (config.out_dir / "summary.json").write_text(text + "\n")
     except CoverageError as exc:
         print(f"error: coverage violation: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 4
     except FileNotFoundError as exc:
         print(f"error: dataset file not found: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 3
-
-    summary = {
-        "codename": config.federation.codename,
-        "family": config.federation.family,
-        "seeds": list(config.seeds),
-        "final_accuracy_per_seed": final_accuracies,
-        "final_accuracy_mean": float(np.mean(final_accuracies)),
-        "final_accuracy_std": float(np.std(final_accuracies)),
-        "final_loss_mean": float(np.mean(final_losses)),
-    }
-    try:
-        (config.out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write summary: {exc}", file=sys.stderr)
-        return 3
-    print(f"summary: mean final accuracy {summary['final_accuracy_mean']:.4f} "
-          f"(std {summary['final_accuracy_std']:.4f}) over seeds {list(config.seeds)}")
+    print(f"summary: mean final accuracy {_four(summary['final_accuracy_mean'])} "
+          f"(std {_four(summary['final_accuracy_std'])}) over seeds {list(config.seeds)}")
     return 0
+
+
+def _four(x: float | None) -> str:
+    return "null" if x is None else f"{x:.4f}"
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -264,6 +254,9 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    if args.seed < 0:
+        print("error: --seed must be non-negative", file=sys.stderr)
+        return 1
     results = run_selfcheck(seed=args.seed, corrupt_gradient=args.corrupt_gradient)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

@@ -16,37 +16,44 @@ one at a time, in item order, each right after its item's work. A lane
 reuses its buffers for its next item only after its own commit, and no lane
 waits at a barrier for the slowest lane of a wave.
 
-L is fixed at import. With C the CPUs this process may run on and B the BLAS
-thread count it was started with (the first of OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS that is set, else C), L = max(1, C // B):
-lanes use the cores that BLAS leaves idle. A caller asks `width(work)` how
-many lanes its items are worth; work whose matrix products are too small to
-leave the GIL for long gets one lane, and so does work started inside a lane
-(none is today), which could otherwise wait on pool threads its caller holds.
+L is fixed at import. Importing this module sets numpy's bundled OpenBLAS
+to one thread, whatever the BLAS environment variables say, so the metrics
+bytes do not depend on them, and L is C, the CPUs this process may run on.
+Without a bundled OpenBLAS (another BLAS picks its own threads), L is 1 and
+a warning says so. A caller asks `width(work)` how many lanes its items are
+worth; work whose matrix products are too small to leave the GIL for long
+gets one lane, and so does work started inside a lane (none is today), which
+could otherwise wait on pool threads its caller holds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import ctypes
 import os
 import threading
+import warnings
+from pathlib import Path
 
-BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def lane_count(environ=os.environ, cpus: int | None = None) -> int:
-    """max(1, C // B) for C usable CPUs and B BLAS threads; 1 when B is unset."""
-    if cpus is None:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on this platform
-            cpus = os.cpu_count() or 1
-    blas = next((environ[var] for var in BLAS_ENV if var in environ), "").strip()
-    threads = int(blas) if blas.isdigit() else 0  # 0: BLAS picks its own count, C
-    return max(1, cpus // threads) if threads > 0 else 1
+import numpy as np
 
 
-LANES = lane_count()
+def _pin_blas() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread; False, with a warning, if there is none."""
+    for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        with contextlib.suppress(OSError, AttributeError):  # not loadable, or no such symbol
+            ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(1)
+            return True
+    warnings.warn("no bundled OpenBLAS to pin to one thread: running on one lane", RuntimeWarning)
+    return False
+
+
+try:
+    _CPUS = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+except AttributeError:  # no affinity call on this platform
+    _CPUS = os.cpu_count() or 1
+LANES = _CPUS if _pin_blas() else 1
 
 # Fewest multiply-adds per matrix product (rows x parameters) for which an
 # item gets more than one lane. BLAS releases the GIL only inside a product;

@@ -189,6 +189,49 @@ def test_run_rejects_neuron_pruning_layouts_before_building_data(
     assert not (out / "metrics_seed1.csv").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_run_rejects_repeated_seeds(tmp_path, capsys, source):
+    path = write_config(tmp_path, seeds=[1, 2, 1] if source == "config" else [1])
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(path), "--out", str(out)]
+    assert main(argv + (["--seeds", "1,2,1"] if source == "flag" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad config {path}: seeds must not repeat, got [1, 2, 1]\n"
+    assert not out.exists()
+
+
+def test_run_reports_divergence_without_a_traceback(tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy notes the overflow first
+        code = main([
+            "run", "--config", "configs/quickstart.json", "--rounds", "3",
+            "--learning-rate", "1e300", "--out", str(out),
+        ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged: round 1: non-finite local model ")
+    assert "slot 0 (client " in err and err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
+def test_run_with_no_rounds_writes_null_not_nan(tmp_path, capsys):
+    def no_constants(name):
+        raise AssertionError(f"summary.json holds {name}, which is not JSON")
+
+    path = write_config(tmp_path, rounds=0)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--seeds", "1,2", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=no_constants)
+    assert summary["seeds"] == [1, 2]
+    assert summary["final_accuracy_per_seed"] == [None, None]
+    assert summary["final_accuracy_mean"] is None
+    assert summary["final_accuracy_std"] is None
+    assert summary["final_loss_mean"] is None
+    assert (out / "metrics_seed1.csv").read_text().count("\n") == 1  # the header alone
+    assert "final_acc=null" in capsys.readouterr().out
+
+
 def test_run_three_seeds_three_files_plus_summary(tmp_path, capsys):
     path = write_config(tmp_path)
     out = tmp_path / "out"
@@ -339,6 +382,13 @@ def test_selfcheck_passes_clean_build(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+
+
+def test_selfcheck_rejects_a_negative_seed(capsys):
+    assert main(["selfcheck", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be non-negative\n"
+    assert captured.out == ""
 
 
 def test_selfcheck_fault_injection_only_breaks_gradient(capsys):

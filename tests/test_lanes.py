@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -10,27 +11,56 @@ import pytest
 
 import fedprune.lanes
 from fedprune.data import synth_blobs
-from fedprune.lanes import lane_count, on_lanes, width
+from fedprune.lanes import on_lanes, width
 from fedprune.nn import LayerLayout, ParamVector, evaluate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.mark.parametrize(
-    ("environ", "cpus", "lanes"),
-    [
-        ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
-        ({}, 2, 1),  # unpinned BLAS already uses every CPU
-        ({"OMP_NUM_THREADS": "2"}, 2, 1),
-        ({"MKL_NUM_THREADS": "2"}, 4, 2),
-        ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 8, 2),  # the first one set wins
-        ({"OPENBLAS_NUM_THREADS": "1"}, 1, 1),
-        ({"OPENBLAS_NUM_THREADS": "0"}, 2, 1),
-        ({"OPENBLAS_NUM_THREADS": "many"}, 2, 1),
-    ],
-)
-def test_lane_count_divides_cpus_by_blas_threads(environ, cpus, lanes):
-    assert lane_count(environ, cpus) == lanes
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_metrics_bytes_do_not_depend_on_the_blas_thread_environment(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "codename": "1111223344", "family": "WP", "num_clients": 10,
+        "participation_ratio": 1.0, "rounds": 1, "local_epochs": 1, "local_batch": 10,
+        "learning_rate": 0.1, "momentum": 0.5, "hidden_layers": [200],
+        "dataset": "synthetic", "synth_classes": 10, "synth_samples_per_class": 20,
+        "synth_dim": 784, "synth_spread": 0.3, "synth_test_samples_per_class": 30,
+        "seeds": [0],
+    }))
+    outputs = {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+        if threads is not None:
+            env.update(dict.fromkeys(BLAS_ENV, threads))
+        out = tmp_path / f"blas-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedprune.cli", "run", "--config", str(config), "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=dict(env, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = [(out / f"metrics_seed0.{ext}").read_bytes() for ext in ("csv", "jsonl")]
+    assert outputs["1"] == outputs[None] and outputs["2"] == outputs[None]
+
+
+def test_importing_lanes_sets_blas_to_one_thread_and_a_lane_per_cpu():
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    script = (
+        "import ctypes, os\n"
+        "import fedprune.lanes\n"
+        f"threads = ctypes.CDLL({str(libs[0])!r}).scipy_openblas_get_num_threads64_()\n"
+        "assert threads == 1, threads\n"
+        "assert fedprune.lanes.LANES == len(os.sched_getaffinity(0)), fedprune.lanes.LANES\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC), **dict.fromkeys(BLAS_ENV, "2")),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_width_is_one_inside_a_lane_and_for_small_work(use_lanes, monkeypatch):
