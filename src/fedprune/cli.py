@@ -3,7 +3,8 @@
 Run configs are flat JSON; every key shares its name with the
 FederationConfig field it sets, and CLI flags override file values.
 Exit codes for `run`: 1 config error, 2 coverage violation, 3 I/O error,
-4 training diverged (a non-finite model; the message names where).
+4 training diverged (a non-finite model, test-set loss or gradient; the
+message names where).
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         raise ValueError("at least one seed is required")
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"seeds must not repeat, got {list(seeds)}")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
 
     fed_kwargs = {k: raw[k] for k in _FED_KEYS if k in raw}
     if "hidden_layers" in fed_kwargs:
@@ -105,6 +108,9 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+# The engine names every non-finite value by round and phase, so numpy's own
+# overflow/invalid warnings would only repeat it; lanes inherit this state.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_run(args) -> int:
     overrides = {k: v for k, v in vars(args).items() if k in _FED_KEYS}  # flags named as keys
     if args.seeds:
@@ -219,15 +225,13 @@ def _account(args) -> int:
     if not args.codename:
         print("error: --codename is required unless --check-table is given", file=sys.stderr)
         return 1
-    policies = parse_codename(args.codename, family=args.family)
-
     full = full_account(layout)
     per_slot = []
-    for k, policy in enumerate(policies):
-        acct = account(layout, policy)
+    for k, kept in enumerate(parse_codename(args.codename)):
+        acct = account(layout, args.family, kept)
         per_slot.append(acct)
-        kept = ",".join(f"S{s}" for s in sorted(policy.kept_segments))
-        print(f"slot {k}: digit {args.codename[k]} keeps {kept:<12} "
+        segments = ",".join(f"S{s}" for s in sorted(kept))
+        print(f"slot {k}: digit {args.codename[k]} keeps {segments:<12} "
               f"params {acct.params_total:>7} flops {acct.flops_total:>7}")
     amt = amortized(per_slot, full)
     _, gamma = codename_coverage(args.codename)

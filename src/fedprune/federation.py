@@ -2,15 +2,19 @@
 
 Each round q (1-based):
   1. sample floor(c*N) participants; slot k follows codename digit k
-  2. rank the current global model once, derive each slot's mask from that
-     ranking (or reuse a frozen one), prune, and run T local epochs of
-     masked SGD; slots with equally long shards train in lockstep, as rows
-     of one (g, total) matrix. Slots with one policy share one mask, so
-     pruning noise, coverage counts and accounting run once per distinct mask
+  2. rank the current global model once and derive one mask per distinct
+     codename digit from that ranking; slot k prunes with the mask of its
+     digit, and runs T local epochs of masked SGD. Slots with equally long
+     shards train in lockstep, as rows of one (g, total) matrix. Pruning
+     noise, coverage counts and accounting run once per distinct digit
   3. set every parameter to the mean of its value over exactly the slots
      whose masks cover it
 Parameters covered by no slot keep the previous global value; that case is
 reported as gamma_min = 0 and can be escalated to an error.
+
+With `freeze_after_round` F, the masks of round F serve every later round
+(a pre-trained mask): the state carries them as `frozen_masks`, keyed by
+digit, from round F on.
 
 Lockstep chunks train on the lanes (`fedprune.lanes`): lane j trains chunks
 j, j + L, ... in place in its rows of one (S, total) matrix, then counts each
@@ -26,7 +30,6 @@ for the same reason.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,10 +46,11 @@ from .metrics import (
 )
 from .nn import LayerLayout, OptimizerState, ParamVector, evaluate, forward, init_params, loss_and_grad, masked_sgd_step
 from .pruning import (
+    DIGIT_SEGMENTS,
+    FAMILIES,
     Mask,
     apply_mask,
     codename_coverage,
-    distinct,
     parse_codename,
     pruning_noise,
     round_masks,
@@ -76,21 +80,22 @@ class CoverageError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def coverage_counts(masks: list[Mask]) -> np.ndarray:
+def coverage_counts(masks: list[Mask], holders: list[int]) -> np.ndarray:
     """Number of slots whose mask covers each parameter index.
 
-    Each distinct mask object is added once, times the number of slots that
-    hold it.
+    `masks` are distinct masks and `holders[i]` is how many slots hold
+    `masks[i]`; each mask is added once, times its holder count.
     """
     if not masks:
         raise ValueError("need at least one mask")
+    if len(holders) != len(masks):
+        raise ValueError("one holder count per mask required")
     length = len(masks[0])
     if any(len(m) != length for m in masks):
         raise ValueError("masks differ in length")
-    holders = Counter(map(id, masks))
     counts = np.zeros(length, dtype=np.int64)
-    for key, mask in distinct(masks).items():
-        counts += np.int64(holders[key]) * mask.bits
+    for mask, n in zip(masks, holders):
+        counts += np.int64(n) * mask.bits
     return counts
 
 
@@ -102,7 +107,8 @@ def aggregate(
 ) -> ParamVector:
     """Per-parameter mean over exactly the covering slots, in ascending slot order.
 
-    `counts` is `coverage_counts(masks)`. Parameters no slot covers retain
+    `masks` holds one mask per local model, and `counts` is their coverage
+    counts (`coverage_counts`). Parameters no slot covers retain
     the previous global value.
     """
     total = previous_global.layout.total
@@ -214,10 +220,14 @@ class FederationConfig:
             raise ValueError("static slot binding requires num_clients == codename length")
         if self.test_batch < 1:
             raise ValueError("test_batch must be >= 1")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        if self.freeze_after_round is not None and self.freeze_after_round < 1:
+            raise ValueError("freeze_after_round must be >= 1")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError(f"hidden layer sizes must be positive, got {list(self.hidden_layers)}")
-        parse_codename(self.codename, self.family, self.freeze_after_round)  # validates
+        parse_codename(self.codename)  # validates
         # neuron units are the neurons of one hidden layer, split into quartiles
         if self.family in ("NP", "FS") and (
             len(self.hidden_layers) != 1 or self.hidden_layers[0] < 4
@@ -250,7 +260,7 @@ class FederatedData:
 class GlobalState:
     round: int  # completed rounds
     params: ParamVector
-    frozen_masks: dict[int, Mask]
+    frozen_masks: dict[str, Mask]  # digit -> mask; empty before the freeze round
     seed: int
 
 
@@ -420,15 +430,20 @@ def run_round(
     """One full round: sample, mask, train, aggregate, measure."""
     q = state.round + 1
     layout = state.params.layout
-    policies = parse_codename(config.codename, config.family, config.freeze_after_round)
+    codename = config.codename
     participants = sample_participants(state, config)
 
-    masks, frozen = round_masks(policies, state.params, q, state.frozen_masks)
-    deltas = pruning_noise(state.params, masks)
+    # every slot freezes at round F, so from then on the state holds the masks
+    masks = state.frozen_masks or round_masks(codename, config.family, state.params)
+    freeze = config.freeze_after_round
+    frozen = masks if freeze is not None and q >= freeze else {}
+    slot_masks = [masks[d] for d in codename]
+    noise = dict(zip(masks, pruning_noise(state.params, list(masks.values()))))
+    deltas = tuple(noise[d] for d in codename)
 
     shards = [data.train.subset(data.shards[client]) for client in participants]
     rngs = [local_rng(state.seed, q, k) for k in range(len(participants))]
-    local, correct = local_update(state.params, masks, shards, config, rngs)
+    local, correct = local_update(state.params, slot_masks, shards, config, rngs)
     for k, row in enumerate(local):
         if not np.isfinite(row).all():
             raise FloatingPointError(
@@ -437,29 +452,35 @@ def run_round(
             )
     local_models = [ParamVector(row, layout) for row in local]
 
-    counts = coverage_counts(masks)
+    counts = coverage_counts(list(masks.values()), [codename.count(d) for d in masks])
     gamma_min = int(counts.min())
     if gamma_min == 0:
         message = (
             f"round {q}: some parameters are covered by no participant (gamma_min = 0): "
-            + _uncovered_detail(counts, layout, config.codename)
+            + _uncovered_detail(counts, layout, codename)
         )
         if config.uncovered_region_action == "error":
             raise CoverageError(message)
         warnings.warn(message)
 
-    new_params = aggregate(state.params, local_models, masks, counts)
+    new_params = aggregate(state.params, local_models, slot_masks, counts)
     if not np.isfinite(new_params.values).all():
         raise FloatingPointError(f"round {q}: non-finite global parameters after aggregation")
 
     # one pass over the test set gives loss, accuracy and the full-batch gradient
     loss, acc, grad = evaluate(new_params, data.test, batch_size=config.test_batch)
+    grad_norm_sq = float(grad @ grad)
+    if not (np.isfinite(loss) and np.isfinite(grad_norm_sq)):
+        raise FloatingPointError(
+            f"round {q}: non-finite test-set loss or gradient of the aggregated model "
+            f"(loss {loss}, squared gradient norm {grad_norm_sq})"
+        )
     n_slots = len(participants)
     local_acc = weighted_accuracy(
         [(1.0 / n_slots, hits, len(shard)) for hits, shard in zip(correct.tolist(), shards)]
     )
-    accounts = {key: account(layout, mask) for key, mask in distinct(masks).items()}
-    amort = amortized([accounts[id(m)] for m in masks], full_account(layout))
+    accounts = {d: account(layout, config.family, DIGIT_SEGMENTS[d]) for d in masks}
+    amort = amortized([accounts[d] for d in codename], full_account(layout))
 
     new_state = GlobalState(q, new_params, frozen, state.seed)
     record = RoundMetrics(
@@ -469,7 +490,7 @@ def run_round(
         local_weighted_accuracy=local_acc,
         gamma_min=gamma_min,
         per_slot_delta_sq=deltas,
-        grad_norm_sq_estimate=float(grad @ grad),
+        grad_norm_sq_estimate=grad_norm_sq,
         amortized_params=amort.params_mean,
         amortized_flops=amort.flops_mean,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import LayerLayout
-from .pruning import Mask, PruningPolicy, quartile_segments
+from .pruning import FAMILIES, segment_sizes
 
 CSV_HEADER = [
     "round",
@@ -109,35 +109,29 @@ def full_account(layout: LayerLayout) -> ModelAccount:
     return ModelAccount(layout.total, weights)
 
 
-def account(layout: LayerLayout, mask_or_policy) -> ModelAccount:
-    """Retained (params, flops) for a concrete mask or an analytic policy."""
+def account(layout: LayerLayout, family: str, kept_segments) -> ModelAccount:
+    """Retained (params, flops) of a model that keeps `kept_segments` of `family`'s units.
+
+    Only segment sizes matter, so the counts follow from arithmetic on the
+    layout, whatever the ranking.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     full = full_account(layout)
-    if isinstance(mask_or_policy, Mask):
-        bits = mask_or_policy.bits
-        if len(bits) != layout.total:
-            raise ValueError("mask length does not match layout")
-        params = int(bits.sum())
-        flops = sum(int(bits[sl.weights].sum()) for sl in layout.offsets)
-        return ModelAccount(params, flops)
-    if isinstance(mask_or_policy, PruningPolicy):
-        policy = mask_or_policy
-        dropped = frozenset({1, 2, 3, 4}) - policy.kept_segments
-        if policy.family == "WP":
-            # WP's units are the first layer's weights
-            segments = quartile_segments(np.arange(layout.offsets[0].weight_len))
-            cut = sum(len(segments[s - 1]) for s in dropped)
-            return ModelAccount(full.params_total - cut, full.flops_total - cut)
-        # NP/FS: whole hidden neurons go; params lose in+1+out, flops in+out each
-        if len(layout.layer_sizes) != 3:
-            raise ValueError("neuron-structured accounting needs exactly one hidden layer")
-        d_in, hidden, d_out = layout.layer_sizes
-        segments = quartile_segments(np.arange(hidden))
-        cut_neurons = sum(len(segments[s - 1]) for s in dropped)
-        return ModelAccount(
-            full.params_total - cut_neurons * (d_in + 1 + d_out),
-            full.flops_total - cut_neurons * (d_in + d_out),
-        )
-    raise TypeError(f"expected Mask or PruningPolicy, got {type(mask_or_policy)!r}")
+    if family == "WP":
+        # WP's units are the first layer's weights
+        sizes = segment_sizes(layout.offsets[0].weight_len)
+        cut = sum(n for s, n in enumerate(sizes, 1) if s not in kept_segments)
+        return ModelAccount(full.params_total - cut, full.flops_total - cut)
+    # NP/FS: whole hidden neurons go; params lose in+1+out, flops in+out each
+    if len(layout.layer_sizes) != 3:
+        raise ValueError("neuron-structured accounting needs exactly one hidden layer")
+    d_in, hidden, d_out = layout.layer_sizes
+    cut = sum(n for s, n in enumerate(segment_sizes(hidden), 1) if s not in kept_segments)
+    return ModelAccount(
+        full.params_total - cut * (d_in + 1 + d_out),
+        full.flops_total - cut * (d_in + d_out),
+    )
 
 
 def amortized(accounts: list[ModelAccount], full: ModelAccount) -> AmortizedAccount:
@@ -224,10 +218,6 @@ def theory_learning_rate(T: int, Q: int, L: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _record_row(r: RoundMetrics) -> dict:
     return {
         "round": r.round,
@@ -243,16 +233,13 @@ def _record_row(r: RoundMetrics) -> dict:
 
 
 def emit_csv(records: list[RoundMetrics], sink) -> None:
-    """Fixed-header CSV; floats at 17 significant digits (exact round-trip)."""
+    """Fixed-header CSV; ints as they are, floats at 17 significant digits (exact round-trip)."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in records:
         row = _record_row(r)
         writer.writerow(
-            [row["round"]]
-            + [_fmt(row[k]) for k in CSV_HEADER[1:4]]
-            + [row["gamma_min"]]
-            + [_fmt(row[k]) for k in CSV_HEADER[5:]]
+            v if isinstance(v, int) else format(v, ".17g") for v in (row[k] for k in CSV_HEADER)
         )
 
 

@@ -1,8 +1,8 @@
-"""Pruning-mask generation, quartile policies, codenames, and noise measurement.
+"""Pruning-mask generation, quartile segments, codenames, and noise measurement.
 
 Every family ranks units, splits the ranking into four quartile segments
-S1..S4 (S1 = strongest-ranked; `quartile_segments` decides the split) and
-keeps the segments a policy names:
+S1..S4 (S1 = strongest-ranked; `segment_sizes` decides the split) and
+keeps the segments a codename digit names:
   WP - units are the first-layer weights, ranked by magnitude
   NP - units are the hidden neurons of a one-hidden-layer MLP, ranked by the
        L1 norm of their incoming weights; pruning a neuron drops its
@@ -11,9 +11,10 @@ keeps the segments a policy names:
 Parameters that belong to no unit are kept by every mask. Masks are written
 from the layer layout: no index set over the parameters is built.
 
-Codename digits 1-7 pick the kept segments per participation slot. An
-optional freeze round turns any family into a pre-trained-mask scheme: the
-mask computed at that round is reused for all later rounds (`round_masks`).
+Codename digits 1-7 pick the kept segments per participation slot, and the
+family is one for the whole run, so a round has one mask per distinct digit:
+`round_masks` ranks the global model once and returns them keyed by digit.
+The run-level freeze round lives in the round engine.
 """
 
 from __future__ import annotations
@@ -65,38 +66,25 @@ class Mask:
         return cls(np.ones(length, dtype=np.uint8))
 
 
-@dataclass(frozen=True)
-class PruningPolicy:
-    """Mask-generation rule: family + kept quartile segments + freeze round."""
-
-    family: str
-    kept_segments: frozenset[int]
-    freeze_after_round: int | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        kept = frozenset(int(s) for s in self.kept_segments)
-        if not kept:
-            raise ValueError("kept_segments must be non-empty")
-        if not kept <= {1, 2, 3, 4}:
-            raise ValueError("kept_segments must be a subset of {1, 2, 3, 4}")
-        if self.freeze_after_round is not None and self.freeze_after_round < 1:
-            raise ValueError("freeze_after_round must be >= 1")
-        object.__setattr__(self, "kept_segments", kept)
-
-
 # ---------------------------------------------------------------------------
 # Ranking and masks
 # ---------------------------------------------------------------------------
 
 
-def quartile_segments(ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split a ranking into S1..S4; sizes differ by at most one, largest first."""
-    ranking = np.asarray(ranking)
-    if len(ranking) < 4:
+def segment_sizes(n: int) -> list[int]:
+    """Sizes of S1..S4 for n ranked units: they differ by at most one, largest first.
+
+    These are the sizes `np.array_split(ranking, 4)` gives.
+    """
+    if n < 4:
         raise ValueError("ranking must have at least 4 entries")
-    s1, s2, s3, s4 = np.array_split(ranking, 4)
+    return [n // 4 + (i < n % 4) for i in range(4)]
+
+
+def quartile_segments(ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split a ranking into S1..S4 of `segment_sizes`."""
+    ranking = np.asarray(ranking)
+    s1, s2, s3, s4 = np.split(ranking, np.cumsum(segment_sizes(len(ranking)))[:3])
     return s1, s2, s3, s4
 
 
@@ -110,7 +98,7 @@ def _ranked_segments(strength: np.ndarray) -> tuple[np.ndarray, ...]:
     lowest indices fill the places left.
     """
     n = len(strength)
-    ends = np.cumsum([len(s) for s in quartile_segments(np.arange(n))])[:3]
+    ends = np.cumsum(segment_sizes(n))[:3]
     key = -strength  # ascending key: the strongest unit first
     cuts = np.partition(key, ends - 1)[ends - 1]
     before = np.zeros(n, dtype=bool)  # units ranked before the previous boundary
@@ -150,13 +138,18 @@ def segment_index_sets(params: ParamVector, family: str) -> tuple[np.ndarray, ..
     return _ranked_segments(np.abs(w1.reshape(d_in, hidden)).sum(axis=0))
 
 
-def _unit_mask(layout: LayerLayout, family: str, keep: np.ndarray) -> Mask:
-    """Mask that prunes the units whose entry in the 0/1 vector `keep` is 0.
+def segment_mask(
+    layout: LayerLayout, family: str, units: tuple[np.ndarray, ...], kept_segments
+) -> Mask:
+    """Mask that keeps the units of the segments `kept_segments` (numbers 1-4) of `units`.
 
-    A WP unit is one W1 entry. An NP/FS unit is hidden neuron j: column j of
-    W1 (in, h), entry j of b1 and row j of W2 (h, out). Every other
-    parameter is kept.
+    `units` is S1..S4 as `segment_index_sets` gives them. A WP unit is one W1
+    entry. An NP/FS unit is hidden neuron j: column j of W1 (in, h), entry j
+    of b1 and row j of W2 (h, out). Every other parameter is kept.
     """
+    keep = np.zeros(sum(map(len, units)), dtype=np.uint8)
+    for s in kept_segments:
+        keep[units[s - 1]] = 1
     bits = np.ones(layout.total, dtype=np.uint8)
     if family == "WP":
         bits[layout.offsets[0].weights] = keep
@@ -168,54 +161,17 @@ def _unit_mask(layout: LayerLayout, family: str, keep: np.ndarray) -> Mask:
     return Mask(bits)
 
 
-def round_masks(
-    policies: tuple[PruningPolicy, ...],
-    params: ParamVector,
-    round_no: int,
-    frozen: dict[int, Mask],
-) -> tuple[list[Mask], dict[int, Mask]]:
-    """Every slot's mask for one round, and the frozen masks after it.
+def round_masks(codename: str, family: str, params: ParamVector) -> dict[str, Mask]:
+    """One mask per distinct codename digit, keyed by digit, in first-use order.
 
-    `frozen` maps slot -> mask and is left as it is. A slot whose policy
-    freezes after round F reuses its frozen mask in every round after F; in
-    round F, or the first later round in which it has none, its fresh mask is
-    recorded. All other masks come from the live parameters: all slots prune
-    the same global model, so the ranking runs at most once per family and
-    not at all when every slot reuses its frozen mask, and slots that keep
-    the same segments of the same family get the same `Mask` object.
+    All slots prune the same global model under one family, so the ranking
+    runs once and slot k's mask is `masks[codename[k]]`.
     """
-    frozen = dict(frozen)
-    segments: dict[str, tuple[np.ndarray, ...]] = {}
-    fresh: dict[tuple[str, frozenset[int]], Mask] = {}
-    masks = []
-    for k, policy in enumerate(policies):
-        freeze = policy.freeze_after_round
-        if freeze is not None and round_no > freeze and k in frozen:
-            masks.append(frozen[k])
-            continue
-        key = (policy.family, policy.kept_segments)
-        if key not in fresh:
-            if policy.family not in segments:
-                segments[policy.family] = segment_index_sets(params, policy.family)
-            units = segments[policy.family]
-            keep = np.zeros(sum(map(len, units)), dtype=np.uint8)
-            for s in policy.kept_segments:
-                keep[units[s - 1]] = 1
-            fresh[key] = _unit_mask(params.layout, policy.family, keep)
-        mask = fresh[key]
-        if freeze is not None and round_no >= freeze:
-            frozen.setdefault(k, mask)
-        masks.append(mask)
-    return masks, frozen
-
-
-def distinct(masks: list[Mask]) -> dict[int, Mask]:
-    """The distinct mask objects among `masks`, keyed by `id`, in first-use order.
-
-    `round_masks` hands one object to all slots of one policy, so per-mask
-    work done once per distinct object serves every slot that shares it.
-    """
-    return {id(mask): mask for mask in masks}
+    units = segment_index_sets(params, family)
+    return {
+        d: segment_mask(params.layout, family, units, DIGIT_SEGMENTS[d])
+        for d in dict.fromkeys(codename)
+    }
 
 
 def apply_mask(params: ParamVector, mask: Mask, out: np.ndarray | None = None) -> ParamVector:
@@ -238,8 +194,8 @@ def apply_mask(params: ParamVector, mask: Mask, out: np.ndarray | None = None) -
 def pruning_noise(params: ParamVector, masks: list[Mask]) -> tuple[float, ...]:
     """Relative energy each mask discards: ||t - t*m||^2 / ||t||^2, in [0, 1].
 
-    ||t||^2 is computed once for all masks, and each distinct mask object's
-    share once for all slots that hold it.
+    ||t||^2 is computed once for all masks; the round engine passes each
+    distinct mask once.
     """
     if any(len(mask) != params.layout.total for mask in masks):
         raise ValueError("mask length does not match parameter vector")
@@ -247,11 +203,8 @@ def pruning_noise(params: ParamVector, masks: list[Mask]) -> tuple[float, ...]:
     if total == 0.0:
         warnings.warn("pruning_noise of a zero-norm parameter vector is defined as 0")
         return tuple(0.0 for _ in masks)
-    noise = {}
-    for key, mask in distinct(masks).items():
-        dropped = params.values[mask.bits == 0]
-        noise[key] = float(dropped @ dropped) / total
-    return tuple(noise[id(mask)] for mask in masks)
+    dropped = (params.values[mask.bits == 0] for mask in masks)
+    return tuple(float(d @ d) / total for d in dropped)
 
 
 def codename_coverage(codename: str) -> tuple[dict[int, int], int]:
@@ -261,23 +214,17 @@ def codename_coverage(codename: str) -> tuple[dict[int, int], int]:
     over S1..S4 is the minimum coverage index of the whole model.
     """
     counts = {s: 0 for s in (1, 2, 3, 4)}
-    for policy in parse_codename(codename):
-        for s in policy.kept_segments:
+    for kept in parse_codename(codename):
+        for s in kept:
             counts[s] += 1
     return counts, min(counts.values())
 
 
-def parse_codename(
-    codename: str, family: str = "WP", freeze_after_round: int | None = None
-) -> tuple[PruningPolicy, ...]:
-    """Digit string -> one pruning policy per participation slot.
-
-    The digit fixes the kept quartile segments; family and freeze schedule
-    come from the run configuration.
-    """
+def parse_codename(codename: str) -> tuple[frozenset[int], ...]:
+    """Digit string -> the quartile segments each participation slot keeps."""
     if not codename:
         raise ValueError("codename must be non-empty")
     bad = sorted(set(codename) - set(DIGIT_SEGMENTS))
     if bad:
         raise ValueError(f"codename may only contain digits 1-7, got {bad}")
-    return tuple(PruningPolicy(family, DIGIT_SEGMENTS[d], freeze_after_round) for d in codename)
+    return tuple(DIGIT_SEGMENTS[d] for d in codename)

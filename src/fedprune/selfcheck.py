@@ -74,7 +74,7 @@ def coverage_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
     """coverage_counts vs a per-index count of covering slots."""
     for _ in range(runs):
         n_params, n_slots, bits = _random_instance(rng)
-        counts = coverage_counts([Mask(bits[s]) for s in range(n_slots)])
+        counts = coverage_counts([Mask(bits[s]) for s in range(n_slots)], [1] * n_slots)
         for i in range(n_params):
             expected = sum(1 for s in range(n_slots) if bits[s, i] == 1)
             if counts[i] != expected:
@@ -96,7 +96,7 @@ def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
             ParamVector(prev, layout),
             [ParamVector(v, layout) for v in locals_],
             masks,
-            coverage_counts(masks),
+            coverage_counts(masks, [1] * n_slots),
         ).values
         want = brute_force_aggregate(prev, locals_, bits)
         if not np.array_equal(got, want):

@@ -83,7 +83,7 @@ TABLE_ROWS: tuple[TableRow, ...] = (
 def computed_row(family: str, codename: str,
                  layout: LayerLayout = MNIST_LAYOUT) -> tuple[AmortizedAccount, int]:
     """Amortized cost and minimum coverage index for a codename under a family."""
-    per_slot = [account(layout, policy) for policy in parse_codename(codename, family=family)]
+    per_slot = [account(layout, family, kept) for kept in parse_codename(codename)]
     amt = amortized(per_slot, full_account(layout))
     _, gamma_min = codename_coverage(codename)
     return amt, gamma_min

@@ -4,7 +4,7 @@ import numpy as np
 
 from fedprune.federation import local_rng, model_layout, sample_rng
 from fedprune.nn import ParamVector, init_params, loss_and_grad
-from fedprune.pruning import Mask
+from fedprune.pruning import DIGIT_SEGMENTS, Mask
 
 
 def reference_fedavg_rounds(config, data, rounds):
@@ -158,23 +158,23 @@ def reference_segments(params, family):
     return segments, np.concatenate(blocks)
 
 
-def reference_masks(policies, params, round_no, frozen):
+def reference_masks(codename, family, freeze, params, round_no, frozen):
     """One slot at a time: (masks, frozen masks after the round) from flat index sets.
 
-    A slot reuses its frozen mask after its freeze round F and records its
-    fresh mask from round F on if it has none.
+    Slot k keeps the segments of digit `codename[k]` under `family`; `frozen`
+    maps slot -> mask. A slot reuses its frozen mask after the freeze round F
+    and records its fresh mask from round F on if it has none.
     """
     frozen = dict(frozen)
     masks = []
-    for k, policy in enumerate(policies):
-        freeze = policy.freeze_after_round
+    for k, digit in enumerate(codename):
         if k in frozen and freeze is not None and round_no > freeze:
             masks.append(frozen[k])
             continue
-        segments, maskable = reference_segments(params, policy.family)
+        segments, maskable = reference_segments(params, family)
         bits = np.ones(params.layout.total, dtype=np.uint8)
         bits[maskable] = 0
-        for s in policy.kept_segments:
+        for s in DIGIT_SEGMENTS[digit]:
             bits[segments[s - 1]] = 1
         mask = Mask(bits)
         if freeze is not None and round_no >= freeze and k not in frozen:

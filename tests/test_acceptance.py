@@ -36,12 +36,12 @@ from fedprune.federation import (
 from fedprune.metrics import TheoryConstants, theorem1_rhs, theorem2_rhs
 from fedprune.nn import LayerLayout, ParamVector, init_params, loss_and_grad
 from fedprune.pruning import (
-    DIGIT_SEGMENTS,
     Mask,
-    PruningPolicy,
     codename_coverage,
     pruning_noise,
     round_masks,
+    segment_index_sets,
+    segment_mask,
 )
 from fedprune.selfcheck import brute_force_aggregate
 from fedprune.tables import MNIST_LAYOUT, TABLE_ROWS, check_tables
@@ -136,7 +136,7 @@ def test_criterion_3_region_and_aggregation_oracles():
             n_slots = int(rng.integers(1, 7))
             bits = rng.integers(0, 2, (n_slots, n_params), dtype=np.uint8)
             masks = [Mask(bits[s]) for s in range(n_slots)]
-            counts = coverage_counts(masks)
+            counts = coverage_counts(masks, [1] * n_slots)
 
             expected_signatures = brute_force_signatures(bits)
             assert len(counts) == n_params
@@ -326,7 +326,7 @@ def test_criterion_7_pruning_noise_properties():
             family = ("WP", "NP", "FS")[int(rng.integers(3))]
             digit = str(rng.integers(1, 8))
             params = ParamVector(rng.normal(0, 1, layout.total), layout)
-            (mask,), _ = round_masks((PruningPolicy(family, DIGIT_SEGMENTS[digit]),), params, 1, {})
+            mask = round_masks(digit, family, params)[digit]
             noise = pruning_noise(params, [mask])[0]
             assert 0.0 <= noise < 1.0
 
@@ -338,7 +338,7 @@ def test_criterion_7_pruning_noise_properties():
             (frozenset({1, 2}), 8),
             (frozenset({1, 2, 3}), 12),
         ):
-            (wp_mask,), _ = round_masks((PruningPolicy("WP", kept_segments),), params, 1, {})
+            wp_mask = segment_mask(wp_layout, "WP", segment_index_sets(params, "WP"), kept_segments)
             wp_noise = pruning_noise(params, [wp_mask])[0]
             for keep in itertools.combinations(range(16), kept_count):
                 bits = np.ones(wp_layout.total, dtype=np.uint8)
@@ -353,12 +353,10 @@ def test_criterion_7_pruning_noise_properties():
             chosen = rng.choice(4, size=int(rng.integers(2, 5)), replace=False) + 1
             larger = frozenset(int(s) for s in chosen)
             smaller = frozenset(int(s) for s in sorted(chosen)[:-1]) or frozenset({int(chosen[0])})
-            noise_larger = pruning_noise(
-                params, round_masks((PruningPolicy(family, larger),), params, 1, {})[0]
-            )[0]
-            noise_smaller = pruning_noise(
-                params, round_masks((PruningPolicy(family, smaller),), params, 1, {})[0]
-            )[0]
+            units = segment_index_sets(params, family)
+            noise_larger, noise_smaller = pruning_noise(
+                params, [segment_mask(layout, family, units, kept) for kept in (larger, smaller)]
+            )
             assert noise_larger <= noise_smaller + 1e-15
 
 

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 import fedprune.cli
 from fedprune.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 QUICK_CONFIG = {
     "codename": "1111223344",
@@ -198,6 +204,46 @@ def test_run_rejects_repeated_seeds(tmp_path, capsys, source):
     captured = capsys.readouterr()
     assert captured.err == f"error: bad config {path}: seeds must not repeat, got [1, 2, 1]\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_run_rejects_negative_seeds_naming_them(tmp_path, capsys, source):
+    path = write_config(tmp_path, seeds=[2, -1] if source == "config" else [1])
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(path), "--out", str(out)]
+    assert main(argv + (["--seeds", "2,-1"] if source == "flag" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad config {path}: seeds must be non-negative, got [2, -1]\n"
+    assert not out.exists()
+
+
+def test_run_reports_a_non_finite_test_set_loss_as_divergence(tmp_path, capsys):
+    # the aggregated model stays finite, but its test-set loss overflows to nan in round 3
+    out = tmp_path / "out"
+    code = main([
+        "run", "--config", "configs/quickstart.json", "--seeds", "0", "--rounds", "3",
+        "--learning-rate", "1500", "--out", str(out),
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: training diverged: round 3: non-finite test-set loss or gradient "
+        "of the aggregated model (loss nan, "
+    )
+    assert err.count("\n") == 1
+    assert not (out / "summary.json").exists()
+
+
+def test_run_divergence_prints_one_line_and_no_numpy_warnings(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedprune.cli", "run", "--config", "configs/quickstart.json",
+         "--seeds", "0", "--rounds", "3", "--learning-rate", "1e300", "--out", str(tmp_path)],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: training diverged: round 1: non-finite local model ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_run_reports_divergence_without_a_traceback(tmp_path, capsys):

@@ -36,7 +36,6 @@ from fedprune.nn import LayerLayout, ParamVector, evaluate, init_params, loss_an
 from fedprune.pruning import (
     Mask,
     apply_mask,
-    parse_codename,
     pruning_noise,
     round_masks,
 )
@@ -52,9 +51,14 @@ def masks_from(rows):
 
 
 def codename_masks(codename, family, params):
-    """Round-1 masks of a codename's slots, nothing frozen."""
-    masks, _ = round_masks(parse_codename(codename, family), params, 1, {})
-    return masks
+    """The masks of a codename's slots, ranked from `params`: slot k's is its digit's."""
+    masks = round_masks(codename, family, params)
+    return [masks[d] for d in codename]
+
+
+def slot_counts(masks):
+    """Coverage counts of one mask per slot."""
+    return coverage_counts(masks, [1] * len(masks))
 
 
 def desk_config(**overrides):
@@ -82,32 +86,40 @@ def desk_config(**overrides):
 
 
 def test_decompose_two_mask_example():
-    counts = coverage_counts(masks_from([[1, 1, 0, 0], [1, 0, 1, 0]]))
+    counts = slot_counts(masks_from([[1, 1, 0, 0], [1, 0, 1, 0]]))
     assert counts.tolist() == [2, 1, 1, 0]
 
 
 def test_decompose_all_ones_single_region():
-    assert coverage_counts(masks_from([[1, 1, 1]] * 4)).tolist() == [4, 4, 4]
+    assert slot_counts(masks_from([[1, 1, 1]] * 4)).tolist() == [4, 4, 4]
 
 
 def test_decompose_rejects_mixed_lengths():
     with pytest.raises(ValueError):
-        coverage_counts(masks_from([[1, 0], [1, 0, 1]]))
+        slot_counts(masks_from([[1, 0], [1, 0, 1]]))
+
+
+def test_coverage_counts_adds_each_mask_times_its_holders():
+    masks = masks_from([[1, 1, 0, 0], [1, 0, 1, 0]])
+    assert coverage_counts(masks, [3, 1]).tolist() == [4, 3, 1, 0]
+    assert coverage_counts(masks, [3, 1]).tolist() == slot_counts(masks[:1] * 3 + masks[1:]).tolist()
+    with pytest.raises(ValueError):
+        coverage_counts(masks, [1])
 
 
 def test_coverage_report_values():
-    counts = coverage_counts(masks_from([[1, 1, 0, 0], [1, 0, 1, 0]]))
+    counts = slot_counts(masks_from([[1, 1, 0, 0], [1, 0, 1, 0]]))
     assert counts.min() == 0
     assert sorted(counts.tolist()) == [0, 1, 1, 2]
 
-    assert coverage_counts(masks_from([[1, 1]] * 10)).min() == 10
+    assert slot_counts(masks_from([[1, 1]] * 10)).min() == 10
 
 
 def test_codename_masks_reach_reference_gamma():
     layout = LayerLayout((8, 8, 4))
     params = init_params(layout, 0)
     for codename, expected in (("1111223344", 8), ("1111556677", 6), ("1111111111", 10)):
-        assert coverage_counts(codename_masks(codename, "WP", params)).min() == expected
+        assert slot_counts(codename_masks(codename, "WP", params)).min() == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -117,7 +129,7 @@ def test_decompose_matches_brute_force(seed):
     n_params = int(rng.integers(2, 65))
     n_slots = int(rng.integers(1, 7))
     bits = rng.integers(0, 2, (n_slots, n_params), dtype=np.uint8)
-    counts = coverage_counts(masks_from(bits))
+    counts = slot_counts(masks_from(bits))
     signatures = brute_force_signatures(bits)
     assert len(counts) == n_params
     for i in range(n_params):
@@ -137,7 +149,7 @@ def test_aggregate_worked_example():
         ParamVector(np.array([3.0, 0.0, 4.0]), layout),
     ]
     masks = masks_from([[1, 1, 0], [1, 0, 1]])
-    out = aggregate(prev, locals_, masks, coverage_counts(masks))
+    out = aggregate(prev, locals_, masks, slot_counts(masks))
     assert out.values.tolist() == [2.0, 2.0, 4.0]
 
 
@@ -147,7 +159,7 @@ def test_aggregate_all_ones_is_fedavg_mean():
     prev = ParamVector(rng.normal(size=6), layout)
     locals_ = [ParamVector(rng.normal(size=6), layout) for _ in range(4)]
     masks = [Mask.ones(6) for _ in range(4)]
-    out = aggregate(prev, locals_, masks, coverage_counts(masks))
+    out = aggregate(prev, locals_, masks, slot_counts(masks))
     manual = np.zeros(6)
     for lv in locals_:
         manual += lv.values
@@ -161,7 +173,7 @@ def test_aggregate_single_client_retains_uncovered():
     masks = masks_from([[1, 0, 1, 0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # 0/0 at uncovered indices must stay silent
-        out = aggregate(prev, locals_, masks, coverage_counts(masks))
+        out = aggregate(prev, locals_, masks, slot_counts(masks))
     assert out.values.tolist() == [1.0, 6.0, 3.0, 8.0]
 
 
@@ -188,7 +200,7 @@ def test_aggregate_rejects_model_mask_count_mismatch():
     locals_ = [ParamVector(np.ones(3), layout)]
     masks = masks_from([[1, 1, 0], [1, 0, 1]])
     with pytest.raises(ValueError):
-        aggregate(prev, locals_, masks, coverage_counts(masks))
+        aggregate(prev, locals_, masks, slot_counts(masks))
 
 
 @settings(max_examples=80, deadline=None)
@@ -206,7 +218,7 @@ def test_aggregate_matches_brute_force(seed):
         ParamVector(prev, layout),
         [ParamVector(v, layout) for v in local_values],
         masks,
-        coverage_counts(masks),
+        slot_counts(masks),
     ).values
     want = prev.copy()
     for i in range(n_params):
@@ -244,7 +256,7 @@ def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codena
             ParamVector(prev, layout),
             [ParamVector(v, layout) for v in local_values],
             masks,
-            coverage_counts(masks),
+            slot_counts(masks),
         ).values
         want = brute_force_aggregate(prev, local_values, bits)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), pruned
@@ -282,6 +294,15 @@ def test_sampling_is_deterministic_and_distinct():
 def test_config_rejects_codename_length_mismatch():
     with pytest.raises(ValueError):
         desk_config(codename="111")
+
+
+def test_config_rejects_bad_family_and_freeze_round():
+    with pytest.raises(ValueError, match="unknown family 'XP'"):
+        desk_config(family="XP")
+    for freeze in (0, -1):
+        with pytest.raises(ValueError, match="freeze_after_round must be >= 1"):
+            desk_config(freeze_after_round=freeze)
+    desk_config(freeze_after_round=1)
 
 
 def test_config_rejects_bad_ratio():
@@ -536,13 +557,12 @@ def test_round_results_independent_of_slot_execution_order():
     new_state, _ = run_round(state, config, data)
 
     # recompute local models in reverse slot order, then aggregate by slot
-    policies = parse_codename(config.codename, config.family)
     participants = sample_participants(state, config)
     slot_masks = [None] * len(participants)
     slot_models = [None] * len(participants)
     for k in reversed(range(len(participants))):
         # the slot's mask on its own, straight from the index-set oracle
-        (mask,), _ = reference_masks(policies[k : k + 1], state.params, 1, {})
+        (mask,), _ = reference_masks(config.codename[k], config.family, None, state.params, 1, {})
         slot_masks[k] = mask
         # each slot trains alone, so no lockstep group spans two slots
         (alone,), _ = local_update(
@@ -550,7 +570,7 @@ def test_round_results_independent_of_slot_execution_order():
             config, [local_rng(state.seed, 1, k)],
         )
         slot_models[k] = ParamVector(alone, layout)
-    redone = aggregate(state.params, slot_models, slot_masks, coverage_counts(slot_masks))
+    redone = aggregate(state.params, slot_models, slot_masks, slot_counts(slot_masks))
     assert np.array_equal(redone.values, new_state.params.values)
 
 
@@ -590,7 +610,6 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
     config = desk_config(family=family, codename=codename, freeze_after_round=freeze)
     data = build_federated_data(config)
     layout = model_layout(config, data)
-    policies = parse_codename(codename, family, freeze)
 
     rank_calls, used, training_calls = [], [], []
     segment_index_sets = fedprune.pruning.segment_index_sets
@@ -609,6 +628,7 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
     monkeypatch.setattr(fedprune.federation, "local_update", recorded_local_update)
 
     state = init_state(config, layout)
+    frozen = {}  # the oracle's, slot -> mask
     for q in range(1, 5):
         theta = state.params.values.copy()
         rank_calls.clear()
@@ -618,11 +638,14 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
         assert len(training_calls) == 1 and training_calls[0] is state.params, f"round {q}"
         assert len(rank_calls) == (0 if freeze is not None and q > freeze else 1), f"round {q}"
         assert np.array_equal(state.params.values.view(np.int64), theta.view(np.int64))
-        want, frozen = reference_masks(policies, state.params, q, state.frozen_masks)
+        want, frozen = reference_masks(codename, family, freeze, state.params, q, frozen)
         assert len(used) == len(want)
         for k, mask in enumerate(want):
             assert np.array_equal(used[k].bits, mask.bits), f"round {q}, slot {k}"
-        assert sorted(new_state.frozen_masks) == sorted(frozen), f"round {q}"
+        got_frozen = new_state.frozen_masks
+        assert len(frozen) == (len(codename) if got_frozen else 0), f"round {q}"
+        for k, mask in frozen.items():
+            assert np.array_equal(got_frozen[codename[k]].bits, mask.bits), f"round {q}, slot {k}"
         state = new_state
 
 
@@ -736,26 +759,25 @@ def test_pretrained_freeze_in_engine():
         state, record = run_round(state, config, data)
         states.append(state)
         metrics.append(record)
-    assert not states[1].frozen_masks and len(states[2].frozen_masks) == 10
+    assert not states[1].frozen_masks and list(states[2].frozen_masks) == ["1", "2", "3", "4"]
 
     # rounds 3 and 4 must reuse the round-2 masks even though theta moved
     for q in (3, 4):
         theta_before = states[q - 1].params
         adaptive_masks = codename_masks(config.codename, config.family, theta_before)  # no freeze
         for k, adaptive in enumerate(adaptive_masks):
-            frozen = states[q - 1].frozen_masks[k]
+            frozen = states[q - 1].frozen_masks[config.codename[k]]
             expected = pruning_noise(theta_before, [frozen])[0]
             assert metrics[q - 1].per_slot_delta_sq[k] == pytest.approx(expected, abs=1e-15)
             if not np.array_equal(adaptive.bits, frozen.bits):
                 assert metrics[q - 1].per_slot_delta_sq[k] != pytest.approx(
                     pruning_noise(theta_before, [adaptive])[0], abs=1e-18
                 )
-    policies = parse_codename(config.codename, config.family)
-    adaptive_masks = codename_masks(config.codename, config.family, states[3].params)
+    adaptive_masks = round_masks(config.codename, config.family, states[3].params)
     assert any(
-        not np.array_equal(adaptive.bits, states[3].frozen_masks[k].bits)
-        for k, adaptive in enumerate(adaptive_masks)
-        if policies[k].kept_segments != frozenset({1, 2, 3, 4})
+        not np.array_equal(adaptive.bits, states[3].frozen_masks[d].bits)
+        for d, adaptive in adaptive_masks.items()
+        if d != "1"
     )
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fedprune.data import synth_blobs
 from fedprune.metrics import (
     CSV_HEADER,
+    ModelAccount,
     RoundMetrics,
     TheoryConstants,
     account,
@@ -22,7 +23,7 @@ from fedprune.metrics import (
     weighted_accuracy,
 )
 from fedprune.nn import LayerLayout, ParamVector, evaluate, forward, init_params
-from fedprune.pruning import DIGIT_SEGMENTS, PruningPolicy, parse_codename, round_masks
+from fedprune.pruning import DIGIT_SEGMENTS, parse_codename, round_masks
 
 MNIST_LAYOUT = LayerLayout((784, 200, 10))
 
@@ -57,7 +58,7 @@ def test_full_mlp_account():
     ],
 )
 def test_policy_account_values(family, kept, expected):
-    acct = account(MNIST_LAYOUT, PruningPolicy(family, frozenset(kept)))
+    acct = account(MNIST_LAYOUT, family, frozenset(kept))
     assert (acct.params_total, acct.flops_total) == expected
 
 
@@ -65,18 +66,19 @@ def test_policy_account_values(family, kept, expected):
 @pytest.mark.parametrize("digit", list("1234567"))
 def test_mask_and_policy_accounts_agree(family, digit):
     # dual route: analytic counting vs popcounts of a real generated mask
-    policy = PruningPolicy(family, DIGIT_SEGMENTS[digit])
     params = init_params(MNIST_LAYOUT, 3)
-    (mask,), _ = round_masks((policy,), params, 1, {})
-    assert account(MNIST_LAYOUT, mask) == account(MNIST_LAYOUT, policy)
+    bits = round_masks(digit, family, params)[digit].bits
+    popcounts = ModelAccount(
+        int(bits.sum()), sum(int(bits[sl.weights].sum()) for sl in MNIST_LAYOUT.offsets)
+    )
+    assert account(MNIST_LAYOUT, family, DIGIT_SEGMENTS[digit]) == popcounts
 
 
 def test_amortized_matches_reference_grid():
     full = full_account(MNIST_LAYOUT)
 
     def amortize(codename, family):
-        policies = parse_codename(codename, family=family)
-        return amortized([account(MNIST_LAYOUT, p) for p in policies], full)
+        return amortized([account(MNIST_LAYOUT, family, kept) for kept in parse_codename(codename)], full)
 
     all_full = amortize("1111111111", "WP")
     assert (all_full.params_mean, all_full.params_ratio) == (159010, 1.00)
@@ -298,6 +300,16 @@ def test_emit_one_record_two_lines():
     sink = io.StringIO()
     emit_csv([record(1)], sink)
     assert len(sink.getvalue().strip().splitlines()) == 2
+
+
+def test_emit_csv_formats_by_value_type():
+    # ints as they are, floats at 17 significant digits, whatever the column
+    rec = RoundMetrics(3, 0.1, 0.5, 0.25, 8, (0.1, 0.2), 2.0, 135490.0, 1e-300)
+    sink = io.StringIO()
+    emit_csv([rec], sink)
+    assert sink.getvalue().splitlines()[1] == (
+        "3,0.10000000000000001,0.5,0.25,8,0.15000000000000002,2,135490,1e-300"
+    )
 
 
 def test_emit_round_trip_is_exact():

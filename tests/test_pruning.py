@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference_impl import reference_masks, reference_segments
 
-from fedprune.federation import coverage_counts
-from fedprune.metrics import account
+from fedprune.federation import (
+    FederationConfig,
+    SynthSpec,
+    build_federated_data,
+    coverage_counts,
+    init_state,
+    model_layout,
+    run_round,
+)
 from fedprune.nn import LayerLayout, ParamVector, init_params
 from fedprune.pruning import (
     DIGIT_SEGMENTS,
     FAMILIES,
     Mask,
-    PruningPolicy,
     apply_mask,
     codename_coverage,
     parse_codename,
@@ -20,6 +26,7 @@ from fedprune.pruning import (
     quartile_segments,
     round_masks,
     segment_index_sets,
+    segment_mask,
 )
 
 MNIST_LAYOUT = LayerLayout((784, 200, 10))
@@ -31,9 +38,8 @@ def flat_params(values):
 
 
 def one_mask(family, kept, params):
-    """The round-1 mask of a single slot that keeps the segments `kept`."""
-    masks, _ = round_masks((PruningPolicy(family, frozenset(kept)),), params, 1, {})
-    return masks[0]
+    """The mask that keeps the segments `kept` of the ranking of `params`."""
+    return segment_mask(params.layout, family, segment_index_sets(params, family), kept)
 
 
 def ranking(params, family):
@@ -174,30 +180,23 @@ def test_mask_keeps_non_maskable_indices():
 
 
 def test_pretrained_freeze_reuses_round3_mask():
-    layout = LayerLayout((6, 8, 3))
-    policies = (PruningPolicy("WP", frozenset({1, 2}), freeze_after_round=3),)
-    rng = np.random.default_rng(9)
-    params = init_params(layout, 2)
-    frozen = {}
+    config = FederationConfig(
+        "15", dataset=SynthSpec(3, 8, 6, 0.3, 4), num_clients=2, participation_ratio=1.0,
+        rounds=0, local_epochs=3, learning_rate=0.5, hidden_layers=(8,), freeze_after_round=3,
+    )
+    data = build_federated_data(config)
+    state = init_state(config, model_layout(config, data))
     history = []
     for round_no in range(1, 8):
-        (mask,), frozen = round_masks(policies, params, round_no, frozen)
-        assert (0 in frozen) == (round_no >= 3)
-        history.append(mask)
-        params = ParamVector(rng.normal(0, 1, layout.total), layout)  # drift
-    for later in history[3:]:
-        assert np.array_equal(later.bits, history[2].bits)
-    assert frozen[0] is history[2]
-
-
-def test_round_masks_leaves_the_given_frozen_masks_alone():
-    layout = LayerLayout((6, 8, 3))
-    params = init_params(layout, 2)
-    policies = parse_codename("15", "NP", freeze_after_round=1)
-    given_frozen = {0: Mask.ones(layout.total)}
-    masks, frozen = round_masks(policies, params, 2, given_frozen)
-    assert given_frozen == {0: masks[0]} and sorted(frozen) == [0, 1]
-    assert frozen[1] is masks[1] and not masks[1].bits.all()
+        adaptive = round_masks(config.codename, config.family, state.params)
+        state, _ = run_round(state, config, data)
+        assert bool(state.frozen_masks) == (round_no >= 3)
+        history.append(state.frozen_masks)
+    frozen = history[2]
+    assert list(frozen) == ["1", "5"]
+    assert all(later is frozen for later in history[3:])
+    # the model drifted: masks ranked afresh would differ from the frozen ones
+    assert not np.array_equal(adaptive["5"].bits, frozen["5"].bits)
 
 
 def test_adaptive_mask_tracks_parameters():
@@ -223,18 +222,22 @@ def test_round_masks_match_the_index_set_oracle(seed, family, two_hidden, freeze
     hidden = rng.integers(4, 13, size=2 if two_hidden and family == "WP" else 1)
     layout = LayerLayout((int(rng.integers(1, 9)), *map(int, hidden), int(rng.integers(1, 6))))
     digits = list("1234567") + list(rng.choice(list("1234567"), size=int(rng.integers(0, 4))))
-    policies = parse_codename("".join(rng.permutation(digits)), family, freeze)
+    codename = "".join(rng.permutation(digits))
     frozen_got, frozen_want = {}, {}
     for round_no in range(first_round, first_round + 4):
         values = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=layout.total)
         params = ParamVector(values, layout)
-        got, frozen_got = round_masks(policies, params, round_no, frozen_got)
-        want, frozen_want = reference_masks(policies, params, round_no, frozen_want)
-        assert len(got) == len(want) == len(policies)
+        # the freeze rule of run_round: the masks in use from round F on are kept
+        masks = frozen_got or round_masks(codename, family, params)
+        frozen_got = masks if freeze is not None and round_no >= freeze else {}
+        want, frozen_want = reference_masks(codename, family, freeze, params, round_no, frozen_want)
+        got = [masks[d] for d in codename]
+        assert len(got) == len(want) == len(codename)
         for k, (g, w) in enumerate(zip(got, want)):
             assert np.array_equal(g.bits, w.bits), f"round {round_no}, slot {k}"
-        assert sorted(frozen_got) == sorted(frozen_want)
-        assert all(np.array_equal(frozen_got[k].bits, frozen_want[k].bits) for k in frozen_want)
+        assert len(frozen_want) == (len(codename) if frozen_got else 0)
+        for k, w in frozen_want.items():
+            assert np.array_equal(frozen_got[codename[k]].bits, w.bits), f"round {round_no}, slot {k}"
 
 
 @settings(max_examples=100, deadline=None)
@@ -259,33 +262,21 @@ def test_selection_ranking_equals_the_stable_argsort_oracle(quarters, remainder,
         got = segment_index_sets(params, family)
         for s, (g, w) in enumerate(zip(got, want), 1):
             assert g.tolist() == sorted(w - layout.offsets[0].weight_start), f"S{s}"
-    policies = parse_codename("1234567", family)
-    got, _ = round_masks(policies, params, 1, {})
-    want, _ = reference_masks(policies, params, 1, {})
-    for k, (g, w) in enumerate(zip(got, want)):
-        assert np.array_equal(g.bits, w.bits), f"slot {k}"
+    masks = round_masks("1234567", family, params)
+    want, _ = reference_masks("1234567", family, None, params, 1, {})
+    for k, (d, w) in enumerate(zip("1234567", want)):
+        assert np.array_equal(masks[d].bits, w.bits), f"slot {k}"
 
 
 def test_slots_with_one_policy_share_one_mask_and_its_measures():
     params = init_params(MNIST_LAYOUT, 0)
+    codename = "1111223344"
     for family in FAMILIES:
-        policies = parse_codename("1111223344", family)
-        masks, _ = round_masks(policies, params, 1, {})
-        assert len({id(m) for m in masks}) == 4
-        for a, b in itertools.combinations(range(10), 2):
-            assert (masks[a] is masks[b]) == (policies[a] == policies[b])
-        copies = [Mask(m.bits.copy()) for m in masks]  # ten distinct objects
-        assert pruning_noise(params, masks) == pruning_noise(params, copies)
-        assert pruning_noise(params, masks) == tuple(pruning_noise(params, [m])[0] for m in copies)
-        assert [account(MNIST_LAYOUT, m) for m in masks] == [account(MNIST_LAYOUT, m) for m in copies]
-        want = np.stack([m.bits for m in copies]).sum(axis=0, dtype=np.int64)
-        assert np.array_equal(coverage_counts(masks), want)
-        assert np.array_equal(coverage_counts(copies), want)
-
-
-def test_empty_kept_segments_rejected():
-    with pytest.raises(ValueError):
-        PruningPolicy("WP", frozenset())
+        masks = round_masks(codename, family, params)
+        assert list(masks) == ["1", "2", "3", "4"]  # one mask per distinct digit, first use first
+        want = np.stack([masks[d].bits for d in codename]).sum(axis=0, dtype=np.int64)
+        got = coverage_counts(list(masks.values()), [codename.count(d) for d in masks])
+        assert np.array_equal(got, want)
 
 
 def test_apply_mask_identity_and_zeroing():
@@ -403,19 +394,17 @@ def test_segment_partition_and_sparsity_accounting(seed):
 
 
 def test_parse_codename_all_full():
-    policies = parse_codename("1111111111")
-    assert isinstance(policies, tuple) and len(policies) == 10
-    assert all(p.kept_segments == frozenset({1, 2, 3, 4}) for p in policies)
+    kept = parse_codename("1111111111")
+    assert isinstance(kept, tuple) and len(kept) == 10
+    assert all(k == frozenset({1, 2, 3, 4}) for k in kept)
 
 
 def test_parse_codename_mixed():
-    policies = parse_codename("1111223344", family="NP", freeze_after_round=3)
-    kept = [p.kept_segments for p in policies]
+    kept = list(parse_codename("1111223344"))
     assert kept[:4] == [frozenset({1, 2, 3, 4})] * 4
     assert kept[4:6] == [frozenset({1, 3, 4})] * 2
     assert kept[6:8] == [frozenset({1, 2, 4})] * 2
     assert kept[8:] == [frozenset({1, 2, 3})] * 2
-    assert all(p.family == "NP" and p.freeze_after_round == 3 for p in policies)
 
 
 def test_parse_codename_rejects_bad_input():
