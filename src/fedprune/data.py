@@ -1,4 +1,11 @@
-"""Dataset loading (IDX), synthetic blob generation, and client partitioning."""
+"""Dataset loading (IDX), synthetic blob generation, and client partitioning.
+
+`synth_blobs` and `load_idx` write a set's inputs in place, with no
+temporaries, in numpy loops (and, for gzipped files, zlib's inflate) that
+release the GIL; so `federation.build_federated_data` can build the train
+and test set on two lanes at once, when they are large enough to be worth
+it (`lanes.MIN_WORK`).
+"""
 
 from __future__ import annotations
 
@@ -112,7 +119,9 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
         )
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if len(labels) else 0
-    return Dataset(images.astype(np.float64) / 255.0, labels.astype(np.int64), num_classes)
+    inputs = images.astype(np.float64)
+    inputs /= 255.0  # in place: no second float64 copy of the images
+    return Dataset(inputs, labels.astype(np.int64), num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +132,25 @@ def load_idx(images_path, labels_path, num_classes: int | None = None) -> Datase
 def synth_blobs(
     num_classes: int, samples_per_class: int, dim: int, spread: float, seed: int
 ) -> Dataset:
-    """Gaussian blobs: class c centered at 3*e_c with isotropic noise `spread`."""
+    """Gaussian blobs: class c centered at 3*e_c with isotropic noise `spread`.
+
+    Each class block is filled in place, with no temporaries: the bits are
+    those of `3*e_c + rng.normal(0.0, spread, shape)`, since `normal` draws
+    `0.0 + spread * z` from the stream `standard_normal` fills with.
+    """
     if dim < num_classes:
         raise ValueError("dim must be >= num_classes so every class gets its own axis")
+    if np.signbit(spread) and not np.isnan(spread):  # the scales rng.normal rejects
+        raise ValueError(f"spread must be non-negative, got {spread}")
     rng = np.random.default_rng(seed)
     inputs = np.empty((num_classes * samples_per_class, dim))
-    labels = np.empty(num_classes * samples_per_class, dtype=np.int64)
     for c in range(num_classes):
-        center = np.zeros(dim)
-        center[c] = 3.0
-        block = slice(c * samples_per_class, (c + 1) * samples_per_class)
-        inputs[block] = center + rng.normal(0.0, spread, (samples_per_class, dim))
-        labels[block] = c
+        block = inputs[c * samples_per_class : (c + 1) * samples_per_class]
+        rng.standard_normal(out=block)
+        block *= spread
+        block += 0.0  # the +0.0 of `0.0 + spread * z`: spread 0 gives +0.0, not -0.0
+        block[:, c] += 3.0
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
     return Dataset(inputs, labels, num_classes)
 
 

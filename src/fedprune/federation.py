@@ -19,6 +19,8 @@ digit, from round F on.
 Lockstep chunks train on the lanes (`fedprune.lanes`): lane j trains chunks
 j, j + L, ... in place in its rows of one (S, total) matrix, then counts each
 row's correct predictions on its shard for the round's local accuracy.
+Before the first round, `build_federated_data` builds the train and test
+set as two items on the lanes.
 
 Determinism: all randomness flows from named streams derived from
 (seed, stream, round[, slot]), so the grouping of slots into lockstep
@@ -29,8 +31,10 @@ for the same reason.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -47,9 +51,9 @@ from .metrics import (
 from .nn import LayerLayout, OptimizerState, ParamVector, evaluate, forward, init_params, loss_and_grad, masked_sgd_step
 from .pruning import (
     DIGIT_SEGMENTS,
-    FAMILIES,
     Mask,
     apply_mask,
+    check_layout,
     codename_coverage,
     parse_codename,
     pruning_noise,
@@ -220,22 +224,13 @@ class FederationConfig:
             raise ValueError("static slot binding requires num_clients == codename length")
         if self.test_batch < 1:
             raise ValueError("test_batch must be >= 1")
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if self.freeze_after_round is not None and self.freeze_after_round < 1:
             raise ValueError("freeze_after_round must be >= 1")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError(f"hidden layer sizes must be positive, got {list(self.hidden_layers)}")
         parse_codename(self.codename)  # validates
-        # neuron units are the neurons of one hidden layer, split into quartiles
-        if self.family in ("NP", "FS") and (
-            len(self.hidden_layers) != 1 or self.hidden_layers[0] < 4
-        ):
-            raise ValueError(
-                f"family {self.family} needs exactly one hidden layer of at least 4 neurons, "
-                f"got {list(self.hidden_layers)}"
-            )
+        check_layout(self.family, self.hidden_layers)
 
     @property
     def slots_per_round(self) -> int:
@@ -269,19 +264,49 @@ class GlobalState:
 # ---------------------------------------------------------------------------
 
 
+def _bytes_on_disk(path) -> int:
+    """Size of `path`, or 0 if it cannot be read: the load then reports why."""
+    try:
+        return os.path.getsize(path)
+    except OSError:
+        return 0
+
+
 def build_federated_data(config: FederationConfig) -> FederatedData:
+    """Train and test set, and the clients' shards of the train set.
+
+    The two sets are two items on the lanes: each comes from its own
+    generator or files, and numpy's fills, casts and zlib's inflate release
+    the GIL, so they build in parallel when the smaller set holds at least
+    `lanes.MIN_WORK` values. For IDX files the smaller image file's size
+    stands in for its values (equal for plain files, fewer when gzipped).
+    An IDX test set takes the train set's class count once both are loaded;
+    subsets are drawn after the loads. With two lanes, a train-set error
+    still wins over a test-set error.
+    """
     spec = config.dataset
     if isinstance(spec, SynthSpec):
-        train = synth_blobs(
-            spec.num_classes, spec.samples_per_class, spec.dim, spec.spread, spec.data_seed
-        )
-        test = synth_blobs(
-            spec.num_classes, spec.test_samples_per_class, spec.dim, spec.spread,
-            spec.data_seed + 1,
-        )
+        loads = [
+            partial(synth_blobs, spec.num_classes, n, spec.dim, spec.spread, seed)
+            for n, seed in ((spec.samples_per_class, spec.data_seed),
+                            (spec.test_samples_per_class, spec.data_seed + 1))
+        ]
+        rows = spec.num_classes * min(spec.samples_per_class, spec.test_samples_per_class)
+        values = rows * spec.dim
     else:
-        train = load_idx(spec.train_images, spec.train_labels)
-        test = load_idx(spec.test_images, spec.test_labels, num_classes=train.num_classes)
+        loads = [partial(load_idx, spec.train_images, spec.train_labels),
+                 partial(load_idx, spec.test_images, spec.test_labels)]
+        # bytes on disk: a header and the pixels, or fewer when gzipped
+        values = min(_bytes_on_disk(spec.train_images), _bytes_on_disk(spec.test_images))
+    sets = [None, None]
+
+    def build(i, lane):
+        sets[i] = loads[i]()
+
+    lanes.on_lanes([0, 1], build, lanes.width(values))
+    train, test = sets
+    if isinstance(spec, IdxSpec):
+        test = Dataset(test.inputs, test.labels, train.num_classes)
         if spec.train_subset is not None:
             train = stratified_subset(train, spec.train_subset, spec.subset_seed)
         if spec.test_subset is not None:

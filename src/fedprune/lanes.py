@@ -1,4 +1,7 @@
-"""Lanes: independent pieces of a round's work spread over the process's CPUs.
+"""Lanes: independent pieces of work spread over the process's CPUs.
+
+The pieces are a round's lockstep chunks, test-set chunks and accuracy
+counts, and the train and test sets a run builds.
 
 `on_lanes(items, work, count, commit)` calls `work(item, lane)` for every
 item on L lanes. Lane j takes items j, j + L, j + 2L, ... in order; lane 0
@@ -21,9 +24,9 @@ to one thread, whatever the BLAS environment variables say, so the metrics
 bytes do not depend on them, and L is C, the CPUs this process may run on.
 Without a bundled OpenBLAS (another BLAS picks its own threads), L is 1 and
 a warning says so. A caller asks `width(work)` how many lanes its items are
-worth; work whose matrix products are too small to leave the GIL for long
-gets one lane, and so does work started inside a lane (none is today), which
-could otherwise wait on pool threads its caller holds.
+worth; work whose matrix products or fills are too small to leave the GIL
+for long gets one lane, and so does work started inside a lane (none is
+today), which could otherwise wait on pool threads its caller holds.
 """
 
 from __future__ import annotations
@@ -65,6 +68,19 @@ LANES = _CPUS if _pin_blas() else 1
 # local_update at 10 rows per slot, 100-64-10 in chunks of 10 (7e5) 0.97x,
 # 784-64-10 in chunks of 2 (1e6) 0.8x, 784-200-10 one slot a chunk (1.6e6)
 # 0.7-0.8x.
+# The same bound serves as values per item for fills, whose generator and
+# ufunc loops release the GIL: two synth_blobs sets of 784 columns on two
+# lanes against one, pool already made, take at 1e5 values each 0.59x, 3e5
+# 0.54x (-8 ms), 1e6 0.53x (-22 ms), 7.8e6 0.51x; a fresh process pays
+# ~10 ms to import concurrent.futures and start the pool, which only sets
+# of 1e6 values or more win back. Two load_idx sets of 28x28 images (~81%
+# zero pixels), pool already made, medians of 7: plain files of 1e5 values
+# each 1.19x, 1e6 0.69x (-2 ms), 7.8e6 0.59x (-21 ms); gzipped (2.9x
+# smaller on disk), 1e5 values 1.26x, 1e6 0.65x (-9 ms), 7.8e6 0.55x
+# (-84 ms); MNIST-sized 60,000 + 10,000 images 0.88x plain (206 -> 181 ms)
+# and gzipped (682 -> 600 ms). There an item's values are its image file's
+# bytes on disk: exact for plain files, fewer when gzipped, so a gzipped set
+# of 1e6 to ~3e6 values stays on one lane that two would speed up.
 MIN_WORK = 10**6
 
 _inside = contextvars.ContextVar("fedprune_inside_lane", default=False)
@@ -74,7 +90,8 @@ _pool = None  # (workers, ThreadPoolExecutor), made on first use
 def width(work: int) -> int:
     """Lanes for items whose products take `work` multiply-adds each.
 
-    LANES, or 1 inside a lane or when `work` is below MIN_WORK.
+    Items that fill arrays pass the values each fills as `work`. LANES, or 1
+    inside a lane or when `work` is below MIN_WORK.
     """
     return 1 if _inside.get() or work < MIN_WORK else LANES
 

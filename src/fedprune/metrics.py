@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import LayerLayout
-from .pruning import FAMILIES, segment_sizes
+from .pruning import check_layout, segment_sizes
 
 CSV_HEADER = [
     "round",
@@ -115,8 +115,7 @@ def account(layout: LayerLayout, family: str, kept_segments) -> ModelAccount:
     Only segment sizes matter, so the counts follow from arithmetic on the
     layout, whatever the ranking.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    check_layout(family, layout.layer_sizes[1:-1], layout.offsets[0].weight_len)
     full = full_account(layout)
     if family == "WP":
         # WP's units are the first layer's weights
@@ -124,8 +123,6 @@ def account(layout: LayerLayout, family: str, kept_segments) -> ModelAccount:
         cut = sum(n for s, n in enumerate(sizes, 1) if s not in kept_segments)
         return ModelAccount(full.params_total - cut, full.flops_total - cut)
     # NP/FS: whole hidden neurons go; params lose in+1+out, flops in+out each
-    if len(layout.layer_sizes) != 3:
-        raise ValueError("neuron-structured accounting needs exactly one hidden layer")
     d_in, hidden, d_out = layout.layer_sizes
     cut = sum(n for s, n in enumerate(segment_sizes(hidden), 1) if s not in kept_segments)
     return ModelAccount(

@@ -10,6 +10,8 @@ keeps the segments a codename digit names:
   FS - fixed sub-network: the NP units in natural order (params-independent)
 Parameters that belong to no unit are kept by every mask. Masks are written
 from the layer layout: no index set over the parameters is built.
+`check_layout` is the one rule for whether a layout has the 4 units a family
+needs; the run config, the ranking and the accounting all apply it.
 
 Codename digits 1-7 pick the kept segments per participation slot, and the
 family is one for the whole run, so a round has one mask per distinct digit:
@@ -81,6 +83,30 @@ def segment_sizes(n: int) -> list[int]:
     return [n // 4 + (i < n % 4) for i in range(4)]
 
 
+def check_layout(family: str, hidden: tuple[int, ...], first_weights: int | None = None) -> None:
+    """Raise ValueError unless `family` has at least 4 units to split into S1..S4.
+
+    `hidden` holds the hidden-layer sizes. NP and FS units are the neurons of
+    the one hidden layer; WP units are the `first_weights` entries of the
+    first layer's weight matrix, checked when that count is given (it needs
+    the input width).
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    if family != "WP":
+        # neuron pruning on deeper nets has no unambiguous reading
+        if len(hidden) != 1 or hidden[0] < 4:
+            raise ValueError(
+                f"family {family} needs exactly one hidden layer of at least 4 neurons, "
+                f"got {list(hidden)}"
+            )
+    elif first_weights is not None and first_weights < 4:
+        raise ValueError(
+            "family WP needs at least 4 entries in the first layer's weight matrix, "
+            f"got {first_weights}"
+        )
+
+
 def quartile_segments(ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split a ranking into S1..S4 of `segment_sizes`."""
     ranking = np.asarray(ranking)
@@ -122,17 +148,11 @@ def segment_index_sets(params: ParamVector, family: str) -> tuple[np.ndarray, ..
     order.
     """
     layout = params.layout
+    check_layout(family, layout.layer_sizes[1:-1], layout.offsets[0].weight_len)
     w1 = params.values[layout.offsets[0].weights]
     if family == "WP":
         return _ranked_segments(np.abs(w1))
-    if family not in ("NP", "FS"):
-        raise ValueError(f"unknown family {family!r}")
-    # neuron pruning on deeper nets has no unambiguous reading
-    if len(layout.layer_sizes) != 3:
-        raise ValueError("neuron-structured pruning needs exactly one hidden layer")
     d_in, hidden, _ = layout.layer_sizes
-    if hidden < 4:
-        raise ValueError("need at least 4 neurons to form quartiles")
     if family == "FS":
         return quartile_segments(np.arange(hidden))
     return _ranked_segments(np.abs(w1.reshape(d_in, hidden)).sum(axis=0))

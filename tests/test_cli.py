@@ -68,6 +68,18 @@ def test_account_np_row(capsys):
     assert "143110" in out and "142920" in out and "gamma_min: 6" in out
 
 
+@pytest.mark.parametrize("family, layout, message", [
+    ("NP", "5,3,2", "family NP needs exactly one hidden layer of at least 4 neurons, got [3]"),
+    ("FS", "5,8,4,2", "family FS needs exactly one hidden layer of at least 4 neurons, got [8, 4]"),
+    ("WP", "1,2", "family WP needs at least 4 entries in the first layer's weight matrix, got 2"),
+])
+def test_account_names_the_family_and_layer_a_layout_lacks(capsys, family, layout, message):
+    assert main(["account", "--codename", "12", "--family", family, "--layout", layout]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_account_check_table_full_grid(capsys):
     assert main(["account", "--check-table"]) == 0
     assert "table check passed" in capsys.readouterr().out

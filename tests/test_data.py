@@ -55,6 +55,20 @@ def test_load_idx_gzip_variant(tmp_path):
     assert np.array_equal(dataset.inputs, [[0, 0, 0, 0], [1, 1, 1, 1]])
 
 
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+def test_load_idx_scales_as_the_out_of_place_division(tmp_path, gz):
+    rng = np.random.default_rng(4)
+    pixels = rng.integers(0, 256, (50, 28 * 28))
+    write_idx(Dataset(pixels / 255.0, rng.integers(0, 10, 50), 10),
+              tmp_path / "images", tmp_path / "labels")
+    if gz:
+        for name in ("images", "labels"):
+            (tmp_path / name).write_bytes(gzip.compress((tmp_path / name).read_bytes()))
+    dataset = load_idx(tmp_path / "images", tmp_path / "labels")
+    want = pixels.astype(np.uint8).astype(np.float64) / 255.0
+    assert dataset.inputs.tobytes() == want.tobytes()
+
+
 def test_load_idx_rejects_swapped_magic(tmp_path):
     images, labels = tiny_idx_bytes()
     bad = struct.pack(">iiii", LABELS_MAGIC, 2, 2, 2) + images[16:]
@@ -125,6 +139,12 @@ def test_blobs_deterministic_per_seed():
 def test_blobs_reject_dim_smaller_than_classes():
     with pytest.raises(ValueError):
         synth_blobs(5, 3, 4, 0.1, seed=0)
+
+
+@pytest.mark.parametrize("spread", [-1.0, -0.0])
+def test_blobs_reject_the_spreads_rng_normal_rejects(spread):
+    with pytest.raises(ValueError, match="spread must be non-negative"):
+        synth_blobs(3, 4, 5, spread, seed=0)
 
 
 # ---------------------------------------------------------------------------
