@@ -1,7 +1,12 @@
 """Command-line front end: run, account, coverage, selfcheck.
 
-Run configs are flat JSON; every key shares its name with the
-FederationConfig field it sets, and CLI flags override file values.
+Run configs are flat JSON. A key is a field name of `FederationConfig`,
+`IdxSpec` or `RunConfig`, or `synth_` + a field name of `SynthSpec`;
+`dataset` picks the spec, "synthetic" or "idx". An int field takes an
+integer (not true, not 20.0), a float field a finite number, a str field a
+string, a bool field true or false, `hidden_layers` and `seeds` a list of
+integers, `out_dir` a string, and an `X | None` field also null. A config
+error names its key. `run` flags set the keys named by their dests.
 Exit codes for `run`: 1 config error, 2 coverage violation, 3 I/O error,
 4 training diverged (a non-finite model, test-set loss or gradient; the
 message names where).
@@ -13,8 +18,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -34,27 +40,6 @@ from .tables import MNIST_LAYOUT, TABLE_ROWS, check_tables
 
 OUT_DIR_ENV = "FEDPRUNE_OUT"
 
-_FED_KEYS = {
-    "num_clients", "participation_ratio", "rounds", "local_epochs", "local_batch",
-    "learning_rate", "momentum", "codename", "family", "freeze_after_round",
-    "partition", "classes_per_client", "uncovered_region_action", "hidden_layers",
-    "test_batch", "static_slots", "smoothness_L", "init_seed",
-}
-
-_SYNTH_KEYS = {
-    "synth_classes": "num_classes",
-    "synth_samples_per_class": "samples_per_class",
-    "synth_dim": "dim",
-    "synth_spread": "spread",
-    "synth_test_samples_per_class": "test_samples_per_class",
-    "synth_data_seed": "data_seed",
-}
-
-_IDX_KEYS = {
-    "train_images", "train_labels", "test_images", "test_labels",
-    "train_subset", "test_subset", "subset_seed",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -63,30 +48,69 @@ class RunConfig:
     out_dir: Path
 
 
+_DATASETS = {"synthetic": SynthSpec, "idx": IdxSpec}
+_PREFIXES = {SynthSpec: "synth_"}
+_JSON_TYPES = {
+    int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
+    tuple[int, ...]: "a list of integers", Path: "a string",
+}
+CONFIG_KEYS = {  # every accepted key -> the type of the field it sets
+    _PREFIXES.get(cls, "") + name: hint
+    for cls in (RunConfig, FederationConfig, *_DATASETS.values())
+    for name, hint in get_type_hints(cls).items() if name != "federation"
+} | {"dataset": str}  # names the spec
+
+
+def json_type(hint) -> str:
+    """The JSON a field of type `hint` takes, e.g. 'an integer or null'."""
+    nullable = type(None) in get_args(hint)
+    return _JSON_TYPES[get_args(hint)[0] if nullable else hint] + " or null" * nullable
+
+
+def _parse(key: str, value):
+    """`value` as the field of `key` takes it: an int widens to float, a list becomes a tuple."""
+    hint = CONFIG_KEYS[key]
+    nullable = type(None) in get_args(hint)
+    kind = get_args(hint)[0] if nullable else hint
+    if value is None and nullable:
+        return None
+    if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # not NaN, not infinite
+    if kind == tuple[int, ...] and type(value) is list and all(type(v) is int for v in value):
+        return tuple(value)
+    if kind in (int, str, bool) and type(value) is kind or kind is Path and type(value) is str:
+        return value  # type(), not isinstance(): true is no integer
+    raise ValueError(f"{key} must be {json_type(hint)}, got {json.dumps(value)}")
+
+
+def _make(cls, values: dict, **given):
+    """`cls` from the values of its fields' keys; a required field without one is an error."""
+    prefix = _PREFIXES.get(cls, "")
+    kwargs = {f.name: values[prefix + f.name] for f in fields(cls) if prefix + f.name in values}
+    kwargs |= given
+    missing = [prefix + f.name for f in fields(cls)
+               if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing required keys: {missing}")
+    return cls(**kwargs)
+
+
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     raw = json.loads(Path(path).read_text())
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(raw) - _FED_KEYS - set(_SYNTH_KEYS) - _IDX_KEYS - {
-        "dataset", "seed", "seeds", "out_dir",
-    }
+    if not isinstance(raw, dict):
+        raise ValueError("a run config must be a JSON object")
+    if "seed" in raw and "seeds" in raw:
+        raise ValueError("give seed or seeds, not both")
+    raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    unknown = raw.keys() - CONFIG_KEYS.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    values = {k: _parse(k, v) for k, v in raw.items()}
 
-    kind = raw.get("dataset", "synthetic")
-    if kind == "synthetic":
-        dataset = SynthSpec(**{v: raw[k] for k, v in _SYNTH_KEYS.items() if k in raw})
-    elif kind == "idx":
-        missing = [k for k in ("train_images", "train_labels", "test_images", "test_labels")
-                   if k not in raw]
-        if missing:
-            raise ValueError(f"idx dataset config missing keys: {missing}")
-        dataset = IdxSpec(**{k: raw[k] for k in _IDX_KEYS if k in raw})
-    else:
+    kind = values.get("dataset", "synthetic")
+    if kind not in _DATASETS:
         raise ValueError(f"dataset must be 'synthetic' or 'idx', got {kind!r}")
-
-    seeds = raw.get("seeds")
-    seeds = tuple(int(s) for s in ([raw.get("seed", 0)] if seeds is None else seeds))
+    seeds = values["seeds"] if "seeds" in values else (values.get("seed", 0),)
     if not seeds:
         raise ValueError("at least one seed is required")
     if len(set(seeds)) < len(seeds):
@@ -94,12 +118,9 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     if min(seeds) < 0:
         raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
 
-    fed_kwargs = {k: raw[k] for k in _FED_KEYS if k in raw}
-    if "hidden_layers" in fed_kwargs:
-        fed_kwargs["hidden_layers"] = tuple(fed_kwargs["hidden_layers"])
-    federation = FederationConfig(dataset=dataset, seed=seeds[0], **fed_kwargs)
-
-    out_dir = raw.get("out_dir") or os.environ.get(OUT_DIR_ENV, "runs")
+    dataset = _make(_DATASETS[kind], values)
+    federation = _make(FederationConfig, values, dataset=dataset, seed=seeds[0])
+    out_dir = values.get("out_dir") or os.environ.get(OUT_DIR_ENV, "runs")
     return RunConfig(federation, seeds, Path(out_dir))
 
 
@@ -112,21 +133,17 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
 # overflow/invalid warnings would only repeat it; lanes inherit this state.
 @np.errstate(over="ignore", invalid="ignore")
 def cmd_run(args) -> int:
-    overrides = {k: v for k, v in vars(args).items() if k in _FED_KEYS}  # flags named as keys
-    if args.seeds:
-        try:
-            overrides["seeds"] = _int_list("--seeds", args.seeds)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    if args.out:
-        overrides["out_dir"] = args.out
+    # a flag's dest is the field it sets
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(FederationConfig)}
+    overrides["out_dir"] = args.out
     try:
+        if args.seeds is not None:
+            overrides["seeds"] = _int_list("--seeds", args.seeds)
         config = load_run_config(args.config, overrides)
     except FileNotFoundError:
         print(f"error: config file not found: {args.config}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
         return 1
 

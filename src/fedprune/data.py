@@ -109,16 +109,15 @@ def _read_idx_labels(path) -> np.ndarray:
     return labels
 
 
-def load_idx(images_path, labels_path, num_classes: int | None = None) -> Dataset:
-    """Big-endian IDX image/label pair -> Dataset with pixels scaled by 1/255."""
+def load_idx(images_path, labels_path) -> Dataset:
+    """Big-endian IDX image/label pair -> Dataset: pixels scaled by 1/255, max label + 1 classes."""
     images = _read_idx_images(images_path)
     labels = _read_idx_labels(labels_path)
     if len(images) != len(labels):
         raise IdxFormatError(
             f"count mismatch: {len(images)} images vs {len(labels)} labels"
         )
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if len(labels) else 0
+    num_classes = int(labels.max()) + 1 if len(labels) else 0
     inputs = images.astype(np.float64)
     inputs /= 255.0  # in place: no second float64 copy of the images
     return Dataset(inputs, labels.astype(np.int64), num_classes)

@@ -157,7 +157,7 @@ def _uncovered_detail(counts: np.ndarray, layout: LayerLayout, codename: str) ->
 
 @dataclass(frozen=True)
 class SynthSpec:
-    num_classes: int = 10
+    classes: int = 10
     samples_per_class: int = 100
     dim: int = 20
     spread: float = 0.3
@@ -282,16 +282,17 @@ def build_federated_data(config: FederationConfig) -> FederatedData:
     stands in for its values (equal for plain files, fewer when gzipped).
     An IDX test set takes the train set's class count once both are loaded;
     subsets are drawn after the loads. With two lanes, a train-set error
-    still wins over a test-set error.
+    still wins over a test-set error. Last, the config checks that need the
+    data: WP's rule on the first weight matrix, and a non-empty test set.
     """
     spec = config.dataset
     if isinstance(spec, SynthSpec):
         loads = [
-            partial(synth_blobs, spec.num_classes, n, spec.dim, spec.spread, seed)
+            partial(synth_blobs, spec.classes, n, spec.dim, spec.spread, seed)
             for n, seed in ((spec.samples_per_class, spec.data_seed),
                             (spec.test_samples_per_class, spec.data_seed + 1))
         ]
-        rows = spec.num_classes * min(spec.samples_per_class, spec.test_samples_per_class)
+        rows = spec.classes * min(spec.samples_per_class, spec.test_samples_per_class)
         values = rows * spec.dim
     else:
         loads = [partial(load_idx, spec.train_images, spec.train_labels),
@@ -315,7 +316,12 @@ def build_federated_data(config: FederationConfig) -> FederatedData:
         train,
         PartitionSpec(config.partition, config.num_clients, config.classes_per_client, config.seed),
     )
-    return FederatedData(train, tuple(shards), test)
+    data = FederatedData(train, tuple(shards), test)
+    first_weights = model_layout(config, data).offsets[0].weight_len
+    check_layout(config.family, config.hidden_layers, first_weights)
+    if not len(test):
+        raise ValueError("the test set is empty")
+    return data
 
 
 def model_layout(config: FederationConfig, data: FederatedData) -> LayerLayout:

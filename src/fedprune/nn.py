@@ -132,10 +132,6 @@ class OptimizerState:
         if self.learning_rate < 0.0:
             raise ValueError("learning_rate must be non-negative")
 
-    @classmethod
-    def fresh(cls, layout: LayerLayout, learning_rate: float, momentum_coef: float = 0.0):
-        return cls(np.zeros(layout.total), momentum_coef, learning_rate)
-
 
 def init_params(layout: LayerLayout, seed: int) -> ParamVector:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""

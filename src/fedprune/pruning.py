@@ -59,14 +59,6 @@ class Mask:
     def __len__(self) -> int:
         return len(self.bits)
 
-    @property
-    def sparsity(self) -> float:
-        return int(self.bits.sum()) / len(self.bits)
-
-    @classmethod
-    def ones(cls, length: int) -> "Mask":
-        return cls(np.ones(length, dtype=np.uint8))
-
 
 # ---------------------------------------------------------------------------
 # Ranking and masks

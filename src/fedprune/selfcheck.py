@@ -88,7 +88,7 @@ def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
     """aggregate vs the per-index 'mean over covering slots' loop."""
     for _ in range(runs):
         n_params, n_slots, bits = _random_instance(rng)
-        layout = _flat_layout(n_params)
+        layout = LayerLayout((n_params - 1, 1))  # (n-1) weights + 1 bias: only the length matters
         prev = rng.normal(0.0, 1.0, n_params)
         locals_ = [rng.normal(0.0, 1.0, n_params) for _ in range(n_slots)]
         masks = [Mask(bits[s]) for s in range(n_slots)]
@@ -114,7 +114,7 @@ def mask_closure_check(rng: np.random.Generator, runs: int = 50) -> CheckResult:
         layout = LayerLayout(sizes)
         mask = Mask(rng.integers(0, 2, layout.total, dtype=np.uint8))
         params = apply_mask(ParamVector(rng.normal(0.0, 1.0, layout.total), layout), mask)
-        opt = OptimizerState.fresh(layout, learning_rate=0.1, momentum_coef=0.5)
+        opt = OptimizerState(np.zeros(layout.total), 0.5, 0.1)
         inputs, labels = rng.normal(0.0, 1.0, (4, sizes[0])), rng.integers(0, sizes[-1], 4)
         for _ in range(10):
             _, grad = loss_and_grad(params, inputs, labels)
@@ -123,17 +123,6 @@ def mask_closure_check(rng: np.random.Generator, runs: int = 50) -> CheckResult:
             if params.values[off].any() or opt.momentum_buffer[off].any():
                 return CheckResult("mask_closure", False, "pruned coordinate moved off zero")
     return CheckResult("mask_closure", True, f"{runs} random trajectories, 10 steps each")
-
-
-def _flat_layout(n_params: int) -> LayerLayout:
-    """A layout whose flat vector has exactly n_params entries.
-
-    Coverage and aggregation only need vector length, so a single
-    (n-1)-to-1 affine layer ((n-1) weights + 1 bias) suffices.
-    """
-    if n_params < 2:
-        raise ValueError("flat layouts need at least 2 parameters")
-    return LayerLayout((n_params - 1, 1))
 
 
 def run_selfcheck(seed: int = 0, corrupt_gradient: bool = False) -> list[CheckResult]:

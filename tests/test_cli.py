@@ -1,14 +1,20 @@
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fedprune.cli
-from fedprune.cli import main
+from fedprune.cli import CONFIG_KEYS, json_type, load_run_config, main
+from fedprune.federation import FederationConfig, IdxSpec, SynthSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -167,26 +173,106 @@ def test_run_rejects_removed_loss_split_key(tmp_path, capsys):
     assert "unknown config keys" in err and "loss_split" in err
 
 
-@pytest.mark.parametrize("overrides", [
-    {"test_batch": 0},
-    {"hidden_layers": [0]},
-    {"hidden_layers": [16, -2]},
-    {"partition": "label-skew", "classes_per_client": 0},
-    {"synth_dim": 5},
-    {"synth_samples_per_class": 0},
-    {"learning_rate": -0.1},
-    {"learning_rate": None, "smoothness_L": 0},
-    {"init_seed": -1},
-], ids=["test-batch-0", "hidden-0", "hidden-negative", "classes-per-client-0",
-        "synth-dim-below-classes", "synth-samples-0", "learning-rate-negative",
-        "smoothness-L-0", "init-seed-negative"])
-def test_run_reports_bad_config_values_without_a_traceback(tmp_path, capsys, overrides):
+# (overrides of QUICK_CONFIG, what stderr must name): a type error names its key
+BAD_CONFIGS = {
+    "test-batch-0": ({"test_batch": 0}, "test_batch"),
+    "hidden-0": ({"hidden_layers": [0]}, "hidden layer sizes must be positive"),
+    "hidden-negative": ({"hidden_layers": [16, -2]}, "hidden layer sizes must be positive"),
+    "classes-per-client-0": (
+        {"partition": "label-skew", "classes_per_client": 0}, "classes_per_client"),
+    "synth-dim-below-classes": ({"synth_dim": 5}, "dim must be >= num_classes"),
+    "synth-samples-0": ({"synth_samples_per_class": 0}, "cannot split 0 samples"),
+    "learning-rate-negative": ({"learning_rate": -0.1}, "learning_rate"),
+    "smoothness-L-0": ({"learning_rate": None, "smoothness_L": 0}, "smoothness_L"),
+    "init-seed-negative": ({"init_seed": -1}, "init_seed"),
+    "synth-test-samples-0": ({"synth_test_samples_per_class": 0}, "the test set is empty"),
+    "local-batch-fraction": ({"local_batch": 2.5}, "local_batch must be an integer, got 2.5"),
+    "test-batch-float": ({"test_batch": 64.0}, "test_batch must be an integer, got 64.0"),
+    "num-clients-float": ({"num_clients": 20.0}, "num_clients must be an integer"),
+    "synth-dim-float": ({"synth_dim": 20.0}, "synth_dim must be an integer"),
+    "synth-spread-string": (
+        {"synth_spread": "0.3"}, 'synth_spread must be a finite number, got "0.3"'),
+    "init-seed-fraction": ({"init_seed": 1.5}, "init_seed must be an integer"),
+    "synth-data-seed-fraction": ({"synth_data_seed": 1.5}, "synth_data_seed must be an integer"),
+    "wp-first-layer-below-4": (
+        {"synth_classes": 2, "synth_dim": 2, "hidden_layers": [1]},
+        "family WP needs at least 4 entries in the first layer's weight matrix, got 2"),
+    "hidden-layers-string": ({"hidden_layers": "32"}, "hidden_layers must be a list of"),
+    "hidden-layers-fraction": ({"hidden_layers": [32.7]}, "hidden_layers must be a list of"),
+    "seeds-string": ({"seeds": "12"}, "seeds must be a list of integers"),
+    "seeds-fraction": ({"seeds": [1.5]}, "seeds must be a list of integers"),
+    "seeds-bool": ({"seeds": [True]}, "seeds must be a list of integers, got [true]"),
+    "local-epochs-bool": ({"local_epochs": True}, "local_epochs must be an integer, got true"),
+    "codename-list": ({"codename": list("1111223344")}, "codename must be a string"),
+    "seed-and-seeds": ({"seed": 5}, "give seed or seeds, not both"),
+    "rounds-string": ({"rounds": "3"}, "rounds must be an integer"),
+    "momentum-string": ({"momentum": "0.5"}, "momentum must be a finite number"),
+    "freeze-after-round-string": (
+        {"freeze_after_round": "2"}, "freeze_after_round must be an integer or null"),
+    "learning-rate-string": (
+        {"learning_rate": "0.1"}, "learning_rate must be a finite number or null"),
+    "smoothness-L-string": ({"smoothness_L": "1"}, "smoothness_L must be a finite number or null"),
+    "momentum-nan": ({"momentum": float("nan")}, "momentum must be a finite number, got NaN"),
+    "idx-without-files": ({"dataset": "idx"}, "missing required keys: ['train_images'"),
+}
+
+
+@pytest.mark.parametrize(("overrides", "named"), BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_run_reports_bad_config_values_without_a_traceback(tmp_path, capsys, overrides, named):
     path = write_config(tmp_path, **overrides)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: bad config {path}: ")
+    assert named in captured.err
     assert not (out / "metrics_seed1.csv").exists()
+
+
+def test_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: bad config {path}: a run config must be a JSON object\n"
+
+
+def test_a_missing_codename_is_named(tmp_path):
+    config = dict(QUICK_CONFIG)
+    del config["codename"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=re.escape("missing required keys: ['codename']")):
+        load_run_config(path)
+
+
+def test_seeds_flag_replaces_a_file_seed(tmp_path):
+    config = {k: v for k, v in QUICK_CONFIG.items() if k != "seeds"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "seed": 5}))
+    assert load_run_config(path).seeds == (5,)
+    assert load_run_config(path, {"seeds": [3, 4]}).seeds == (3, 4)
+
+
+# any value of the wrong JSON type, or negative, zero or fractional; no large sizes
+WRONG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([-1, 0, 1, 2, -1.5, 0.0, 0.5, 2.5]),
+    st.text(max_size=2), st.sampled_from(["NP", "FS", "label-skew", "idx", "error", "11"]),
+    st.lists(st.sampled_from([-1, 0, 1, 2, 0.5, True]), max_size=2), st.just({}),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(sorted(set(CONFIG_KEYS) - {"out_dir"})), WRONG_VALUES, min_size=1, max_size=2,
+))
+def test_run_never_raises_on_a_config_with_bad_values(changes):
+    config = {**QUICK_CONFIG, "rounds": 1, "synth_samples_per_class": 4,
+              "synth_test_samples_per_class": 2, **changes}
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # gamma_min = 0 warns
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(Path(tmp) / "out")]) in (0, 1, 2, 4)
 
 
 @pytest.mark.parametrize("family", ["NP", "FS"])
@@ -383,13 +469,49 @@ def test_run_outputs_are_independent_of_lanes(tmp_path, use_lanes, partition):
     assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
 
 
-def test_shipped_mnist_configs_parse():
-    from fedprune.cli import load_run_config
+def load_workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
-    for name in ("configs/mnist_iid_wp.json", "configs/mnist_noniid_wp.json"):
-        config = load_run_config(name)
-        assert config.federation.num_clients == 100
-        assert config.federation.slots_per_round == 10
+
+def direct_federation(raw: dict) -> FederationConfig:
+    """The FederationConfig a run config asks for, built from its values by hand."""
+    if raw.get("dataset", "synthetic") == "idx":
+        dataset = IdxSpec(raw["train_images"], raw["train_labels"], raw["test_images"],
+                          raw["test_labels"], raw.get("train_subset"), raw.get("test_subset"),
+                          raw.get("subset_seed", 0))
+    else:
+        dataset = SynthSpec(**{k.removeprefix("synth_"): v for k, v in raw.items()
+                               if k.startswith("synth_")})
+    names = {f.name for f in fields(FederationConfig)} - {"dataset", "seed"}
+    return FederationConfig(dataset=dataset, seed=raw["seeds"][0],
+                            **{k: v for k, v in raw.items() if k in names})
+
+
+def test_shipped_mnist_configs_parse(tmp_path):
+    """Every configs/*.json and every benchmark workload's config parses to its own values."""
+    shipped = [json.loads(path.read_text()) for path in sorted(ROOT.glob("configs/*.json"))]
+    workloads = [w.run_config(0) for w in load_workloads().values() if w.federated]
+    assert shipped and workloads
+    for raw in shipped + workloads:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        config = load_run_config(path)
+        assert config.federation == direct_federation(raw)
+        assert config.seeds == tuple(raw["seeds"])
+        assert config.out_dir == Path(raw.get("out_dir") or os.environ.get("FEDPRUNE_OUT", "runs"))
+
+
+def test_readme_config_table_lists_every_accepted_key_with_its_json_type():
+    section = (ROOT / "README.md").read_text().split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    table = {key.removeprefix("| `").removesuffix("`"): kind for key, kind, *_ in rows}
+    assert len(table) == len(rows)  # no key listed twice
+    assert table == {key: json_type(hint) for key, hint in CONFIG_KEYS.items()}
 
 
 def test_run_dataset_idx_missing_file(tmp_path, capsys):

@@ -82,7 +82,7 @@ def test_synthetic_federated_data_bytes_on_one_and_two_lanes(monkeypatch, lane_c
                         widths.append(count) or on_lanes(items, work, count, commit))
     config = FederationConfig(
         codename="1111223344", num_clients=20, participation_ratio=0.5, seed=5,
-        dataset=SynthSpec(num_classes=10, samples_per_class=200, dim=784, spread=1.0,
+        dataset=SynthSpec(classes=10, samples_per_class=200, dim=784, spread=1.0,
                           test_samples_per_class=128, data_seed=3),
     )
     data = build_federated_data(config)

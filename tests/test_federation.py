@@ -158,7 +158,7 @@ def test_aggregate_all_ones_is_fedavg_mean():
     rng = np.random.default_rng(3)
     prev = ParamVector(rng.normal(size=6), layout)
     locals_ = [ParamVector(rng.normal(size=6), layout) for _ in range(4)]
-    masks = [Mask.ones(6) for _ in range(4)]
+    masks = [Mask(np.ones(6)) for _ in range(4)]
     out = aggregate(prev, locals_, masks, slot_counts(masks))
     manual = np.zeros(6)
     for lv in locals_:
@@ -353,7 +353,7 @@ def test_local_update_single_full_batch_step_oracle():
     layout = model_layout(config, data)
     params = init_params(layout, 4)
     shard = data.train.subset(data.shards[0])
-    mask = Mask.ones(layout.total)
+    mask = Mask(np.ones(layout.total))
     got, _ = local_update(params, [mask], [shard], config, [local_rng(4, 1, 0)])
     # one full-batch step over the same seed-shuffled epoch order
     order = local_rng(4, 1, 0).permutation(len(shard))
@@ -396,7 +396,7 @@ def test_local_update_rejects_empty_shard():
     data = build_federated_data(config)
     layout = model_layout(config, data)
     params = init_params(layout, 0)
-    full = Mask.ones(layout.total)
+    full = Mask(np.ones(layout.total))
     with pytest.raises(ValueError, match="empty"):
         local_update(params, [full], [data.train.subset([])], config, [local_rng(0, 1, 0)])
     # one empty shard among non-empty ones is rejected too

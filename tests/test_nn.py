@@ -296,9 +296,9 @@ def test_step_reduces_to_plain_sgd():
     params = ParamVector(np.array([1.0, -2.0, 0.5]), layout)
     grad = np.array([0.5, 1.0, -1.0])
     expected = params.values - 0.2 * grad
-    values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.2, momentum_coef=0.0)
+    values, opt = params.values, OptimizerState(np.zeros(layout.total), 0.0, 0.2)
     buf = opt.momentum_buffer
-    assert masked_sgd_step(params, grad, Mask.ones(3).bits, opt) is None
+    assert masked_sgd_step(params, grad, Mask(np.ones(3)).bits, opt) is None
     assert params.values is values and opt.momentum_buffer is buf
     assert np.array_equal(values, expected)
     assert np.array_equal(buf, np.array([0.5, 1.0, -1.0]))
@@ -308,7 +308,7 @@ def test_step_all_zero_mask_is_identity():
     layout = LayerLayout((2, 1))
     params = ParamVector(np.array([1.0, -2.0, 0.5]), layout)
     expected = params.values.copy()
-    values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.2, momentum_coef=0.5)
+    values, opt = params.values, OptimizerState(np.zeros(layout.total), 0.5, 0.2)
     buf = opt.momentum_buffer
     masked_sgd_step(params, np.array([9.0, 9.0, 9.0]), np.zeros(3, dtype=np.uint8), opt)
     assert params.values is values and opt.momentum_buffer is buf
@@ -320,7 +320,7 @@ def test_step_two_coordinate_arithmetic():
     # masked index 1 is untouched here; apply_mask is what zeroes it upstream
     layout = LayerLayout((1, 1))
     params = ParamVector(np.array([1.0, 1.0]), layout)
-    values, opt = params.values, OptimizerState.fresh(layout, learning_rate=0.5, momentum_coef=0.0)
+    values, opt = params.values, OptimizerState(np.zeros(layout.total), 0.0, 0.5)
     buf = opt.momentum_buffer
     masked_sgd_step(params, np.array([2.0, 4.0]), Mask([1, 0]).bits, opt)
     assert params.values is values and opt.momentum_buffer is buf
@@ -330,12 +330,12 @@ def test_step_two_coordinate_arithmetic():
 def test_step_momentum_accumulates():
     layout = LayerLayout((1, 1))
     params = ParamVector(np.zeros(2), layout)
-    opt = OptimizerState.fresh(layout, learning_rate=1.0, momentum_coef=0.5)
+    opt = OptimizerState(np.zeros(layout.total), 0.5, 1.0)
     values, buf = params.values, opt.momentum_buffer
     # the step consumes its gradient argument, so each call gets a fresh one
-    masked_sgd_step(params, np.array([1.0, 0.0]), Mask.ones(2).bits, opt)
+    masked_sgd_step(params, np.array([1.0, 0.0]), Mask(np.ones(2)).bits, opt)
     assert values[0] == -1.0
-    masked_sgd_step(params, np.array([1.0, 0.0]), Mask.ones(2).bits, opt)
+    masked_sgd_step(params, np.array([1.0, 0.0]), Mask(np.ones(2)).bits, opt)
     assert values[0] == -1.0 - 1.5  # buffer 0.5*1 + 1
     assert params.values is values and opt.momentum_buffer is buf
     assert buf.tolist() == [1.5, 0.0]
@@ -344,9 +344,9 @@ def test_step_momentum_accumulates():
 def test_step_rejects_length_mismatch():
     layout = LayerLayout((1, 1))
     params = ParamVector(np.zeros(2), layout)
-    opt = OptimizerState.fresh(layout, learning_rate=0.1)
+    opt = OptimizerState(np.zeros(layout.total), 0.0, 0.1)
     with pytest.raises(ValueError):
-        masked_sgd_step(params, np.zeros(3), Mask.ones(2).bits, opt)
+        masked_sgd_step(params, np.zeros(3), Mask(np.ones(2)).bits, opt)
 
 
 @settings(max_examples=30, deadline=None)
@@ -357,7 +357,7 @@ def test_mask_closure_is_bitwise(seed, steps):
     mask = rng.integers(0, 2, layout.total).astype(np.uint8)
     values = rng.normal(0, 1, layout.total) * mask  # start pruned-to-zero
     params = ParamVector(np.where(mask == 1, values, 0.0), layout)
-    opt = OptimizerState.fresh(layout, learning_rate=0.1, momentum_coef=0.5)
+    opt = OptimizerState(np.zeros(layout.total), 0.5, 0.1)
     inputs, labels = rng.normal(size=(4, 3)), rng.integers(0, 2, 4)
     for _ in range(steps):
         _, grad = loss_and_grad(params, inputs, labels)
@@ -377,11 +377,11 @@ def test_trajectory_determinism_is_bitwise():
 
     def trajectory():
         params = init_params(layout, seed=5)
-        opt = OptimizerState.fresh(layout, learning_rate=0.05, momentum_coef=0.5)
+        opt = OptimizerState(np.zeros(layout.total), 0.5, 0.05)
         out = []
         for inputs, labels in batches:
             _, grad = loss_and_grad(params, inputs, labels)
-            masked_sgd_step(params, grad, Mask.ones(layout.total).bits, opt)
+            masked_sgd_step(params, grad, Mask(np.ones(layout.total)).bits, opt)
             out.append(params.values.copy())
         return out
 
