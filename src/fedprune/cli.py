@@ -2,11 +2,12 @@
 
 Run configs are flat JSON. A key is a field name of `FederationConfig`,
 `IdxSpec` or `RunConfig`, or `synth_` + a field name of `SynthSpec`;
-`dataset` picks the spec, "synthetic" or "idx". An int field takes an
-integer (not true, not 20.0), a float field a finite number, a str field a
-string, a bool field true or false, `hidden_layers` and `seeds` a list of
-integers, `out_dir` a string, and an `X | None` field also null. A config
-error names its key. `run` flags set the keys named by their dests.
+`dataset` picks the spec, "synthetic" or "idx"; a key of the other spec is
+an error. An int field takes an integer (not true, not 20.0), a float field
+a finite number, a str field a string, a bool field true or false,
+`hidden_layers` and `seeds` a list of integers, `out_dir` a string, and an
+`X | None` field also null. A config error names its key. `run` flags set
+the keys named by their dests.
 Exit codes for `run`: 1 config error, 2 coverage violation, 3 I/O error,
 4 training diverged (a non-finite model, test-set loss or gradient; the
 message names where).
@@ -119,6 +120,11 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
 
     dataset = _make(_DATASETS[kind], values)
+    for other in _DATASETS.keys() - {kind}:
+        cls = _DATASETS[other]
+        stray = sorted(values.keys() & {_PREFIXES.get(cls, "") + f.name for f in fields(cls)})
+        if stray:
+            raise ValueError(f"{', '.join(stray)} apply only to dataset {json.dumps(other)}")
     federation = _make(FederationConfig, values, dataset=dataset, seed=seeds[0])
     out_dir = values.get("out_dir") or os.environ.get(OUT_DIR_ENV, "runs")
     return RunConfig(federation, seeds, Path(out_dir))

@@ -155,6 +155,18 @@ def _uncovered_detail(counts: np.ndarray, layout: LayerLayout, codename: str) ->
 # ---------------------------------------------------------------------------
 
 
+def _check_ranges(spec, prefix: str, counts: tuple[str, ...], seeds: tuple[str, ...]) -> None:
+    """Counts must be >= 1 (or None) and seeds >= 0; an error names the key `prefix` + field."""
+    for name in counts:
+        value = getattr(spec, name)
+        if value is not None and value < 1:
+            raise ValueError(f"{prefix}{name} must be >= 1, got {value}")
+    for name in seeds:
+        value = getattr(spec, name)
+        if value < 0:
+            raise ValueError(f"{prefix}{name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     classes: int = 10
@@ -163,6 +175,14 @@ class SynthSpec:
     spread: float = 0.3
     test_samples_per_class: int = 50
     data_seed: int = 0  # dataset is shared across run seeds, like real files
+
+    def __post_init__(self):
+        counts = ("classes", "samples_per_class", "test_samples_per_class")
+        _check_ranges(self, "synth_", counts, ("data_seed",))
+        if self.dim < self.classes:
+            raise ValueError(f"synth_dim must be >= synth_classes, got {self.dim} < {self.classes}")
+        if not self.spread >= 0:
+            raise ValueError(f"synth_spread must be non-negative, got {self.spread}")
 
 
 @dataclass(frozen=True)
@@ -174,6 +194,9 @@ class IdxSpec:
     train_subset: int | None = None
     test_subset: int | None = None
     subset_seed: int = 0
+
+    def __post_init__(self):
+        _check_ranges(self, "", ("train_subset", "test_subset"), ("subset_seed",))
 
 
 @dataclass(frozen=True)

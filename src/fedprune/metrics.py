@@ -132,11 +132,15 @@ def account(layout: LayerLayout, family: str, kept_segments) -> ModelAccount:
 
 
 def amortized(accounts: list[ModelAccount], full: ModelAccount) -> AmortizedAccount:
-    """Mean retained cost across a round's local models, plus ratios vs full."""
+    """Mean retained cost across a round's local models, plus ratios vs full.
+
+    The means divide exact integer sums: while a sum stays below 2**53 that
+    is the float `np.mean` gives, without its array setup.
+    """
     if not accounts:
         raise ValueError("need at least one slot account")
-    p = float(np.mean([a.params_total for a in accounts]))
-    f = float(np.mean([a.flops_total for a in accounts]))
+    p = sum(a.params_total for a in accounts) / len(accounts)
+    f = sum(a.flops_total for a in accounts) / len(accounts)
     return AmortizedAccount(p, f, round(p / full.params_total, 2), round(f / full.flops_total, 2))
 
 

@@ -19,12 +19,15 @@ bits it would get alone.
 The optimizer step works in place: `masked_sgd_step` overwrites the
 parameter values, the momentum buffer and the gradient it is given.
 `loss_and_grad` writes into an `out=` buffer when given one, so a training
-loop allocates no full-length vector per step.
+loop allocates no full-length vector per step. A `ParamVector` makes its
+per-layer views once, when it is built (`layers`); the layer loop adds
+each bias and applies ReLU in place on the product it just made.
 
 `evaluate` spreads its chunks over the lanes (`fedprune.lanes`): each lane
 computes one chunk's loss sum, correct count and gradient into its own
-slot and then, in its ordered commit, adds them to the totals in chunk
-order, so every lane count gives the same bits.
+slot (whose layer views are made once per call) and then, in its ordered
+commit, adds them to the totals in chunk order, so every lane count gives
+the same bits.
 """
 
 from __future__ import annotations
@@ -98,23 +101,29 @@ class LayerLayout:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamVector:
     """Flat float64 parameter vector tied to its layer layout.
 
     `values` is one vector (total,), or a stack (g, total) of g vectors that
-    the layer loop and the SGD step advance together, one per row.
+    the layer loop and the SGD step advance together, one per row. `layers`
+    is `layout.unpack(values)`, made once: the views alias `values`, so
+    in-place updates show through them, and the frozen fields keep `values`
+    from being replaced under them.
     """
 
     values: np.ndarray
     layout: LayerLayout
+    layers: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.layout.total:
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim not in (1, 2) or values.shape[-1] != self.layout.total:
             raise ValueError(
-                f"parameter vector length {self.values.shape} does not match layout total {self.layout.total}"
+                f"parameter vector length {values.shape} does not match layout total {self.layout.total}"
             )
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "layers", self.layout.unpack(values))
 
 
 @dataclass
@@ -161,10 +170,13 @@ def _activations(params: ParamVector, inputs: np.ndarray) -> list[np.ndarray]:
     if inputs.shape[:-2] != values.shape[:-1]:
         raise ValueError("stacked inputs need one batch per parameter vector")
     acts = [inputs]
-    layers = layout.unpack(values)
+    layers = params.layers
     for l, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b[..., None, :]
-        acts.append(np.maximum(z, 0.0) if l < len(layers) - 1 else z)
+        z = acts[-1] @ w
+        z += b[..., None, :]
+        if l < len(layers) - 1:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
     return acts
 
 
@@ -175,7 +187,8 @@ def forward(params: ParamVector, inputs) -> np.ndarray:
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
@@ -185,20 +198,24 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> None:
 
 
 def _label_index(labels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Index of each row's label column: `logp[_label_index(labels)]` has labels' shape."""
-    return (*np.indices(labels.shape, sparse=True), labels)
+    """Index of each row's label column: `logp[_label_index(labels)]` has labels' shape.
+
+    Labels are (B,) for one vector or (g, B) for a stack.
+    """
+    *lead, rows = labels.shape
+    return (*(np.arange(n)[:, None] for n in lead), np.arange(rows), labels)
 
 
 def _backward(
     params: ParamVector, acts: list[np.ndarray], logp: np.ndarray,
-    pick: tuple[np.ndarray, ...], out: np.ndarray,
-) -> np.ndarray:
-    """Gradient of each batch's mean cross-entropy via backprop, written into `out`.
+    pick: tuple[np.ndarray, ...], grads: list[tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Gradient of each batch's mean cross-entropy via backprop, written into `grads`.
 
-    `pick` is `_label_index(labels)` for the batch's labels.
+    `pick` is `_label_index(labels)` for the batch's labels; `grads` is
+    `layout.unpack` of the gradient buffer.
     """
-    layers = params.layout.unpack(params.values)
-    grads = params.layout.unpack(out)
+    layers = params.layers
     # dL/dlogits for mean cross-entropy
     delta = np.exp(logp)
     delta[pick] -= 1.0
@@ -206,11 +223,10 @@ def _backward(
     for l in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grads[l]
         np.matmul(np.swapaxes(acts[l], -1, -2), delta, out=grad_w)
-        np.sum(delta, axis=-2, out=grad_b)
+        np.add.reduce(delta, axis=-2, out=grad_b)
         if l > 0:
             delta = delta @ np.swapaxes(layers[l][0], -1, -2)
-            delta[acts[l] <= 0.0] = 0.0  # ReLU subgradient at 0 taken as 0
-    return out
+            np.putmask(delta, acts[l] <= 0.0, 0.0)  # ReLU subgradient at 0 taken as 0
 
 
 def loss_and_grad(
@@ -239,8 +255,9 @@ def loss_and_grad(
     acts = _activations(params, inputs)
     logp = _log_softmax(acts[-1])
     pick = _label_index(labels)
-    loss = -logp[pick].mean(axis=-1)
-    return (float(loss) if loss.ndim == 0 else loss), _backward(params, acts, logp, pick, out)
+    loss = -(np.add.reduce(logp[pick], axis=-1) / labels.shape[-1])  # the arithmetic of .mean()
+    _backward(params, acts, logp, pick, params.layout.unpack(out))
+    return (float(loss) if loss.ndim == 0 else loss), out
 
 
 def masked_sgd_step(
@@ -294,6 +311,7 @@ def evaluate(
     loss_sums, corrects = [0.0] * width, [0] * width
     total_grad = np.zeros(params.layout.total)
     work = np.empty((width, params.layout.total))  # each lane's chunk gradient, reused
+    grads = [params.layout.unpack(row) for row in work]
     total_loss = 0.0
     correct = 0
 
@@ -304,7 +322,7 @@ def evaluate(
         pick = _label_index(chunk_labels)
         loss_sums[lane] = float(-logp[pick].sum())
         corrects[lane] = int((acts[-1].argmax(axis=-1) == chunk_labels).sum())
-        _backward(params, acts, logp, pick, work[lane])
+        _backward(params, acts, logp, pick, grads[lane])
         work[lane] *= len(chunk_labels)
 
     def add(start: int, lane: int) -> None:

@@ -2,7 +2,9 @@
 
 Each row pins the amortized retained parameter count, the amortized
 multiply-accumulate count, and (where self-consistent) the minimum
-coverage index for a ten-slot codename under one mask family.
+coverage index for a ten-slot codename under one mask family. A row's
+cost is computed with one `account` call per distinct digit of its
+codename (at most 7), as the round engine does, not one per slot.
 
 Excluded cells, each internally inconsistent in the records this grid
 was transcribed from:
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .metrics import AmortizedAccount, account, amortized, full_account
 from .nn import LayerLayout
-from .pruning import codename_coverage, parse_codename
+from .pruning import DIGIT_SEGMENTS, codename_coverage
 
 MNIST_LAYOUT = LayerLayout((784, 200, 10))
 
@@ -82,10 +84,14 @@ TABLE_ROWS: tuple[TableRow, ...] = (
 
 def computed_row(family: str, codename: str,
                  layout: LayerLayout = MNIST_LAYOUT) -> tuple[AmortizedAccount, int]:
-    """Amortized cost and minimum coverage index for a codename under a family."""
-    per_slot = [account(layout, family, kept) for kept in parse_codename(codename)]
-    amt = amortized(per_slot, full_account(layout))
-    _, gamma_min = codename_coverage(codename)
+    """Amortized cost and minimum coverage index for a codename under a family.
+
+    A slot's cost depends only on its digit, so `account` runs once per
+    distinct digit and each slot takes its digit's result.
+    """
+    _, gamma_min = codename_coverage(codename)  # validates the codename
+    accounts = {d: account(layout, family, DIGIT_SEGMENTS[d]) for d in dict.fromkeys(codename)}
+    amt = amortized([accounts[d] for d in codename], full_account(layout))
     return amt, gamma_min
 
 

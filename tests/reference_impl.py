@@ -3,8 +3,9 @@
 import numpy as np
 
 from fedprune.federation import local_rng, model_layout, sample_rng
+from fedprune.metrics import account, amortized, full_account
 from fedprune.nn import ParamVector, init_params, loss_and_grad
-from fedprune.pruning import DIGIT_SEGMENTS, Mask
+from fedprune.pruning import DIGIT_SEGMENTS, Mask, codename_coverage, parse_codename
 
 
 def reference_fedavg_rounds(config, data, rounds):
@@ -181,3 +182,11 @@ def reference_masks(codename, family, freeze, params, round_no, frozen):
             frozen[k] = mask
         masks.append(mask)
     return masks, frozen
+
+
+def reference_computed_row(family, codename, layout):
+    """`tables.computed_row` one slot at a time: an `account` call per slot."""
+    per_slot = [account(layout, family, kept) for kept in parse_codename(codename)]
+    amt = amortized(per_slot, full_account(layout))
+    _, gamma_min = codename_coverage(codename)
+    return amt, gamma_min

@@ -40,8 +40,12 @@ QUICK_CONFIG = {
 }
 
 
-def write_config(tmp_path, **overrides):
-    cfg = dict(QUICK_CONFIG)
+# QUICK_CONFIG for IDX files: no synth_* keys, which apply only to the synthetic dataset
+IDX_CONFIG = {k: v for k, v in QUICK_CONFIG.items() if not k.startswith("synth_")}
+
+
+def write_config(tmp_path, base=QUICK_CONFIG, **overrides):
+    cfg = dict(base)
     cfg.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -180,12 +184,13 @@ BAD_CONFIGS = {
     "hidden-negative": ({"hidden_layers": [16, -2]}, "hidden layer sizes must be positive"),
     "classes-per-client-0": (
         {"partition": "label-skew", "classes_per_client": 0}, "classes_per_client"),
-    "synth-dim-below-classes": ({"synth_dim": 5}, "dim must be >= num_classes"),
-    "synth-samples-0": ({"synth_samples_per_class": 0}, "cannot split 0 samples"),
+    "synth-dim-below-classes": ({"synth_dim": 5}, "synth_dim must be >= synth_classes, got 5 < 10"),
+    "synth-samples-0": ({"synth_samples_per_class": 0}, "synth_samples_per_class must be >= 1"),
     "learning-rate-negative": ({"learning_rate": -0.1}, "learning_rate"),
     "smoothness-L-0": ({"learning_rate": None, "smoothness_L": 0}, "smoothness_L"),
     "init-seed-negative": ({"init_seed": -1}, "init_seed"),
-    "synth-test-samples-0": ({"synth_test_samples_per_class": 0}, "the test set is empty"),
+    "synth-test-samples-0": (
+        {"synth_test_samples_per_class": 0}, "synth_test_samples_per_class must be >= 1, got 0"),
     "local-batch-fraction": ({"local_batch": 2.5}, "local_batch must be an integer, got 2.5"),
     "test-batch-float": ({"test_batch": 64.0}, "test_batch must be an integer, got 64.0"),
     "num-clients-float": ({"num_clients": 20.0}, "num_clients must be an integer"),
@@ -214,6 +219,22 @@ BAD_CONFIGS = {
     "smoothness-L-string": ({"smoothness_L": "1"}, "smoothness_L must be a finite number or null"),
     "momentum-nan": ({"momentum": float("nan")}, "momentum must be a finite number, got NaN"),
     "idx-without-files": ({"dataset": "idx"}, "missing required keys: ['train_images'"),
+    "synth-classes-negative": ({"synth_classes": -1}, "synth_classes must be >= 1, got -1"),
+    "synth-samples-negative": (
+        {"synth_samples_per_class": -1}, "synth_samples_per_class must be >= 1, got -1"),
+    "synth-test-samples-negative": (
+        {"synth_test_samples_per_class": -1}, "synth_test_samples_per_class must be >= 1, got -1"),
+    "synth-dim-0": ({"synth_dim": 0}, "synth_dim must be >= synth_classes, got 0 < 10"),
+    "synth-spread-negative": ({"synth_spread": -1}, "synth_spread must be non-negative, got -1"),
+    "synth-data-seed-negative": (
+        {"synth_data_seed": -1}, "synth_data_seed must be non-negative, got -1"),
+    "idx-keys-in-synthetic": (
+        {"test_subset": -3}, 'test_subset apply only to dataset "idx"'),
+    "synth-keys-in-idx": (
+        {"dataset": "idx", "train_images": "a", "train_labels": "b", "test_images": "c",
+         "test_labels": "d"},
+        "synth_classes, synth_dim, synth_samples_per_class, synth_spread, "
+        'synth_test_samples_per_class apply only to dataset "synthetic"'),
 }
 
 
@@ -226,6 +247,20 @@ def test_run_reports_bad_config_values_without_a_traceback(tmp_path, capsys, ove
     assert captured.err.startswith(f"error: bad config {path}: ")
     assert named in captured.err
     assert not (out / "metrics_seed1.csv").exists()
+
+
+@pytest.mark.parametrize(("overrides", "named"), [
+    ({"train_subset": 0}, "train_subset must be >= 1, got 0"),
+    ({"test_subset": -3}, "test_subset must be >= 1, got -3"),
+    ({"subset_seed": -1}, "subset_seed must be non-negative, got -1"),
+])
+def test_idx_config_errors_name_their_key_before_any_file_is_read(tmp_path, capsys, overrides,
+                                                                   named):
+    paths = {k: str(tmp_path / k) for k in ("train_images", "train_labels", "test_images",
+                                            "test_labels")}  # none of them exists
+    path = write_config(tmp_path, IDX_CONFIG, dataset="idx", **paths, **overrides)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: bad config {path}: {named}\n"
 
 
 def test_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
@@ -516,11 +551,33 @@ def test_readme_config_table_lists_every_accepted_key_with_its_json_type():
 
 def test_run_dataset_idx_missing_file(tmp_path, capsys):
     path = write_config(
-        tmp_path, dataset="idx",
+        tmp_path, IDX_CONFIG, dataset="idx",
         train_images=str(tmp_path / "ti"), train_labels=str(tmp_path / "tl"),
         test_images=str(tmp_path / "vi"), test_labels=str(tmp_path / "vl"),
     )
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "i")]) == 1
+    assert capsys.readouterr().err.startswith("error: dataset file not found: ")
+
+
+def test_run_rejects_an_idx_test_set_of_zero_items(tmp_path, capsys):
+    import numpy as np
+
+    from file_formats import write_idx
+
+    from fedprune.data import Dataset
+
+    labels = np.arange(40) % 2
+    write_idx(Dataset(np.eye(16)[labels], labels, 2), tmp_path / "train.idx", tmp_path / "train-labels.idx")
+    write_idx(Dataset(np.zeros((0, 16)), np.zeros(0, dtype=np.int64), 2),
+              tmp_path / "test.idx", tmp_path / "test-labels.idx")
+    path = write_config(
+        tmp_path, IDX_CONFIG, dataset="idx", codename="1144", num_clients=8,
+        participation_ratio=0.5, hidden_layers=[8],
+        train_images=str(tmp_path / "train.idx"), train_labels=str(tmp_path / "train-labels.idx"),
+        test_images=str(tmp_path / "test.idx"), test_labels=str(tmp_path / "test-labels.idx"),
+    )
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: bad config {path}: the test set is empty\n"
 
 
 def test_run_from_idx_files_end_to_end(tmp_path):
@@ -541,7 +598,7 @@ def test_run_from_idx_files_end_to_end(tmp_path):
     write_idx(fake_digits(60), tmp_path / "train.idx", tmp_path / "train-labels.idx")
     write_idx(fake_digits(30), tmp_path / "test.idx", tmp_path / "test-labels.idx")
     path = write_config(
-        tmp_path, dataset="idx", codename="1144", num_clients=8,
+        tmp_path, IDX_CONFIG, dataset="idx", codename="1144", num_clients=8,
         participation_ratio=0.5, hidden_layers=[8], rounds=2,
         train_images=str(tmp_path / "train.idx"), train_labels=str(tmp_path / "train-labels.idx"),
         test_images=str(tmp_path / "test.idx"), test_labels=str(tmp_path / "test-labels.idx"),

@@ -194,6 +194,24 @@ def test_one_lane_never_makes_the_pool(monkeypatch):
     assert fedprune.lanes._pool is None
 
 
+@pytest.mark.parametrize("phase", ["work", "commit"])
+def test_one_lane_failure_stops_all_later_commits(phase):
+    committed = []
+
+    def work(item, lane):
+        if phase == "work" and item == 3:
+            raise ValueError("item 3")
+
+    def commit(item, lane):
+        if phase == "commit" and item == 3:
+            raise ValueError("item 3")
+        committed.append(item)
+
+    with pytest.raises(ValueError, match="item 3"):
+        on_lanes(range(7), work, 1, commit=commit)
+    assert committed == [0, 1, 2]
+
+
 def test_importing_the_cli_and_checking_the_table_start_no_thread_pool():
     script = (
         "import sys, threading\n"

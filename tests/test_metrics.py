@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from file_formats import read_metrics_csv
 from hypothesis import given, settings, strategies as st
+from reference_impl import reference_computed_row
 
 from fedprune.data import synth_blobs
 from fedprune.metrics import (
@@ -24,6 +25,7 @@ from fedprune.metrics import (
 )
 from fedprune.nn import LayerLayout, ParamVector, evaluate, forward, init_params
 from fedprune.pruning import DIGIT_SEGMENTS, parse_codename, round_masks
+from fedprune.tables import TABLE_ROWS, computed_row
 
 MNIST_LAYOUT = LayerLayout((784, 200, 10))
 
@@ -97,6 +99,51 @@ def test_amortized_matches_reference_grid():
 def test_amortized_requires_slots():
     with pytest.raises(ValueError):
         amortized([], full_account(MNIST_LAYOUT))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**45), min_size=1, max_size=100),
+       st.lists(st.integers(0, 2**45), min_size=1, max_size=100))
+def test_amortized_means_are_the_bits_of_np_mean(params, flops):
+    accounts = [ModelAccount(p, f) for p, f in zip(params, flops)]
+    amt = amortized(accounts, ModelAccount(2**46, 2**46))
+    want_p = float(np.mean([a.params_total for a in accounts]))
+    want_f = float(np.mean([a.flops_total for a in accounts]))
+    assert np.float64(amt.params_mean).view(np.int64) == np.float64(want_p).view(np.int64)
+    assert np.float64(amt.flops_mean).view(np.int64) == np.float64(want_f).view(np.int64)
+
+
+@pytest.mark.parametrize("row", TABLE_ROWS, ids=lambda r: f"{r.family}-{r.codename}")
+def test_computed_row_equals_the_per_slot_reference_on_the_grid(row):
+    assert computed_row(row.family, row.codename) == reference_computed_row(
+        row.family, row.codename, MNIST_LAYOUT
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["WP", "NP", "FS"]),
+    st.text(alphabet="1234567", min_size=1, max_size=30),
+    st.integers(2, 40),
+    st.lists(st.integers(4, 60), min_size=1, max_size=3),
+    st.integers(1, 12),
+)
+def test_computed_row_equals_the_per_slot_reference(family, codename, d_in, hidden, d_out):
+    if family != "WP":
+        hidden = hidden[:1]
+    layout = LayerLayout((d_in, *hidden, d_out))
+    assert computed_row(family, codename, layout) == reference_computed_row(
+        family, codename, layout
+    )
+
+
+def test_computed_row_accounts_each_distinct_digit_once(monkeypatch):
+    import fedprune.tables
+
+    calls = []
+    monkeypatch.setattr(fedprune.tables, "account", lambda *a: calls.append(a) or account(*a))
+    computed_row("NP", "1111223344")
+    assert [kept for _, _, kept in calls] == [DIGIT_SEGMENTS[d] for d in "1234"]
 
 
 # ---------------------------------------------------------------------------
