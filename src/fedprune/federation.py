@@ -8,7 +8,8 @@ Each round q (1-based):
      shards train in lockstep, as rows of one (g, total) matrix. Pruning
      noise, coverage counts and accounting run once per distinct digit
   3. set every parameter to the mean of its value over exactly the slots
-     whose masks cover it
+     whose masks cover it: the sum of every slot's local model, each +0.0
+     off its mask (see `aggregate`), divided by the coverage count
 Parameters covered by no slot keep the previous global value; that case is
 reported as gamma_min = 0 and can be escalated to an error.
 
@@ -104,33 +105,27 @@ def coverage_counts(masks: list[Mask], holders: list[int]) -> np.ndarray:
 
 
 def aggregate(
-    previous_global: ParamVector,
-    local_models: list[ParamVector],
-    masks: list[Mask],
-    counts: np.ndarray,
+    previous_global: ParamVector, local: list[np.ndarray], counts: np.ndarray
 ) -> ParamVector:
     """Per-parameter mean over exactly the covering slots, in ascending slot order.
 
-    `masks` holds one mask per local model, and `counts` is their coverage
-    counts (`coverage_counts`). Parameters no slot covers retain
-    the previous global value.
+    `local[k]` is slot k's local model and `counts` the round's coverage
+    counts (`coverage_counts`). Parameters no slot covers retain the previous
+    global value. Precondition: each local model is zero wherever its slot's
+    mask is 0, so the plain sum of the rows is the sum over the covering
+    slots. `local_update`'s rows keep it: `apply_mask` writes +0.0 there and
+    `masked_sgd_step` masks the gradient before it enters the momentum
+    buffer, so those coordinates never move; `run_round` rejects non-finite
+    rows before aggregating.
     """
     total = previous_global.layout.total
-    if len(local_models) != len(masks):
-        raise ValueError("one mask per local model required")
-    if any(len(m) != total for m in masks):
-        raise ValueError("mask length does not match the parameter vector")
-    if len(counts) != total:
-        raise ValueError("coverage counts do not match the parameter vector")
-    # acc starts at +0.0 and never becomes -0.0, so the -0.0 that a pruned
-    # negative coordinate gives (x * 0) changes no bit of it: for finite
-    # models only the covering slots contribute
+    if len(counts) != total or any(len(row) != total for row in local):
+        raise ValueError("local models and coverage counts must match the parameter vector")
     acc = np.zeros(total)
-    term = np.empty(total)
-    for model, mask in zip(local_models, masks):
-        acc += np.multiply(model.values, mask.bits, out=term)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(counts > 0, acc / counts, previous_global.values)
+    for row in local:
+        acc += row
+    out = previous_global.values.copy()
+    np.divide(acc, counts, out=out, where=counts > 0)
     return ParamVector(out, previous_global.layout)
 
 
@@ -504,7 +499,6 @@ def run_round(
                 f"round {q}: non-finite local model after local training in slot {k} "
                 f"(client {participants[k]})"
             )
-    local_models = [ParamVector(row, layout) for row in local]
 
     counts = coverage_counts(list(masks.values()), [codename.count(d) for d in masks])
     gamma_min = int(counts.min())
@@ -517,7 +511,7 @@ def run_round(
             raise CoverageError(message)
         warnings.warn(message)
 
-    new_params = aggregate(state.params, local_models, slot_masks, counts)
+    new_params = aggregate(state.params, local, counts)
     if not np.isfinite(new_params.values).all():
         raise FloatingPointError(f"round {q}: non-finite global parameters after aggregation")
 

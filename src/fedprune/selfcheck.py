@@ -85,18 +85,21 @@ def coverage_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
 
 
 def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
-    """aggregate vs the per-index 'mean over covering slots' loop."""
+    """aggregate vs the per-index 'mean over covering slots' loop.
+
+    The local models are +0.0 off their masks (`apply_mask`), as training leaves them.
+    """
     for _ in range(runs):
         n_params, n_slots, bits = _random_instance(rng)
         layout = LayerLayout((n_params - 1, 1))  # (n-1) weights + 1 bias: only the length matters
         prev = rng.normal(0.0, 1.0, n_params)
-        locals_ = [rng.normal(0.0, 1.0, n_params) for _ in range(n_slots)]
         masks = [Mask(bits[s]) for s in range(n_slots)]
+        locals_ = [
+            apply_mask(ParamVector(rng.normal(0.0, 1.0, n_params), layout), mask).values
+            for mask in masks
+        ]
         got = aggregate(
-            ParamVector(prev, layout),
-            [ParamVector(v, layout) for v in locals_],
-            masks,
-            coverage_counts(masks, [1] * n_slots),
+            ParamVector(prev, layout), locals_, coverage_counts(masks, [1] * n_slots)
         ).values
         want = brute_force_aggregate(prev, locals_, bits)
         if not np.array_equal(got, want):

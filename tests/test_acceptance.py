@@ -37,6 +37,7 @@ from fedprune.metrics import TheoryConstants, theorem1_rhs, theorem2_rhs
 from fedprune.nn import LayerLayout, ParamVector, init_params, loss_and_grad
 from fedprune.pruning import (
     Mask,
+    apply_mask,
     codename_coverage,
     pruning_noise,
     round_masks,
@@ -145,13 +146,12 @@ def test_criterion_3_region_and_aggregation_oracles():
 
             layout = LayerLayout((n_params - 1, 1))
             prev = rng.normal(size=n_params)
-            local_values = [rng.normal(size=n_params) for _ in range(n_slots)]
-            got = aggregate(
-                ParamVector(prev, layout),
-                [ParamVector(v, layout) for v in local_values],
-                masks,
-                counts,
-            ).values
+            # local models +0.0 off their masks, as `apply_mask` leaves them
+            local_values = [
+                apply_mask(ParamVector(rng.normal(size=n_params), layout), mask).values
+                for mask in masks
+            ]
+            got = aggregate(ParamVector(prev, layout), local_values, counts).values
             assert np.array_equal(got, brute_force_aggregate(prev, local_values, bits))
 
 

@@ -144,12 +144,9 @@ def test_decompose_matches_brute_force(seed):
 def test_aggregate_worked_example():
     layout = flat_layout(3)
     prev = ParamVector(np.array([9.0, 9.0, 9.0]), layout)
-    locals_ = [
-        ParamVector(np.array([1.0, 2.0, 0.0]), layout),
-        ParamVector(np.array([3.0, 0.0, 4.0]), layout),
-    ]
+    locals_ = [np.array([1.0, 2.0, 0.0]), np.array([3.0, 0.0, 4.0])]
     masks = masks_from([[1, 1, 0], [1, 0, 1]])
-    out = aggregate(prev, locals_, masks, slot_counts(masks))
+    out = aggregate(prev, locals_, slot_counts(masks))
     assert out.values.tolist() == [2.0, 2.0, 4.0]
 
 
@@ -157,50 +154,36 @@ def test_aggregate_all_ones_is_fedavg_mean():
     layout = flat_layout(6)
     rng = np.random.default_rng(3)
     prev = ParamVector(rng.normal(size=6), layout)
-    locals_ = [ParamVector(rng.normal(size=6), layout) for _ in range(4)]
+    locals_ = [rng.normal(size=6) for _ in range(4)]
     masks = [Mask(np.ones(6)) for _ in range(4)]
-    out = aggregate(prev, locals_, masks, slot_counts(masks))
+    out = aggregate(prev, locals_, slot_counts(masks))
     manual = np.zeros(6)
     for lv in locals_:
-        manual += lv.values
+        manual += lv
     assert np.array_equal(out.values, manual / 4)
 
 
 def test_aggregate_single_client_retains_uncovered():
     layout = flat_layout(4)
     prev = ParamVector(np.array([5.0, 6.0, 7.0, 8.0]), layout)
-    locals_ = [ParamVector(np.array([1.0, 2.0, 3.0, 4.0]), layout)]
+    locals_ = [np.array([1.0, 0.0, 3.0, 0.0])]
     masks = masks_from([[1, 0, 1, 0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # 0/0 at uncovered indices must stay silent
-        out = aggregate(prev, locals_, masks, slot_counts(masks))
+        out = aggregate(prev, locals_, slot_counts(masks))
     assert out.values.tolist() == [1.0, 6.0, 3.0, 8.0]
 
 
-def test_aggregate_rejects_wrong_length_mask():
+def test_aggregate_rejects_a_row_or_counts_of_the_wrong_length():
     layout = flat_layout(3)
     prev = ParamVector(np.zeros(3), layout)
-    locals_ = [ParamVector(np.ones(3), layout), ParamVector(np.ones(3), layout)]
-    with pytest.raises(ValueError):
-        aggregate(prev, locals_, masks_from([[1, 1, 0, 1], [1, 0, 1, 0]]), np.ones(4, int))
-    with pytest.raises(ValueError):
-        aggregate(prev, locals_, masks_from([[1, 1, 0], [1, 0]]), np.ones(3, int))
-    with pytest.raises(ValueError):  # would broadcast silently without the check
-        aggregate(prev, locals_, masks_from([[1], [1]]), np.full(1, 2))
-    good = masks_from([[1, 1, 0], [1, 0, 1]])
-    with pytest.raises(ValueError):  # counts of another length would broadcast too
-        aggregate(prev, locals_, good, np.full(1, 2))
-    with pytest.raises(ValueError):
-        aggregate(prev, locals_, good, np.ones(4, int))
-
-
-def test_aggregate_rejects_model_mask_count_mismatch():
-    layout = flat_layout(3)
-    prev = ParamVector(np.zeros(3), layout)
-    locals_ = [ParamVector(np.ones(3), layout)]
-    masks = masks_from([[1, 1, 0], [1, 0, 1]])
-    with pytest.raises(ValueError):
-        aggregate(prev, locals_, masks, slot_counts(masks))
+    locals_ = [np.ones(3), np.ones(3)]
+    for bad in ([np.ones(3), np.ones(4)], [np.ones(3), np.ones(1)]):  # (1,) would broadcast
+        with pytest.raises(ValueError):
+            aggregate(prev, bad, np.full(3, 2))
+    for counts in (np.full(1, 2), np.full(4, 2)):  # (1,) would broadcast too
+        with pytest.raises(ValueError):
+            aggregate(prev, locals_, counts)
 
 
 @settings(max_examples=80, deadline=None)
@@ -212,14 +195,10 @@ def test_aggregate_matches_brute_force(seed):
     bits = rng.integers(0, 2, (n_slots, n_params), dtype=np.uint8)
     layout = flat_layout(n_params)
     prev = rng.normal(size=n_params)
-    local_values = [rng.normal(size=n_params) for _ in range(n_slots)]
     masks = masks_from(bits)
-    got = aggregate(
-        ParamVector(prev, layout),
-        [ParamVector(v, layout) for v in local_values],
-        masks,
-        slot_counts(masks),
-    ).values
+    # local models +0.0 off their masks, as `apply_mask` leaves them
+    local_values = [apply_mask(ParamVector(rng.normal(size=n_params), layout), m).values for m in masks]
+    got = aggregate(ParamVector(prev, layout), local_values, slot_counts(masks)).values
     want = prev.copy()
     for i in range(n_params):
         covering = [s for s in range(n_slots) if bits[s, i]]
@@ -234,9 +213,10 @@ def test_aggregate_matches_brute_force(seed):
     [("1111223344", False), ("2233445677", False), ("55", True), ("5566", True)],
 )
 def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codename, uncovered):
-    # codenames with and without an uncovered quartile; signed zeros in every
-    # input, compared bit pattern for bit pattern (array_equal has -0.0 == 0.0);
-    # local models hold -0.0, then non-zero values, where their masks prune
+    # codenames with and without an uncovered quartile; signed zeros in the
+    # previous model and in kept coordinates of the local models, compared bit
+    # pattern for bit pattern (array_equal has -0.0 == 0.0); pruned
+    # coordinates are +0.0, as `apply_mask` leaves them
     layout = LayerLayout((8, 8, 4))
     rng = np.random.default_rng(7)
     params = init_params(layout, 0)
@@ -245,21 +225,14 @@ def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codena
     signed_zeros = rng.random(layout.total) < 0.25
     prev = rng.normal(size=layout.total)
     prev[signed_zeros] = -0.0
-    for pruned in ("signed-zero", "nonzero"):
-        local_values = []
-        for mask in masks:
-            fill = -0.0 if pruned == "signed-zero" else rng.normal(size=layout.total)
-            values = np.where(mask.bits != 0, rng.normal(size=layout.total), fill)
-            values[signed_zeros] = -0.0
-            local_values.append(values)
-        got = aggregate(
-            ParamVector(prev, layout),
-            [ParamVector(v, layout) for v in local_values],
-            masks,
-            slot_counts(masks),
-        ).values
-        want = brute_force_aggregate(prev, local_values, bits)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), pruned
+    local_values = []
+    for mask in masks:
+        values = apply_mask(ParamVector(rng.normal(size=layout.total), layout), mask).values
+        values[signed_zeros & (mask.bits != 0)] = -0.0
+        local_values.append(values)
+    got = aggregate(ParamVector(prev, layout), local_values, slot_counts(masks)).values
+    want = brute_force_aggregate(prev, local_values, bits)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
     counts = bits.sum(0)
     assert (counts == 0).any() == uncovered
     assert (signed_zeros & (counts > 0)).any()
@@ -552,7 +525,6 @@ def test_engine_reduces_to_fedavg_bitwise():
 def test_round_results_independent_of_slot_execution_order():
     config = desk_config(rounds=1)
     data = build_federated_data(config)
-    layout = model_layout(config, data)
     state = init_state(config, model_layout(config, data))
     new_state, _ = run_round(state, config, data)
 
@@ -569,9 +541,55 @@ def test_round_results_independent_of_slot_execution_order():
             state.params, [mask], [data.train.subset(data.shards[participants[k]])],
             config, [local_rng(state.seed, 1, k)],
         )
-        slot_models[k] = ParamVector(alone, layout)
-    redone = aggregate(state.params, slot_models, slot_masks, slot_counts(slot_masks))
+        slot_models[k] = alone
+    redone = aggregate(state.params, slot_models, slot_counts(slot_masks))
     assert np.array_equal(redone.values, new_state.params.values)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"family": "WP"},
+        {"family": "NP"},
+        {"family": "FS"},
+        {"family": "WP", "freeze_after_round": 2},
+        {"family": "NP", "freeze_after_round": 2},
+        {"family": "WP", "codename": "5555566666"},  # S4 uncovered: counts hold zeros
+        {"family": "WP", "num_clients": 30, "participation_ratio": 0.34},  # two shard lengths
+    ],
+    ids=["WP", "NP", "FS", "WP-freeze2", "NP-freeze2", "WP-uncovered-S4", "WP-two-shard-lengths"],
+)
+def test_aggregate_is_fed_what_local_update_returns(monkeypatch, overrides):
+    # the precondition of `aggregate` (local models +0.0 off their masks),
+    # checked on the rows real rounds hand it, with the masks they trained under
+    slot_bits = []
+    aggregated = []
+
+    def spy_local_update(global_params, masks, *rest):
+        slot_bits.append(np.stack([m.bits for m in masks]))
+        return local_update(global_params, masks, *rest)
+
+    def spy_aggregate(previous_global, local, counts):
+        bits = slot_bits[-1]
+        assert np.array_equal(counts, bits.sum(axis=0))
+        assert (np.stack(local)[bits == 0].view(np.int64) == 0).all()
+        got = aggregate(previous_global, local, counts)
+        want = brute_force_aggregate(previous_global.values, local, bits)
+        assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
+        aggregated.append(bits)
+        return got
+
+    monkeypatch.setattr(fedprune.federation, "local_update", spy_local_update)
+    monkeypatch.setattr(fedprune.federation, "aggregate", spy_aggregate)
+    config = desk_config(**overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the uncovered codename warns every round
+        run(config)
+    assert len(aggregated) == config.rounds
+    uncovered = any((bits.sum(axis=0) == 0).any() for bits in aggregated)
+    assert uncovered == ("codename" in overrides)
+    if config.freeze_after_round is not None:  # rounds 2 and 3 train under round 2's masks
+        assert np.array_equal(aggregated[1], aggregated[2])
 
 
 def test_round_names_the_slot_and_client_of_a_non_finite_local_model(use_lanes):

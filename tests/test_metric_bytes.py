@@ -43,7 +43,14 @@ CASES = {
     "fs": {"family": "FS"},
     "fs_freeze2": {"family": "FS", "freeze_after_round": 2},
     "np_label_skew": {"family": "NP", "codename": "1234556677", "partition": "label-skew"},
+    # no slot keeps S4: a quarter of W1 is uncovered every round and keeps its value
+    "wp_uncovered_s4": {"codename": "5555566666"},
+    # 1000 examples over 30 clients: shards of 33 and 34 rows train in separate chunks
+    "wp_two_shard_lengths": {"num_clients": 30, "participation_ratio": 0.34},
 }
+
+# cases whose rounds warn that some parameters are covered by no slot
+UNCOVERED = {"wp_uncovered_s4"}
 
 # case -> file -> sha256
 DIGESTS = {
@@ -77,6 +84,18 @@ DIGESTS = {
         "metrics_seed3.csv": "49d0f4ccf02f181ed160f7e213d8fff4cf1bab1d48c4687fc6cea91d03f72372",
         "metrics_seed3.jsonl": "397455d5289b56bb97b3db07c31e1ab4b4b104c526cb00d6212dc0f30e7df1b2",
     },
+    "wp_two_shard_lengths": {
+        "metrics_seed0.csv": "e0667436b11071aad9dd391b9b20d7028495223516d01f2bea85882d4f28d2a2",
+        "metrics_seed0.jsonl": "35d576cf74f54e8d2dc8eb8ae29ef9aad653c8fb49b1986a3b8172c0b478d024",
+        "metrics_seed3.csv": "5d86de876e8cd84e3819c47d73e3a0fb18af16ad15022a4bb8fbea204299f5b9",
+        "metrics_seed3.jsonl": "e36e75f654a4fff27170376f4a7aab47a7d00d444392f787689584a04cbcf004",
+    },
+    "wp_uncovered_s4": {
+        "metrics_seed0.csv": "1331085277efa714b1f6299c9a9acdfd7a0da26bc373be92237e1d1e54cf28dd",
+        "metrics_seed0.jsonl": "37f49a8d4de76b41c438488870a7cc4fefff89f707e42bdb3a3c82d1e532d6ac",
+        "metrics_seed3.csv": "97f95126fdcc12106be2a4a9bf4ee88a3e785b30aa88e8f92faf17554ef561e6",
+        "metrics_seed3.jsonl": "613efac06489e486e71b4bb2a6c18fe5da43953ae95dbf61ee64124cb54c5481",
+    },
     "wp": {
         "metrics_seed0.csv": "d17bdecacc5d9a71da91e7533d4a02c0f07ac3f00a11d4f3d5fcde1275d23f86",
         "metrics_seed0.jsonl": "04e1edb5c07497d7890ebf553854bece89102afc2b494ceeb2af059ca6af6033",
@@ -105,7 +124,9 @@ def run_case(tmp_path, overrides) -> dict[str, str]:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_metrics_bytes_are_pinned(tmp_path, capsys, case):
+def test_metrics_bytes_are_pinned(tmp_path, capsys, recwarn, case):
     got = run_case(tmp_path, CASES[case])
     capsys.readouterr()
     assert got == DIGESTS[case]
+    warned = any("gamma_min = 0" in str(w.message) for w in recwarn)
+    assert warned == (case in UNCOVERED)
