@@ -57,9 +57,10 @@ def main() -> int:
                 partition=args.partition, seed=seed, hidden_layers=(32,),
                 dataset=SynthSpec(10, 200, 20, args.spread, 50),
             )
-            history, _ = run(config)
+            data = build_federated_data(config)
+            history, _ = run(config, data)
             finals.append(history[-1].global_accuracy)
-        layout = model_layout(config, build_federated_data(config))
+        layout = model_layout(config, data)  # every seed's model has this shape
         amt, gamma = computed_row(args.family, codename, layout)
         row = {
             "codename": codename,

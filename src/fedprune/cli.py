@@ -8,9 +8,10 @@ a finite number, a str field a string, a bool field true or false,
 `hidden_layers` and `seeds` a list of integers, `out_dir` a string, and an
 `X | None` field also null. A config error names its key. `run` flags set
 the keys named by their dests.
-Exit codes for `run`: 1 config error, 2 coverage violation, 3 I/O error,
-4 training diverged (a non-finite model, test-set loss or gradient; the
-message names where).
+Exit codes for `run`: 1 config error or bad flag, 2 coverage violation,
+3 I/O error, 4 training diverged (a non-finite model, test-set loss or
+gradient; the message names where). Every subcommand exits 1 on a bad flag,
+with argparse's message.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def cmd_selfcheck(args) -> int:
     if args.seed < 0:
         print("error: --seed must be non-negative", file=sys.stderr)
         return 1
-    results = run_selfcheck(seed=args.seed, corrupt_gradient=args.corrupt_gradient)
+    results = run_selfcheck(seed=args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     return 0 if all(r.passed for r in results) else 1
@@ -295,8 +296,16 @@ def cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with exit code 1 for a usage error: `run` keeps 2 for a coverage violation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedprune",
         description="Federated learning with heterogeneous pruned client models",
     )
@@ -332,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("selfcheck", help="randomized numerical self-checks")
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--corrupt-gradient", dest="corrupt_gradient", action="store_true",
-                         help=argparse.SUPPRESS)  # fault-injection hook for tests
     p_check.set_defaults(func=cmd_selfcheck)
 
     return parser

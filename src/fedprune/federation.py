@@ -6,12 +6,16 @@ Each round q (1-based):
      codename digit from that ranking; slot k prunes with the mask of its
      digit, and runs T local epochs of masked SGD. Slots with equally long
      shards train in lockstep, as rows of one (g, total) matrix. Pruning
-     noise, coverage counts and accounting run once per distinct digit
+     noise and coverage counts run once per distinct digit
   3. set every parameter to the mean of its value over exactly the slots
      whose masks cover it: the sum of every slot's local model, each +0.0
      off its mask (see `aggregate`), divided by the coverage count
-Parameters covered by no slot keep the previous global value; that case is
-reported as gamma_min = 0 and can be escalated to an error.
+Parameters covered by no slot keep the previous global value. Every mask
+keeps whole quartile segments, so the segments no slot covers, and with them
+gamma_min and the amortized cost, follow from the codename alone
+(`tables.computed_row`). `run` gives a run's one coverage verdict,
+`check_coverage`, before round 1: it warns once, or raises before any
+training.
 
 With `freeze_after_round` F, the masks of round F serve every later round
 (a pre-trained mask): the state carries them as `frozen_masks`, keyed by
@@ -41,17 +45,9 @@ import numpy as np
 
 from . import lanes
 from .data import Dataset, PartitionSpec, load_idx, partition, stratified_subset, synth_blobs
-from .metrics import (
-    RoundMetrics,
-    account,
-    amortized,
-    full_account,
-    theory_learning_rate,
-    weighted_accuracy,
-)
+from .metrics import RoundMetrics, account, full_account, theory_learning_rate, weighted_accuracy
 from .nn import LayerLayout, OptimizerState, ParamVector, evaluate, forward, init_params, loss_and_grad, masked_sgd_step
 from .pruning import (
-    DIGIT_SEGMENTS,
     Mask,
     apply_mask,
     check_layout,
@@ -60,6 +56,7 @@ from .pruning import (
     pruning_noise,
     round_masks,
 )
+from .tables import computed_row
 
 # named RNG streams; keep stable or recorded runs stop being reproducible
 _SAMPLE_STREAM = 1
@@ -127,22 +124,6 @@ def aggregate(
     out = previous_global.values.copy()
     np.divide(acc, counts, out=out, where=counts > 0)
     return ParamVector(out, previous_global.layout)
-
-
-def _uncovered_detail(counts: np.ndarray, layout: LayerLayout, codename: str) -> str:
-    """Where coverage fails: how many parameters, the first one's layer, the unkept segments."""
-    uncovered = np.flatnonzero(counts == 0)
-    first = int(uncovered[0])
-    l, sl = next(
-        (l, sl) for l, sl in enumerate(layout.offsets, 1) if first < sl.bias_start + sl.bias_len
-    )
-    part = "weights" if first < sl.bias_start else "biases"
-    segments, _ = codename_coverage(codename)
-    unkept = ", ".join(f"S{s}" for s, n in sorted(segments.items()) if n == 0) or "none"
-    return (
-        f"{len(uncovered)} uncovered parameters, the first (index {first}) in layer {l} {part}; "
-        f"quartile segments no slot of codename {codename} keeps: {unkept}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -226,22 +207,19 @@ class FederationConfig:
             raise ValueError(
                 f"codename length {len(self.codename)} must equal floor(c*N) = {self.slots_per_round}"
             )
-        if self.rounds < 0 or self.local_epochs < 1 or self.local_batch < 1:
-            raise ValueError("rounds must be >= 0; local_epochs and local_batch >= 1")
+        if self.rounds < 0:
+            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
+        _check_ranges(self, "", ("local_epochs", "local_batch", "test_batch"), ("seed", "init_seed"))
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.learning_rate is not None and not self.learning_rate >= 0.0:
             raise ValueError("learning_rate must be non-negative")
         if self.smoothness_L is not None and not self.smoothness_L > 0.0:
             raise ValueError("smoothness_L must be positive")
-        if self.init_seed < 0:
-            raise ValueError("init_seed must be non-negative")
         if self.uncovered_region_action not in ("warn", "error"):
             raise ValueError("uncovered_region_action must be 'warn' or 'error'")
         if self.static_slots and self.num_clients != self.slots_per_round:
             raise ValueError("static slot binding requires num_clients == codename length")
-        if self.test_batch < 1:
-            raise ValueError("test_batch must be >= 1")
         if self.freeze_after_round is not None and self.freeze_after_round < 1:
             raise ValueError("freeze_after_round must be >= 1")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
@@ -363,6 +341,31 @@ def sample_rng(seed: int, round_no: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def check_coverage(config: FederationConfig, layout: LayerLayout) -> None:
+    """The run's one coverage verdict: warn once, or raise `CoverageError`.
+
+    A slot covers the quartile segments its digit keeps, in every round and
+    whatever the ranking, so the parameters no slot covers are those of the
+    segments no digit of the codename keeps. The message counts them
+    exactly, as the cost of the unkept segments.
+    """
+    segments, gamma_min = codename_coverage(config.codename)
+    if gamma_min > 0:
+        return
+    kept = {s for s, n in segments.items() if n}
+    never = full_account(layout).params_total - account(layout, config.family, kept).params_total
+    unit = "first-layer weights" if config.family == "WP" else "hidden neurons"
+    unkept = ", ".join(f"S{s}" for s, n in sorted(segments.items()) if n == 0)
+    message = (
+        f"some parameters are covered by no participant (gamma_min = 0): {never} parameters "
+        f"are never trained; quartile segments of the {config.family} units ({unit}) "
+        f"that no slot of codename {config.codename} keeps: {unkept}"
+    )
+    if config.uncovered_region_action == "error":
+        raise CoverageError(message)
+    warnings.warn(message)
+
+
 def sample_participants(state: GlobalState, config: FederationConfig) -> list[int]:
     """floor(c*N) distinct clients for the upcoming round; slot k <-> digit k."""
     m = config.slots_per_round
@@ -370,35 +373,6 @@ def sample_participants(state: GlobalState, config: FederationConfig) -> list[in
         return list(range(m))
     rng = sample_rng(state.seed, state.round + 1)
     return [int(i) for i in rng.choice(config.num_clients, size=m, replace=False)]
-
-
-def _train_lockstep(
-    params: ParamVector,
-    bits: np.ndarray,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    rngs: list[np.random.Generator],
-    config: FederationConfig,
-    momentum: np.ndarray,
-    grad: np.ndarray,
-) -> None:
-    """T epochs of masked SGD on g stacked models at once, in place.
-
-    Row i of `params.values` (g, total) trains on shard i, given as
-    `inputs[i]` (n, features) and `labels[i]` (n,); all g shards have the
-    same length n, so every step has one batch size for all rows.
-    `momentum` and `grad` are (g, total) buffers; the momentum starts at 0.
-    """
-    g, n = labels.shape
-    momentum[...] = 0.0
-    opt = OptimizerState(momentum, config.momentum, config.effective_learning_rate)
-    rows = np.arange(g)[:, None]
-    for _ in range(config.local_epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
-        for start in range(0, n, config.local_batch):
-            idx = order[:, start : start + config.local_batch]
-            loss_and_grad(params, inputs[rows, idx], labels[rows, idx], out=grad)
-            masked_sgd_step(params, grad, bits, opt)
 
 
 def local_update(
@@ -421,9 +395,9 @@ def local_update(
 
     The chunks run on the lanes: lane j trains chunks j, j + L, ... in place,
     in the matrix rows that hold them (chunk order), with momentum, gradient
-    and mask buffers allocated here once per call, then counts the chunk's
-    correct predictions in slices of `config.test_batch` rows, as `evaluate`
-    would for each slot alone.
+    and mask buffers allocated here once per call; each chunk's momentum
+    starts at 0. It then counts the chunk's correct predictions in slices of
+    `config.test_batch` rows, as `evaluate` would for each slot alone.
     """
     if not len(masks) == len(shards) == len(rngs):
         raise ValueError("one mask, shard and rng per slot required")
@@ -454,17 +428,19 @@ def local_update(
             apply_mask(global_params, masks[k], out=row)
         inputs = np.stack([shards[k].inputs for k in chunk])
         labels = np.stack([shards[k].labels for k in chunk])
-        _train_lockstep(
-            rows,
-            np.stack([masks[k].bits for k in chunk], out=bits[lane, :g]),
-            inputs,
-            labels,
-            [rngs[k] for k in chunk],
-            config,
-            momentum[lane, :g],
-            grad[lane, :g],
-        )
-        for start in range(0, labels.shape[1], config.test_batch):
+        n = labels.shape[1]  # one shard length: every step has one batch size for all rows
+        chunk_bits = np.stack([masks[k].bits for k in chunk], out=bits[lane, :g])
+        chunk_grad = grad[lane, :g]
+        momentum[lane, :g] = 0.0
+        opt = OptimizerState(momentum[lane, :g], config.momentum, config.effective_learning_rate)
+        at = np.arange(g)[:, None]
+        for _ in range(config.local_epochs):
+            perm = np.stack([rngs[k].permutation(n) for k in chunk])
+            for start in range(0, n, config.local_batch):
+                idx = perm[:, start : start + config.local_batch]
+                loss_and_grad(rows, inputs[at, idx], labels[at, idx], out=chunk_grad)
+                masked_sgd_step(rows, chunk_grad, chunk_bits, opt)
+        for start in range(0, n, config.test_batch):
             stop = start + config.test_batch
             hits = forward(rows, inputs[:, start:stop]).argmax(axis=-1) == labels[:, start:stop]
             correct[chunk] += hits.sum(axis=-1)
@@ -476,7 +452,11 @@ def local_update(
 def run_round(
     state: GlobalState, config: FederationConfig, data: FederatedData
 ) -> tuple[GlobalState, RoundMetrics]:
-    """One full round: sample, mask, train, aggregate, measure."""
+    """One full round: sample, mask, train, aggregate, measure.
+
+    gamma_min and the amortized cost are the codename's (`computed_row`);
+    the coverage verdict is `run`'s, given once before round 1.
+    """
     q = state.round + 1
     layout = state.params.layout
     codename = config.codename
@@ -501,16 +481,6 @@ def run_round(
             )
 
     counts = coverage_counts(list(masks.values()), [codename.count(d) for d in masks])
-    gamma_min = int(counts.min())
-    if gamma_min == 0:
-        message = (
-            f"round {q}: some parameters are covered by no participant (gamma_min = 0): "
-            + _uncovered_detail(counts, layout, codename)
-        )
-        if config.uncovered_region_action == "error":
-            raise CoverageError(message)
-        warnings.warn(message)
-
     new_params = aggregate(state.params, local, counts)
     if not np.isfinite(new_params.values).all():
         raise FloatingPointError(f"round {q}: non-finite global parameters after aggregation")
@@ -527,8 +497,7 @@ def run_round(
     local_acc = weighted_accuracy(
         [(1.0 / n_slots, hits, len(shard)) for hits, shard in zip(correct.tolist(), shards)]
     )
-    accounts = {d: account(layout, config.family, DIGIT_SEGMENTS[d]) for d in masks}
-    amort = amortized([accounts[d] for d in codename], full_account(layout))
+    amort, gamma_min = computed_row(config.family, codename, layout)
 
     new_state = GlobalState(q, new_params, frozen, state.seed)
     record = RoundMetrics(
@@ -548,10 +517,17 @@ def run_round(
 def run(
     config: FederationConfig, data: FederatedData | None = None
 ) -> tuple[list[RoundMetrics], ParamVector]:
-    """Q rounds from a fresh model; deterministic for a given config and seed."""
+    """Q rounds from a fresh model; deterministic for a given config and seed.
+
+    The coverage verdict (`check_coverage`) comes first, whatever Q: an
+    "error" run with an unkept segment trains nothing, a "warn" run warns
+    once.
+    """
     if data is None:
         data = build_federated_data(config)
-    state = init_state(config, model_layout(config, data))
+    layout = model_layout(config, data)
+    check_coverage(config, layout)
+    state = init_state(config, layout)
     history: list[RoundMetrics] = []
     for _ in range(config.rounds):
         state, record = run_round(state, config, data)

@@ -32,8 +32,7 @@ def _finite_difference_grad(params: ParamVector, inputs: np.ndarray, labels: np.
     return grad
 
 
-def gradient_check(rng: np.random.Generator, runs: int = 20,
-                   corrupt: bool = False) -> CheckResult:
+def gradient_check(rng: np.random.Generator, runs: int = 20) -> CheckResult:
     """Backprop vs central finite differences on random small nets."""
     worst = 0.0
     for _ in range(runs):
@@ -43,8 +42,6 @@ def gradient_check(rng: np.random.Generator, runs: int = 20,
         n = int(rng.integers(1, 6))
         inputs, labels = rng.normal(0.0, 1.0, (n, sizes[0])), rng.integers(0, sizes[-1], n)
         _, analytic = loss_and_grad(params, inputs, labels)
-        if corrupt:
-            analytic = analytic + 1e-3
         numeric = _finite_difference_grad(params, inputs, labels)
         scale = max(float(np.abs(numeric).max()), 1.0)
         worst = max(worst, float(np.abs(analytic - numeric).max()) / scale)
@@ -128,9 +125,9 @@ def mask_closure_check(rng: np.random.Generator, runs: int = 50) -> CheckResult:
     return CheckResult("mask_closure", True, f"{runs} random trajectories, 10 steps each")
 
 
-def run_selfcheck(seed: int = 0, corrupt_gradient: bool = False) -> list[CheckResult]:
+def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     results = [
-        gradient_check(np.random.default_rng([seed, 10]), corrupt=corrupt_gradient),
+        gradient_check(np.random.default_rng([seed, 10])),
         coverage_check(np.random.default_rng([seed, 11])),
         aggregation_check(np.random.default_rng([seed, 12])),
         mask_closure_check(np.random.default_rng([seed, 13])),

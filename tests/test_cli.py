@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fedprune.cli
+import fedprune.selfcheck
 from fedprune.cli import CONFIG_KEYS, json_type, load_run_config, main
 from fedprune.federation import FederationConfig, IdxSpec, SynthSpec
 
@@ -141,6 +142,28 @@ def test_malformed_input_is_an_error_not_a_crash(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(("flag", "value", "named"), [
+    ("--family", "ZZ", "argument --family: invalid choice: 'ZZ'"),
+    ("--rounds", "abc", "argument --rounds: invalid int value: 'abc'"),
+])
+def test_a_bad_run_flag_exits_1_with_the_argparse_message(capsys, flag, value, named):
+    # 2 is the exit code of a coverage violation, not of a usage error
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", "configs/quickstart.json", flag, value])
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: fedprune run")
+    assert f"fedprune run: error: {named}" in captured.err
+    assert captured.out == ""
+
+
+def test_run_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert "--uncovered-region-action" in capsys.readouterr().out
+
+
 def test_account_check_missing_row_fails(capsys):
     assert main(["account", "--check-table", "--codename", "1234567777", "--family", "FS"]) == 1
     assert capsys.readouterr().out == "no stored row for FS 1234567777\n"
@@ -180,6 +203,9 @@ def test_run_rejects_removed_loss_split_key(tmp_path, capsys):
 # (overrides of QUICK_CONFIG, what stderr must name): a type error names its key
 BAD_CONFIGS = {
     "test-batch-0": ({"test_batch": 0}, "test_batch"),
+    "local-epochs-0": ({"local_epochs": 0}, "local_epochs must be >= 1, got 0"),
+    "local-batch-0": ({"local_batch": 0}, "local_batch must be >= 1, got 0"),
+    "rounds-negative": ({"rounds": -1}, "rounds must be >= 0, got -1"),
     "hidden-0": ({"hidden_layers": [0]}, "hidden layer sizes must be positive"),
     "hidden-negative": ({"hidden_layers": [16, -2]}, "hidden layer sizes must be positive"),
     "classes-per-client-0": (
@@ -442,6 +468,7 @@ def test_run_coverage_violation_exit_code(tmp_path):
         uncovered_region_action="error", hidden_layers=[16],
     )
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x" / "metrics_seed1.csv").exists()
 
 
 def test_run_warn_mode_flags_gamma_zero(tmp_path):
@@ -628,8 +655,11 @@ def test_selfcheck_rejects_a_negative_seed(capsys):
     assert captured.out == ""
 
 
-def test_selfcheck_fault_injection_only_breaks_gradient(capsys):
-    assert main(["selfcheck", "--seed", "3", "--corrupt-gradient"]) == 1
+def test_selfcheck_fault_injection_only_breaks_gradient(capsys, monkeypatch):
+    oracle = fedprune.selfcheck._finite_difference_grad
+    monkeypatch.setattr(fedprune.selfcheck, "_finite_difference_grad",
+                        lambda *args: oracle(*args) + 1e-3)
+    assert main(["selfcheck", "--seed", "3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL gradient_finite_difference" in out
     assert out.count("PASS") == 3

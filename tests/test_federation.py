@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from reference_impl import (
     brute_force_signatures,
     reference_fedavg_rounds,
@@ -23,6 +23,7 @@ from fedprune.federation import (
     SynthSpec,
     aggregate,
     build_federated_data,
+    check_coverage,
     coverage_counts,
     init_state,
     local_rng,
@@ -32,10 +33,12 @@ from fedprune.federation import (
     run_round,
     sample_participants,
 )
+from fedprune.metrics import account, full_account
 from fedprune.nn import LayerLayout, ParamVector, evaluate, init_params, loss_and_grad
 from fedprune.pruning import (
     Mask,
     apply_mask,
+    codename_coverage,
     pruning_noise,
     round_masks,
 )
@@ -238,6 +241,34 @@ def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codena
     assert (signed_zeros & (counts > 0)).any()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(["WP", "NP", "FS"]),
+    codename=st.text("1234567", min_size=1, max_size=6),
+    hidden=st.lists(st.integers(4, 9), min_size=1, max_size=3),
+    d_in=st.integers(1, 6),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(family="FS", codename="4444444444", hidden=[32], d_in=20, tied=False, seed=0)
+@example(family="WP", codename="55", hidden=[4, 5], d_in=1, tied=True, seed=1)
+@example(family="NP", codename="67", hidden=[5], d_in=3, tied=True, seed=2)
+def test_generated_coverage_is_the_codenames(family, codename, hidden, d_in, tied, seed):
+    # the per-index brute force behind reading gamma_min and the never-trained
+    # count from the codename: masks keep whole segments whatever the ranking,
+    # so ties and deeper WP nets change which parameters, not how many
+    layout = LayerLayout((d_in, *(hidden if family == "WP" else hidden[:1]), 3))
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-2, 3, layout.total) if tied else rng.normal(size=layout.total)
+    masks = round_masks(codename, family, ParamVector(values.astype(float), layout))
+    counts = coverage_counts(list(masks.values()), [codename.count(d) for d in masks])
+    segments, gamma_min = codename_coverage(codename)
+    assert counts.min() == gamma_min
+    kept = {s for s, n in segments.items() if n}
+    never = full_account(layout).params_total - account(layout, family, kept).params_total
+    assert (counts == 0).sum() == never
+
+
 # ---------------------------------------------------------------------------
 # participant sampling
 # ---------------------------------------------------------------------------
@@ -276,6 +307,12 @@ def test_config_rejects_bad_family_and_freeze_round():
         with pytest.raises(ValueError, match="freeze_after_round must be >= 1"):
             desk_config(freeze_after_round=freeze)
     desk_config(freeze_after_round=1)
+
+
+@pytest.mark.parametrize("key", ["seed", "init_seed"])
+def test_config_rejects_a_negative_seed_naming_its_key(key):
+    with pytest.raises(ValueError, match=f"^{key} must be non-negative, got -3$"):
+        desk_config(**{key: -3})
 
 
 def test_config_rejects_bad_ratio():
@@ -583,7 +620,7 @@ def test_aggregate_is_fed_what_local_update_returns(monkeypatch, overrides):
     monkeypatch.setattr(fedprune.federation, "aggregate", spy_aggregate)
     config = desk_config(**overrides)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the uncovered codename warns every round
+        warnings.simplefilter("ignore")  # the uncovered codename warns once
         run(config)
     assert len(aggregated) == config.rounds
     uncovered = any((bits.sum(axis=0) == 0).any() for bits in aggregated)
@@ -800,38 +837,69 @@ def test_pretrained_freeze_in_engine():
 
 
 def test_uncovered_quartile_warns_and_optionally_errors():
-    config = desk_config(codename="4444444444", family="FS", rounds=0)
+    config = desk_config(codename="4444444444", family="FS", rounds=1)
     data = build_federated_data(config)
-    state = init_state(config, model_layout(config, data))
     with pytest.warns(UserWarning, match="gamma_min = 0"):
-        _, record = run_round(state, config, data)
-    assert record.gamma_min == 0
+        history, _ = run(config, data)
+    assert [record.gamma_min for record in history] == [0]
 
     strict = desk_config(
-        codename="4444444444", family="FS", rounds=0, uncovered_region_action="error"
+        codename="4444444444", family="FS", rounds=1, uncovered_region_action="error"
     )
     with pytest.raises(CoverageError):
-        run_round(init_state(strict, model_layout(strict, data)), strict, data)
+        run(strict, data)
 
 
 def test_coverage_failure_names_the_uncovered_count_layer_and_segments():
-    # FS keeps hidden neurons in natural order; digit 4 drops S4, the last 8 of 32
+    # FS keeps hidden neurons in natural order; digit 4 drops S4, the last 8 of
+    # 32, each with 20 incoming weights, a bias and 10 outgoing weights
     expected = re.escape(
-        "round 1: some parameters are covered by no participant (gamma_min = 0): "
-        f"{8 * (20 + 1 + 10)} uncovered parameters, the first (index 24) in layer 1 weights; "
-        "quartile segments no slot of codename 4444444444 keeps: S4"
+        "some parameters are covered by no participant (gamma_min = 0): "
+        f"{8 * (20 + 1 + 10)} parameters are never trained; quartile segments of the FS "
+        "units (hidden neurons) that no slot of codename 4444444444 keeps: S4"
     )
-    config = desk_config(codename="4444444444", family="FS", rounds=0)
+    config = desk_config(codename="4444444444", family="FS", rounds=1)
     data = build_federated_data(config)
-    state = init_state(config, model_layout(config, data))
-    assert state.params.layout.layer_sizes == (20, 32, 10)
+    assert model_layout(config, data).layer_sizes == (20, 32, 10)
     with pytest.warns(UserWarning, match=expected):
-        run_round(state, config, data)
+        run(config, data)
     strict = desk_config(
-        codename="4444444444", family="FS", rounds=0, uncovered_region_action="error"
+        codename="4444444444", family="FS", rounds=1, uncovered_region_action="error"
     )
     with pytest.raises(CoverageError, match=expected):
-        run_round(state, strict, data)
+        run(strict, data)
+
+
+def test_wp_coverage_failure_counts_first_layer_weights():
+    # 20 * 32 first-layer weights; no digit of 5555566666 keeps S4, their last quarter
+    config = desk_config(codename="5555566666", uncovered_region_action="error")
+    with pytest.raises(CoverageError, match=re.escape(
+        "160 parameters are never trained; quartile segments of the WP units "
+        "(first-layer weights) that no slot of codename 5555566666 keeps: S4"
+    )):
+        check_coverage(config, LayerLayout((20, 32, 10)))
+
+
+@pytest.mark.parametrize("rounds", [0, 3])
+def test_error_mode_raises_before_any_training(monkeypatch, rounds):
+    def no_training(*args):
+        raise AssertionError("local training ran in a run whose coverage fails")
+
+    monkeypatch.setattr(fedprune.federation, "local_update", no_training)
+    config = desk_config(
+        codename="4444444444", family="FS", rounds=rounds, uncovered_region_action="error"
+    )
+    with pytest.raises(CoverageError, match="gamma_min = 0"):
+        run(config)
+
+
+def test_warn_mode_warns_once_per_run():
+    config = desk_config(codename="4444444444", family="FS", rounds=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        history, _ = run(config)
+    assert [record.gamma_min for record in history] == [0, 0, 0]
+    assert sum("gamma_min = 0" in str(w.message) for w in caught) == 1
 
 
 def test_uncovered_region_parameters_never_move():
