@@ -34,11 +34,11 @@ from .federation import (
     build_federated_data,
     run as run_federation,
 )
-from .metrics import account, amortized, emit_csv, emit_jsonl, full_account
+from .metrics import account, emit_csv, emit_jsonl
 from .nn import LayerLayout
-from .pruning import DIGIT_SEGMENTS, codename_coverage, parse_codename
+from .pruning import DIGIT_SEGMENTS, codename_coverage
 from .selfcheck import run_selfcheck
-from .tables import MNIST_LAYOUT, TABLE_ROWS, check_tables
+from .tables import MNIST_LAYOUT, TABLE_ROWS, check_tables, computed_row
 
 OUT_DIR_ENV = "FEDPRUNE_OUT"
 
@@ -249,16 +249,13 @@ def _account(args) -> int:
     if not args.codename:
         print("error: --codename is required unless --check-table is given", file=sys.stderr)
         return 1
-    full = full_account(layout)
-    per_slot = []
-    for k, kept in enumerate(parse_codename(args.codename)):
-        acct = account(layout, args.family, kept)
-        per_slot.append(acct)
-        segments = ",".join(f"S{s}" for s in sorted(kept))
-        print(f"slot {k}: digit {args.codename[k]} keeps {segments:<12} "
+    amt, gamma = computed_row(args.family, args.codename, layout)  # checks codename and layout
+    accounts = {d: account(layout, args.family, DIGIT_SEGMENTS[d]) for d in dict.fromkeys(args.codename)}
+    for k, digit in enumerate(args.codename):
+        acct = accounts[digit]
+        segments = ",".join(f"S{s}" for s in sorted(DIGIT_SEGMENTS[digit]))
+        print(f"slot {k}: digit {digit} keeps {segments:<12} "
               f"params {acct.params_total:>7} flops {acct.flops_total:>7}")
-    amt = amortized(per_slot, full)
-    _, gamma = codename_coverage(args.codename)
     print(f"amortized: params {amt.params_mean:.0f} ({amt.params_ratio:.2f} of full) "
           f"flops {amt.flops_mean:.0f} ({amt.flops_ratio:.2f} of full)")
     print(f"gamma_min: {gamma}")

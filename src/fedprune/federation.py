@@ -2,24 +2,24 @@
 
 Each round q (1-based):
   1. sample floor(c*N) participants; slot k follows codename digit k
-  2. rank the current global model once and derive one mask per distinct
-     codename digit from that ranking; slot k prunes with the mask of its
-     digit, and runs T local epochs of masked SGD. Slots with equally long
-     shards train in lockstep, as rows of one (g, total) matrix. Pruning
-     noise and coverage counts run once per distinct digit
+  2. rank the current global model once into S1..S4; `pruning.segment_fill`
+     writes from that ranking one mask per distinct codename digit, and the
+     round's coverage counts. Slot k prunes with its digit's mask and runs T
+     local epochs of masked SGD; slots with equally long shards train in
+     lockstep, as rows of one (g, total) matrix
   3. set every parameter to the mean of its value over exactly the slots
      whose masks cover it: the sum of every slot's local model, each +0.0
      off its mask (see `aggregate`), divided by the coverage count
 Parameters covered by no slot keep the previous global value. Every mask
-keeps whole quartile segments, so the segments no slot covers, and with them
-gamma_min and the amortized cost, follow from the codename alone
-(`tables.computed_row`). `run` gives a run's one coverage verdict,
-`check_coverage`, before round 1: it warns once, or raises before any
-training.
+keeps whole quartile segments, so the codename alone fixes how many slots
+cover each segment, and with that gamma_min and the amortized cost; the
+ranking only decides where each segment's units sit. `run` works these
+facts out once, before round 1 (`codename_facts`), and gives the run's one
+coverage verdict there: it warns once, or raises before any training.
 
-With `freeze_after_round` F, the masks of round F serve every later round
-(a pre-trained mask): the state carries them as `frozen_masks`, keyed by
-digit, from round F on.
+With `freeze_after_round` F, the ranking of round F serves every later
+round (a pre-trained mask): the state carries it as `frozen_ranking` from
+round F on, and each round writes its masks and counts from it.
 
 Lockstep chunks train on the lanes (`fedprune.lanes`): lane j trains chunks
 j, j + L, ... in place in its rows of one (S, total) matrix, then counts each
@@ -43,19 +43,13 @@ from functools import partial
 
 import numpy as np
 
-from . import lanes
+from . import lanes, pruning
 from .data import Dataset, PartitionSpec, load_idx, partition, stratified_subset, synth_blobs
-from .metrics import RoundMetrics, account, full_account, theory_learning_rate, weighted_accuracy
+from .metrics import (AmortizedAccount, RoundMetrics, account, full_account, theory_learning_rate,
+                      weighted_accuracy)
 from .nn import LayerLayout, OptimizerState, ParamVector, evaluate, forward, init_params, loss_and_grad, masked_sgd_step
-from .pruning import (
-    Mask,
-    apply_mask,
-    check_layout,
-    codename_coverage,
-    parse_codename,
-    pruning_noise,
-    round_masks,
-)
+from .pruning import (Mask, apply_mask, check_layout, codename_coverage, parse_codename, pruning_noise,
+                      round_masks, segment_fill)
 from .tables import computed_row
 
 # named RNG streams; keep stable or recorded runs stop being reproducible
@@ -82,32 +76,13 @@ class CoverageError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def coverage_counts(masks: list[Mask], holders: list[int]) -> np.ndarray:
-    """Number of slots whose mask covers each parameter index.
-
-    `masks` are distinct masks and `holders[i]` is how many slots hold
-    `masks[i]`; each mask is added once, times its holder count.
-    """
-    if not masks:
-        raise ValueError("need at least one mask")
-    if len(holders) != len(masks):
-        raise ValueError("one holder count per mask required")
-    length = len(masks[0])
-    if any(len(m) != length for m in masks):
-        raise ValueError("masks differ in length")
-    counts = np.zeros(length, dtype=np.int64)
-    for mask, n in zip(masks, holders):
-        counts += np.int64(n) * mask.bits
-    return counts
-
-
 def aggregate(
     previous_global: ParamVector, local: list[np.ndarray], counts: np.ndarray
 ) -> ParamVector:
     """Per-parameter mean over exactly the covering slots, in ascending slot order.
 
-    `local[k]` is slot k's local model and `counts` the round's coverage
-    counts (`coverage_counts`). Parameters no slot covers retain the previous
+    `local[k]` is slot k's local model and `counts[i]` the number of slots
+    whose mask covers parameter i. Parameters no slot covers retain the previous
     global value. Precondition: each local model is zero wherever its slot's
     mask is 0, so the plain sum of the rows is the sum over the covering
     slots. `local_update`'s rows keep it: `apply_mask` writes +0.0 there and
@@ -199,29 +174,28 @@ class FederationConfig:
     smoothness_L: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.participation_ratio <= 1.0:
-            raise ValueError("participation_ratio must be in (0, 1]")
-        if self.slots_per_round < 1:
-            raise ValueError("participation_ratio * num_clients must be at least 1")
-        if self.slots_per_round != len(self.codename):
-            raise ValueError(
-                f"codename length {len(self.codename)} must equal floor(c*N) = {self.slots_per_round}"
-            )
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        _check_ranges(self, "", ("local_epochs", "local_batch", "test_batch"), ("seed", "init_seed"))
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.learning_rate is not None and not self.learning_rate >= 0.0:
-            raise ValueError("learning_rate must be non-negative")
-        if self.smoothness_L is not None and not self.smoothness_L > 0.0:
-            raise ValueError("smoothness_L must be positive")
-        if self.uncovered_region_action not in ("warn", "error"):
-            raise ValueError("uncovered_region_action must be 'warn' or 'error'")
-        if self.static_slots and self.num_clients != self.slots_per_round:
-            raise ValueError("static slot binding requires num_clients == codename length")
-        if self.freeze_after_round is not None and self.freeze_after_round < 1:
-            raise ValueError("freeze_after_round must be >= 1")
+        counts = ("num_clients", "local_epochs", "local_batch", "test_batch", "freeze_after_round")
+        _check_ranges(self, "", counts, ("seed", "init_seed"))
+        for key, valid, rule in (  # NaN fails every comparison
+            ("participation_ratio", 0.0 < self.participation_ratio <= 1.0, "in (0, 1]"),
+            ("rounds", self.rounds >= 0, ">= 0"),
+            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+            ("learning_rate", self.learning_rate is None or self.learning_rate >= 0.0, "non-negative"),
+            ("smoothness_L", self.smoothness_L is None or self.smoothness_L > 0.0, "positive"),
+            ("uncovered_region_action", self.uncovered_region_action in ("warn", "error"),
+             "'warn' or 'error'"),
+        ):
+            if not valid:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        slots = self.slots_per_round
+        if slots < 1:
+            raise ValueError(f"participation_ratio must be at least 1 / num_clients = "
+                             f"{1 / self.num_clients:g}, got {self.participation_ratio!r}")
+        if slots != len(self.codename):
+            raise ValueError(f"codename length {len(self.codename)} must equal floor(c*N) = {slots}")
+        if self.static_slots and self.num_clients != slots:
+            raise ValueError(f"num_clients must equal the codename length {slots} "
+                             f"when static_slots is true, got {self.num_clients}")
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError(f"hidden layer sizes must be positive, got {list(self.hidden_layers)}")
@@ -251,7 +225,7 @@ class FederatedData:
 class GlobalState:
     round: int  # completed rounds
     params: ParamVector
-    frozen_masks: dict[str, Mask]  # digit -> mask; empty before the freeze round
+    frozen_ranking: tuple[np.ndarray, ...]  # S1..S4 of the freeze round; () before it
     seed: int
 
 
@@ -325,7 +299,7 @@ def model_layout(config: FederationConfig, data: FederatedData) -> LayerLayout:
 
 
 def init_state(config: FederationConfig, layout: LayerLayout) -> GlobalState:
-    return GlobalState(0, init_params(layout, config.init_seed), {}, config.seed)
+    return GlobalState(0, init_params(layout, config.init_seed), (), config.seed)
 
 
 def local_rng(seed: int, round_no: int, slot: int) -> np.random.Generator:
@@ -341,17 +315,28 @@ def sample_rng(seed: int, round_no: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def check_coverage(config: FederationConfig, layout: LayerLayout) -> None:
-    """The run's one coverage verdict: warn once, or raise `CoverageError`.
+@dataclass(frozen=True)
+class CodenameFacts:
+    """What the codename fixes for a whole run, whatever the ranking."""
 
-    A slot covers the quartile segments its digit keeps, in every round and
-    whatever the ranking, so the parameters no slot covers are those of the
-    segments no digit of the codename keeps. The message counts them
-    exactly, as the cost of the unkept segments.
+    segment_coverage: tuple[int, ...]  # slots that keep S1..S4
+    gamma_min: int
+    cost: AmortizedAccount
+
+
+def codename_facts(config: FederationConfig, layout: LayerLayout) -> CodenameFacts:
+    """The codename's facts for a run, and the run's one coverage verdict.
+
+    A slot covers the segments its digit keeps, whatever the ranking, so the
+    facts (the cost from `computed_row`) hold in every round. With gamma_min
+    = 0 this warns once, or raises `CoverageError`; the message counts the
+    parameters of the segments no digit keeps exactly, as their cost.
     """
-    segments, gamma_min = codename_coverage(config.codename)
+    segments, _ = codename_coverage(config.codename)
+    cost, gamma_min = computed_row(config.family, config.codename, layout)
+    facts = CodenameFacts(tuple(segments.values()), gamma_min, cost)
     if gamma_min > 0:
-        return
+        return facts
     kept = {s for s, n in segments.items() if n}
     never = full_account(layout).params_total - account(layout, config.family, kept).params_total
     unit = "first-layer weights" if config.family == "WP" else "hidden neurons"
@@ -364,6 +349,7 @@ def check_coverage(config: FederationConfig, layout: LayerLayout) -> None:
     if config.uncovered_region_action == "error":
         raise CoverageError(message)
     warnings.warn(message)
+    return facts
 
 
 def sample_participants(state: GlobalState, config: FederationConfig) -> list[int]:
@@ -450,22 +436,23 @@ def local_update(
 
 
 def run_round(
-    state: GlobalState, config: FederationConfig, data: FederatedData
+    state: GlobalState, config: FederationConfig, data: FederatedData, facts: CodenameFacts
 ) -> tuple[GlobalState, RoundMetrics]:
     """One full round: sample, mask, train, aggregate, measure.
 
-    gamma_min and the amortized cost are the codename's (`computed_row`);
-    the coverage verdict is `run`'s, given once before round 1.
+    `facts` are the run's `codename_facts`: gamma_min, the amortized cost,
+    and the per-segment coverage that the round's counts are written from.
     """
     q = state.round + 1
     layout = state.params.layout
-    codename = config.codename
+    codename, family = config.codename, config.family
     participants = sample_participants(state, config)
 
-    # every slot freezes at round F, so from then on the state holds the masks
-    masks = state.frozen_masks or round_masks(codename, config.family, state.params)
+    # every slot freezes at round F, so from then on the state holds the ranking
+    units = state.frozen_ranking or pruning.segment_index_sets(state.params, family)
     freeze = config.freeze_after_round
-    frozen = masks if freeze is not None and q >= freeze else {}
+    frozen = units if freeze is not None and q >= freeze else ()
+    masks = round_masks(codename, family, state.params, units)
     slot_masks = [masks[d] for d in codename]
     noise = dict(zip(masks, pruning_noise(state.params, list(masks.values()))))
     deltas = tuple(noise[d] for d in codename)
@@ -480,7 +467,8 @@ def run_round(
                 f"(client {participants[k]})"
             )
 
-    counts = coverage_counts(list(masks.values()), [codename.count(d) for d in masks])
+    counts = segment_fill(layout, family, units, facts.segment_coverage,
+                          np.full(layout.total, len(codename)))
     new_params = aggregate(state.params, local, counts)
     if not np.isfinite(new_params.values).all():
         raise FloatingPointError(f"round {q}: non-finite global parameters after aggregation")
@@ -497,19 +485,17 @@ def run_round(
     local_acc = weighted_accuracy(
         [(1.0 / n_slots, hits, len(shard)) for hits, shard in zip(correct.tolist(), shards)]
     )
-    amort, gamma_min = computed_row(config.family, codename, layout)
-
     new_state = GlobalState(q, new_params, frozen, state.seed)
     record = RoundMetrics(
         round=q,
         global_loss=loss,
         global_accuracy=acc,
         local_weighted_accuracy=local_acc,
-        gamma_min=gamma_min,
+        gamma_min=facts.gamma_min,
         per_slot_delta_sq=deltas,
         grad_norm_sq_estimate=grad_norm_sq,
-        amortized_params=amort.params_mean,
-        amortized_flops=amort.flops_mean,
+        amortized_params=facts.cost.params_mean,
+        amortized_flops=facts.cost.flops_mean,
     )
     return new_state, record
 
@@ -519,17 +505,17 @@ def run(
 ) -> tuple[list[RoundMetrics], ParamVector]:
     """Q rounds from a fresh model; deterministic for a given config and seed.
 
-    The coverage verdict (`check_coverage`) comes first, whatever Q: an
-    "error" run with an unkept segment trains nothing, a "warn" run warns
-    once.
+    The codename's facts and the coverage verdict (`codename_facts`) come
+    first, once, whatever Q: an "error" run with an unkept segment trains
+    nothing, a "warn" run warns once.
     """
     if data is None:
         data = build_federated_data(config)
     layout = model_layout(config, data)
-    check_coverage(config, layout)
+    facts = codename_facts(config, layout)
     state = init_state(config, layout)
     history: list[RoundMetrics] = []
     for _ in range(config.rounds):
-        state, record = run_round(state, config, data)
+        state, record = run_round(state, config, data, facts)
         history.append(record)
     return history, state.params

@@ -21,17 +21,19 @@ import numpy as np
 from .nn import LayerLayout
 from .pruning import check_layout, segment_sizes
 
-CSV_HEADER = [
-    "round",
-    "loss",
-    "acc_global",
-    "acc_local",
-    "gamma_min",
-    "delta_sq_mean",
-    "grad_norm_sq",
-    "params_amortized",
-    "flops_amortized",
-]
+# metrics-file column -> the RoundMetrics attribute it holds, in column order
+_COLUMNS = {
+    "round": "round",
+    "loss": "global_loss",
+    "acc_global": "global_accuracy",
+    "acc_local": "local_weighted_accuracy",
+    "gamma_min": "gamma_min",
+    "delta_sq_mean": "delta_sq_mean",
+    "grad_norm_sq": "grad_norm_sq_estimate",
+    "params_amortized": "amortized_params",
+    "flops_amortized": "amortized_flops",
+}
+CSV_HEADER = list(_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -219,18 +221,9 @@ def theory_learning_rate(T: int, Q: int, L: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _record_row(r: RoundMetrics) -> dict:
-    return {
-        "round": r.round,
-        "loss": r.global_loss,
-        "acc_global": r.global_accuracy,
-        "acc_local": r.local_weighted_accuracy,
-        "gamma_min": r.gamma_min,
-        "delta_sq_mean": r.delta_sq_mean,
-        "grad_norm_sq": r.grad_norm_sq_estimate,
-        "params_amortized": r.amortized_params,
-        "flops_amortized": r.amortized_flops,
-    }
+def _record_row(r: RoundMetrics) -> list:
+    """A record's values in column order."""
+    return [getattr(r, attr) for attr in _COLUMNS.values()]
 
 
 def emit_csv(records: list[RoundMetrics], sink) -> None:
@@ -238,13 +231,9 @@ def emit_csv(records: list[RoundMetrics], sink) -> None:
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in records:
-        row = _record_row(r)
-        writer.writerow(
-            v if isinstance(v, int) else format(v, ".17g") for v in (row[k] for k in CSV_HEADER)
-        )
+        writer.writerow(v if isinstance(v, int) else format(v, ".17g") for v in _record_row(r))
 
 
 def emit_jsonl(records: list[RoundMetrics], sink) -> None:
     for r in records:
-        row = _record_row(r)
-        sink.write(json.dumps({k: row[k] for k in CSV_HEADER}) + "\n")
+        sink.write(json.dumps(dict(zip(CSV_HEADER, _record_row(r)))) + "\n")

@@ -8,15 +8,18 @@ keeps the segments a codename digit names:
        L1 norm of their incoming weights; pruning a neuron drops its
        incoming weights, its bias and its outgoing weights
   FS - fixed sub-network: the NP units in natural order (params-independent)
-Parameters that belong to no unit are kept by every mask. Masks are written
-from the layer layout: no index set over the parameters is built.
+Parameters that belong to no unit are kept by every mask. One writer,
+`segment_fill`, writes a value per segment over the layer layout, with no
+index set over the parameters: a mask is its 0/1 case, and the round's
+coverage counts are the codename's per-segment coverage written the same way.
 `check_layout` is the one rule for whether a layout has the 4 units a family
 needs; the run config, the ranking and the accounting all apply it.
 
 Codename digits 1-7 pick the kept segments per participation slot, and the
 family is one for the whole run, so a round has one mask per distinct digit:
-`round_masks` ranks the global model once and returns them keyed by digit.
-The run-level freeze round lives in the round engine.
+`round_masks` ranks the global model once (or takes a given ranking) and
+returns them keyed by digit. The run-level freeze round lives in the round
+engine, which freezes the ranking.
 """
 
 from __future__ import annotations
@@ -150,38 +153,44 @@ def segment_index_sets(params: ParamVector, family: str) -> tuple[np.ndarray, ..
     return _ranked_segments(np.abs(w1.reshape(d_in, hidden)).sum(axis=0))
 
 
-def segment_mask(
-    layout: LayerLayout, family: str, units: tuple[np.ndarray, ...], kept_segments
-) -> Mask:
-    """Mask that keeps the units of the segments `kept_segments` (numbers 1-4) of `units`.
+def segment_fill(
+    layout: LayerLayout, family: str, units: tuple[np.ndarray, ...], per_segment, out: np.ndarray
+) -> np.ndarray:
+    """Write `per_segment[s - 1]` over the units of segment s of `units` in `out`; returns `out`.
 
-    `units` is S1..S4 as `segment_index_sets` gives them. A WP unit is one W1
-    entry. An NP/FS unit is hidden neuron j: column j of W1 (in, h), entry j
-    of b1 and row j of W2 (h, out). Every other parameter is kept.
+    `units` is S1..S4 as `segment_index_sets` gives them. A WP unit is one
+    W1 entry. An NP/FS unit is hidden neuron j: column j of W1 (in, h), entry
+    j of b1 and row j of W2 (h, out). Entries outside every unit keep their
+    value: a mask is the 0/1 case over ones, the coverage counts the slots
+    keeping each segment over the slot count.
     """
-    keep = np.zeros(sum(map(len, units)), dtype=np.uint8)
-    for s in kept_segments:
-        keep[units[s - 1]] = 1
-    bits = np.ones(layout.total, dtype=np.uint8)
+    per_unit = np.empty(sum(map(len, units)), dtype=out.dtype)
+    for segment, value in zip(units, per_segment):
+        per_unit[segment] = value
     if family == "WP":
-        bits[layout.offsets[0].weights] = keep
+        out[layout.offsets[0].weights] = per_unit
     else:
-        (w1, b1), (w2, _) = layout.unpack(bits)
-        w1[...] = keep
-        b1[...] = keep
-        w2[...] = keep[:, None]
-    return Mask(bits)
+        (w1, b1), (w2, _) = layout.unpack(out)
+        w1[...] = per_unit
+        b1[...] = per_unit
+        w2[...] = per_unit[:, None]
+    return out
 
 
-def round_masks(codename: str, family: str, params: ParamVector) -> dict[str, Mask]:
+def round_masks(
+    codename: str, family: str, params: ParamVector, units: tuple[np.ndarray, ...] = ()
+) -> dict[str, Mask]:
     """One mask per distinct codename digit, keyed by digit, in first-use order.
 
     All slots prune the same global model under one family, so the ranking
-    runs once and slot k's mask is `masks[codename[k]]`.
+    (`units`, else `segment_index_sets` of `params`) serves every slot and
+    slot k's mask is `masks[codename[k]]`.
     """
-    units = segment_index_sets(params, family)
+    units = units or segment_index_sets(params, family)
+    layout = params.layout
     return {
-        d: segment_mask(params.layout, family, units, DIGIT_SEGMENTS[d])
+        d: Mask(segment_fill(layout, family, units, [int(s in DIGIT_SEGMENTS[d]) for s in (1, 2, 3, 4)],
+                             np.ones(layout.total, dtype=np.uint8)))
         for d in dict.fromkeys(codename)
     }
 
@@ -225,10 +234,8 @@ def codename_coverage(codename: str) -> tuple[dict[int, int], int]:
     Parameters outside every unit are kept by every slot, so the minimum
     over S1..S4 is the minimum coverage index of the whole model.
     """
-    counts = {s: 0 for s in (1, 2, 3, 4)}
-    for kept in parse_codename(codename):
-        for s in kept:
-            counts[s] += 1
+    slots = parse_codename(codename)
+    counts = {s: sum(s in kept for kept in slots) for s in (1, 2, 3, 4)}
     return counts, min(counts.values())
 
 

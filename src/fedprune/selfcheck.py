@@ -6,9 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .federation import aggregate, coverage_counts
+from .federation import aggregate
 from .nn import LayerLayout, OptimizerState, ParamVector, loss_and_grad, masked_sgd_step
-from .pruning import Mask, apply_mask
+from .pruning import (DIGIT_SEGMENTS, FAMILIES, Mask, apply_mask, codename_coverage, quartile_segments,
+                      segment_fill)
 
 
 @dataclass(frozen=True)
@@ -60,24 +61,45 @@ def brute_force_aggregate(prev: np.ndarray, locals_: list[np.ndarray],
     return out
 
 
-def _random_instance(rng: np.random.Generator):
-    n_params = int(rng.integers(2, 65))
-    n_slots = int(rng.integers(1, 7))
-    bits = rng.integers(0, 2, (n_slots, n_params), dtype=np.uint8)
-    return n_params, n_slots, bits
+def _unit_of(layout: LayerLayout, family: str, i: int) -> int | None:
+    """The unit that holds parameter i, or None: a W1 entry for WP, a hidden neuron for NP/FS."""
+    w1, w2 = layout.offsets[0], layout.offsets[-1]
+    if family == "WP":
+        return i if i < w1.weight_len else None
+    _, hidden, d_out = layout.layer_sizes
+    if i < w1.bias_start:
+        return i % hidden  # W1 is (in, h): column j
+    if i < w2.weight_start:
+        return i - w1.bias_start
+    if i < w2.bias_start:
+        return (i - w2.weight_start) // d_out  # W2 is (h, out): row j
+    return None
 
 
 def coverage_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
-    """coverage_counts vs a per-index count of covering slots."""
+    """The engine's coverage counts (`segment_fill`) vs a per-index count of covering slots.
+
+    Random layouts, families, codenames and rankings. Slot k covers a
+    parameter unless its unit lies in a segment that digit k drops.
+    """
     for _ in range(runs):
-        n_params, n_slots, bits = _random_instance(rng)
-        counts = coverage_counts([Mask(bits[s]) for s in range(n_slots)], [1] * n_slots)
-        for i in range(n_params):
-            expected = sum(1 for s in range(n_slots) if bits[s, i] == 1)
+        family = FAMILIES[int(rng.integers(len(FAMILIES)))]
+        depth = int(rng.integers(1, 3)) if family == "WP" else 1
+        hidden = [int(h) for h in rng.integers(4, 9, depth)]
+        layout = LayerLayout((int(rng.integers(1, 5)), *hidden, int(rng.integers(1, 4))))
+        n_units = layout.offsets[0].weight_len if family == "WP" else hidden[0]
+        units = quartile_segments(rng.permutation(n_units))
+        codename = "".join(rng.choice(list(DIGIT_SEGMENTS), int(rng.integers(1, 9))))
+        segments, _ = codename_coverage(codename)
+        counts = segment_fill(layout, family, units, list(segments.values()),
+                              np.full(layout.total, len(codename)))
+        segment_of = {int(u): s for s, segment in enumerate(units, 1) for u in segment}
+        for i in range(layout.total):
+            s = segment_of.get(_unit_of(layout, family, i), 0)
+            expected = sum(1 for d in codename if s == 0 or s in DIGIT_SEGMENTS[d])
             if counts[i] != expected:
-                return CheckResult(
-                    "coverage_oracle", False, f"index {i}: count {counts[i]} != {expected}"
-                )
+                detail = f"{family} {layout.layer_sizes} {codename}, index {i}: count {counts[i]}"
+                return CheckResult("coverage_oracle", False, f"{detail} != {expected}")
     return CheckResult("coverage_oracle", True, f"{runs} random instances")
 
 
@@ -87,7 +109,8 @@ def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
     The local models are +0.0 off their masks (`apply_mask`), as training leaves them.
     """
     for _ in range(runs):
-        n_params, n_slots, bits = _random_instance(rng)
+        n_params, n_slots = int(rng.integers(2, 65)), int(rng.integers(1, 7))
+        bits = rng.integers(0, 2, (n_slots, n_params), dtype=np.uint8)
         layout = LayerLayout((n_params - 1, 1))  # (n-1) weights + 1 bias: only the length matters
         prev = rng.normal(0.0, 1.0, n_params)
         masks = [Mask(bits[s]) for s in range(n_slots)]
@@ -95,9 +118,7 @@ def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
             apply_mask(ParamVector(rng.normal(0.0, 1.0, n_params), layout), mask).values
             for mask in masks
         ]
-        got = aggregate(
-            ParamVector(prev, layout), locals_, coverage_counts(masks, [1] * n_slots)
-        ).values
+        got = aggregate(ParamVector(prev, layout), locals_, bits.sum(axis=0)).values
         want = brute_force_aggregate(prev, locals_, bits)
         if not np.array_equal(got, want):
             return CheckResult(
@@ -126,10 +147,9 @@ def mask_closure_check(rng: np.random.Generator, runs: int = 50) -> CheckResult:
 
 
 def run_selfcheck(seed: int = 0) -> list[CheckResult]:
-    results = [
+    return [
         gradient_check(np.random.default_rng([seed, 10])),
         coverage_check(np.random.default_rng([seed, 11])),
         aggregation_check(np.random.default_rng([seed, 12])),
         mask_closure_check(np.random.default_rng([seed, 13])),
     ]
-    return results

@@ -190,3 +190,22 @@ def reference_computed_row(family, codename, layout):
     amt = amortized(per_slot, full_account(layout))
     _, gamma_min = codename_coverage(codename)
     return amt, gamma_min
+
+
+def coverage_counts(masks, holders):
+    """Number of slots whose mask covers each parameter index, summed from the masks.
+
+    `masks` are distinct masks and `holders[i]` is how many slots hold
+    `masks[i]`; each mask is added once, times its holder count.
+    """
+    if not masks:
+        raise ValueError("need at least one mask")
+    if len(holders) != len(masks):
+        raise ValueError("one holder count per mask required")
+    length = len(masks[0])
+    if any(len(m) != length for m in masks):
+        raise ValueError("masks differ in length")
+    counts = np.zeros(length, dtype=np.int64)
+    for mask, n in zip(masks, holders):
+        counts += np.int64(n) * mask.bits
+    return counts

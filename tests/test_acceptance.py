@@ -16,7 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference_impl import brute_force_signatures, reference_fedavg_rounds, reference_neuron_blocks
+from reference_impl import (
+    brute_force_signatures,
+    coverage_counts,
+    reference_fedavg_rounds,
+    reference_neuron_blocks,
+)
 
 from fedprune.cli import main
 from fedprune.data import load_idx
@@ -27,7 +32,7 @@ from fedprune.federation import (
     SynthSpec,
     aggregate,
     build_federated_data,
-    coverage_counts,
+    codename_facts,
     init_state,
     model_layout,
     run,
@@ -41,11 +46,17 @@ from fedprune.pruning import (
     codename_coverage,
     pruning_noise,
     round_masks,
+    segment_fill,
     segment_index_sets,
-    segment_mask,
 )
 from fedprune.selfcheck import brute_force_aggregate
 from fedprune.tables import MNIST_LAYOUT, TABLE_ROWS, check_tables
+
+
+def kept_mask(layout, family, units, kept):
+    """The mask that keeps the segments `kept` of the ranking `units`: the writer's 0/1 case."""
+    per_segment = [int(s in kept) for s in (1, 2, 3, 4)]
+    return Mask(segment_fill(layout, family, units, per_segment, np.ones(layout.total, np.uint8)))
 
 
 @contextmanager
@@ -170,9 +181,10 @@ def test_criterion_4_fedavg_reduction_bitwise():
         )
         data = build_federated_data(config)
         reference = reference_fedavg_rounds(config, data, 5)
-        state = init_state(config, model_layout(config, data))
+        layout = model_layout(config, data)
+        state, facts = init_state(config, layout), codename_facts(config, layout)
         for q in range(5):
-            state, _ = run_round(state, config, data)
+            state, _ = run_round(state, config, data, facts)
             assert np.array_equal(state.params.values, reference[q]), f"round {q+1} diverged"
 
 
@@ -338,7 +350,7 @@ def test_criterion_7_pruning_noise_properties():
             (frozenset({1, 2}), 8),
             (frozenset({1, 2, 3}), 12),
         ):
-            wp_mask = segment_mask(wp_layout, "WP", segment_index_sets(params, "WP"), kept_segments)
+            wp_mask = kept_mask(wp_layout, "WP", segment_index_sets(params, "WP"), kept_segments)
             wp_noise = pruning_noise(params, [wp_mask])[0]
             for keep in itertools.combinations(range(16), kept_count):
                 bits = np.ones(wp_layout.total, dtype=np.uint8)
@@ -355,7 +367,7 @@ def test_criterion_7_pruning_noise_properties():
             smaller = frozenset(int(s) for s in sorted(chosen)[:-1]) or frozenset({int(chosen[0])})
             units = segment_index_sets(params, family)
             noise_larger, noise_smaller = pruning_noise(
-                params, [segment_mask(layout, family, units, kept) for kept in (larger, smaller)]
+                params, [kept_mask(layout, family, units, kept) for kept in (larger, smaller)]
             )
             assert noise_larger <= noise_smaller + 1e-15
 

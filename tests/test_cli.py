@@ -11,11 +11,17 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_impl import reference_computed_row
 
 import fedprune.cli
 import fedprune.selfcheck
+import fedprune.tables
 from fedprune.cli import CONFIG_KEYS, json_type, load_run_config, main
 from fedprune.federation import FederationConfig, IdxSpec, SynthSpec
+from fedprune.metrics import account
+from fedprune.nn import LayerLayout
+from fedprune.pruning import DIGIT_SEGMENTS, parse_codename
+from fedprune.tables import MNIST_LAYOUT, TABLE_ROWS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -164,6 +170,41 @@ def test_run_help_exits_0(capsys):
     assert "--uncovered-region-action" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("layout", [None, "20,32,10"])
+def test_account_codename_prints_what_the_per_slot_path_printed(capsys, layout):
+    # one `account` per slot, then `amortized` and `codename_coverage`, written out
+    sizes = MNIST_LAYOUT if layout is None else LayerLayout((20, 32, 10))
+    for row in TABLE_ROWS:
+        want = []
+        for k, kept in enumerate(parse_codename(row.codename)):
+            acct = account(sizes, row.family, kept)
+            segments = ",".join(f"S{s}" for s in sorted(kept))
+            want.append(f"slot {k}: digit {row.codename[k]} keeps {segments:<12} "
+                        f"params {acct.params_total:>7} flops {acct.flops_total:>7}")
+        amt, gamma = reference_computed_row(row.family, row.codename, sizes)
+        want.append(f"amortized: params {amt.params_mean:.0f} ({amt.params_ratio:.2f} of full) "
+                    f"flops {amt.flops_mean:.0f} ({amt.flops_ratio:.2f} of full)")
+        want.append(f"gamma_min: {gamma}")
+        argv = ["account", "--codename", row.codename, "--family", row.family]
+        assert main(argv + (["--layout", layout] if layout else [])) == 0
+        assert capsys.readouterr().out == "\n".join(want) + "\n", (row.family, row.codename)
+
+
+def test_account_codename_accounts_each_distinct_digit_once(capsys, monkeypatch):
+    calls, rows = [], []
+    for module in (fedprune.cli, fedprune.tables):
+        monkeypatch.setattr(module, "account",
+                            lambda *a, where=module.__name__: calls.append((where, a[2])) or account(*a))
+    computed_row = fedprune.cli.computed_row
+    monkeypatch.setattr(fedprune.cli, "computed_row", lambda *a: rows.append(a) or computed_row(*a))
+    assert main(["account", "--codename", "1111223344", "--family", "NP"]) == 0
+    assert capsys.readouterr().out.count("slot ") == 10
+    # the per-slot lines: one account per distinct digit; the summary: one computed_row
+    assert [kept for where, kept in calls if where == "fedprune.cli"] == [DIGIT_SEGMENTS[d] for d in "1234"]
+    assert rows == [("NP", "1111223344", MNIST_LAYOUT)]
+    assert [kept for where, kept in calls if where == "fedprune.tables"] == [DIGIT_SEGMENTS[d] for d in "1234"]
+
+
 def test_account_check_missing_row_fails(capsys):
     assert main(["account", "--check-table", "--codename", "1234567777", "--family", "FS"]) == 1
     assert capsys.readouterr().out == "no stored row for FS 1234567777\n"
@@ -261,6 +302,26 @@ BAD_CONFIGS = {
          "test_labels": "d"},
         "synth_classes, synth_dim, synth_samples_per_class, synth_spread, "
         'synth_test_samples_per_class apply only to dataset "synthetic"'),
+    # a range error names one key and its value
+    "num-clients-0": ({"num_clients": 0}, "num_clients must be >= 1, got 0\n"),
+    "num-clients-negative": ({"num_clients": -3}, "num_clients must be >= 1, got -3\n"),
+    "momentum-above-1": ({"momentum": 1.5}, "momentum must be in [0, 1), got 1.5\n"),
+    "participation-ratio-above-1": (
+        {"participation_ratio": 1.5}, "participation_ratio must be in (0, 1], got 1.5\n"),
+    "participation-ratio-0": (
+        {"participation_ratio": 0}, "participation_ratio must be in (0, 1], got 0.0\n"),
+    "no-slot": (
+        {"num_clients": 1}, "participation_ratio must be at least 1 / num_clients = 1, got 0.5\n"),
+    "freeze-after-round-0": (
+        {"freeze_after_round": 0}, "freeze_after_round must be >= 1, got 0\n"),
+    "learning-rate-minus-1": (
+        {"learning_rate": -1}, "learning_rate must be non-negative, got -1.0\n"),
+    "uncovered-action-ignore": (
+        {"uncovered_region_action": "ignore"},
+        "uncovered_region_action must be 'warn' or 'error', got 'ignore'\n"),
+    "static-slots-too-many-clients": (
+        {"static_slots": True},
+        "num_clients must equal the codename length 10 when static_slots is true, got 20\n"),
 }
 
 
@@ -662,6 +723,19 @@ def test_selfcheck_fault_injection_only_breaks_gradient(capsys, monkeypatch):
     assert main(["selfcheck", "--seed", "3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL gradient_finite_difference" in out
+    assert out.count("PASS") == 3
+
+
+def test_selfcheck_fault_injection_in_the_writer_only_breaks_coverage(capsys, monkeypatch):
+    writer = fedprune.selfcheck.segment_fill
+
+    def swapped_segments(layout, family, units, per_segment, out):  # S1's value lands on S4 ...
+        return writer(layout, family, units[::-1], per_segment, out)
+
+    monkeypatch.setattr(fedprune.selfcheck, "segment_fill", swapped_segments)
+    assert main(["selfcheck", "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL coverage_oracle" in out
     assert out.count("PASS") == 3
 
 

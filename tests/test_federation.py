@@ -1,12 +1,14 @@
 import re
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference_impl import (
     brute_force_signatures,
+    coverage_counts,
     reference_fedavg_rounds,
     reference_local_update,
     reference_masks,
@@ -14,8 +16,10 @@ from reference_impl import (
 )
 
 import fedprune.federation
+import fedprune.metrics
 import fedprune.nn
 import fedprune.pruning
+import fedprune.tables
 from fedprune.data import Dataset
 from fedprune.federation import (
     CoverageError,
@@ -23,8 +27,7 @@ from fedprune.federation import (
     SynthSpec,
     aggregate,
     build_federated_data,
-    check_coverage,
-    coverage_counts,
+    codename_facts,
     init_state,
     local_rng,
     local_update,
@@ -41,6 +44,8 @@ from fedprune.pruning import (
     codename_coverage,
     pruning_noise,
     round_masks,
+    segment_fill,
+    segment_index_sets,
 )
 from fedprune.selfcheck import brute_force_aggregate
 
@@ -260,9 +265,14 @@ def test_generated_coverage_is_the_codenames(family, codename, hidden, d_in, tie
     layout = LayerLayout((d_in, *(hidden if family == "WP" else hidden[:1]), 3))
     rng = np.random.default_rng(seed)
     values = rng.integers(-2, 3, layout.total) if tied else rng.normal(size=layout.total)
-    masks = round_masks(codename, family, ParamVector(values.astype(float), layout))
+    params = ParamVector(values.astype(float), layout)
+    masks = round_masks(codename, family, params)
     counts = coverage_counts(list(masks.values()), [codename.count(d) for d in masks])
     segments, gamma_min = codename_coverage(codename)
+    # the engine's counts: the codename's per-segment coverage written over the ranking
+    written = segment_fill(layout, family, segment_index_sets(params, family),
+                           list(segments.values()), np.full(layout.total, len(codename)))
+    assert written.dtype == counts.dtype and np.array_equal(written, counts)
     assert counts.min() == gamma_min
     kept = {s for s, n in segments.items() if n}
     never = full_account(layout).params_total - account(layout, family, kept).params_total
@@ -553,17 +563,19 @@ def test_engine_reduces_to_fedavg_bitwise():
     )
     data = build_federated_data(config)
     reference = reference_fedavg_rounds(config, data, 5)
-    state = init_state(config, model_layout(config, data))
+    layout = model_layout(config, data)
+    state, facts = init_state(config, layout), codename_facts(config, layout)
     for q in range(5):
-        state, _ = run_round(state, config, data)
+        state, _ = run_round(state, config, data, facts)
         assert np.array_equal(state.params.values, reference[q]), f"round {q + 1} diverged"
 
 
 def test_round_results_independent_of_slot_execution_order():
     config = desk_config(rounds=1)
     data = build_federated_data(config)
-    state = init_state(config, model_layout(config, data))
-    new_state, _ = run_round(state, config, data)
+    layout = model_layout(config, data)
+    state = init_state(config, layout)
+    new_state, _ = run_round(state, config, data, codename_facts(config, layout))
 
     # recompute local models in reverse slot order, then aggregate by slot
     participants = sample_participants(state, config)
@@ -609,6 +621,7 @@ def test_aggregate_is_fed_what_local_update_returns(monkeypatch, overrides):
     def spy_aggregate(previous_global, local, counts):
         bits = slot_bits[-1]
         assert np.array_equal(counts, bits.sum(axis=0))
+        assert counts.min() == codename_coverage(config.codename)[1]  # gamma_min
         assert (np.stack(local)[bits == 0].view(np.int64) == 0).all()
         got = aggregate(previous_global, local, counts)
         want = brute_force_aggregate(previous_global.values, local, bits)
@@ -632,7 +645,8 @@ def test_aggregate_is_fed_what_local_update_returns(monkeypatch, overrides):
 def test_round_names_the_slot_and_client_of_a_non_finite_local_model(use_lanes):
     config = desk_config(learning_rate=1e12, rounds=1)
     data = build_federated_data(config)
-    state = init_state(config, model_layout(config, data))
+    layout = model_layout(config, data)
+    state = init_state(config, layout)
     participants = sample_participants(state, config)
     masks = codename_masks(config.codename, config.family, state.params)
     shards = [data.train.subset(data.shards[client]) for client in participants]
@@ -651,7 +665,7 @@ def test_round_names_the_slot_and_client_of_a_non_finite_local_model(use_lanes):
                 f"(client {participants[k]})"
             )
             with pytest.raises(FloatingPointError, match=re.escape(message)):
-                run_round(state, config, data)
+                run_round(state, config, data, codename_facts(config, layout))
 
 
 @pytest.mark.parametrize(
@@ -682,14 +696,14 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
     monkeypatch.setattr(fedprune.pruning, "segment_index_sets", counted_ranking)
     monkeypatch.setattr(fedprune.federation, "local_update", recorded_local_update)
 
-    state = init_state(config, layout)
+    state, facts = init_state(config, layout), codename_facts(config, layout)
     frozen = {}  # the oracle's, slot -> mask
     for q in range(1, 5):
         theta = state.params.values.copy()
         rank_calls.clear()
         used.clear()
         training_calls.clear()
-        new_state, _ = run_round(state, config, data)
+        new_state, _ = run_round(state, config, data, facts)
         assert len(training_calls) == 1 and training_calls[0] is state.params, f"round {q}"
         assert len(rank_calls) == (0 if freeze is not None and q > freeze else 1), f"round {q}"
         assert np.array_equal(state.params.values.view(np.int64), theta.view(np.int64))
@@ -697,11 +711,58 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
         assert len(used) == len(want)
         for k, mask in enumerate(want):
             assert np.array_equal(used[k].bits, mask.bits), f"round {q}, slot {k}"
-        got_frozen = new_state.frozen_masks
-        assert len(frozen) == (len(codename) if got_frozen else 0), f"round {q}"
-        for k, mask in frozen.items():
-            assert np.array_equal(got_frozen[codename[k]].bits, mask.bits), f"round {q}, slot {k}"
+        # the state freezes the ranking; the masks rebuilt from it are the oracle's frozen masks
+        ranking = new_state.frozen_ranking
+        assert len(frozen) == (len(codename) if ranking else 0), f"round {q}"
+        if ranking:
+            rebuilt = round_masks(codename, family, new_state.params, ranking)
+            for k, mask in frozen.items():
+                assert np.array_equal(rebuilt[codename[k]].bits, mask.bits), f"round {q}, slot {k}"
         state = new_state
+
+
+def test_run_works_out_the_codename_facts_once_whatever_the_rounds(monkeypatch):
+    # every fedprune binding of the three names is counted, with whether the
+    # call came from inside a round
+    config = desk_config(freeze_after_round=2)
+    data = build_federated_data(config)
+    calls, in_round = [], []
+    run_round_ = fedprune.federation.run_round
+
+    def tracked_run_round(*args):
+        in_round.append(True)
+        try:
+            return run_round_(*args)
+        finally:
+            in_round.pop()
+
+    def counted(where, name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((where, name, bool(in_round)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    originals = {"computed_row": fedprune.tables.computed_row,
+                 "codename_coverage": fedprune.pruning.codename_coverage,
+                 "account": fedprune.metrics.account}
+    for name, original in originals.items():
+        for where, module in list(sys.modules.items()):
+            if where.split(".")[0] == "fedprune" and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(where, name, original))
+    monkeypatch.setattr(fedprune.federation, "run_round", tracked_run_round)
+
+    per_rounds = {}
+    for rounds in (0, 1, 4):
+        calls.clear()
+        history, _ = run(replace(config, rounds=rounds), data)
+        assert len(history) == rounds
+        per_rounds[rounds] = list(calls)
+    assert per_rounds[0] == per_rounds[1] == per_rounds[4]
+    assert not any(inside for _, _, inside in calls)  # no account, no computed_row in a round
+    engine = [name for where, name, _ in calls if where == "fedprune.federation"]
+    assert sorted(engine) == ["codename_coverage", "computed_row"]
+    # computed_row accounts once per distinct digit of 1111223344, outside the rounds
+    assert [name for where, name, _ in calls if where == "fedprune.tables"].count("account") == 4
 
 
 def test_round_reads_the_test_set_once_and_backprops_only_in_local_training(
@@ -807,21 +868,29 @@ def test_pretrained_freeze_in_engine():
     config = desk_config(freeze_after_round=2, rounds=0)
     data = build_federated_data(config)
     layout = model_layout(config, data)
-    state = init_state(config, layout)
+    state, facts = init_state(config, layout), codename_facts(config, layout)
     states = [state]
     metrics = []
     for _ in range(4):
-        state, record = run_round(state, config, data)
+        state, record = run_round(state, config, data, facts)
         states.append(state)
         metrics.append(record)
-    assert not states[1].frozen_masks and list(states[2].frozen_masks) == ["1", "2", "3", "4"]
+    # round 2 freezes the ranking of the model it started from, and later rounds keep it
+    assert not states[1].frozen_ranking
+    ranking = states[2].frozen_ranking
+    want = segment_index_sets(states[1].params, config.family)
+    assert len(ranking) == len(want) == 4
+    assert all(np.array_equal(got, w) for got, w in zip(ranking, want))
+    assert states[3].frozen_ranking is ranking and states[4].frozen_ranking is ranking
+    frozen_masks = round_masks(config.codename, config.family, states[2].params, ranking)
+    assert list(frozen_masks) == ["1", "2", "3", "4"]
 
     # rounds 3 and 4 must reuse the round-2 masks even though theta moved
     for q in (3, 4):
         theta_before = states[q - 1].params
         adaptive_masks = codename_masks(config.codename, config.family, theta_before)  # no freeze
         for k, adaptive in enumerate(adaptive_masks):
-            frozen = states[q - 1].frozen_masks[config.codename[k]]
+            frozen = frozen_masks[config.codename[k]]
             expected = pruning_noise(theta_before, [frozen])[0]
             assert metrics[q - 1].per_slot_delta_sq[k] == pytest.approx(expected, abs=1e-15)
             if not np.array_equal(adaptive.bits, frozen.bits):
@@ -830,7 +899,7 @@ def test_pretrained_freeze_in_engine():
                 )
     adaptive_masks = round_masks(config.codename, config.family, states[3].params)
     assert any(
-        not np.array_equal(adaptive.bits, states[3].frozen_masks[d].bits)
+        not np.array_equal(adaptive.bits, frozen_masks[d].bits)
         for d, adaptive in adaptive_masks.items()
         if d != "1"
     )
@@ -877,7 +946,7 @@ def test_wp_coverage_failure_counts_first_layer_weights():
         "160 parameters are never trained; quartile segments of the WP units "
         "(first-layer weights) that no slot of codename 5555566666 keeps: S4"
     )):
-        check_coverage(config, LayerLayout((20, 32, 10)))
+        codename_facts(config, LayerLayout((20, 32, 10)))
 
 
 @pytest.mark.parametrize("rounds", [0, 3])

@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_impl import reference_masks, reference_segments
+from reference_impl import coverage_counts, reference_masks, reference_segments
 
 from fedprune.federation import (
     FederationConfig,
     SynthSpec,
     build_federated_data,
-    coverage_counts,
+    codename_facts,
     init_state,
     model_layout,
     run_round,
@@ -25,8 +25,8 @@ from fedprune.pruning import (
     pruning_noise,
     quartile_segments,
     round_masks,
+    segment_fill,
     segment_index_sets,
-    segment_mask,
 )
 
 MNIST_LAYOUT = LayerLayout((784, 200, 10))
@@ -38,8 +38,10 @@ def flat_params(values):
 
 
 def one_mask(family, kept, params):
-    """The mask that keeps the segments `kept` of the ranking of `params`."""
-    return segment_mask(params.layout, family, segment_index_sets(params, family), kept)
+    """The mask that keeps the segments `kept` of the ranking of `params`: the writer's 0/1 case."""
+    layout = params.layout
+    return Mask(segment_fill(layout, family, segment_index_sets(params, family),
+                             [int(s in kept) for s in (1, 2, 3, 4)], np.ones(layout.total, np.uint8)))
 
 
 def ranking(params, family):
@@ -184,16 +186,23 @@ def test_pretrained_freeze_reuses_round3_mask():
         rounds=0, local_epochs=3, learning_rate=0.5, hidden_layers=(8,), freeze_after_round=3,
     )
     data = build_federated_data(config)
-    state = init_state(config, model_layout(config, data))
+    layout = model_layout(config, data)
+    state, facts = init_state(config, layout), codename_facts(config, layout)
     history = []
     for round_no in range(1, 8):
         adaptive = round_masks(config.codename, config.family, state.params)
-        state, _ = run_round(state, config, data)
-        assert bool(state.frozen_masks) == (round_no >= 3)
-        history.append(state.frozen_masks)
-    frozen = history[2]
+        if round_no == 3:
+            round3 = adaptive  # the masks round 3 trains under, ranked from its model
+        state, _ = run_round(state, config, data, facts)
+        assert bool(state.frozen_ranking) == (round_no >= 3)
+        history.append(state.frozen_ranking)
+    ranking = history[2]
+    assert all(later is ranking for later in history[3:])
+    # the masks rebuilt from the frozen ranking are round 3's
+    frozen = round_masks(config.codename, config.family, state.params, ranking)
     assert list(frozen) == ["1", "5"]
-    assert all(later is frozen for later in history[3:])
+    for d in frozen:
+        assert np.array_equal(frozen[d].bits, round3[d].bits)
     # the model drifted: masks ranked afresh would differ from the frozen ones
     assert not np.array_equal(adaptive["5"].bits, frozen["5"].bits)
 
@@ -222,21 +231,23 @@ def test_round_masks_match_the_index_set_oracle(seed, family, two_hidden, freeze
     layout = LayerLayout((int(rng.integers(1, 9)), *map(int, hidden), int(rng.integers(1, 6))))
     digits = list("1234567") + list(rng.choice(list("1234567"), size=int(rng.integers(0, 4))))
     codename = "".join(rng.permutation(digits))
-    frozen_got, frozen_want = {}, {}
+    frozen_got, frozen_want = (), {}
     for round_no in range(first_round, first_round + 4):
         values = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=layout.total)
         params = ParamVector(values, layout)
-        # the freeze rule of run_round: the masks in use from round F on are kept
-        masks = frozen_got or round_masks(codename, family, params)
-        frozen_got = masks if freeze is not None and round_no >= freeze else {}
+        # the freeze rule of run_round: the ranking in use from round F on is kept
+        units = frozen_got or segment_index_sets(params, family)
+        frozen_got = units if freeze is not None and round_no >= freeze else ()
+        masks = round_masks(codename, family, params, units)
         want, frozen_want = reference_masks(codename, family, freeze, params, round_no, frozen_want)
         got = [masks[d] for d in codename]
         assert len(got) == len(want) == len(codename)
         for k, (g, w) in enumerate(zip(got, want)):
             assert np.array_equal(g.bits, w.bits), f"round {round_no}, slot {k}"
         assert len(frozen_want) == (len(codename) if frozen_got else 0)
+        rebuilt = round_masks(codename, family, params, frozen_got) if frozen_got else {}
         for k, w in frozen_want.items():
-            assert np.array_equal(frozen_got[codename[k]].bits, w.bits), f"round {round_no}, slot {k}"
+            assert np.array_equal(rebuilt[codename[k]].bits, w.bits), f"round {round_no}, slot {k}"
 
 
 @settings(max_examples=100, deadline=None)
@@ -276,6 +287,10 @@ def test_slots_with_one_policy_share_one_mask_and_its_measures():
         want = np.stack([masks[d].bits for d in codename]).sum(axis=0, dtype=np.int64)
         got = coverage_counts(list(masks.values()), [codename.count(d) for d in masks])
         assert np.array_equal(got, want)
+        segments, _ = codename_coverage(codename)
+        written = segment_fill(MNIST_LAYOUT, family, segment_index_sets(params, family),
+                               list(segments.values()), np.full(MNIST_LAYOUT.total, len(codename)))
+        assert np.array_equal(written, want)
 
 
 def test_apply_mask_identity_and_zeroing():
