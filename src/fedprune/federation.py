@@ -382,8 +382,11 @@ def local_update(
     The chunks run on the lanes: lane j trains chunks j, j + L, ... in place,
     in the matrix rows that hold them (chunk order), with momentum, gradient
     and mask buffers allocated here once per call; each chunk's momentum
-    starts at 0. It then counts the chunk's correct predictions in slices of
-    `config.test_batch` rows, as `evaluate` would for each slot alone.
+    starts at 0. A chunk builds its gradient vector once and gathers its
+    permuted shards once per epoch, so a step is one `loss_and_grad` and one
+    `masked_sgd_step` call on views. It then counts the chunk's correct
+    predictions in slices of `config.test_batch` rows, as `evaluate` would
+    for each slot alone.
     """
     if not len(masks) == len(shards) == len(rngs):
         raise ValueError("one mask, shard and rng per slot required")
@@ -416,16 +419,17 @@ def local_update(
         labels = np.stack([shards[k].labels for k in chunk])
         n = labels.shape[1]  # one shard length: every step has one batch size for all rows
         chunk_bits = np.stack([masks[k].bits for k in chunk], out=bits[lane, :g])
-        chunk_grad = grad[lane, :g]
+        chunk_grad = ParamVector(grad[lane, :g], layout)
         momentum[lane, :g] = 0.0
         opt = OptimizerState(momentum[lane, :g], config.momentum, config.effective_learning_rate)
         at = np.arange(g)[:, None]
         for _ in range(config.local_epochs):
             perm = np.stack([rngs[k].permutation(n) for k in chunk])
+            xs, ys = inputs[at, perm], labels[at, perm]  # each batch below is a view of these rows
             for start in range(0, n, config.local_batch):
-                idx = perm[:, start : start + config.local_batch]
-                loss_and_grad(rows, inputs[at, idx], labels[at, idx], out=chunk_grad)
-                masked_sgd_step(rows, chunk_grad, chunk_bits, opt)
+                stop = start + config.local_batch
+                loss_and_grad(rows, xs[:, start:stop], ys[:, start:stop], out=chunk_grad)
+                masked_sgd_step(rows, chunk_grad.values, chunk_bits, opt)
         for start in range(0, n, config.test_batch):
             stop = start + config.test_batch
             hits = forward(rows, inputs[:, start:stop]).argmax(axis=-1) == labels[:, start:stop]
@@ -453,23 +457,26 @@ def run_round(
     freeze = config.freeze_after_round
     frozen = units if freeze is not None and q >= freeze else ()
     masks = round_masks(codename, family, state.params, units)
+    n_slots = len(participants)
+    counts = segment_fill(layout, family, units, facts.segment_coverage,
+                          np.full(layout.total, n_slots, dtype=np.min_scalar_type(n_slots)))
+    del units  # training need not hold the ranking; a freeze keeps it as `frozen`
     slot_masks = [masks[d] for d in codename]
     noise = dict(zip(masks, pruning_noise(state.params, list(masks.values()))))
     deltas = tuple(noise[d] for d in codename)
 
     shards = [data.train.subset(data.shards[client]) for client in participants]
-    rngs = [local_rng(state.seed, q, k) for k in range(len(participants))]
+    rngs = [local_rng(state.seed, q, k) for k in range(n_slots)]
     local, correct = local_update(state.params, slot_masks, shards, config, rngs)
-    for k, row in enumerate(local):
-        if not np.isfinite(row).all():
+    for k in range(n_slots):  # no row view outlives `local`
+        if not np.isfinite(local[k]).all():
             raise FloatingPointError(
                 f"round {q}: non-finite local model after local training in slot {k} "
                 f"(client {participants[k]})"
             )
 
-    counts = segment_fill(layout, family, units, facts.segment_coverage,
-                          np.full(layout.total, len(codename)))
-    new_params = aggregate(state.params, local, counts)
+    new_params = aggregate(state.params, local, counts)  # counts cast to float64 exactly
+    del local, counts  # the test-set pass need not hold the (S, total) matrix
     if not np.isfinite(new_params.values).all():
         raise FloatingPointError(f"round {q}: non-finite global parameters after aggregation")
 
@@ -481,7 +488,6 @@ def run_round(
             f"round {q}: non-finite test-set loss or gradient of the aggregated model "
             f"(loss {loss}, squared gradient norm {grad_norm_sq})"
         )
-    n_slots = len(participants)
     local_acc = weighted_accuracy(
         [(1.0 / n_slots, hits, len(shard)) for hits, shard in zip(correct.tolist(), shards)]
     )

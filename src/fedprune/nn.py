@@ -18,10 +18,11 @@ bits it would get alone.
 
 The optimizer step works in place: `masked_sgd_step` overwrites the
 parameter values, the momentum buffer and the gradient it is given.
-`loss_and_grad` writes into an `out=` buffer when given one, so a training
-loop allocates no full-length vector per step. A `ParamVector` makes its
-per-layer views once, when it is built (`layers`); the layer loop adds
-each bias and applies ReLU in place on the product it just made.
+A `ParamVector` makes its per-layer views once, when it is built
+(`layers`); the layer loop adds each bias and applies ReLU in place.
+`loss_and_grad` writes through the `layers` of an `out=` `ParamVector`, so
+a step sets up no views of the parameters or the gradient. The backward
+pass gates ReLU branch-free, with a bitwise AND on the error's bits.
 
 `evaluate` spreads its chunks over the lanes (`fedprune.lanes`): each lane
 computes one chunk's loss sum, correct count and gradient into its own
@@ -193,7 +194,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _check_labels(labels: np.ndarray, num_classes: int) -> None:
     """Every label must name an output unit: 0 <= label < num_classes."""
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    if labels.size and labels.view(np.uint64).max() >= num_classes:  # a negative label wraps high
         raise ValueError(f"label out of range for the output layer ({num_classes} classes)")
 
 
@@ -206,14 +207,20 @@ def _label_index(labels: np.ndarray) -> tuple[np.ndarray, ...]:
     return (*(np.arange(n)[:, None] for n in lead), np.arange(rows), labels)
 
 
+def _relu_gate(delta: np.ndarray, act: np.ndarray) -> None:
+    """`np.putmask(delta, act <= 0, 0)`: an AND keeps all bits where `not act <= 0`, none elsewhere."""
+    bits = delta.view(np.int64)
+    np.bitwise_and(bits, np.add(act <= 0.0, -1, dtype=np.int64), out=bits)
+
+
 def _backward(
     params: ParamVector, acts: list[np.ndarray], logp: np.ndarray,
     pick: tuple[np.ndarray, ...], grads: list[tuple[np.ndarray, np.ndarray]],
 ) -> None:
     """Gradient of each batch's mean cross-entropy via backprop, written into `grads`.
 
-    `pick` is `_label_index(labels)` for the batch's labels; `grads` is
-    `layout.unpack` of the gradient buffer.
+    `pick` is `_label_index(labels)` for the batch's labels; `grads` is the
+    gradient vector's `layers`.
     """
     layers = params.layers
     # dL/dlogits for mean cross-entropy
@@ -222,23 +229,23 @@ def _backward(
     delta /= logp.shape[-2]
     for l in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grads[l]
-        np.matmul(np.swapaxes(acts[l], -1, -2), delta, out=grad_w)
+        np.matmul(acts[l].swapaxes(-1, -2), delta, out=grad_w)
         np.add.reduce(delta, axis=-2, out=grad_b)
         if l > 0:
-            delta = delta @ np.swapaxes(layers[l][0], -1, -2)
-            np.putmask(delta, acts[l] <= 0.0, 0.0)  # ReLU subgradient at 0 taken as 0
+            delta = delta @ layers[l][0].swapaxes(-1, -2)
+            _relu_gate(delta, acts[l])
 
 
 def loss_and_grad(
-    params: ParamVector, inputs, labels, out: np.ndarray | None = None
+    params: ParamVector, inputs, labels, out: ParamVector | None = None
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean softmax cross-entropy of a batch and its exact gradient.
 
     One vector (total,) takes inputs (B, in) and labels (B,) and returns a
     float loss. A stack (g, total) takes inputs (g, B, in) and labels (g, B)
     and returns g losses; row i of its gradient has the bits the unstacked
-    call gives row i alone. The gradient is written into `out` (the shape of
-    `params.values`) when one is given, else into a new array.
+    call gives row i alone. The gradient is written through the `layers` of
+    `out`, a `ParamVector` like `params`, or a new one; its `values` return.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -248,16 +255,17 @@ def loss_and_grad(
     if labels.shape[-1] == 0:
         raise ValueError("empty batch")
     _check_labels(labels, params.layout.num_classes)
-    if out is None:
-        out = np.empty(params.values.shape)  # every weight and bias slice is written below
-    elif out.shape != params.values.shape:
-        raise ValueError("gradient buffer shape does not match the parameters")
+    if out is None:  # every weight and bias slice is written below
+        out = ParamVector(np.empty(params.values.shape), params.layout)
+    elif not (isinstance(out, ParamVector) and out.values.shape == params.values.shape
+              and out.layout == params.layout):
+        raise ValueError("gradient buffer must be a ParamVector of the parameters' shape and layout")
     acts = _activations(params, inputs)
     logp = _log_softmax(acts[-1])
     pick = _label_index(labels)
     loss = -(np.add.reduce(logp[pick], axis=-1) / labels.shape[-1])  # the arithmetic of .mean()
-    _backward(params, acts, logp, pick, params.layout.unpack(out))
-    return (float(loss) if loss.ndim == 0 else loss), out
+    _backward(params, acts, logp, pick, out.layers)
+    return (float(loss) if loss.ndim == 0 else loss), out.values
 
 
 def masked_sgd_step(

@@ -513,6 +513,46 @@ def test_lockstep_results_independent_of_chunk_size(monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
+def test_each_chunk_calls_the_kernel_once_per_step_and_sets_up_its_views_once(monkeypatch, case):
+    config, params, masks, shards, rngs = lockstep_round(case)
+    chunks = {}  # id of a chunk's rows -> its record, which keeps the rows alive: no id is reused
+    views = []
+    loss_and_grad_ = fedprune.federation.loss_and_grad
+    masked_sgd_step_ = fedprune.federation.masked_sgd_step
+    unpack_ = LayerLayout.unpack
+
+    def recorded_grad(rows, inputs, labels, out=None):
+        chunk = chunks.setdefault(id(rows), dict(rows=rows, grad=0, step=0, batch_rows=0, outs=[]))
+        chunk["grad"] += 1
+        chunk["batch_rows"] += labels.shape[-1]
+        if not any(o is out for o in chunk["outs"]):
+            chunk["outs"].append(out)
+        return loss_and_grad_(rows, inputs, labels, out=out)
+
+    def recorded_step(rows, *args):
+        chunks[id(rows)]["step"] += 1
+        return masked_sgd_step_(rows, *args)
+
+    def recorded_unpack(layout, values):
+        views.append(values.shape)
+        return unpack_(layout, values)
+
+    monkeypatch.setattr(fedprune.federation, "loss_and_grad", recorded_grad)
+    monkeypatch.setattr(fedprune.federation, "masked_sgd_step", recorded_step)
+    monkeypatch.setattr(LayerLayout, "unpack", recorded_unpack)
+    local_update(params, masks, shards, config, rngs())
+    assert sum(len(chunk["rows"].values) for chunk in chunks.values()) == len(masks)
+    for chunk in chunks.values():
+        n = chunk["batch_rows"] // config.local_epochs  # the chunk's shard length
+        steps = config.local_epochs * -(-n // config.local_batch)
+        assert chunk["grad"] == chunk["step"] == steps
+        (out,) = chunk["outs"]  # one gradient vector serves every step of the chunk
+        assert isinstance(out, ParamVector) and out.values.shape == chunk["rows"].values.shape
+    # per chunk: its rows and its gradient vector; per slot: the `apply_mask` result
+    assert len(views) == 2 * len(chunks) + len(masks)
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
 def test_lockstep_keeps_masked_coordinates_at_positive_zero(case):
     config, params, masks, shards, rngs = lockstep_round(case)
     got, _ = local_update(params, masks, shards, config, rngs())

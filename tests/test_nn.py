@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from reference_impl import reference_dataset_loss_and_grad, reference_evaluate
 
+import fedprune.nn
 from fedprune.data import synth_blobs
 from fedprune.nn import (
     LayerLayout,
     OptimizerState,
     ParamVector,
+    _backward,
+    _label_index,
+    _log_softmax,
+    _relu_gate,
     evaluate,
     forward,
     init_params,
@@ -219,7 +224,11 @@ def test_evaluate_rejects_out_of_range_labels(label):
         (np.zeros((3, 1, 3)), np.zeros((3, 1), dtype=int), None, "one batch per parameter vector"),
         (np.zeros((2, 1, 3)), np.zeros(2, dtype=int), None, "match the batch size"),
         (np.zeros((2, 0, 3)), np.zeros((2, 0), dtype=int), None, "empty batch"),
-        (np.zeros((2, 1, 3)), np.zeros((2, 1), dtype=int), np.empty(8), "gradient buffer"),
+        (np.zeros((2, 1, 3)), np.zeros((2, 1), dtype=int),
+         ParamVector(np.empty(8), LayerLayout((3, 2))), "gradient buffer"),
+        (np.zeros((2, 1, 3)), np.zeros((2, 1), dtype=int),  # same total, other layers
+         ParamVector(np.empty((2, 8)), LayerLayout((1, 4))), "gradient buffer"),
+        (np.zeros((2, 1, 3)), np.zeros((2, 1), dtype=int), np.empty((2, 8)), "gradient buffer"),
     ],
 )
 def test_stacked_loss_and_grad_rejects_malformed_batches(inputs, labels, out, message):
@@ -257,15 +266,77 @@ def test_stacked_kernel_rows_match_unstacked_calls_bitwise(sizes):
         want.append((loss, row.values, opt.momentum_buffer))
 
     stacked = ParamVector(values, layout)
-    grad = np.empty((g, layout.total))
+    grad = ParamVector(np.empty((g, layout.total)), layout)
     losses, got = loss_and_grad(stacked, inputs, labels, out=grad)
-    assert got is grad
+    assert got is grad.values
     opt = OptimizerState(buf, momentum_coef=0.5, learning_rate=0.1)
-    masked_sgd_step(stacked, grad, bits, opt)
+    masked_sgd_step(stacked, got, bits, opt)
     for i, (loss, row_values, row_buf) in enumerate(want):
         assert losses[i] == loss
         assert np.array_equal(values[i].view(np.int64), row_values.view(np.int64)), i
         assert np.array_equal(buf[i].view(np.int64), row_buf.view(np.int64)), i
+
+
+def bit_floats(*words):
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+# NaNs of both signs (one with a payload), infinities, zeros of both signs, subnormals
+ACT_SPECIALS = np.concatenate([[np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324],
+                               bit_floats(0x7FF0000000000001, 0xFFF8000000000000)])
+DELTA_SPECIALS = np.concatenate([[-0.0, 0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.nan, -np.nan,
+                                  np.inf, -np.inf], bit_floats(0x7FF4000000000123)])
+# (B, h) and stacked (g, B, h): a test-set chunk, then training batches of both kernels' shapes
+RELU_SHAPES = [(128, 200), (37, 32), (10, 32), (1, 10, 200), (10, 10, 32), (3, 1, 7)]
+
+
+def putmask_gate(delta, act):
+    np.putmask(delta, act <= 0.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(RELU_SHAPES), seed=st.integers(0, 2**32 - 1),
+    act_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]), delta_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+def test_relu_gate_in_backward_has_the_bits_of_putmask(shape, seed, act_share, delta_share):
+    rng = np.random.default_rng(seed)
+
+    def sprinkle(values, specials, share):
+        hit = rng.random(values.shape) < share
+        values[hit] = rng.choice(specials, size=int(hit.sum()))
+        return values
+
+    act = sprinkle(rng.normal(size=shape), ACT_SPECIALS, act_share)  # negatives too, not just ReLU's
+    delta = sprinkle(rng.normal(size=shape), DELTA_SPECIALS, delta_share)
+    want = delta.copy()
+    putmask_gate(want, act)
+    _relu_gate(delta, act)
+    assert np.array_equal(delta.view(np.int64), want.view(np.int64))
+
+    # the same activations as the hidden layer of a net: _backward's gradients take the bits
+    # that a putmask gate gives them, so the delta it gates is putmask's too
+    *lead, rows, hidden = shape
+    layout = LayerLayout((3, hidden, 4))
+    params = ParamVector(rng.normal(size=(*lead, layout.total)), layout)
+    inputs = rng.normal(size=(*lead, rows, 3))
+    logits = rng.normal(size=(*lead, rows, 4))
+    pick = _label_index(rng.integers(0, 4, size=(*lead, rows)))
+    gated = []
+
+    def recorded_putmask_gate(delta, act):
+        gated.append(act)
+        putmask_gate(delta, act)
+
+    grads = []
+    for gate in (_relu_gate, recorded_putmask_gate):
+        out = ParamVector(np.full(params.values.shape, np.nan), layout)
+        with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore", over="ignore"):
+            patch.setattr(fedprune.nn, "_relu_gate", gate)
+            _backward(params, [inputs, act, logits], _log_softmax(logits), pick, out.layers)
+        grads.append(out.values)
+    assert len(gated) == 1 and gated[0] is act
+    assert np.array_equal(grads[0].view(np.int64), grads[1].view(np.int64))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end against the package's current API."""
 
 import csv
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,13 @@ def test_mnist_trend_help_exits_zero(tmp_path):
     proc = run_script("mnist_trend.py", "--help", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "--mnist-dir" in proc.stdout
+
+
+def test_ab_rounds_times_both_trees_in_alternating_processes(tmp_path):
+    src = str(SCRIPTS.parent / "src")
+    proc = run_script("ab_rounds.py", src, src, "--workload", "small_np", "--pairs", "2", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["pair 0", "pair 1", "parent", "change", lines[-1]]
+    assert re.fullmatch(r"change faster in [0-2]/2 pairs", lines[-1])
+    assert all(" MB, ratio " in line for line in lines[:2])
