@@ -5,9 +5,12 @@ Run configs are flat JSON. A key is a field name of `FederationConfig`,
 `dataset` picks the spec, "synthetic" or "idx"; a key of the other spec is
 an error. An int field takes an integer (not true, not 20.0), a float field
 a finite number, a str field a string, a bool field true or false,
-`hidden_layers` and `seeds` a list of integers, `out_dir` a string, and an
-`X | None` field also null. A config error names its key. `run` flags set
-the keys named by their dests.
+`hidden_layers` and `seeds` a list of integers, `codenames` a list of
+strings, `out_dir` a string, and an `X | None` field also null. A config
+error names its key. `run` flags set the keys named by their dests;
+`--codename` replaces a file's `codenames`.
+A `codenames` config runs each codename into `out_dir/<codename>/`, as a
+`codename` config runs into `out_dir`, and tabulates them in `sweep.csv`.
 Exit codes for `run`: 1 config error or bad flag, 2 coverage violation,
 3 I/O error, 4 training diverged (a non-finite model, test-set loss or
 gradient; the message names where). Every subcommand exits 1 on a bad flag,
@@ -17,6 +20,7 @@ with argparse's message.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -32,6 +36,7 @@ from .federation import (
     IdxSpec,
     SynthSpec,
     build_federated_data,
+    model_layout,
     run as run_federation,
 )
 from .metrics import account, emit_csv, emit_jsonl
@@ -45,16 +50,17 @@ OUT_DIR_ENV = "FEDPRUNE_OUT"
 
 @dataclass(frozen=True)
 class RunConfig:
-    federation: FederationConfig  # seed field is replaced per run
+    federation: FederationConfig  # seed field is replaced per run, codename per entry of codenames
     seeds: tuple[int, ...]
     out_dir: Path
+    codenames: tuple[str, ...] = ()  # () runs federation.codename alone, into out_dir
 
 
 _DATASETS = {"synthetic": SynthSpec, "idx": IdxSpec}
 _PREFIXES = {SynthSpec: "synth_"}
 _JSON_TYPES = {
     int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
-    tuple[int, ...]: "a list of integers", Path: "a string",
+    tuple[int, ...]: "a list of integers", tuple[str, ...]: "a list of strings", Path: "a string",
 }
 CONFIG_KEYS = {  # every accepted key -> the type of the field it sets
     _PREFIXES.get(cls, "") + name: hint
@@ -78,7 +84,8 @@ def _parse(key: str, value):
         return None
     if kind is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)  # not NaN, not infinite
-    if kind == tuple[int, ...] and type(value) is list and all(type(v) is int for v in value):
+    if kind in (tuple[int, ...], tuple[str, ...]) and type(value) is list and all(
+            type(v) is get_args(kind)[0] for v in value):
         return tuple(value)
     if kind in (int, str, bool) and type(value) is kind or kind is Path and type(value) is str:
         return value  # type(), not isinstance(): true is no integer
@@ -101,9 +108,13 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise ValueError("a run config must be a JSON object")
-    if "seed" in raw and "seeds" in raw:
-        raise ValueError("give seed or seeds, not both")
-    raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    for one, many in (("seed", "seeds"), ("codename", "codenames")):
+        if one in raw and many in raw:
+            raise ValueError(f"give {one} or {many}, not both")
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    if "codename" in overrides:
+        raw.pop("codenames", None)  # the flag replaces the file's list
+    raw.update(overrides)
     unknown = raw.keys() - CONFIG_KEYS.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -126,9 +137,22 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         stray = sorted(values.keys() & {_PREFIXES.get(cls, "") + f.name for f in fields(cls)})
         if stray:
             raise ValueError(f"{', '.join(stray)} apply only to dataset {json.dumps(other)}")
-    federation = _make(FederationConfig, values, dataset=dataset, seed=seeds[0])
+    codenames = values.get("codenames", ())
+    if "codenames" in values and not codenames:
+        raise ValueError("codenames must list at least one codename, got []")
+    if len(set(codenames)) < len(codenames):
+        raise ValueError(f"codenames must not repeat, got {json.dumps(codenames)}")
+    federations = []
+    for codename in codenames:  # each entry must make a valid run on its own
+        try:
+            federations.append(_make(FederationConfig, values, dataset=dataset, seed=seeds[0],
+                                     codename=codename))
+        except ValueError as exc:
+            raise ValueError(f"codenames entry {json.dumps(codename)}: {exc}") from None
+    federation = federations[0] if codenames else _make(
+        FederationConfig, values, dataset=dataset, seed=seeds[0])
     out_dir = values.get("out_dir") or os.environ.get(OUT_DIR_ENV, "runs")
-    return RunConfig(federation, seeds, Path(out_dir))
+    return RunConfig(federation, seeds, Path(out_dir), codenames)
 
 
 # ---------------------------------------------------------------------------
@@ -147,49 +171,66 @@ def cmd_run(args) -> int:
         if args.seeds is not None:
             overrides["seeds"] = _int_list("--seeds", args.seeds)
         config = load_run_config(args.config, overrides)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
+    except OSError as exc:  # missing, a directory, unreadable
+        print(f"error: cannot read config {args.config}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # json.JSONDecodeError included
         print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
         return 1
 
-    final_accuracies = []  # None for a seed with no rounds: null in summary.json
-    final_losses = []
+    runs = ([(c, config.out_dir / c) for c in config.codenames]
+            or [(config.federation.codename, config.out_dir)])
+    sweep = []  # a codenames config's sweep.csv rows
     try:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-        for seed in config.seeds:
-            fed = replace(config.federation, seed=seed)
-            try:
-                data = build_federated_data(fed)
-            except ValueError as exc:
-                print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
-                return 1
-            history, _ = run_federation(fed, data)
-            csv_path = config.out_dir / f"metrics_seed{seed}.csv"
-            jsonl_path = config.out_dir / f"metrics_seed{seed}.jsonl"
-            with open(csv_path, "w") as csv_file:
-                emit_csv(history, csv_file)
-            with open(jsonl_path, "w") as jsonl_file:
-                emit_jsonl(history, jsonl_file)
-            last = history[-1] if history else None
-            acc, loss = (last.global_accuracy, last.global_loss) if last else (None, None)
-            final_accuracies.append(acc)
-            final_losses.append(loss)
-            print(f"seed {seed}: rounds={len(history)} final_acc={_four(acc)} "
-                  f"final_loss={_four(loss)} -> {csv_path}")
-        ran = None not in final_accuracies  # every seed runs the same number of rounds
-        summary = {
-            "codename": config.federation.codename,
-            "family": config.federation.family,
-            "seeds": list(config.seeds),
-            "final_accuracy_per_seed": final_accuracies,
-            "final_accuracy_mean": float(np.mean(final_accuracies)) if ran else None,
-            "final_accuracy_std": float(np.std(final_accuracies)) if ran else None,
-            "final_loss_mean": float(np.mean(final_losses)) if ran else None,
-        }
-        text = json.dumps(summary, indent=2, allow_nan=False)
-        (config.out_dir / "summary.json").write_text(text + "\n")
+        for codename, out_dir in runs:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            if config.codenames:
+                print(f"codename {codename}:")
+            final_accuracies = []  # None for a seed with no rounds: null in summary.json
+            final_losses = []
+            for seed in config.seeds:
+                fed = replace(config.federation, codename=codename, seed=seed)
+                try:
+                    data = build_federated_data(fed)
+                except ValueError as exc:
+                    print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
+                    return 1
+                history, _ = run_federation(fed, data)
+                csv_path = out_dir / f"metrics_seed{seed}.csv"
+                jsonl_path = out_dir / f"metrics_seed{seed}.jsonl"
+                with open(csv_path, "w") as csv_file:
+                    emit_csv(history, csv_file)
+                with open(jsonl_path, "w") as jsonl_file:
+                    emit_jsonl(history, jsonl_file)
+                last = history[-1] if history else None
+                acc, loss = (last.global_accuracy, last.global_loss) if last else (None, None)
+                final_accuracies.append(acc)
+                final_losses.append(loss)
+                print(f"seed {seed}: rounds={len(history)} final_acc={_four(acc)} "
+                      f"final_loss={_four(loss)} -> {csv_path}")
+            ran = None not in final_accuracies  # every seed runs the same number of rounds
+            summary = {
+                "codename": codename,
+                "family": fed.family,
+                "seeds": list(config.seeds),
+                "final_accuracy_per_seed": final_accuracies,
+                "final_accuracy_mean": float(np.mean(final_accuracies)) if ran else None,
+                "final_accuracy_std": float(np.std(final_accuracies)) if ran else None,
+                "final_loss_mean": float(np.mean(final_losses)) if ran else None,
+            }
+            text = json.dumps(summary, indent=2, allow_nan=False)
+            (out_dir / "summary.json").write_text(text + "\n")
+            print(f"summary: mean final accuracy {_four(summary['final_accuracy_mean'])} "
+                  f"(std {_four(summary['final_accuracy_std'])}) over seeds {list(config.seeds)}")
+            if config.codenames:  # every seed's model has the last one's layout
+                sweep.append(_sweep_row(summary, model_layout(fed, data)))
+        if sweep:
+            sweep_path = config.out_dir / "sweep.csv"
+            with open(sweep_path, "w", newline="") as sweep_file:
+                writer = csv.DictWriter(sweep_file, fieldnames=list(sweep[0]))
+                writer.writeheader()
+                writer.writerows(sweep)
+            print(f"sweep: {len(sweep)} codenames -> {sweep_path}")
     except CoverageError as exc:
         print(f"error: coverage violation: {exc}", file=sys.stderr)
         return 2
@@ -202,9 +243,25 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 3
-    print(f"summary: mean final accuracy {_four(summary['final_accuracy_mean'])} "
-          f"(std {_four(summary['final_accuracy_std'])}) over seeds {list(config.seeds)}")
     return 0
+
+
+def _sweep_row(summary: dict, layout: LayerLayout) -> dict:
+    """A codename's sweep.csv row: gamma_min and cost from `computed_row`, accuracy from the
+    floats of its summary."""
+    amt, gamma = computed_row(summary["family"], summary["codename"], layout)
+    mean, std = summary["final_accuracy_mean"], summary["final_accuracy_std"]
+    return {
+        "codename": summary["codename"],
+        "family": summary["family"],
+        "gamma_min": gamma,
+        "params_amortized": round(amt.params_mean),
+        "params_ratio": amt.params_ratio,
+        "flops_amortized": round(amt.flops_mean),
+        "flops_ratio": amt.flops_ratio,
+        "acc_mean": None if mean is None else round(mean, 4),  # None: an empty field
+        "acc_std": None if std is None else round(std, 4),
+    }
 
 
 def _four(x: float | None) -> str:

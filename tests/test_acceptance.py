@@ -6,6 +6,7 @@ $MNIST_DIR (or ./data/mnist), plain or gzipped; it is skipped when the
 files are absent because this sandbox cannot download them.
 """
 
+import csv
 import itertools
 import json
 import os
@@ -23,12 +24,11 @@ from reference_impl import (
     reference_neuron_blocks,
 )
 
-from fedprune.cli import main
+from fedprune.cli import load_run_config, main
 from fedprune.data import load_idx
 from fedprune.federation import (
     CoverageError,
     FederationConfig,
-    IdxSpec,
     SynthSpec,
     aggregate,
     build_federated_data,
@@ -51,6 +51,8 @@ from fedprune.pruning import (
 )
 from fedprune.selfcheck import brute_force_aggregate
 from fedprune.tables import MNIST_LAYOUT, TABLE_ROWS, check_tables
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def kept_mask(layout, family, units, kept):
@@ -245,35 +247,34 @@ def test_criterion_6a_desk_scale_convergence():
         assert g_last * 10.0 <= g_first, f"grad norm only dropped {g_first / g_last:.1f}x"
 
 
-def _mean_final_accuracy(codename, dataset, seeds, *, num_clients, ratio, rounds,
-                         partition, hidden, lr):
-    finals = []
-    for seed in seeds:
-        config = FederationConfig(
-            codename=codename, num_clients=num_clients, participation_ratio=ratio,
-            rounds=rounds, local_epochs=5, local_batch=10, learning_rate=lr, momentum=0.5,
-            family="WP", seed=seed, hidden_layers=hidden, partition=partition,
-            dataset=dataset,
-        )
-        history, _ = run(config)
-        finals.append(history[-1].global_accuracy)
-    return float(np.mean(finals)), finals
+def run_codenames(tmp_path, name, **changes):
+    """Run the shipped codenames config `name`, with `changes`, through `fedprune run`.
+
+    Returns each codename's summary.json and the rows of sweep.csv.
+    """
+    raw = json.loads((ROOT / "configs" / name).read_text()) | changes
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    config = load_run_config(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    summaries = {c: json.loads((out / c / "summary.json").read_text()) for c in config.codenames}
+    with open(out / "sweep.csv", newline="") as f:
+        return summaries, list(csv.DictReader(f))
 
 
-def test_criterion_6b_trend_stand_in_synthetic():
+def test_criterion_6b_trend_stand_in_synthetic(tmp_path):
     # always-run stand-in matching the benchmark protocol shape (N=100,
-    # c=0.1, label-skewed shards); the pinned MNIST variant follows below
+    # c=0.1, label-skewed shards): the synthetic sweep's two equal-cost mixes;
+    # the pinned MNIST variant follows below
     with criterion("criterion 6b (gamma_min 8 vs 4 ordering, synthetic stand-in)"):
-        dataset = SynthSpec(10, 200, 20, 1.0, 50)
-        high, _ = _mean_final_accuracy(
-            "1111223344", dataset, (1, 2, 3), num_clients=100, ratio=0.1,
-            rounds=20, partition="label-skew", hidden=(32,), lr=0.1,
-        )
-        low, _ = _mean_final_accuracy(
-            "1111444444", dataset, (1, 2, 3), num_clients=100, ratio=0.1,
-            rounds=20, partition="label-skew", hidden=(32,), lr=0.1,
-        )
+        mixes = ["1111223344", "1111444444"]
+        summaries, rows = run_codenames(tmp_path, "synth_sweep.json", codenames=mixes)
+        high, low = (summaries[c]["final_accuracy_mean"] for c in mixes)
         assert high >= low - 0.005, f"gamma_min=8 mean {high:.4f} vs gamma_min=4 mean {low:.4f}"
+        with open(ROOT / "runs" / "synth_sweep.csv", newline="") as f:
+            committed = {row["codename"]: row for row in csv.DictReader(f)}
+        assert rows == [committed[c] for c in mixes]
 
 
 def _find_mnist():
@@ -300,7 +301,7 @@ def _find_mnist():
     return None
 
 
-def test_criterion_6c_trend_on_mnist_subset():
+def test_criterion_6c_trend_on_mnist_subset(tmp_path):
     files = _find_mnist()
     if files is None:
         pytest.skip(
@@ -310,17 +311,11 @@ def test_criterion_6c_trend_on_mnist_subset():
     with criterion("criterion 6c (gamma_min 8 vs 4 ordering, 2000-sample MNIST subset)"):
         train = load_idx(files["train_images"], files["train_labels"])
         assert train.inputs.shape == (60000, 784)
-        dataset = IdxSpec(**files, train_subset=2000, test_subset=2000)
-        high, highs = _mean_final_accuracy(
-            "1111223344", dataset, (1, 2, 3), num_clients=100, ratio=0.1,
-            rounds=30, partition="iid", hidden=(200,), lr=0.1,
-        )
-        low, lows = _mean_final_accuracy(
-            "1111444444", dataset, (1, 2, 3), num_clients=100, ratio=0.1,
-            rounds=30, partition="iid", hidden=(200,), lr=0.1,
-        )
-        assert high >= low - 0.005, (
-            f"gamma_min=8 mean {high:.4f} {highs} vs gamma_min=4 mean {low:.4f} {lows}"
+        summaries, _ = run_codenames(tmp_path, "mnist_trend.json", **files)
+        high, low = summaries["1111223344"], summaries["1111444444"]
+        assert high["final_accuracy_mean"] >= low["final_accuracy_mean"] - 0.005, (
+            f"gamma_min=8 mean {high['final_accuracy_mean']:.4f} {high['final_accuracy_per_seed']}"
+            f" vs gamma_min=4 mean {low['final_accuracy_mean']:.4f} {low['final_accuracy_per_seed']}"
         )
 
 

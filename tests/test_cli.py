@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import json
 import os
@@ -10,7 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from reference_impl import reference_computed_row
 
 import fedprune.cli
@@ -51,9 +52,11 @@ QUICK_CONFIG = {
 IDX_CONFIG = {k: v for k, v in QUICK_CONFIG.items() if not k.startswith("synth_")}
 
 
+ABSENT = object()  # an override that takes its key out of the config
+
+
 def write_config(tmp_path, base=QUICK_CONFIG, **overrides):
-    cfg = dict(base)
-    cfg.update(overrides)
+    cfg = {k: v for k, v in {**base, **overrides}.items() if v is not ABSENT}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -221,6 +224,12 @@ def test_run_missing_config_names_path(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_run_on_a_config_directory_is_a_config_error_not_a_traceback(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: cannot read config {tmp_path}: Is a directory\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -277,6 +286,22 @@ BAD_CONFIGS = {
     "local-epochs-bool": ({"local_epochs": True}, "local_epochs must be an integer, got true"),
     "codename-list": ({"codename": list("1111223344")}, "codename must be a string"),
     "seed-and-seeds": ({"seed": 5}, "give seed or seeds, not both"),
+    "codename-and-codenames": (
+        {"codenames": ["1111223344"]}, "give codename or codenames, not both"),
+    "codenames-empty": (
+        {"codename": ABSENT, "codenames": []}, "codenames must list at least one codename, got []"),
+    "codenames-repeated": (
+        {"codename": ABSENT, "codenames": ["1111223344", "1111444444", "1111223344"]},
+        'codenames must not repeat, got ["1111223344", "1111444444", "1111223344"]'),
+    "codenames-non-string": (
+        {"codename": ABSENT, "codenames": ["1111223344", 1111444444]},
+        'codenames must be a list of strings, got ["1111223344", 1111444444]'),
+    "codenames-wrong-length": (
+        {"codename": ABSENT, "codenames": ["1111223344", "11114444"]},
+        'codenames entry "11114444": codename length 8 must equal floor(c*N) = 10'),
+    "codenames-bad-digit": (
+        {"codename": ABSENT, "codenames": ["111122334x"]},
+        """codenames entry "111122334x": codename may only contain digits 1-7, got ['x']"""),
     "rounds-string": ({"rounds": "3"}, "rounds must be an integer"),
     "momentum-string": ({"momentum": "0.5"}, "momentum must be a finite number"),
     "freeze-after-round-string": (
@@ -333,7 +358,7 @@ def test_run_reports_bad_config_values_without_a_traceback(tmp_path, capsys, ove
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: bad config {path}: ")
     assert named in captured.err
-    assert not (out / "metrics_seed1.csv").exists()
+    assert not list(out.rglob("metrics_seed*"))  # no run of any codename trained
 
 
 @pytest.mark.parametrize(("overrides", "named"), [
@@ -375,11 +400,45 @@ def test_seeds_flag_replaces_a_file_seed(tmp_path):
     assert load_run_config(path, {"seeds": [3, 4]}).seeds == (3, 4)
 
 
+def test_codename_flag_replaces_a_file_codenames_list(tmp_path):
+    path = write_config(tmp_path, codename=ABSENT, codenames=["1111223344", "1111444444"])
+    assert load_run_config(path).codenames == ("1111223344", "1111444444")
+    config = load_run_config(path, {"codename": "1111114444"})
+    assert config.codenames == ()
+    assert config.federation.codename == "1111114444"
+
+
+def test_codenames_run_each_codename_as_a_codename_run_would(tmp_path, capsys):
+    mixes = ["1111223344", "1111444444"]
+    path = write_config(tmp_path, codename=ABSENT, codenames=mixes, seeds=[1, 2])
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
+    stdout = capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [*mixes, "sweep.csv"]
+    for codename in mixes:
+        single = write_config(tmp_path, codename=codename, seeds=[1, 2])
+        out = tmp_path / f"single-{codename}"
+        assert main(["run", "--config", str(single), "--out", str(out)]) == 0
+        single_stdout = capsys.readouterr().out.replace(str(out), str(tmp_path / "sweep" / codename))
+        assert f"codename {codename}:\n{single_stdout}" in stdout
+        files = sorted(p.name for p in out.iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "sweep" / codename).iterdir())
+        for name in files:
+            assert (tmp_path / "sweep" / codename / name).read_bytes() == (out / name).read_bytes()
+    assert stdout.endswith(f"sweep: 2 codenames -> {tmp_path / 'sweep' / 'sweep.csv'}\n")
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["codename"] for row in rows] == mixes
+    for row in rows:
+        summary = json.loads((tmp_path / "sweep" / row["codename"] / "summary.json").read_text())
+        assert float(row["acc_mean"]) == round(summary["final_accuracy_mean"], 4)
+        assert float(row["acc_std"]) == round(summary["final_accuracy_std"], 4)
+
+
 # any value of the wrong JSON type, or negative, zero or fractional; no large sizes
 WRONG_VALUES = st.one_of(
     st.none(), st.booleans(), st.sampled_from([-1, 0, 1, 2, -1.5, 0.0, 0.5, 2.5]),
     st.text(max_size=2), st.sampled_from(["NP", "FS", "label-skew", "idx", "error", "11"]),
-    st.lists(st.sampled_from([-1, 0, 1, 2, 0.5, True]), max_size=2), st.just({}),
+    st.lists(st.sampled_from([-1, 0, 1, 2, 0.5, True, "11"]), max_size=2), st.just({}),
 )
 
 
@@ -387,9 +446,13 @@ WRONG_VALUES = st.one_of(
 @given(st.dictionaries(
     st.sampled_from(sorted(set(CONFIG_KEYS) - {"out_dir"})), WRONG_VALUES, min_size=1, max_size=2,
 ))
+@example({"codenames": ["11"]})  # a list of strings: parsed, then each entry checked
+@example({"codenames": ["11", "11"]})
 def test_run_never_raises_on_a_config_with_bad_values(changes):
     config = {**QUICK_CONFIG, "rounds": 1, "synth_samples_per_class": 4,
               "synth_test_samples_per_class": 2, **changes}
+    if "codenames" in changes and "codename" not in changes:
+        del config["codename"]  # so the list gets past the one-key-or-the-other check
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # gamma_min = 0 warns
         path = Path(tmp) / "config.json"
@@ -611,22 +674,36 @@ def direct_federation(raw: dict) -> FederationConfig:
         dataset = SynthSpec(**{k.removeprefix("synth_"): v for k, v in raw.items()
                                if k.startswith("synth_")})
     names = {f.name for f in fields(FederationConfig)} - {"dataset", "seed"}
-    return FederationConfig(dataset=dataset, seed=raw["seeds"][0],
+    first = {"codename": raw["codenames"][0]} if "codenames" in raw else {}
+    return FederationConfig(dataset=dataset, seed=raw["seeds"][0], **first,
                             **{k: v for k, v in raw.items() if k in names})
 
 
-def test_shipped_mnist_configs_parse(tmp_path):
-    """Every configs/*.json and every benchmark workload's config parses to its own values."""
-    shipped = [json.loads(path.read_text()) for path in sorted(ROOT.glob("configs/*.json"))]
+def check_parses_to_its_own_values(path, raw: dict):
+    config = load_run_config(path)
+    assert config.federation == direct_federation(raw)
+    assert config.seeds == tuple(raw["seeds"])
+    assert config.codenames == tuple(raw.get("codenames", ()))
+    assert config.out_dir == Path(raw.get("out_dir") or os.environ.get("FEDPRUNE_OUT", "runs"))
+
+
+SHIPPED_CONFIGS = sorted(ROOT.glob("configs/*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=[p.name for p in SHIPPED_CONFIGS])
+def test_shipped_config_parses(path):
+    """A config in configs/ parses to its own values: one that does not cannot ship."""
+    check_parses_to_its_own_values(path, json.loads(path.read_text()))
+
+
+def test_benchmark_workload_configs_parse(tmp_path):
+    """Every benchmark workload's config parses to its own values."""
     workloads = [w.run_config(0) for w in load_workloads().values() if w.federated]
-    assert shipped and workloads
-    for raw in shipped + workloads:
+    assert workloads
+    for raw in workloads:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
-        config = load_run_config(path)
-        assert config.federation == direct_federation(raw)
-        assert config.seeds == tuple(raw["seeds"])
-        assert config.out_dir == Path(raw.get("out_dir") or os.environ.get("FEDPRUNE_OUT", "runs"))
+        check_parses_to_its_own_values(path, raw)
 
 
 def test_readme_config_table_lists_every_accepted_key_with_its_json_type():

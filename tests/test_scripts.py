@@ -1,15 +1,19 @@
-"""The scripts under scripts/ run end to end against the package's current API."""
+"""The scripts under scripts/, and the shipped sweep config that replaced one, run end to end
+against the package's current API."""
 
 import csv
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+from fedprune.cli import main
 from fedprune.nn import LayerLayout
 from fedprune.tables import computed_row
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *argv, cwd):
@@ -20,13 +24,12 @@ def run_script(name, *argv, cwd):
 
 
 def test_synth_sweep_row_matches_computed_row(tmp_path):
-    out = tmp_path / "sweep.csv"
-    proc = run_script(
-        "synth_sweep.py", "--codenames", "1111223344", "--rounds", "1", "--seeds", "1",
-        "--out", str(out), cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    with open(out, newline="") as f:
+    raw = json.loads((ROOT / "configs" / "synth_sweep.json").read_text())
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({**raw, "codenames": ["1111223344"], "rounds": 1, "seeds": [1]}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as f:
         (row,) = list(csv.DictReader(f))
     # the sweep's model: 20 synthetic features, one hidden layer of 32, 10 classes
     amt, gamma = computed_row("WP", "1111223344", LayerLayout((20, 32, 10)))
@@ -42,12 +45,6 @@ def test_synth_sweep_row_matches_computed_row(tmp_path):
         "acc_std": "0.0",
     }
     assert 0.0 <= float(row["acc_mean"]) <= 1.0
-
-
-def test_mnist_trend_help_exits_zero(tmp_path):
-    proc = run_script("mnist_trend.py", "--help", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert "--mnist-dir" in proc.stdout
 
 
 def test_ab_rounds_times_both_trees_in_alternating_processes(tmp_path):
