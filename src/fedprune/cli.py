@@ -11,10 +11,11 @@ error names its key. `run` flags set the keys named by their dests;
 `--codename` replaces a file's `codenames`.
 A `codenames` config runs each codename into `out_dir/<codename>/`, as a
 `codename` config runs into `out_dir`, and tabulates them in `sweep.csv`.
-Exit codes for `run`: 1 config error or bad flag, 2 coverage violation,
-3 I/O error, 4 training diverged (a non-finite model, test-set loss or
-gradient; the message names where). Every subcommand exits 1 on a bad flag,
-with argparse's message.
+`run` reads the data and judges every codename before it writes anything.
+Exit codes for `run`: 1 config error, bad flag or unreadable dataset, 2
+coverage violation, 3 I/O error writing outputs, 4 training diverged (a
+non-finite model, test-set loss or gradient; the message names where).
+Every subcommand exits 1 on a bad flag, with argparse's message.
 """
 
 from __future__ import annotations
@@ -31,12 +32,15 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .federation import (
+    CodenameFacts,
     CoverageError,
     FederationConfig,
     IdxSpec,
     SynthSpec,
     build_federated_data,
+    codename_facts,
     model_layout,
+    partition_clients,
     run as run_federation,
 )
 from .metrics import account, emit_csv, emit_jsonl
@@ -50,7 +54,7 @@ OUT_DIR_ENV = "FEDPRUNE_OUT"
 
 @dataclass(frozen=True)
 class RunConfig:
-    federation: FederationConfig  # seed field is replaced per run, codename per entry of codenames
+    federation: FederationConfig  # of seeds[0] and the first codename; each run replaces both
     seeds: tuple[int, ...]
     out_dir: Path
     codenames: tuple[str, ...] = ()  # () runs federation.codename alone, into out_dir
@@ -167,19 +171,26 @@ def cmd_run(args) -> int:
     # a flag's dest is the field it sets
     overrides = {f.name: getattr(args, f.name, None) for f in fields(FederationConfig)}
     overrides["out_dir"] = args.out
-    try:
+    config = None  # set once the config is read: a later read error is a dataset file's
+    try:  # every read and every codename's verdict, before any output exists
         if args.seeds is not None:
             overrides["seeds"] = _int_list("--seeds", args.seeds)
         config = load_run_config(args.config, overrides)
+        base = config.federation
+        runs = [(c, config.out_dir / c) for c in config.codenames] or [(base.codename, config.out_dir)]
+        data = build_federated_data(base)  # the sets once; each run partitions them for its seed
+        layout = model_layout(base, data)
+        facts = {c: codename_facts(replace(base, codename=c), layout) for c, _ in runs}
     except OSError as exc:  # missing, a directory, unreadable
-        print(f"error: cannot read config {args.config}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+        if config is None:
+            return _fail(1, f"cannot read config {args.config}: {exc.strerror or exc}")
+        problem = "not found" if isinstance(exc, FileNotFoundError) else "unreadable"
+        return _fail(1, f"dataset file {problem}: {exc}")
     except ValueError as exc:  # json.JSONDecodeError included
-        print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"bad config {args.config}: {exc}")
+    except CoverageError as exc:
+        return _fail(2, f"coverage violation: {exc}")
 
-    runs = ([(c, config.out_dir / c) for c in config.codenames]
-            or [(config.federation.codename, config.out_dir)])
     sweep = []  # a codenames config's sweep.csv rows
     try:
         for codename, out_dir in runs:
@@ -189,13 +200,8 @@ def cmd_run(args) -> int:
             final_accuracies = []  # None for a seed with no rounds: null in summary.json
             final_losses = []
             for seed in config.seeds:
-                fed = replace(config.federation, codename=codename, seed=seed)
-                try:
-                    data = build_federated_data(fed)
-                except ValueError as exc:
-                    print(f"error: bad config {args.config}: {exc}", file=sys.stderr)
-                    return 1
-                history, _ = run_federation(fed, data)
+                fed = replace(base, codename=codename, seed=seed)
+                history, _ = run_federation(fed, partition_clients(data, fed), facts[codename])
                 csv_path = out_dir / f"metrics_seed{seed}.csv"
                 jsonl_path = out_dir / f"metrics_seed{seed}.jsonl"
                 with open(csv_path, "w") as csv_file:
@@ -211,7 +217,7 @@ def cmd_run(args) -> int:
             ran = None not in final_accuracies  # every seed runs the same number of rounds
             summary = {
                 "codename": codename,
-                "family": fed.family,
+                "family": base.family,
                 "seeds": list(config.seeds),
                 "final_accuracy_per_seed": final_accuracies,
                 "final_accuracy_mean": float(np.mean(final_accuracies)) if ran else None,
@@ -222,8 +228,8 @@ def cmd_run(args) -> int:
             (out_dir / "summary.json").write_text(text + "\n")
             print(f"summary: mean final accuracy {_four(summary['final_accuracy_mean'])} "
                   f"(std {_four(summary['final_accuracy_std'])}) over seeds {list(config.seeds)}")
-            if config.codenames:  # every seed's model has the last one's layout
-                sweep.append(_sweep_row(summary, model_layout(fed, data)))
+            if config.codenames:
+                sweep.append(_sweep_row(summary, facts[codename]))
         if sweep:
             sweep_path = config.out_dir / "sweep.csv"
             with open(sweep_path, "w", newline="") as sweep_file:
@@ -231,34 +237,31 @@ def cmd_run(args) -> int:
                 writer.writeheader()
                 writer.writerows(sweep)
             print(f"sweep: {len(sweep)} codenames -> {sweep_path}")
-    except CoverageError as exc:
-        print(f"error: coverage violation: {exc}", file=sys.stderr)
-        return 2
     except FloatingPointError as exc:
-        print(f"error: training diverged: {exc}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as exc:
-        print(f"error: dataset file not found: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return 3
+        return _fail(4, f"training diverged: {exc}")
+    except OSError as exc:  # writing the outputs
+        return _fail(3, f"I/O failure: {exc}")
     return 0
 
 
-def _sweep_row(summary: dict, layout: LayerLayout) -> dict:
-    """A codename's sweep.csv row: gamma_min and cost from `computed_row`, accuracy from the
-    floats of its summary."""
-    amt, gamma = computed_row(summary["family"], summary["codename"], layout)
+def _fail(code: int, message: str) -> int:
+    """Print `message` as an error line on stderr; return the exit `code`."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _sweep_row(summary: dict, facts: CodenameFacts) -> dict:
+    """A codename's sweep.csv row: gamma_min and cost from its `codename_facts`, accuracy from
+    the floats of its summary."""
     mean, std = summary["final_accuracy_mean"], summary["final_accuracy_std"]
     return {
         "codename": summary["codename"],
         "family": summary["family"],
-        "gamma_min": gamma,
-        "params_amortized": round(amt.params_mean),
-        "params_ratio": amt.params_ratio,
-        "flops_amortized": round(amt.flops_mean),
-        "flops_ratio": amt.flops_ratio,
+        "gamma_min": facts.gamma_min,
+        "params_amortized": round(facts.cost.params_mean),
+        "params_ratio": facts.cost.params_ratio,
+        "flops_amortized": round(facts.cost.flops_mean),
+        "flops_ratio": facts.cost.flops_ratio,
         "acc_mean": None if mean is None else round(mean, 4),  # None: an empty field
         "acc_std": None if std is None else round(std, 4),
     }
@@ -279,8 +282,7 @@ def cmd_account(args) -> int:
     try:
         return _account(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, str(exc))
 
 
 def _account(args) -> int:
@@ -304,8 +306,7 @@ def _account(args) -> int:
         return 0
 
     if not args.codename:
-        print("error: --codename is required unless --check-table is given", file=sys.stderr)
-        return 1
+        return _fail(1, "--codename is required unless --check-table is given")
     amt, gamma = computed_row(args.family, args.codename, layout)  # checks codename and layout
     accounts = {d: account(layout, args.family, DIGIT_SEGMENTS[d]) for d in dict.fromkeys(args.codename)}
     for k, digit in enumerate(args.codename):
@@ -323,8 +324,7 @@ def cmd_coverage(args) -> int:
     try:
         counts, gamma = codename_coverage(args.codename)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, str(exc))
     print(f"codename {args.codename} ({len(args.codename)} slots)")
     for s in (1, 2, 3, 4):
         slots = [k for k, d in enumerate(args.codename) if s in DIGIT_SEGMENTS[d]]
@@ -337,8 +337,7 @@ def cmd_coverage(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     if args.seed < 0:
-        print("error: --seed must be non-negative", file=sys.stderr)
-        return 1
+        return _fail(1, "--seed must be non-negative")
     results = run_selfcheck(seed=args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

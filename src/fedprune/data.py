@@ -2,9 +2,9 @@
 
 `synth_blobs` and `load_idx` write a set's inputs in place, with no
 temporaries, in numpy loops (and, for gzipped files, zlib's inflate) that
-release the GIL; so `federation.build_federated_data` can build the train
-and test set on two lanes at once, when they are large enough to be worth
-it (`lanes.MIN_WORK`).
+release the GIL; so `federation.build_federated_data`, once per command,
+can build the train and test set on two lanes at once, when they are large
+enough to be worth it (`lanes.MIN_WORK`); each seed then only partitions.
 """
 
 from __future__ import annotations

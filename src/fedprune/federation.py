@@ -13,9 +13,9 @@ Each round q (1-based):
 Parameters covered by no slot keep the previous global value. Every mask
 keeps whole quartile segments, so the codename alone fixes how many slots
 cover each segment, and with that gamma_min and the amortized cost; the
-ranking only decides where each segment's units sit. `run` works these
-facts out once, before round 1 (`codename_facts`), and gives the run's one
-coverage verdict there: it warns once, or raises before any training.
+ranking only decides where each segment's units sit. `codename_facts`
+works these facts out from the codename and the layout, whatever the seed,
+and gives the one coverage verdict: it warns once, or raises before training.
 
 With `freeze_after_round` F, the ranking of round F serves every later
 round (a pre-trained mask): the state carries it as `frozen_ranking` from
@@ -24,8 +24,8 @@ round F on, and each round writes its masks and counts from it.
 Lockstep chunks train on the lanes (`fedprune.lanes`): lane j trains chunks
 j, j + L, ... in place in its rows of one (S, total) matrix, then counts each
 row's correct predictions on its shard for the round's local accuracy.
-Before the first round, `build_federated_data` builds the train and test
-set as two items on the lanes.
+`build_federated_data` builds the train and test set as two items on the
+lanes, and `partition_clients` deals the clients a seed's train shards.
 
 Determinism: all randomness flows from named streams derived from
 (seed, stream, round[, slot]), so the grouping of slots into lockstep
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -254,6 +254,7 @@ def build_federated_data(config: FederationConfig) -> FederatedData:
     subsets are drawn after the loads. With two lanes, a train-set error
     still wins over a test-set error. Last, the config checks that need the
     data: WP's rule on the first weight matrix, and a non-empty test set.
+    The shards are `config.seed`'s; a partition error would be every seed's.
     """
     spec = config.dataset
     if isinstance(spec, SynthSpec):
@@ -282,16 +283,18 @@ def build_federated_data(config: FederationConfig) -> FederatedData:
             train = stratified_subset(train, spec.train_subset, spec.subset_seed)
         if spec.test_subset is not None:
             test = stratified_subset(test, spec.test_subset, spec.subset_seed + 1)
-    shards = partition(
-        train,
-        PartitionSpec(config.partition, config.num_clients, config.classes_per_client, config.seed),
-    )
-    data = FederatedData(train, tuple(shards), test)
+    data = partition_clients(FederatedData(train, (), test), config)
     first_weights = model_layout(config, data).offsets[0].weight_len
     check_layout(config.family, config.hidden_layers, first_weights)
     if not len(test):
         raise ValueError("the test set is empty")
     return data
+
+
+def partition_clients(data: FederatedData, config: FederationConfig) -> FederatedData:
+    """`data` with its clients' train shards for `config`'s partition and seed."""
+    spec = PartitionSpec(config.partition, config.num_clients, config.classes_per_client, config.seed)
+    return replace(data, shards=tuple(partition(data.train, spec)))
 
 
 def model_layout(config: FederationConfig, data: FederatedData) -> LayerLayout:
@@ -317,7 +320,7 @@ def sample_rng(seed: int, round_no: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class CodenameFacts:
-    """What the codename fixes for a whole run, whatever the ranking."""
+    """What the codename fixes on a layout, whatever the ranking and the seed."""
 
     segment_coverage: tuple[int, ...]  # slots that keep S1..S4
     gamma_min: int
@@ -325,7 +328,7 @@ class CodenameFacts:
 
 
 def codename_facts(config: FederationConfig, layout: LayerLayout) -> CodenameFacts:
-    """The codename's facts for a run, and the run's one coverage verdict.
+    """The codename's facts on `layout`, and its one coverage verdict for every seed.
 
     A slot covers the segments its digit keeps, whatever the ranking, so the
     facts (the cost from `computed_row`) hold in every round. With gamma_min
@@ -507,18 +510,16 @@ def run_round(
 
 
 def run(
-    config: FederationConfig, data: FederatedData | None = None
+    config: FederationConfig, data: FederatedData, facts: CodenameFacts | None = None
 ) -> tuple[list[RoundMetrics], ParamVector]:
-    """Q rounds from a fresh model; deterministic for a given config and seed.
+    """Q rounds from a fresh model on `data`'s shards; deterministic for a given config and seed.
 
-    The codename's facts and the coverage verdict (`codename_facts`) come
-    first, once, whatever Q: an "error" run with an unkept segment trains
-    nothing, a "warn" run warns once.
+    A caller that has judged the codename passes its `codename_facts`; else
+    they and the coverage verdict come first, once, whatever Q: an "error"
+    run with an unkept segment trains nothing, a "warn" run warns once.
     """
-    if data is None:
-        data = build_federated_data(config)
     layout = model_layout(config, data)
-    facts = codename_facts(config, layout)
+    facts = facts or codename_facts(config, layout)
     state = init_state(config, layout)
     history: list[RoundMetrics] = []
     for _ in range(config.rounds):

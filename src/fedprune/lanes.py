@@ -1,7 +1,7 @@
 """Lanes: independent pieces of work spread over the process's CPUs.
 
 The pieces are a round's lockstep chunks, test-set chunks and accuracy
-counts, and the train and test sets a run builds.
+counts, and the train and test sets a command builds once.
 
 `on_lanes(items, work, count, commit)` calls `work(item, lane)` for every
 item on L lanes. Lane j takes items j, j + L, j + 2L, ... in order; lane 0

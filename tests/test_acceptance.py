@@ -240,7 +240,7 @@ def test_criterion_6a_desk_scale_convergence():
             family="WP", seed=1, hidden_layers=(32,),
             dataset=SynthSpec(10, 100, 20, 0.3, 50),
         )
-        history, _ = run(config)
+        history, _ = run(config, build_federated_data(config))
         final_acc = history[-1].global_accuracy
         g_first, g_last = history[0].grad_norm_sq_estimate, history[-1].grad_norm_sq_estimate
         assert final_acc > 0.90, f"final accuracy {final_acc:.4f}"

@@ -434,6 +434,66 @@ def test_codenames_run_each_codename_as_a_codename_run_would(tmp_path, capsys):
         assert float(row["acc_std"]) == round(summary["final_accuracy_std"], 4)
 
 
+def test_a_command_builds_its_data_and_judges_each_codename_once(tmp_path, monkeypatch, capsys):
+    """Set-up is per command: one build, one verdict per codename before any training, and
+    per (codename, seed) run only a partition and the rounds."""
+    import fedprune.federation as federation
+
+    events = []
+
+    def spy(module, name, event):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            events.append(event(*args))
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(fedprune.cli, "build_federated_data", lambda config: ("build",))
+    for module in (fedprune.cli, federation):  # wherever the facts are looked up
+        spy(module, "codename_facts", lambda config, layout: ("facts", config.codename))
+        spy(module, "computed_row", lambda family, codename, layout: ("computed_row", codename))
+    spy(federation, "partition", lambda train, spec: ("partition", spec.seed))
+    spy(federation, "local_update", lambda *args: ("local_update",))
+    mixes = ["1111223344", "1111444444"]
+    path = write_config(tmp_path, codename=ABSENT, codenames=mixes, seeds=[1, 2, 3], rounds=1)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+    assert events.count(("build",)) == 1
+    facts = [i for i, e in enumerate(events) if e[0] == "facts"]
+    assert [events[i] for i in facts] == [("facts", c) for c in mixes]
+    assert facts[-1] < events.index(("local_update",))
+    assert all(e[0] != "computed_row" for e in events[facts[-1]:])
+    partitions = [e[1] for e in events[events.index(("build",)) + 1:] if e[0] == "partition"]
+    assert partitions == [1, 2, 3] * len(mixes)  # one per run, after the build's own
+
+
+def test_an_error_sweep_fails_before_any_output_or_training(tmp_path, monkeypatch, capsys):
+    def no_training(*args):
+        raise AssertionError("local training ran in a command whose coverage fails")
+
+    monkeypatch.setattr(fedprune.federation, "local_update", no_training)
+    path = write_config(tmp_path, codename=ABSENT, codenames=["1111223344", "4444444444"],
+                        family="FS", uncovered_region_action="error")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coverage violation: ") and "codename 4444444444" in err
+    assert not out.exists()
+
+
+def test_a_warn_codename_warns_once_per_command(tmp_path, capsys):
+    path = write_config(tmp_path, codename="4444444444", family="FS", rounds=1, seeds=[1, 2, 3])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert sum("gamma_min = 0" in str(w.message) for w in caught) == 1
+
+
 # any value of the wrong JSON type, or negative, zero or fractional; no large sizes
 WRONG_VALUES = st.one_of(
     st.none(), st.booleans(), st.sampled_from([-1, 0, 1, 2, -1.5, 0.0, 0.5, 2.5]),
@@ -722,6 +782,24 @@ def test_run_dataset_idx_missing_file(tmp_path, capsys):
     )
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "i")]) == 1
     assert capsys.readouterr().err.startswith("error: dataset file not found: ")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_run_dataset_read_error_exits_1_naming_the_path_with_no_output(tmp_path, capsys, kind):
+    images = tmp_path / "train-images"
+    if kind == "directory":
+        images.mkdir()
+    path = write_config(
+        tmp_path, IDX_CONFIG, dataset="idx", train_images=str(images),
+        train_labels=str(tmp_path / "tl"), test_images=str(tmp_path / "vi"),
+        test_labels=str(tmp_path / "vl"),
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    problem = "not found" if kind == "missing" else "unreadable"
+    assert err.startswith(f"error: dataset file {problem}: ") and str(images) in err
+    assert not out.exists()
 
 
 def test_run_rejects_an_idx_test_set_of_zero_items(tmp_path, capsys):

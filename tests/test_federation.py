@@ -674,7 +674,7 @@ def test_aggregate_is_fed_what_local_update_returns(monkeypatch, overrides):
     config = desk_config(**overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the uncovered codename warns once
-        run(config)
+        run(config, build_federated_data(config))
     assert len(aggregated) == config.rounds
     uncovered = any((bits.sum(axis=0) == 0).any() for bits in aggregated)
     assert uncovered == ("codename" in overrides)
@@ -999,14 +999,14 @@ def test_error_mode_raises_before_any_training(monkeypatch, rounds):
         codename="4444444444", family="FS", rounds=rounds, uncovered_region_action="error"
     )
     with pytest.raises(CoverageError, match="gamma_min = 0"):
-        run(config)
+        run(config, build_federated_data(config))
 
 
 def test_warn_mode_warns_once_per_run():
     config = desk_config(codename="4444444444", family="FS", rounds=3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        history, _ = run(config)
+        history, _ = run(config, build_federated_data(config))
     assert [record.gamma_min for record in history] == [0, 0, 0]
     assert sum("gamma_min = 0" in str(w.message) for w in caught) == 1
 
@@ -1041,8 +1041,8 @@ def test_run_zero_rounds_returns_initial_model():
 
 def test_run_is_bitwise_deterministic():
     config = desk_config(rounds=3)
-    a_history, a_final = run(config)
-    b_history, b_final = run(config)
+    a_history, a_final = run(config, build_federated_data(config))
+    b_history, b_final = run(config, build_federated_data(config))
     assert np.array_equal(a_final.values, b_final.values)
     for ra, rb in zip(a_history, b_history):
         assert ra == rb
@@ -1052,7 +1052,7 @@ def test_full_model_run_converges_on_blobs():
     config = desk_config(
         codename="1" * 10, rounds=30, dataset=SynthSpec(10, 100, 20, 0.3, 50)
     )
-    history, _ = run(config)
+    history, _ = run(config, build_federated_data(config))
     assert history[-1].global_accuracy > 0.95
     assert history[-1].grad_norm_sq_estimate * 10 <= history[0].grad_norm_sq_estimate
 
@@ -1071,7 +1071,7 @@ def test_static_slot_binding():
 
 def test_round_metrics_are_populated():
     config = desk_config(rounds=1)
-    history, _ = run(config)
+    history, _ = run(config, build_federated_data(config))
     record = history[0]
     assert record.round == 1
     assert record.gamma_min == 8
@@ -1085,7 +1085,7 @@ def test_round_metrics_are_populated():
 
 def test_neuron_pruning_family_end_to_end():
     config = desk_config(family="NP", rounds=2)
-    history, final = run(config)
+    history, final = run(config, build_federated_data(config))
     assert history[-1].gamma_min == 8
     # desk layout: each hidden neuron owns 20 + 1 + 10 = 31 params; 75% drops 8 neurons
     assert history[-1].amortized_params == (4 * 1002 + 6 * (1002 - 8 * 31)) / 10

@@ -2,7 +2,9 @@
 
 Each case runs `fedprune run` on a quickstart-sized config (5 rounds,
 seeds 0 and 3) and compares the sha256 of every CSV and JSONL it writes
-with the digest recorded when the case was added. A refactor of the round
+with the digest recorded when the case was added. One more case runs two
+codenames as one `codenames` config and pins each codename's metrics
+files and `sweep.csv`. A refactor of the round
 engine must leave these bytes as they are; a digest that changes is a
 change of results, not of code.
 """
@@ -111,22 +113,46 @@ DIGESTS = {
 }
 
 
-def run_case(tmp_path, overrides) -> dict[str, str]:
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**BASE, **overrides}))
+# the files of `out/<codename>/` (sweep cases) or of `out/` (single cases)
+METRICS = [f"metrics_seed{seed}.{ext}" for seed in BASE["seeds"] for ext in ("csv", "jsonl")]
+
+# a `codenames` config of BASE: one covered mix and one that leaves S4 unkept
+SWEEP_CODENAMES = ["1111223344", "5555566666"]
+
+# file under out/ -> sha256
+SWEEP_DIGESTS = {
+    "1111223344/metrics_seed0.csv": "d17bdecacc5d9a71da91e7533d4a02c0f07ac3f00a11d4f3d5fcde1275d23f86",
+    "1111223344/metrics_seed0.jsonl": "04e1edb5c07497d7890ebf553854bece89102afc2b494ceeb2af059ca6af6033",
+    "1111223344/metrics_seed3.csv": "6519cce5fa81b8358ce2a9bc365f24f559efe17aec9dddfb1b5a91a40bf705cb",
+    "1111223344/metrics_seed3.jsonl": "c745bd44d443340aa4df4484d0debf9a382759324c7723b3cca45aa95854cfd8",
+    "5555566666/metrics_seed0.csv": "1331085277efa714b1f6299c9a9acdfd7a0da26bc373be92237e1d1e54cf28dd",
+    "5555566666/metrics_seed0.jsonl": "37f49a8d4de76b41c438488870a7cc4fefff89f707e42bdb3a3c82d1e532d6ac",
+    "5555566666/metrics_seed3.csv": "97f95126fdcc12106be2a4a9bf4ee88a3e785b30aa88e8f92faf17554ef561e6",
+    "5555566666/metrics_seed3.jsonl": "613efac06489e486e71b4bb2a6c18fe5da43953ae95dbf61ee64124cb54c5481",
+    "sweep.csv": "25e5933a2025c7e6c9beb7f4ad10b7407e58c7728a074c6496014998bf0e99b3",
+}
+
+
+def run_case(tmp_path, config: dict, names: list[str]) -> dict[str, str]:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-    return {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for seed in BASE["seeds"]
-        for name in (f"metrics_seed{seed}.csv", f"metrics_seed{seed}.jsonl")
-    }
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_metrics_bytes_are_pinned(tmp_path, capsys, recwarn, case):
-    got = run_case(tmp_path, CASES[case])
+    got = run_case(tmp_path, {**BASE, **CASES[case]}, METRICS)
     capsys.readouterr()
     assert got == DIGESTS[case]
     warned = any("gamma_min = 0" in str(w.message) for w in recwarn)
     assert warned == (case in UNCOVERED)
+
+
+def test_codenames_run_bytes_are_pinned(tmp_path, capsys, recwarn):
+    config = {k: v for k, v in BASE.items() if k != "codename"} | {"codenames": SWEEP_CODENAMES}
+    names = [f"{c}/{name}" for c in SWEEP_CODENAMES for name in METRICS] + ["sweep.csv"]
+    got = run_case(tmp_path, config, names)
+    capsys.readouterr()
+    assert got == SWEEP_DIGESTS

@@ -48,3 +48,9 @@ def test_tracer_target_resolves(span, module, path):
 def test_training_spans_stay_bound_in_federation(name):
     assert ("fedprune.federation", name) in {(m, p) for _, m, p in TRACER.TARGETS}
     assert TRACER._resolve("fedprune.federation", name) is not None
+
+
+def test_the_data_build_span_wraps_the_one_build_of_a_command():
+    """`data.build_share` measures the build `cmd_run` makes once, through this name."""
+    assert ("data.build", "fedprune.cli", "build_federated_data") in TRACER.TARGETS
+    assert TRACER._resolve("fedprune.cli", "build_federated_data") is not None
