@@ -11,7 +11,7 @@ error names its key. `run` flags set the keys named by their dests;
 `--codename` replaces a file's `codenames`.
 A `codenames` config runs each codename into `out_dir/<codename>/`, as a
 `codename` config runs into `out_dir`, and tabulates them in `sweep.csv`.
-`run` reads the data and judges every codename before it writes anything.
+`run` reads the data, deals shards and judges codenames before any output.
 Exit codes for `run`: 1 config error, bad flag or unreadable dataset, 2
 coverage violation, 3 I/O error writing outputs, 4 training diverged (a
 non-finite model, test-set loss or gradient; the message names where).
@@ -178,8 +178,10 @@ def cmd_run(args) -> int:
         config = load_run_config(args.config, overrides)
         base = config.federation
         runs = [(c, config.out_dir / c) for c in config.codenames] or [(base.codename, config.out_dir)]
-        data = build_federated_data(base)  # the sets once; each run partitions them for its seed
-        layout = model_layout(base, data)
+        built = build_federated_data(base)  # the sets once, with the shards of base.seed = seeds[0]
+        data = {s: built if s == base.seed else partition_clients(built, replace(base, seed=s))
+                for s in config.seeds}  # each seed's shards once, shared by every codename
+        layout = model_layout(base, built)
         facts = {c: codename_facts(replace(base, codename=c), layout) for c, _ in runs}
     except OSError as exc:  # missing, a directory, unreadable
         if config is None:
@@ -201,7 +203,7 @@ def cmd_run(args) -> int:
             final_losses = []
             for seed in config.seeds:
                 fed = replace(base, codename=codename, seed=seed)
-                history, _ = run_federation(fed, partition_clients(data, fed), facts[codename])
+                history, _ = run_federation(fed, data[seed], facts[codename])
                 csv_path = out_dir / f"metrics_seed{seed}.csv"
                 jsonl_path = out_dir / f"metrics_seed{seed}.jsonl"
                 with open(csv_path, "w") as csv_file:

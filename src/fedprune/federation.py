@@ -2,11 +2,11 @@
 
 Each round q (1-based):
   1. sample floor(c*N) participants; slot k follows codename digit k
-  2. rank the current global model once into S1..S4; `pruning.segment_fill`
-     writes from that ranking one mask per distinct codename digit, and the
-     round's coverage counts. Slot k prunes with its digit's mask and runs T
-     local epochs of masked SGD; slots with equally long shards train in
-     lockstep, as rows of one (g, total) matrix
+  2. rank the current global model once, as one segment label per unit;
+     `pruning.segment_fill` writes from it one mask per distinct codename
+     digit, and the round's coverage counts. Slot k prunes with its digit's
+     mask and runs T local epochs of masked SGD; slots with equally long
+     shards train in lockstep, as rows of one (g, total) matrix
   3. set every parameter to the mean of its value over exactly the slots
      whose masks cover it: the sum of every slot's local model, each +0.0
      off its mask (see `aggregate`), divided by the coverage count
@@ -19,7 +19,7 @@ and gives the one coverage verdict: it warns once, or raises before training.
 
 With `freeze_after_round` F, the ranking of round F serves every later
 round (a pre-trained mask): the state carries it as `frozen_ranking` from
-round F on, and each round writes its masks and counts from it.
+round F on (None before), and each round writes its masks and counts from it.
 
 Lockstep chunks train on the lanes (`fedprune.lanes`): lane j trains chunks
 j, j + L, ... in place in its rows of one (S, total) matrix, then counts each
@@ -225,7 +225,7 @@ class FederatedData:
 class GlobalState:
     round: int  # completed rounds
     params: ParamVector
-    frozen_ranking: tuple[np.ndarray, ...]  # S1..S4 of the freeze round; () before it
+    frozen_ranking: np.ndarray | None  # the freeze round's segment labels; None before it
     seed: int
 
 
@@ -302,7 +302,7 @@ def model_layout(config: FederationConfig, data: FederatedData) -> LayerLayout:
 
 
 def init_state(config: FederationConfig, layout: LayerLayout) -> GlobalState:
-    return GlobalState(0, init_params(layout, config.init_seed), (), config.seed)
+    return GlobalState(0, init_params(layout, config.init_seed), None, config.seed)
 
 
 def local_rng(seed: int, round_no: int, slot: int) -> np.random.Generator:
@@ -456,9 +456,11 @@ def run_round(
     participants = sample_participants(state, config)
 
     # every slot freezes at round F, so from then on the state holds the ranking
-    units = state.frozen_ranking or pruning.segment_index_sets(state.params, family)
+    units = state.frozen_ranking
+    if units is None:
+        units = pruning.segment_index_sets(state.params, family)
     freeze = config.freeze_after_round
-    frozen = units if freeze is not None and q >= freeze else ()
+    frozen = units if freeze is not None and q >= freeze else None
     masks = round_masks(codename, family, state.params, units)
     n_slots = len(participants)
     counts = segment_fill(layout, family, units, facts.segment_coverage,

@@ -2,16 +2,19 @@
 
 Every family ranks units, splits the ranking into four quartile segments
 S1..S4 (S1 = strongest-ranked; `segment_sizes` decides the split) and
-keeps the segments a codename digit names:
+keeps the segments a codename digit names. A ranking is one segment label
+per unit (`segment_index_sets`: 0 for S1 ... 3 for S4):
   WP - units are the first-layer weights, ranked by magnitude
   NP - units are the hidden neurons of a one-hidden-layer MLP, ranked by the
        L1 norm of their incoming weights; pruning a neuron drops its
        incoming weights, its bias and its outgoing weights
   FS - fixed sub-network: the NP units in natural order (params-independent)
 Parameters that belong to no unit are kept by every mask. One writer,
-`segment_fill`, writes a value per segment over the layer layout, with no
-index set over the parameters: a mask is its 0/1 case, and the round's
-coverage counts are the codename's per-segment coverage written the same way.
+`segment_fill`, writes a value per segment over the layer layout, each
+unit's value one lookup of its label in a four-entry table, with no index
+set over the units or the parameters: a mask is its 0/1 case, and the
+round's coverage counts are the codename's per-segment coverage written the
+same way.
 `check_layout` is the one rule for whether a layout has the 4 units a family
 needs; the run config, the ranking and the accounting all apply it.
 
@@ -102,45 +105,36 @@ def check_layout(family: str, hidden: tuple[int, ...], first_weights: int | None
         )
 
 
-def quartile_segments(ranking) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split a ranking into S1..S4 of `segment_sizes`."""
-    ranking = np.asarray(ranking)
-    s1, s2, s3, s4 = np.split(ranking, np.cumsum(segment_sizes(len(ranking)))[:3])
-    return s1, s2, s3, s4
+def _ranked_segments(strength: np.ndarray) -> np.ndarray:
+    """Each unit's segment (0 for S1 ... 3 for S4) when ranked by descending `strength`.
 
-
-def _ranked_segments(strength: np.ndarray) -> tuple[np.ndarray, ...]:
-    """S1..S4 of units ranked by descending `strength`, ties to the lower index.
-
-    Each segment holds its unit indices in ascending order. The segments are
-    the `quartile_segments` of that ranking, found by selection instead of a
-    sort: `np.partition` gives the strength at each segment boundary, units
-    above it lie before the boundary, and of the units tied with it the
-    lowest indices fill the places left.
+    Ties go to the lower unit index. The segments are the `segment_sizes`
+    split of that ranking, found by selection instead of a sort:
+    `np.partition` gives the strength at each segment boundary, units above
+    it lie before the boundary, and of the units tied with it the lowest
+    indices fill the places left. Every unit starts in S4 and moves up one
+    segment for each boundary it lies before.
     """
     n = len(strength)
     ends = np.cumsum(segment_sizes(n))[:3]
     key = -strength  # ascending key: the strongest unit first
     cuts = np.partition(key, ends - 1)[ends - 1]
-    before = np.zeros(n, dtype=bool)  # units ranked before the previous boundary
-    segments = []
+    labels = np.full(n, 3, dtype=np.uint8)
     for end, cut in zip(ends, cuts):
         first = key < cut
         tied = np.flatnonzero(key == cut)
         first[tied[: end - np.count_nonzero(first)]] = True
-        segments.append(np.flatnonzero(first & ~before))
-        before = first
-    segments.append(np.flatnonzero(~before))
-    return tuple(segments)
+        labels -= first
+    return labels
 
 
-def segment_index_sets(params: ParamVector, family: str) -> tuple[np.ndarray, ...]:
-    """S1..S4 as arrays of unit indices, each in ascending unit order.
+def segment_index_sets(params: ParamVector, family: str) -> np.ndarray:
+    """Each unit's segment: one uint8 per unit, 0 for S1 ... 3 for S4.
 
     Units are positions inside W1 for WP and hidden-neuron ids for NP/FS.
     WP ranks by |weight|, NP by the L1 norm of a neuron's incoming weights,
     both descending with ties to the lower unit index; FS keeps the natural
-    order.
+    order. S1..S4 take `segment_sizes` units of the ranking, in turn.
     """
     layout = params.layout
     check_layout(family, layout.layer_sizes[1:-1], layout.offsets[0].weight_len)
@@ -149,24 +143,23 @@ def segment_index_sets(params: ParamVector, family: str) -> tuple[np.ndarray, ..
         return _ranked_segments(np.abs(w1))
     d_in, hidden, _ = layout.layer_sizes
     if family == "FS":
-        return quartile_segments(np.arange(hidden))
+        return np.repeat(np.arange(4, dtype=np.uint8), segment_sizes(hidden))
     return _ranked_segments(np.abs(w1.reshape(d_in, hidden)).sum(axis=0))
 
 
 def segment_fill(
-    layout: LayerLayout, family: str, units: tuple[np.ndarray, ...], per_segment, out: np.ndarray
+    layout: LayerLayout, family: str, units: np.ndarray, per_segment, out: np.ndarray
 ) -> np.ndarray:
-    """Write `per_segment[s - 1]` over the units of segment s of `units` in `out`; returns `out`.
+    """Write `per_segment[s]` over the units labelled s in `units` into `out`; returns `out`.
 
-    `units` is S1..S4 as `segment_index_sets` gives them. A WP unit is one
-    W1 entry. An NP/FS unit is hidden neuron j: column j of W1 (in, h), entry
-    j of b1 and row j of W2 (h, out). Entries outside every unit keep their
-    value: a mask is the 0/1 case over ones, the coverage counts the slots
-    keeping each segment over the slot count.
+    `units` holds each unit's segment, as `segment_index_sets` gives it, so
+    a unit's value is one lookup in the four-entry `per_segment`. A WP unit
+    is one W1 entry. An NP/FS unit is hidden neuron j: column j of W1
+    (in, h), entry j of b1 and row j of W2 (h, out). Entries outside every
+    unit keep their value: a mask is the 0/1 case over ones, the coverage
+    counts the slots keeping each segment over the slot count.
     """
-    per_unit = np.empty(sum(map(len, units)), dtype=out.dtype)
-    for segment, value in zip(units, per_segment):
-        per_unit[segment] = value
+    per_unit = np.asarray(per_segment, dtype=out.dtype).take(units)
     if family == "WP":
         out[layout.offsets[0].weights] = per_unit
     else:
@@ -178,7 +171,7 @@ def segment_fill(
 
 
 def round_masks(
-    codename: str, family: str, params: ParamVector, units: tuple[np.ndarray, ...] = ()
+    codename: str, family: str, params: ParamVector, units: np.ndarray | None = None
 ) -> dict[str, Mask]:
     """One mask per distinct codename digit, keyed by digit, in first-use order.
 
@@ -186,7 +179,8 @@ def round_masks(
     (`units`, else `segment_index_sets` of `params`) serves every slot and
     slot k's mask is `masks[codename[k]]`.
     """
-    units = units or segment_index_sets(params, family)
+    if units is None:
+        units = segment_index_sets(params, family)
     layout = params.layout
     return {
         d: Mask(segment_fill(layout, family, units, [int(s in DIGIT_SEGMENTS[d]) for s in (1, 2, 3, 4)],
@@ -195,21 +189,19 @@ def round_masks(
     }
 
 
-def apply_mask(params: ParamVector, mask: Mask, out: np.ndarray | None = None) -> ParamVector:
+def apply_mask(params: ParamVector, mask: Mask, out: np.ndarray | None = None) -> np.ndarray:
     """Element-wise product; for finite values pruned coordinates become exactly +0.0.
 
-    The masked vector is written into `out` (shape (total,)) when one is
-    given, else into a new array. Adding +0.0 after the product turns the
+    Returns the masked values, written into `out` (shape (total,)) when one
+    is given, else into a new array. Adding +0.0 after the product turns the
     -0.0 of a pruned negative value (and a kept -0.0) into +0.0 and leaves
     every other value as it is.
     """
     if len(mask) != params.layout.total:
         raise ValueError("mask length does not match parameter vector")
-    if out is None:
-        out = np.empty(params.layout.total)
-    np.multiply(params.values, mask.bits, out=out)
+    out = np.multiply(params.values, mask.bits, out=out)
     out += 0.0
-    return ParamVector(out, params.layout)
+    return out
 
 
 def pruning_noise(params: ParamVector, masks: list[Mask]) -> tuple[float, ...]:

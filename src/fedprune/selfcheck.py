@@ -8,8 +8,8 @@ import numpy as np
 
 from .federation import aggregate
 from .nn import LayerLayout, OptimizerState, ParamVector, loss_and_grad, masked_sgd_step
-from .pruning import (DIGIT_SEGMENTS, FAMILIES, Mask, apply_mask, codename_coverage, quartile_segments,
-                      segment_fill)
+from .pruning import (DIGIT_SEGMENTS, FAMILIES, Mask, apply_mask, codename_coverage, segment_fill,
+                      segment_sizes)
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ def _unit_of(layout: LayerLayout, family: str, i: int) -> int | None:
 def coverage_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
     """The engine's coverage counts (`segment_fill`) vs a per-index count of covering slots.
 
-    Random layouts, families, codenames and rankings. Slot k covers a
-    parameter unless its unit lies in a segment that digit k drops.
+    Random layouts, families, codenames and segment labellings. Slot k
+    covers a parameter unless its unit lies in a segment that digit k drops.
     """
     for _ in range(runs):
         family = FAMILIES[int(rng.integers(len(FAMILIES)))]
@@ -88,14 +88,14 @@ def coverage_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
         hidden = [int(h) for h in rng.integers(4, 9, depth)]
         layout = LayerLayout((int(rng.integers(1, 5)), *hidden, int(rng.integers(1, 4))))
         n_units = layout.offsets[0].weight_len if family == "WP" else hidden[0]
-        units = quartile_segments(rng.permutation(n_units))
+        units = rng.permutation(np.repeat(np.arange(4, dtype=np.uint8), segment_sizes(n_units)))
         codename = "".join(rng.choice(list(DIGIT_SEGMENTS), int(rng.integers(1, 9))))
         segments, _ = codename_coverage(codename)
         counts = segment_fill(layout, family, units, list(segments.values()),
                               np.full(layout.total, len(codename)))
-        segment_of = {int(u): s for s, segment in enumerate(units, 1) for u in segment}
         for i in range(layout.total):
-            s = segment_of.get(_unit_of(layout, family, i), 0)
+            unit = _unit_of(layout, family, i)
+            s = 0 if unit is None else int(units[unit]) + 1  # 0: no unit, kept by every slot
             expected = sum(1 for d in codename if s == 0 or s in DIGIT_SEGMENTS[d])
             if counts[i] != expected:
                 detail = f"{family} {layout.layer_sizes} {codename}, index {i}: count {counts[i]}"
@@ -115,7 +115,7 @@ def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
         prev = rng.normal(0.0, 1.0, n_params)
         masks = [Mask(bits[s]) for s in range(n_slots)]
         locals_ = [
-            apply_mask(ParamVector(rng.normal(0.0, 1.0, n_params), layout), mask).values
+            apply_mask(ParamVector(rng.normal(0.0, 1.0, n_params), layout), mask)
             for mask in masks
         ]
         got = aggregate(ParamVector(prev, layout), locals_, bits.sum(axis=0)).values
@@ -134,7 +134,8 @@ def mask_closure_check(rng: np.random.Generator, runs: int = 50) -> CheckResult:
         sizes = (int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, 4)))
         layout = LayerLayout(sizes)
         mask = Mask(rng.integers(0, 2, layout.total, dtype=np.uint8))
-        params = apply_mask(ParamVector(rng.normal(0.0, 1.0, layout.total), layout), mask)
+        values = apply_mask(ParamVector(rng.normal(0.0, 1.0, layout.total), layout), mask)
+        params = ParamVector(values, layout)
         opt = OptimizerState(np.zeros(layout.total), 0.5, 0.1)
         inputs, labels = rng.normal(0.0, 1.0, (4, sizes[0])), rng.integers(0, sizes[-1], 4)
         for _ in range(10):

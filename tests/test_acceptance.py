@@ -161,7 +161,7 @@ def test_criterion_3_region_and_aggregation_oracles():
             prev = rng.normal(size=n_params)
             # local models +0.0 off their masks, as `apply_mask` leaves them
             local_values = [
-                apply_mask(ParamVector(rng.normal(size=n_params), layout), mask).values
+                apply_mask(ParamVector(rng.normal(size=n_params), layout), mask)
                 for mask in masks
             ]
             got = aggregate(ParamVector(prev, layout), local_values, counts).values

@@ -435,8 +435,8 @@ def test_codenames_run_each_codename_as_a_codename_run_would(tmp_path, capsys):
 
 
 def test_a_command_builds_its_data_and_judges_each_codename_once(tmp_path, monkeypatch, capsys):
-    """Set-up is per command: one build, one verdict per codename before any training, and
-    per (codename, seed) run only a partition and the rounds."""
+    """Set-up is per command: one build, one partition per seed and one verdict per codename
+    before any training; a (codename, seed) run only trains."""
     import fedprune.federation as federation
 
     events = []
@@ -468,7 +468,7 @@ def test_a_command_builds_its_data_and_judges_each_codename_once(tmp_path, monke
     assert facts[-1] < events.index(("local_update",))
     assert all(e[0] != "computed_row" for e in events[facts[-1]:])
     partitions = [e[1] for e in events[events.index(("build",)) + 1:] if e[0] == "partition"]
-    assert partitions == [1, 2, 3] * len(mixes)  # one per run, after the build's own
+    assert partitions == [2, 3]  # one per seed after the first, whose shards the build dealt
 
 
 def test_an_error_sweep_fails_before_any_output_or_training(tmp_path, monkeypatch, capsys):
@@ -885,7 +885,7 @@ def test_selfcheck_fault_injection_in_the_writer_only_breaks_coverage(capsys, mo
     writer = fedprune.selfcheck.segment_fill
 
     def swapped_segments(layout, family, units, per_segment, out):  # S1's value lands on S4 ...
-        return writer(layout, family, units[::-1], per_segment, out)
+        return writer(layout, family, 3 - units, per_segment, out)
 
     monkeypatch.setattr(fedprune.selfcheck, "segment_fill", swapped_segments)
     assert main(["selfcheck", "--seed", "3"]) == 1

@@ -205,7 +205,7 @@ def test_aggregate_matches_brute_force(seed):
     prev = rng.normal(size=n_params)
     masks = masks_from(bits)
     # local models +0.0 off their masks, as `apply_mask` leaves them
-    local_values = [apply_mask(ParamVector(rng.normal(size=n_params), layout), m).values for m in masks]
+    local_values = [apply_mask(ParamVector(rng.normal(size=n_params), layout), m) for m in masks]
     got = aggregate(ParamVector(prev, layout), local_values, slot_counts(masks)).values
     want = prev.copy()
     for i in range(n_params):
@@ -235,7 +235,7 @@ def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codena
     prev[signed_zeros] = -0.0
     local_values = []
     for mask in masks:
-        values = apply_mask(ParamVector(rng.normal(size=layout.total), layout), mask).values
+        values = apply_mask(ParamVector(rng.normal(size=layout.total), layout), mask)
         values[signed_zeros & (mask.bits != 0)] = -0.0
         local_values.append(values)
     got = aggregate(ParamVector(prev, layout), local_values, slot_counts(masks)).values
@@ -360,7 +360,7 @@ def test_local_update_zero_lr_is_pruning_only():
     shard = data.train.subset(data.shards[0])
     out, _ = local_update(params, [mask], [shard], config, [local_rng(0, 1, 0)])
     assert len(out) == 1 and out[0].shape == (layout.total,)
-    assert np.array_equal(out[0], apply_mask(params, mask).values)
+    assert np.array_equal(out[0], apply_mask(params, mask))
 
 
 def test_local_update_single_full_batch_step_oracle():
@@ -394,7 +394,7 @@ def test_local_update_matches_reference_with_momentum_bitwise():
     (got,), _ = local_update(params, [mask], [shard], config, [local_rng(6, 1, 0)])
     want = reference_local_update(params, mask.bits, shard, config, local_rng(6, 1, 0))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert not np.array_equal(got, apply_mask(params, mask).values)
+    assert not np.array_equal(got, apply_mask(params, mask))
     assert np.array_equal(params.values.view(np.int64), theta.view(np.int64))
 
 
@@ -548,8 +548,8 @@ def test_each_chunk_calls_the_kernel_once_per_step_and_sets_up_its_views_once(mo
         assert chunk["grad"] == chunk["step"] == steps
         (out,) = chunk["outs"]  # one gradient vector serves every step of the chunk
         assert isinstance(out, ParamVector) and out.values.shape == chunk["rows"].values.shape
-    # per chunk: its rows and its gradient vector; per slot: the `apply_mask` result
-    assert len(views) == 2 * len(chunks) + len(masks)
+    # per chunk: its rows and its gradient vector; `apply_mask` builds none
+    assert len(views) == 2 * len(chunks)
 
 
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
@@ -560,7 +560,7 @@ def test_lockstep_keeps_masked_coordinates_at_positive_zero(case):
     for k, mask in enumerate(masks):
         off = mask.bits == 0
         assert (got[k][off].view(np.int64) == 0).all(), f"slot {k}"  # +0.0, not -0.0
-        assert (got[k][~off] != apply_mask(params, mask).values[~off]).any(), f"slot {k}"
+        assert (got[k][~off] != apply_mask(params, mask)[~off]).any(), f"slot {k}"
     assert np.isfinite(got).all()
 
 
@@ -753,8 +753,8 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
             assert np.array_equal(used[k].bits, mask.bits), f"round {q}, slot {k}"
         # the state freezes the ranking; the masks rebuilt from it are the oracle's frozen masks
         ranking = new_state.frozen_ranking
-        assert len(frozen) == (len(codename) if ranking else 0), f"round {q}"
-        if ranking:
+        assert len(frozen) == (0 if ranking is None else len(codename)), f"round {q}"
+        if ranking is not None:
             rebuilt = round_masks(codename, family, new_state.params, ranking)
             for k, mask in frozen.items():
                 assert np.array_equal(rebuilt[codename[k]].bits, mask.bits), f"round {q}, slot {k}"
@@ -916,11 +916,11 @@ def test_pretrained_freeze_in_engine():
         states.append(state)
         metrics.append(record)
     # round 2 freezes the ranking of the model it started from, and later rounds keep it
-    assert not states[1].frozen_ranking
-    ranking = states[2].frozen_ranking
+    assert states[0].frozen_ranking is None and states[1].frozen_ranking is None
+    ranking = states[2].frozen_ranking  # one uint8 segment label per unit
     want = segment_index_sets(states[1].params, config.family)
-    assert len(ranking) == len(want) == 4
-    assert all(np.array_equal(got, w) for got, w in zip(ranking, want))
+    assert isinstance(ranking, np.ndarray) and ranking.dtype == np.uint8
+    assert len(ranking) == layout.offsets[0].weight_len and np.array_equal(ranking, want)
     assert states[3].frozen_ranking is ranking and states[4].frozen_ranking is ranking
     frozen_masks = round_masks(config.codename, config.family, states[2].params, ranking)
     assert list(frozen_masks) == ["1", "2", "3", "4"]

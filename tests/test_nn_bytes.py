@@ -42,7 +42,7 @@ def np_masked(g):
     """NP-pruned rows: every pruned hidden unit has zero weights in and out, so it is dead."""
     params = init_params(SMALL, 3)
     masks = round_masks("1234567", "NP", params)
-    rows = [apply_mask(params, masks[d]).values for d in "1234567"]
+    rows = [apply_mask(params, masks[d]) for d in "1234567"]
     return np.stack((rows * 2)[:g])
 
 

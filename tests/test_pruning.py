@@ -23,10 +23,10 @@ from fedprune.pruning import (
     codename_coverage,
     parse_codename,
     pruning_noise,
-    quartile_segments,
     round_masks,
     segment_fill,
     segment_index_sets,
+    segment_sizes,
 )
 
 MNIST_LAYOUT = LayerLayout((784, 200, 10))
@@ -44,8 +44,17 @@ def one_mask(family, kept, params):
                              [int(s in kept) for s in (1, 2, 3, 4)], np.ones(layout.total, np.uint8)))
 
 
+def unit_ids(layout, family, segment):
+    """The units of a `reference_segments` segment, ascending: a WP unit owns its W1 entry, a
+    neuron its b1 entry."""
+    w1 = layout.offsets[0]
+    own = np.arange(layout.total)[w1.weights if family == "WP" else w1.biases]
+    return np.flatnonzero(np.isin(own, segment)).tolist()
+
+
 def ranking(params, family):
-    return np.concatenate(segment_index_sets(params, family)).tolist()
+    """The units of S1, then S2, S3 and S4, each segment in ascending unit order."""
+    return np.argsort(segment_index_sets(params, family), kind="stable").tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +75,7 @@ def test_wp_ranking_breaks_ties_by_index():
 def test_fs_ranking_is_identity_over_neurons():
     layout = LayerLayout((2, 4, 1))
     params = ParamVector(np.random.default_rng(0).normal(size=layout.total), layout)
-    assert [s.tolist() for s in segment_index_sets(params, "FS")] == [[0], [1], [2], [3]]
+    assert segment_index_sets(params, "FS").tolist() == [0, 1, 2, 3]  # neuron j in S(j+1)
 
 
 def test_np_ranking_prefers_heavier_neuron():
@@ -121,29 +130,29 @@ def test_neuron_block_size_mnist():
 
 
 def test_quartiles_even_split():
-    segs = quartile_segments(np.arange(8))
-    assert [len(s) for s in segs] == [2, 2, 2, 2]
-    assert segs[0].tolist() == [0, 1]
+    assert segment_sizes(8) == [2, 2, 2, 2]
+    layout = LayerLayout((2, 8, 1))
+    # FS splits the natural order: S1 holds neurons 0 and 1
+    assert segment_index_sets(init_params(layout, 0), "FS").tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def test_quartiles_ceil_first_remainder():
-    segs = quartile_segments(np.arange(6))
-    assert [len(s) for s in segs] == [2, 2, 1, 1]
+    assert segment_sizes(6) == [2, 2, 1, 1]
 
 
 def test_quartiles_reject_short_ranking():
     with pytest.raises(ValueError):
-        quartile_segments(np.arange(3))
+        segment_sizes(3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(4, 200), seed=st.integers(0, 2**31))
 def test_quartiles_partition_property(n, seed):
     ranking = np.random.default_rng(seed).permutation(n)
-    segs = quartile_segments(ranking)
-    joined = np.concatenate(segs)
-    assert sorted(joined.tolist()) == sorted(ranking.tolist())
-    assert max(len(s) for s in segs) - min(len(s) for s in segs) <= 1
+    sizes = segment_sizes(n)
+    assert sizes == [len(s) for s in np.array_split(ranking, 4)]
+    assert sum(sizes) == n
+    assert max(sizes) - min(sizes) <= 1 and sizes == sorted(sizes, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +203,7 @@ def test_pretrained_freeze_reuses_round3_mask():
         if round_no == 3:
             round3 = adaptive  # the masks round 3 trains under, ranked from its model
         state, _ = run_round(state, config, data, facts)
-        assert bool(state.frozen_ranking) == (round_no >= 3)
+        assert (state.frozen_ranking is not None) == (round_no >= 3)
         history.append(state.frozen_ranking)
     ranking = history[2]
     assert all(later is ranking for later in history[3:])
@@ -231,21 +240,21 @@ def test_round_masks_match_the_index_set_oracle(seed, family, two_hidden, freeze
     layout = LayerLayout((int(rng.integers(1, 9)), *map(int, hidden), int(rng.integers(1, 6))))
     digits = list("1234567") + list(rng.choice(list("1234567"), size=int(rng.integers(0, 4))))
     codename = "".join(rng.permutation(digits))
-    frozen_got, frozen_want = (), {}
+    frozen_got, frozen_want = None, {}
     for round_no in range(first_round, first_round + 4):
         values = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=layout.total)
         params = ParamVector(values, layout)
         # the freeze rule of run_round: the ranking in use from round F on is kept
-        units = frozen_got or segment_index_sets(params, family)
-        frozen_got = units if freeze is not None and round_no >= freeze else ()
+        units = segment_index_sets(params, family) if frozen_got is None else frozen_got
+        frozen_got = units if freeze is not None and round_no >= freeze else None
         masks = round_masks(codename, family, params, units)
         want, frozen_want = reference_masks(codename, family, freeze, params, round_no, frozen_want)
         got = [masks[d] for d in codename]
         assert len(got) == len(want) == len(codename)
         for k, (g, w) in enumerate(zip(got, want)):
             assert np.array_equal(g.bits, w.bits), f"round {round_no}, slot {k}"
-        assert len(frozen_want) == (len(codename) if frozen_got else 0)
-        rebuilt = round_masks(codename, family, params, frozen_got) if frozen_got else {}
+        assert len(frozen_want) == (0 if frozen_got is None else len(codename))
+        rebuilt = {} if frozen_got is None else round_masks(codename, family, params, frozen_got)
         for k, w in frozen_want.items():
             assert np.array_equal(rebuilt[codename[k]].bits, w.bits), f"round {round_no}, slot {k}"
 
@@ -254,7 +263,7 @@ def test_round_masks_match_the_index_set_oracle(seed, family, two_hidden, freeze
 @given(
     quarters=st.integers(1, 12),
     remainder=st.sampled_from([0, 1, 2, 3]),
-    family=st.sampled_from(["WP", "NP"]),
+    family=st.sampled_from(FAMILIES),
     data=st.data(),
 )
 def test_selection_ranking_equals_the_stable_argsort_oracle(quarters, remainder, family, data):
@@ -267,11 +276,12 @@ def test_selection_ranking_equals_the_stable_argsort_oracle(quarters, remainder,
         min_size=layout.total, max_size=layout.total,
     ))
     params = ParamVector(np.array(values), layout)
-    if family == "WP":
-        want, _ = reference_segments(params, family)
-        got = segment_index_sets(params, family)
-        for s, (g, w) in enumerate(zip(got, want), 1):
-            assert g.tolist() == sorted(w - layout.offsets[0].weight_start), f"S{s}"
+    want, _ = reference_segments(params, family)
+    got = segment_index_sets(params, family)
+    assert got.dtype == np.uint8 and len(got) == units
+    assert np.bincount(got, minlength=4).tolist() == segment_sizes(units)
+    for s, w in enumerate(want):
+        assert np.flatnonzero(got == s).tolist() == unit_ids(layout, family, w), f"S{s + 1}"
     masks = round_masks("1234567", family, params)
     want, _ = reference_masks("1234567", family, None, params, 1, {})
     for k, (d, w) in enumerate(zip("1234567", want)):
@@ -295,16 +305,16 @@ def test_slots_with_one_policy_share_one_mask_and_its_measures():
 
 def test_apply_mask_identity_and_zeroing():
     params = flat_params([4.0, 3.0, 2.0, 1.0])
-    assert np.array_equal(apply_mask(params, Mask(np.ones(4))).values, params.values)
+    assert np.array_equal(apply_mask(params, Mask(np.ones(4))), params.values)
     masked = apply_mask(params, Mask(np.array([1, 1, 0, 0], dtype=np.uint8)))
-    assert masked.values.tolist() == [4.0, 3.0, 0.0, 0.0]
+    assert masked.tolist() == [4.0, 3.0, 0.0, 0.0]
 
 
 def test_apply_mask_writes_positive_zero_where_negative_values_are_pruned():
     params = flat_params([-4.0, -3.0, 2.0, -1.0])
     out = np.full(4, np.nan)
     masked = apply_mask(params, Mask(np.array([0, 1, 0, 0], dtype=np.uint8)), out=out)
-    assert masked.values is out
+    assert masked is out
     assert out.tolist() == [0.0, -3.0, 0.0, 0.0]
     assert not np.signbit(out[[0, 2, 3]]).any()  # +0.0, not the -0.0 of -4.0 * 0
 
@@ -390,12 +400,12 @@ def test_segment_partition_and_sparsity_accounting(seed):
     layout = LayerLayout((5, 8, 3))
     params = ParamVector(rng.normal(0, 1, layout.total), layout)
     family = ("WP", "NP", "FS")[int(rng.integers(3))]
-    segments = segment_index_sets(params, family)
+    labels = segment_index_sets(params, family)
     units = 5 * 8 if family == "WP" else 8
-    assert sorted(np.concatenate(segments).tolist()) == list(range(units))
+    assert len(labels) == units and labels.max() <= 3  # every unit lies in one of S1..S4
     kept = frozenset(int(s) for s in rng.choice(4, size=int(rng.integers(1, 5)), replace=False) + 1)
     mask = one_mask(family, kept, params)
-    kept_units = sum(len(segments[s - 1]) for s in kept)
+    kept_units = sum(int((labels == s - 1).sum()) for s in kept)
     # a WP unit is one parameter; an NP/FS unit is 5 incoming + 1 bias + 3 outgoing
     per_unit = 1 if family == "WP" else 5 + 1 + 3
     assert int((mask.bits == 0).sum()) == (units - kept_units) * per_unit

@@ -50,6 +50,12 @@ def test_training_spans_stay_bound_in_federation(name):
     assert TRACER._resolve("fedprune.federation", name) is not None
 
 
+def test_the_rank_span_wraps_the_one_ranking_of_a_round():
+    """`pruning.rank` times `segment_index_sets`, which labels each unit with its segment."""
+    assert ("pruning.rank", "fedprune.pruning", "segment_index_sets") in TRACER.TARGETS
+    assert TRACER._resolve("fedprune.pruning", "segment_index_sets") is not None
+
+
 def test_the_data_build_span_wraps_the_one_build_of_a_command():
     """`data.build_share` measures the build `cmd_run` makes once, through this name."""
     assert ("data.build", "fedprune.cli", "build_federated_data") in TRACER.TARGETS
