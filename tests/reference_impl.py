@@ -3,7 +3,7 @@
 import numpy as np
 
 from fedprune.federation import local_rng, model_layout, sample_rng
-from fedprune.metrics import account, amortized, full_account
+from fedprune.metrics import RoundMetrics, account, amortized, full_account
 from fedprune.nn import ParamVector, init_params, loss_and_grad
 from fedprune.pruning import DIGIT_SEGMENTS, Mask, codename_coverage, parse_codename
 
@@ -209,3 +209,66 @@ def coverage_counts(masks, holders):
     for mask, n in zip(masks, holders):
         counts += np.int64(n) * mask.bits
     return counts
+
+
+def reference_run(config, data):
+    """`federation.run` written straight out: one slot at a time, no lanes, no lockstep.
+
+    Each round ranks the global model afresh for every slot (`reference_masks`,
+    frozen from round F on), trains each slot alone from its masked copy
+    (`reference_local_update`), and sets every parameter to the mean of the
+    covering slots' values, adding them in slot order; a parameter no slot
+    covers keeps its value. Loss, accuracy and gradient come from
+    `reference_evaluate` and `reference_dataset_loss_and_grad`, each slot's
+    local accuracy from `reference_evaluate` on its own shard, and gamma_min
+    and the cost from `reference_computed_row`. Returns the round records.
+    """
+    layout = model_layout(config, data)
+    theta = init_params(layout, config.init_seed)
+    cost, gamma_min = reference_computed_row(config.family, config.codename, layout)
+    n_slots = config.slots_per_round
+    frozen = {}
+    history = []
+    for q in range(1, config.rounds + 1):
+        if config.static_slots:
+            participants = list(range(n_slots))
+        else:
+            participants = [int(c) for c in sample_rng(config.seed, q).choice(
+                config.num_clients, size=n_slots, replace=False)]
+        masks, frozen = reference_masks(
+            config.codename, config.family, config.freeze_after_round, theta, q, frozen
+        )
+        norm_sq = float(theta.values @ theta.values)
+        deltas = []
+        covered_sum = np.zeros(layout.total)
+        local_acc = 0.0
+        for k, (client, mask) in enumerate(zip(participants, masks)):
+            dropped = theta.values[mask.bits == 0]
+            deltas.append(float(dropped @ dropped) / norm_sq)
+            shard = data.train.subset(data.shards[client])
+            values = reference_local_update(theta, mask.bits, shard, config, local_rng(config.seed, q, k))
+            kept = mask.bits != 0
+            covered_sum[kept] += values[kept]
+            _, acc = reference_evaluate(ParamVector(values, layout), shard, config.test_batch)
+            local_acc += (1.0 / n_slots) * acc
+        counts = np.stack([mask.bits for mask in masks]).sum(axis=0, dtype=np.int64)
+        covered = counts > 0
+        new_values = theta.values.copy()
+        new_values[covered] = covered_sum[covered] / counts[covered]
+        theta = ParamVector(new_values, layout)
+        loss, acc = reference_evaluate(theta, data.test, config.test_batch)
+        _, grad = reference_dataset_loss_and_grad(
+            theta, data.test.inputs, data.test.labels, config.test_batch
+        )
+        history.append(RoundMetrics(
+            round=q,
+            global_loss=loss,
+            global_accuracy=acc,
+            local_weighted_accuracy=local_acc,
+            gamma_min=gamma_min,
+            per_slot_delta_sq=tuple(deltas),
+            grad_norm_sq_estimate=float(grad @ grad),
+            amortized_params=cost.params_mean,
+            amortized_flops=cost.flops_mean,
+        ))
+    return history

@@ -1,3 +1,4 @@
+import io
 import re
 import sys
 import warnings
@@ -13,6 +14,7 @@ from reference_impl import (
     reference_local_update,
     reference_masks,
     reference_neuron_blocks,
+    reference_run,
 )
 
 import fedprune.federation
@@ -36,7 +38,7 @@ from fedprune.federation import (
     run_round,
     sample_participants,
 )
-from fedprune.metrics import account, full_account
+from fedprune.metrics import account, emit_csv, full_account
 from fedprune.nn import LayerLayout, ParamVector, evaluate, init_params, loss_and_grad
 from fedprune.pruning import (
     Mask,
@@ -633,6 +635,40 @@ def test_round_results_independent_of_slot_execution_order():
         slot_models[k] = alone
     redone = aggregate(state.params, slot_models, slot_counts(slot_masks))
     assert np.array_equal(redone.values, new_state.params.values)
+
+
+# Whole runs against `reference_run`: each family, a freeze, a codename that
+# leaves S4 unkept, and label-skew shards of 23 and 24 examples (two chunks
+# per round, so chunk order is not slot order).
+REFERENCE_RUNS = {
+    "WP": {},
+    "NP": {"family": "NP"},
+    "FS": {"family": "FS", "codename": "2233445677"},
+    "WP-freeze2": {"freeze_after_round": 2},
+    "NP-freeze2": {"family": "NP", "freeze_after_round": 2},
+    "WP-uncovered-S4": {"codename": "5555566666"},
+    "WP-skew-two-shard-lengths": {"partition": "label-skew", "dataset": SynthSpec(10, 47, 20, 0.3, 20)},
+}
+
+
+def csv_text(history):
+    sink = io.StringIO()
+    emit_csv(history, sink)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("case", sorted(REFERENCE_RUNS))
+def test_run_matches_the_straight_line_reference_run(use_lanes, case, lanes):
+    config = desk_config(local_epochs=2, **REFERENCE_RUNS[case])
+    data = build_federated_data(config)
+    if case.startswith("WP-skew"):
+        assert len({len(shard) for shard in data.shards}) > 1
+    use_lanes(lanes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the uncovered codename warns once
+        history, _ = run(config, data)
+    assert csv_text(history) == csv_text(reference_run(config, data))
 
 
 @pytest.mark.parametrize(
