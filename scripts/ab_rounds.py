@@ -9,7 +9,8 @@ one BLAS thread, and reports the median wall time of its rounds (calls of
 `fedprune.federation.run_round`) and its peak resident set (VmHWM). Pair i
 runs the parent first when i is even and the change first when it is odd.
 The script prints one line per pair, then each side's median and quartiles
-of the per-process medians and how many pairs the change won.
+of the per-process round medians and of the per-process VmHWM, and in how
+many pairs the change was faster and in how many its VmHWM was lower.
 """
 
 import argparse
@@ -81,6 +82,7 @@ def main() -> int:
 
     sides = {"parent": str(Path(args.parent_src).resolve()), "change": str(Path(args.change_src).resolve())}
     medians: dict[str, list[float]] = {side: [] for side in sides}
+    peaks: dict[str, list[float]] = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         run_config = {**WORKLOADS[args.workload].run_config(args.seed), "out_dir": str(Path(tmp) / "out")}
@@ -88,16 +90,21 @@ def main() -> int:
         for i in range(args.pairs):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             got = {side: one_process(sides[side], config) for side in order}
-            for side, (median, _) in got.items():
+            for side, (median, mb) in got.items():
                 medians[side].append(median)
+                peaks[side].append(mb)
             (p, p_mb), (c, c_mb) = got["parent"], got["change"]
             print(f"pair {i}: parent {p * 1e3:.3f} ms {p_mb:.1f} MB, change {c * 1e3:.3f} ms "
                   f"{c_mb:.1f} MB, ratio {c / p:.3f}", flush=True)
     for side, values in medians.items():
         q1, q2, q3 = quartiles(values)
         print(f"{side}: median {q2 * 1e3:.3f} ms (Q1 {q1 * 1e3:.3f}, Q3 {q3 * 1e3:.3f})")
-    wins = sum(c < p for p, c in zip(medians["parent"], medians["change"]))
-    print(f"change faster in {wins}/{args.pairs} pairs")
+    for side, values in peaks.items():
+        q1, q2, q3 = quartiles(values)
+        print(f"{side} VmHWM: median {q2:.2f} MB (Q1 {q1:.2f}, Q3 {q3:.2f})")
+    for verdict, values in (("faster", medians), ("lower", peaks)):
+        wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        print(f"change {verdict} in {wins}/{args.pairs} pairs")
     return 0
 
 

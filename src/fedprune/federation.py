@@ -8,8 +8,9 @@ Each round q (1-based):
      mask and runs T local epochs of masked SGD; slots with equally long
      shards train in lockstep, as rows of one (g, total) matrix
   3. set every parameter to the mean of its value over exactly the slots
-     whose masks cover it: the sum of every slot's local model, each +0.0
-     off its mask (see `aggregate`), divided by the coverage count
+     whose masks cover it: the round holds only the sum of the slots' local
+     models, each +0.0 off its mask and added as it finishes, in slot order
+     (see `aggregate`), and divides it by the coverage count
 Parameters covered by no slot keep the previous global value. Every mask
 keeps whole quartile segments, so the codename alone fixes how many slots
 cover each segment, and with that gamma_min and the amortized cost; the
@@ -22,8 +23,10 @@ round (a pre-trained mask): the state carries it as `frozen_ranking` from
 round F on (None before), and each round writes its masks and counts from it.
 
 Lockstep chunks train on the lanes (`fedprune.lanes`): lane j trains chunks
-j, j + L, ... in place in its rows of one (S, total) matrix, then counts each
-row's correct predictions on its shard for the round's local accuracy.
+j, j + L, ... in place in its own row buffer, taking each chunk's rows
+straight from the train set through the clients' index arrays, then counts
+each row's correct predictions on its shard for the round's local accuracy;
+its ordered commit hands the rows on to the round's sum.
 `build_federated_data` builds the train and test set as two items on the
 lanes, and `partition_clients` deals the clients a seed's train shards.
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -76,28 +80,24 @@ class CoverageError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def aggregate(
-    previous_global: ParamVector, local: list[np.ndarray], counts: np.ndarray
-) -> ParamVector:
-    """Per-parameter mean over exactly the covering slots, in ascending slot order.
+def aggregate(previous_global: ParamVector, local_sum: np.ndarray, counts: np.ndarray) -> ParamVector:
+    """Per-parameter mean over exactly the covering slots.
 
-    `local[k]` is slot k's local model and `counts[i]` the number of slots
-    whose mask covers parameter i. Parameters no slot covers retain the previous
-    global value. Precondition: each local model is zero wherever its slot's
-    mask is 0, so the plain sum of the rows is the sum over the covering
-    slots. `local_update`'s rows keep it: `apply_mask` writes +0.0 there and
+    `local_sum` is the sum of the slots' local models, added in ascending
+    slot order from +0.0, and `counts[i]` the number of slots whose mask
+    covers parameter i. Parameters no slot covers retain the previous global
+    value. Precondition: each local model is zero wherever its slot's mask
+    is 0, so the plain sum of the models is the sum over the covering slots.
+    `local_update`'s rows keep it: `apply_mask` writes +0.0 there and
     `masked_sgd_step` masks the gradient before it enters the momentum
-    buffer, so those coordinates never move; `run_round` rejects non-finite
-    rows before aggregating.
+    buffer, so those coordinates never move; `run_round` rejects a
+    non-finite row before adding it.
     """
-    total = previous_global.layout.total
-    if len(counts) != total or any(len(row) != total for row in local):
-        raise ValueError("local models and coverage counts must match the parameter vector")
-    acc = np.zeros(total)
-    for row in local:
-        acc += row
+    shape = (previous_global.layout.total,)
+    if np.shape(local_sum) != shape or np.shape(counts) != shape:
+        raise ValueError("the local models' sum and coverage counts must match the parameter vector")
     out = previous_global.values.copy()
-    np.divide(acc, counts, out=out, where=counts > 0)
+    np.divide(local_sum, counts, out=out, where=counts > 0)
     return ParamVector(out, previous_global.layout)
 
 
@@ -367,29 +367,36 @@ def sample_participants(state: GlobalState, config: FederationConfig) -> list[in
 def local_update(
     global_params: ParamVector,
     masks: list[Mask],
-    shards: list[Dataset],
+    train: Dataset,
+    shards: list[np.ndarray],
     config: FederationConfig,
     rngs: list[np.random.Generator],
-) -> tuple[list[np.ndarray], np.ndarray]:
+    take: Callable[[int, np.ndarray], None],
+) -> np.ndarray:
     """T epochs of masked minibatch SGD for every slot, from the pruned global model.
 
-    Returns S row views of one (S, total) matrix, entry k being slot k's
-    local model, and an (S,) int64 array of how many examples of its own
-    shard each model classifies correctly. Slots whose shards have the
-    same length share one batch schedule, short last batch included, and
-    train in lockstep: up to `max(1, _LOCKSTEP_BYTES // (8 * total))` of
-    them at a time, as the rows of one stacked forward/backward pass and
-    SGD step. Slot k draws one permutation of its shard per epoch from
-    `rngs[k]`, so its row has the bits it would have if slot k trained alone.
+    Slot k trains on the rows `shards[k]` of `train`. Each finished local
+    model goes to `take(k, row)`, once per slot, in ascending slot order;
+    `row` is a buffer the next chunk reuses, so `take` must not keep it.
+    Returns an (S,) int64 array of how many examples of its own shard each
+    model classifies correctly. Slots whose shards have the same length
+    share one batch schedule, short last batch included, and train in
+    lockstep: up to `max(1, _LOCKSTEP_BYTES // (8 * total))` of them at a
+    time, as the rows of one stacked forward/backward pass and SGD step.
+    Slot k draws one permutation of its shard per epoch from `rngs[k]`, so
+    its row has the bits it would have if slot k trained alone.
 
-    The chunks run on the lanes: lane j trains chunks j, j + L, ... in place,
-    in the matrix rows that hold them (chunk order), with momentum, gradient
-    and mask buffers allocated here once per call; each chunk's momentum
-    starts at 0. A chunk builds its gradient vector once and gathers its
-    permuted shards once per epoch, so a step is one `loss_and_grad` and one
-    `masked_sgd_step` call on views. It then counts the chunk's correct
-    predictions in slices of `config.test_batch` rows, as `evaluate` would
-    for each slot alone.
+    The chunks run on the lanes: lane j trains chunks j, j + L, ... in place
+    in its own rows of a (lanes, chunk width, total) buffer, with momentum,
+    gradient and mask buffers of the same shape, all allocated here once per
+    call; each chunk's momentum starts at 0. A chunk builds its gradient
+    vector once and gathers its permuted rows straight from `train` once per
+    epoch, so a step is one `loss_and_grad` and one `masked_sgd_step` call on
+    views. It then counts the chunk's correct predictions in slices of
+    `config.test_batch` rows, as `evaluate` would for each slot alone. The
+    ordered commit hands the chunk's rows to `take`. Chunks group slots by
+    shard length, so with unequal lengths a chunk can finish before an
+    earlier slot's chunk: its rows then wait, as copies, for their turn.
     """
     if not len(masks) == len(shards) == len(rngs):
         raise ValueError("one mask, shard and rng per slot required")
@@ -403,43 +410,54 @@ def local_update(
     chunks = [
         slots[lo : lo + width] for slots in by_length.values() for lo in range(0, len(slots), width)
     ]
-    order = [k for chunk in chunks for k in chunk]
-    first_row = np.cumsum([0] + [len(chunk) for chunk in chunks])
-    local = np.empty((len(order), layout.total))  # row i holds slot order[i]
     step_rows = max(len(c) * min(config.local_batch, len(shards[c[0]])) for c in chunks)
     n_lanes = min(lanes.width(step_rows * layout.total), len(chunks))
     shape = (n_lanes, max(map(len, chunks)), layout.total)
-    momentum, grad, bits = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.uint8)
+    local, momentum, grad = np.empty(shape), np.empty(shape), np.empty(shape)
+    bits = np.empty(shape, dtype=np.uint8)
     correct = np.zeros(len(shards), dtype=np.int64)  # one entry per slot: no lane shares one
+    waiting: dict[int, np.ndarray] = {}  # finished rows whose earlier slots are not yet taken
+    next_slot = 0
 
-    def train(c: int, lane: int) -> None:
+    def train_chunk(c: int, lane: int) -> None:
         chunk = chunks[c]
         g = len(chunk)
-        rows = ParamVector(local[first_row[c] : first_row[c] + g], layout)
+        rows = ParamVector(local[lane, :g], layout)
         for row, k in zip(rows.values, chunk):
             apply_mask(global_params, masks[k], out=row)
-        inputs = np.stack([shards[k].inputs for k in chunk])
-        labels = np.stack([shards[k].labels for k in chunk])
-        n = labels.shape[1]  # one shard length: every step has one batch size for all rows
+        idx = np.stack([shards[k] for k in chunk])
+        n = idx.shape[1]  # one shard length: every step has one batch size for all rows
         chunk_bits = np.stack([masks[k].bits for k in chunk], out=bits[lane, :g])
         chunk_grad = ParamVector(grad[lane, :g], layout)
         momentum[lane, :g] = 0.0
         opt = OptimizerState(momentum[lane, :g], config.momentum, config.effective_learning_rate)
         at = np.arange(g)[:, None]
         for _ in range(config.local_epochs):
-            perm = np.stack([rngs[k].permutation(n) for k in chunk])
-            xs, ys = inputs[at, perm], labels[at, perm]  # each batch below is a view of these rows
+            order = idx[at, np.stack([rngs[k].permutation(n) for k in chunk])]
+            xs, ys = train.inputs[order], train.labels[order]  # each batch below is a view of these
             for start in range(0, n, config.local_batch):
                 stop = start + config.local_batch
                 loss_and_grad(rows, xs[:, start:stop], ys[:, start:stop], out=chunk_grad)
                 masked_sgd_step(rows, chunk_grad.values, chunk_bits, opt)
+        del xs, ys  # the accuracy count gathers its own slices
         for start in range(0, n, config.test_batch):
-            stop = start + config.test_batch
-            hits = forward(rows, inputs[:, start:stop]).argmax(axis=-1) == labels[:, start:stop]
+            part = idx[:, start : start + config.test_batch]
+            hits = forward(rows, train.inputs[part]).argmax(axis=-1) == train.labels[part]
             correct[chunk] += hits.sum(axis=-1)
 
-    lanes.on_lanes(range(len(chunks)), train, n_lanes)
-    return [local[i] for i in np.argsort(order)], correct
+    def commit(c: int, lane: int) -> None:
+        nonlocal next_slot
+        for k, row in zip(chunks[c], local[lane]):
+            waiting[k] = row
+            while next_slot in waiting:
+                take(next_slot, waiting.pop(next_slot))
+                next_slot += 1
+        for k in chunks[c]:
+            if k in waiting:  # the lane reuses its rows for its next chunk
+                waiting[k] = waiting[k].copy()
+
+    lanes.on_lanes(range(len(chunks)), train_chunk, n_lanes, commit=commit)
+    return correct
 
 
 def run_round(
@@ -470,18 +488,21 @@ def run_round(
     noise = dict(zip(masks, pruning_noise(state.params, list(masks.values()))))
     deltas = tuple(noise[d] for d in codename)
 
-    shards = [data.train.subset(data.shards[client]) for client in participants]
+    shards = [data.shards[client] for client in participants]
     rngs = [local_rng(state.seed, q, k) for k in range(n_slots)]
-    local, correct = local_update(state.params, slot_masks, shards, config, rngs)
-    for k in range(n_slots):  # no row view outlives `local`
-        if not np.isfinite(local[k]).all():
+    local_sum = np.zeros(layout.total)
+
+    def take(k: int, row: np.ndarray) -> None:  # called in ascending slot order
+        if not np.isfinite(row).all():
             raise FloatingPointError(
                 f"round {q}: non-finite local model after local training in slot {k} "
                 f"(client {participants[k]})"
             )
+        np.add(local_sum, row, out=local_sum)
 
-    new_params = aggregate(state.params, local, counts)  # counts cast to float64 exactly
-    del local, counts  # the test-set pass need not hold the (S, total) matrix
+    correct = local_update(state.params, slot_masks, data.train, shards, config, rngs, take)
+    new_params = aggregate(state.params, local_sum, counts)  # counts cast to float64 exactly
+    del local_sum, counts  # the test-set pass need not hold them
     if not np.isfinite(new_params.values).all():
         raise FloatingPointError(f"round {q}: non-finite global parameters after aggregation")
 

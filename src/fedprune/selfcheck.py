@@ -106,7 +106,9 @@ def coverage_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
 def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
     """aggregate vs the per-index 'mean over covering slots' loop.
 
-    The local models are +0.0 off their masks (`apply_mask`), as training leaves them.
+    The local models are +0.0 off their masks (`apply_mask`), as training
+    leaves them, and `aggregate` gets their sum as a round builds it: added
+    from +0.0, one model at a time, in ascending slot order.
     """
     for _ in range(runs):
         n_params, n_slots = int(rng.integers(2, 65)), int(rng.integers(1, 7))
@@ -118,7 +120,10 @@ def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
             apply_mask(ParamVector(rng.normal(0.0, 1.0, n_params), layout), mask)
             for mask in masks
         ]
-        got = aggregate(ParamVector(prev, layout), locals_, bits.sum(axis=0)).values
+        local_sum = np.zeros(n_params)
+        for row in locals_:
+            np.add(local_sum, row, out=local_sum)
+        got = aggregate(ParamVector(prev, layout), local_sum, bits.sum(axis=0)).values
         want = brute_force_aggregate(prev, locals_, bits)
         if not np.array_equal(got, want):
             return CheckResult(

@@ -164,7 +164,10 @@ def test_criterion_3_region_and_aggregation_oracles():
                 apply_mask(ParamVector(rng.normal(size=n_params), layout), mask)
                 for mask in masks
             ]
-            got = aggregate(ParamVector(prev, layout), local_values, counts).values
+            local_sum = np.zeros(n_params)  # a round's sum: from +0.0, in ascending slot order
+            for row in local_values:
+                np.add(local_sum, row, out=local_sum)
+            got = aggregate(ParamVector(prev, layout), local_sum, counts).values
             assert np.array_equal(got, brute_force_aggregate(prev, local_values, bits))
 
 

@@ -1,6 +1,7 @@
 import io
 import re
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -69,6 +70,14 @@ def codename_masks(codename, family, params):
 def slot_counts(masks):
     """Coverage counts of one mask per slot."""
     return coverage_counts(masks, [1] * len(masks))
+
+
+def slot_sum(rows):
+    """The round's sum of local models, added from +0.0 in ascending slot order as `run_round` adds them."""
+    total = np.zeros(len(rows[0]))
+    for row in rows:
+        np.add(total, row, out=total)
+    return total
 
 
 def desk_config(**overrides):
@@ -156,7 +165,7 @@ def test_aggregate_worked_example():
     prev = ParamVector(np.array([9.0, 9.0, 9.0]), layout)
     locals_ = [np.array([1.0, 2.0, 0.0]), np.array([3.0, 0.0, 4.0])]
     masks = masks_from([[1, 1, 0], [1, 0, 1]])
-    out = aggregate(prev, locals_, slot_counts(masks))
+    out = aggregate(prev, slot_sum(locals_), slot_counts(masks))
     assert out.values.tolist() == [2.0, 2.0, 4.0]
 
 
@@ -166,7 +175,7 @@ def test_aggregate_all_ones_is_fedavg_mean():
     prev = ParamVector(rng.normal(size=6), layout)
     locals_ = [rng.normal(size=6) for _ in range(4)]
     masks = [Mask(np.ones(6)) for _ in range(4)]
-    out = aggregate(prev, locals_, slot_counts(masks))
+    out = aggregate(prev, slot_sum(locals_), slot_counts(masks))
     manual = np.zeros(6)
     for lv in locals_:
         manual += lv
@@ -180,20 +189,19 @@ def test_aggregate_single_client_retains_uncovered():
     masks = masks_from([[1, 0, 1, 0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # 0/0 at uncovered indices must stay silent
-        out = aggregate(prev, locals_, slot_counts(masks))
+        out = aggregate(prev, slot_sum(locals_), slot_counts(masks))
     assert out.values.tolist() == [1.0, 6.0, 3.0, 8.0]
 
 
 def test_aggregate_rejects_a_row_or_counts_of_the_wrong_length():
     layout = flat_layout(3)
     prev = ParamVector(np.zeros(3), layout)
-    locals_ = [np.ones(3), np.ones(3)]
-    for bad in ([np.ones(3), np.ones(4)], [np.ones(3), np.ones(1)]):  # (1,) would broadcast
+    for bad in (np.ones(4), np.ones(1), np.ones((2, 3))):  # (1,) would broadcast
         with pytest.raises(ValueError):
             aggregate(prev, bad, np.full(3, 2))
     for counts in (np.full(1, 2), np.full(4, 2)):  # (1,) would broadcast too
         with pytest.raises(ValueError):
-            aggregate(prev, locals_, counts)
+            aggregate(prev, np.full(3, 2.0), counts)
 
 
 @settings(max_examples=80, deadline=None)
@@ -208,7 +216,7 @@ def test_aggregate_matches_brute_force(seed):
     masks = masks_from(bits)
     # local models +0.0 off their masks, as `apply_mask` leaves them
     local_values = [apply_mask(ParamVector(rng.normal(size=n_params), layout), m) for m in masks]
-    got = aggregate(ParamVector(prev, layout), local_values, slot_counts(masks)).values
+    got = aggregate(ParamVector(prev, layout), slot_sum(local_values), slot_counts(masks)).values
     want = prev.copy()
     for i in range(n_params):
         covering = [s for s in range(n_slots) if bits[s, i]]
@@ -240,7 +248,7 @@ def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codena
         values = apply_mask(ParamVector(rng.normal(size=layout.total), layout), mask)
         values[signed_zeros & (mask.bits != 0)] = -0.0
         local_values.append(values)
-    got = aggregate(ParamVector(prev, layout), local_values, slot_counts(masks)).values
+    got = aggregate(ParamVector(prev, layout), slot_sum(local_values), slot_counts(masks)).values
     want = brute_force_aggregate(prev, local_values, bits)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     counts = bits.sum(0)
@@ -353,14 +361,32 @@ def test_default_learning_rate_follows_analysis_schedule():
 # ---------------------------------------------------------------------------
 
 
+def trained_rows(params, masks, train, shards, config, rngs, take=None):
+    """(copies of the rows `local_update` hands to `take`, indexed by slot, correct counts).
+
+    Every slot's row must come exactly once, in ascending slot order; `take`,
+    if given, sees each row too.
+    """
+    rows, order = [], []
+
+    def keep(k, row):
+        order.append(k)
+        rows.append(row.copy())
+        if take is not None:
+            take(k, row)
+
+    correct = local_update(params, masks, train, shards, config, rngs, keep)
+    assert order == list(range(len(masks)))
+    return rows, correct
+
+
 def test_local_update_zero_lr_is_pruning_only():
     config = desk_config(learning_rate=0.0)
     data = build_federated_data(config)
     layout = model_layout(config, data)
     params = init_params(layout, 0)
     (mask,) = codename_masks("4", "WP", params)
-    shard = data.train.subset(data.shards[0])
-    out, _ = local_update(params, [mask], [shard], config, [local_rng(0, 1, 0)])
+    out, _ = trained_rows(params, [mask], data.train, [data.shards[0]], config, [local_rng(0, 1, 0)])
     assert len(out) == 1 and out[0].shape == (layout.total,)
     assert np.array_equal(out[0], apply_mask(params, mask))
 
@@ -376,7 +402,7 @@ def test_local_update_single_full_batch_step_oracle():
     params = init_params(layout, 4)
     shard = data.train.subset(data.shards[0])
     mask = Mask(np.ones(layout.total))
-    got, _ = local_update(params, [mask], [shard], config, [local_rng(4, 1, 0)])
+    got, _ = trained_rows(params, [mask], data.train, [data.shards[0]], config, [local_rng(4, 1, 0)])
     # one full-batch step over the same seed-shuffled epoch order
     order = local_rng(4, 1, 0).permutation(len(shard))
     _, grad = loss_and_grad(params, shard.inputs[order], shard.labels[order])
@@ -393,7 +419,7 @@ def test_local_update_matches_reference_with_momentum_bitwise():
     (mask,) = codename_masks("2", "WP", params)
     shard = data.train.subset(data.shards[2])
     assert len(shard) % config.local_batch != 0
-    (got,), _ = local_update(params, [mask], [shard], config, [local_rng(6, 1, 0)])
+    (got,), _ = trained_rows(params, [mask], data.train, [data.shards[2]], config, [local_rng(6, 1, 0)])
     want = reference_local_update(params, mask.bits, shard, config, local_rng(6, 1, 0))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert not np.array_equal(got, apply_mask(params, mask))
@@ -406,8 +432,7 @@ def test_local_update_preserves_masked_zeros():
     layout = model_layout(config, data)
     params = init_params(layout, 5)
     (mask,) = codename_masks("5", "WP", params)
-    shard = data.train.subset(data.shards[3])
-    (out,), _ = local_update(params, [mask], [shard], config, [local_rng(5, 1, 0)])
+    (out,), _ = trained_rows(params, [mask], data.train, [data.shards[3]], config, [local_rng(5, 1, 0)])
     off = mask.bits == 0
     assert (out[off] == 0.0).all()
     assert np.isfinite(out).all()
@@ -419,17 +444,19 @@ def test_local_update_rejects_empty_shard():
     layout = model_layout(config, data)
     params = init_params(layout, 0)
     full = Mask(np.ones(layout.total))
+    empty = np.array([], dtype=np.int64)
     with pytest.raises(ValueError, match="empty"):
-        local_update(params, [full], [data.train.subset([])], config, [local_rng(0, 1, 0)])
+        local_update(params, [full], data.train, [empty], config, [local_rng(0, 1, 0)], lambda k, row: None)
     # one empty shard among non-empty ones is rejected too
     with pytest.raises(ValueError, match="empty"):
         local_update(
-            params, [full, full], [data.train.subset(data.shards[0]), data.train.subset([])],
-            config, [local_rng(0, 1, 0), local_rng(0, 1, 1)],
+            params, [full, full], data.train, [data.shards[0], empty],
+            config, [local_rng(0, 1, 0), local_rng(0, 1, 1)], lambda k, row: None,
         )
     with pytest.raises(ValueError, match="one mask, shard and rng per slot"):
         local_update(
-            params, [full], [data.train.subset(data.shards[0])] * 2, config, [local_rng(0, 1, 0)]
+            params, [full], data.train, [data.shards[0]] * 2, config, [local_rng(0, 1, 0)],
+            lambda k, row: None,
         )
 
 
@@ -455,7 +482,7 @@ LOCKSTEP_ROUNDS = {
 
 
 def lockstep_round(case):
-    """(config, global params, masks, shards, fresh-rngs factory) for round 1 of a case."""
+    """(config, global params, masks, train set, shards, fresh-rngs factory) for round 1 of a case."""
     spec = dict(LOCKSTEP_ROUNDS[case])
     families = spec.pop("families")
     config = desk_config(local_epochs=3, momentum=0.5, **spec)
@@ -466,35 +493,49 @@ def lockstep_round(case):
     for family, digits in families:
         masks += codename_masks(digits, family, state.params)
     participants = sample_participants(state, config)
-    shards = [data.train.subset(data.shards[client]) for client in participants]
+    shards = [data.shards[client] for client in participants]
 
     def rngs():
         return [local_rng(config.seed, 1, k) for k in range(len(participants))]
 
-    return config, state.params, masks, shards, rngs
+    return config, state.params, masks, data.train, shards, rngs
+
+
+def chunk_order_is_not_slot_order(shards):
+    """Whether some slot's shard length first appears after a later slot's: a chunk then
+    finishes before an earlier slot's chunk, and its rows wait their turn."""
+    lengths = [len(shard) for shard in shards]
+    first = {n: lengths.index(n) for n in lengths}
+    return sorted(range(len(lengths)), key=lambda k: first[lengths[k]]) != list(range(len(lengths)))
 
 
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
 def test_lockstep_matches_reference_local_update_bitwise(case):
-    config, params, masks, shards, rngs = lockstep_round(case)
+    config, params, masks, train, shards, rngs = lockstep_round(case)
     lengths = [len(shard) for shard in shards]
     assert all(n % config.local_batch for n in lengths)
-    if case.startswith("skew"):
-        assert len(set(lengths)) > 1
+    assert chunk_order_is_not_slot_order(shards) == case.startswith("skew")
     assert max(lengths.count(n) for n in lengths) > 1  # some slots do train together
     theta = params.values.copy()
-    got, _ = local_update(params, masks, shards, config, rngs())
-    assert np.shape(got) == (len(masks), params.layout.total)
+    local_sum = np.zeros(params.layout.total)  # added as `run_round` adds
+
+    def add(k, row):
+        np.add(local_sum, row, out=local_sum)
+
+    got, _ = trained_rows(params, masks, train, shards, config, rngs(), add)
+    want_sum = np.zeros(params.layout.total)
     for k, (mask, shard, rng) in enumerate(zip(masks, shards, rngs())):
-        want = reference_local_update(params, mask.bits, shard, config, rng)
+        want = reference_local_update(params, mask.bits, train.subset(shard), config, rng)
         assert np.array_equal(got[k].view(np.int64), want.view(np.int64)), f"slot {k}"
+        want_sum += want
+    assert np.array_equal(local_sum.view(np.int64), want_sum.view(np.int64))
     assert np.array_equal(params.values.view(np.int64), theta.view(np.int64))
 
 
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
 def test_lockstep_results_independent_of_chunk_size(monkeypatch, case):
-    config, params, masks, shards, rngs = lockstep_round(case)
-    want = np.stack(local_update(params, masks, shards, config, rngs())[0])
+    config, params, masks, train, shards, rngs = lockstep_round(case)
+    want = np.stack(trained_rows(params, masks, train, shards, config, rngs())[0])
     lengths = [len(shard) for shard in shards]
     largest_group = max(lengths.count(n) for n in lengths)
     stack_sizes = []
@@ -508,7 +549,7 @@ def test_lockstep_results_independent_of_chunk_size(monkeypatch, case):
     for g in range(1, len(masks) + 1):
         monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * params.layout.total * g)
         stack_sizes.clear()
-        got = np.stack(local_update(params, masks, shards, config, rngs())[0])
+        got = np.stack(trained_rows(params, masks, train, shards, config, rngs())[0])
         assert max(stack_sizes) == min(g, largest_group), f"g = {g}"
         assert sum(stack_sizes) == config.local_epochs * sum(-(-n // config.local_batch) for n in lengths)
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"g = {g}"
@@ -516,7 +557,7 @@ def test_lockstep_results_independent_of_chunk_size(monkeypatch, case):
 
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
 def test_each_chunk_calls_the_kernel_once_per_step_and_sets_up_its_views_once(monkeypatch, case):
-    config, params, masks, shards, rngs = lockstep_round(case)
+    config, params, masks, train, shards, rngs = lockstep_round(case)
     chunks = {}  # id of a chunk's rows -> its record, which keeps the rows alive: no id is reused
     views = []
     loss_and_grad_ = fedprune.federation.loss_and_grad
@@ -542,7 +583,7 @@ def test_each_chunk_calls_the_kernel_once_per_step_and_sets_up_its_views_once(mo
     monkeypatch.setattr(fedprune.federation, "loss_and_grad", recorded_grad)
     monkeypatch.setattr(fedprune.federation, "masked_sgd_step", recorded_step)
     monkeypatch.setattr(LayerLayout, "unpack", recorded_unpack)
-    local_update(params, masks, shards, config, rngs())
+    trained_rows(params, masks, train, shards, config, rngs())
     assert sum(len(chunk["rows"].values) for chunk in chunks.values()) == len(masks)
     for chunk in chunks.values():
         n = chunk["batch_rows"] // config.local_epochs  # the chunk's shard length
@@ -556,8 +597,8 @@ def test_each_chunk_calls_the_kernel_once_per_step_and_sets_up_its_views_once(mo
 
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
 def test_lockstep_keeps_masked_coordinates_at_positive_zero(case):
-    config, params, masks, shards, rngs = lockstep_round(case)
-    got, _ = local_update(params, masks, shards, config, rngs())
+    config, params, masks, train, shards, rngs = lockstep_round(case)
+    got, _ = trained_rows(params, masks, train, shards, config, rngs())
     assert any((mask.bits == 0).any() for mask in masks)
     for k, mask in enumerate(masks):
         off = mask.bits == 0
@@ -569,29 +610,58 @@ def test_lockstep_keeps_masked_coordinates_at_positive_zero(case):
 @pytest.mark.parametrize("lanes", [1, 2, 3])
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_ROUNDS))
 def test_local_update_is_independent_of_lanes_and_chunk_size(use_lanes, monkeypatch, case, lanes):
-    config, params, masks, shards, rngs = lockstep_round(case)
+    config, params, masks, train, shards, rngs = lockstep_round(case)
     use_lanes(1)
-    want = np.stack(local_update(params, masks, shards, config, rngs())[0])
+    want = np.stack(trained_rows(params, masks, train, shards, config, rngs())[0])
     use_lanes(lanes)
     for g in range(1, len(masks) + 1):
         monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * params.layout.total * g)
-        got = np.stack(local_update(params, masks, shards, config, rngs())[0])
+        got = np.stack(trained_rows(params, masks, train, shards, config, rngs())[0])
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"g = {g}"
 
 
 def test_an_error_in_a_helper_lane_reaches_the_caller(use_lanes, monkeypatch):
-    config, params, masks, shards, rngs = lockstep_round("iid-equal-shards")
-    want = np.stack(local_update(params, masks, shards, config, rngs())[0])
+    config, params, masks, train, shards, rngs = lockstep_round("iid-equal-shards")
+    want = np.stack(trained_rows(params, masks, train, shards, config, rngs())[0])
     use_lanes(2)
     monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * params.layout.total)
-    bad = shards[1]  # chunk 1 of one slot each: lane 1 trains it
-    labels = bad.labels.copy()
-    labels[-1] = bad.num_classes  # no output unit for this label
-    broken = [*shards[:1], Dataset(bad.inputs, labels, bad.num_classes + 1), *shards[2:]]
+    labels = train.labels.copy()
+    labels[shards[1][-1]] = train.num_classes  # no output unit for this label
+    broken = Dataset(train.inputs, labels, train.num_classes + 1)  # chunk 1, one slot: lane 1 trains it
     with pytest.raises(ValueError, match="label out of range"):
-        local_update(params, masks, broken, config, rngs())
-    got = np.stack(local_update(params, masks, shards, config, rngs())[0])
+        local_update(params, masks, broken, shards, config, rngs(), lambda k, row: None)
+    got = np.stack(trained_rows(params, masks, train, shards, config, rngs())[0])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_local_update_peak_memory_holds_no_matrix_of_slots_or_shard_copies():
+    # 784-100-10 (79,510 parameters): each chunk is one slot, and the round's
+    # ten shards of 100 rows would take 6.3 MB as copies
+    config = desk_config(
+        codename="1111223344", num_clients=10, participation_ratio=1.0, local_epochs=1,
+        hidden_layers=(100,), dataset=SynthSpec(10, 100, 784, 0.3, 1),
+    )
+    data = build_federated_data(config)
+    layout = model_layout(config, data)
+    n_slots = config.slots_per_round
+    assert layout.total >= 10**4 and 8 * layout.total > fedprune.federation._LOCKSTEP_BYTES // 2
+    state = init_state(config, layout)
+    masks = codename_masks(config.codename, config.family, state.params)
+    shards = [data.shards[client] for client in sample_participants(state, config)]
+    rngs = [local_rng(config.seed, 1, k) for k in range(n_slots)]
+    local_sum = np.zeros(layout.total)
+
+    def add(k, row):
+        np.add(local_sum, row, out=local_sum)
+
+    tracemalloc.start()
+    try:
+        local_update(state.params, masks, data.train, shards, config, rngs, add)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one_matrix = n_slots * layout.total * 8  # an (S, total) float64 matrix
+    assert peak < one_matrix // 2, f"traced peak {peak} bytes"
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +698,12 @@ def test_round_results_independent_of_slot_execution_order():
         (mask,), _ = reference_masks(config.codename[k], config.family, None, state.params, 1, {})
         slot_masks[k] = mask
         # each slot trains alone, so no lockstep group spans two slots
-        (alone,), _ = local_update(
-            state.params, [mask], [data.train.subset(data.shards[participants[k]])],
+        (alone,), _ = trained_rows(
+            state.params, [mask], data.train, [data.shards[participants[k]]],
             config, [local_rng(state.seed, 1, k)],
         )
         slot_models[k] = alone
-    redone = aggregate(state.params, slot_models, slot_counts(slot_masks))
+    redone = aggregate(state.params, slot_sum(slot_models), slot_counts(slot_masks))
     assert np.array_equal(redone.values, new_state.params.values)
 
 
@@ -686,21 +756,26 @@ def test_run_matches_the_straight_line_reference_run(use_lanes, case, lanes):
 )
 def test_aggregate_is_fed_what_local_update_returns(monkeypatch, overrides):
     # the precondition of `aggregate` (local models +0.0 off their masks),
-    # checked on the rows real rounds hand it, with the masks they trained under
-    slot_bits = []
+    # checked on the rows real rounds train, with the masks they trained
+    # under; the sum `aggregate` gets is their slot-ordered sum, bit for bit
+    trained = []
     aggregated = []
+    waited = []
 
-    def spy_local_update(global_params, masks, *rest):
-        slot_bits.append(np.stack([m.bits for m in masks]))
-        return local_update(global_params, masks, *rest)
+    def spy_local_update(global_params, masks, train, shards, config, rngs, take):
+        rows, correct = trained_rows(global_params, masks, train, shards, config, rngs, take)
+        trained.append((np.stack([m.bits for m in masks]), rows))
+        waited.append(chunk_order_is_not_slot_order(shards))
+        return correct
 
-    def spy_aggregate(previous_global, local, counts):
-        bits = slot_bits[-1]
+    def spy_aggregate(previous_global, local_sum, counts):
+        bits, rows = trained[-1]
         assert np.array_equal(counts, bits.sum(axis=0))
         assert counts.min() == codename_coverage(config.codename)[1]  # gamma_min
-        assert (np.stack(local)[bits == 0].view(np.int64) == 0).all()
-        got = aggregate(previous_global, local, counts)
-        want = brute_force_aggregate(previous_global.values, local, bits)
+        assert (np.stack(rows)[bits == 0].view(np.int64) == 0).all()
+        assert np.array_equal(local_sum.view(np.int64), slot_sum(rows).view(np.int64))
+        got = aggregate(previous_global, local_sum, counts)
+        want = brute_force_aggregate(previous_global.values, rows, bits)
         assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
         aggregated.append(bits)
         return got
@@ -712,6 +787,7 @@ def test_aggregate_is_fed_what_local_update_returns(monkeypatch, overrides):
         warnings.simplefilter("ignore")  # the uncovered codename warns once
         run(config, build_federated_data(config))
     assert len(aggregated) == config.rounds
+    assert any(waited) == ("num_clients" in overrides)  # rows waited their turn
     uncovered = any((bits.sum(axis=0) == 0).any() for bits in aggregated)
     assert uncovered == ("codename" in overrides)
     if config.freeze_after_round is not None:  # rounds 2 and 3 train under round 2's masks
@@ -725,12 +801,12 @@ def test_round_names_the_slot_and_client_of_a_non_finite_local_model(use_lanes):
     state = init_state(config, layout)
     participants = sample_participants(state, config)
     masks = codename_masks(config.codename, config.family, state.params)
-    shards = [data.train.subset(data.shards[client]) for client in participants]
+    shards = [data.shards[client] for client in participants]
     for lanes in (1, 2):
         use_lanes(lanes)
         with np.errstate(all="ignore"):
-            local, _ = local_update(
-                state.params, masks, shards, config,
+            local, _ = trained_rows(
+                state.params, masks, data.train, shards, config,
                 [local_rng(state.seed, 1, k) for k in range(len(participants))],
             )
             finite = np.isfinite(local).all(axis=1)
@@ -742,6 +818,31 @@ def test_round_names_the_slot_and_client_of_a_non_finite_local_model(use_lanes):
             )
             with pytest.raises(FloatingPointError, match=re.escape(message)):
                 run_round(state, config, data, codename_facts(config, layout))
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_a_non_finite_slot_is_named_when_a_later_slots_chunk_commits_first(use_lanes, lanes):
+    # shards of 33 and 34 rows: slot 0's length group trains first, so a
+    # later slot of that group commits before an earlier slot of the other
+    use_lanes(lanes)
+    config = desk_config(num_clients=30, participation_ratio=0.34, rounds=1)
+    data = build_federated_data(config)
+    layout = model_layout(config, data)
+    state = init_state(config, layout)
+    participants = sample_participants(state, config)
+    lengths = [len(data.shards[client]) for client in participants]
+    late = next(k for k, n in enumerate(lengths) if n != lengths[0])  # in a later chunk
+    early = next(k for k in range(late + 1, len(lengths)) if lengths[k] == lengths[0])
+    inputs = data.train.inputs.copy()
+    for k in (late, early):  # both train to non-finite models; `early`'s chunk commits first
+        inputs[data.shards[participants[k]]] = 1e300
+    poisoned = replace(data, train=Dataset(inputs, data.train.labels, data.train.num_classes))
+    message = (
+        f"round 1: non-finite local model after local training in slot {late} "
+        f"(client {participants[late]})"
+    )
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=re.escape(message)):
+        run_round(state, config, poisoned, codename_facts(config, layout))
 
 
 @pytest.mark.parametrize(
@@ -906,12 +1007,12 @@ def test_local_accuracy_equals_a_per_slot_evaluate_sum_bitwise(use_lanes, monkey
     data = build_federated_data(config)
     layout = model_layout(config, data)
     trained, slice_rows = [], []
-    local_update_, forward_ = fedprune.federation.local_update, fedprune.federation.forward
+    forward_ = fedprune.federation.forward
 
-    def recorded_local_update(params, masks, shards, *rest):
-        rows, correct = local_update_(params, masks, shards, *rest)
-        trained.append((rows, shards, correct))
-        return rows, correct
+    def recorded_local_update(params, masks, train, shards, *rest):
+        rows, correct = trained_rows(params, masks, train, shards, *rest)
+        trained.append((rows, [train.subset(shard) for shard in shards], correct))
+        return correct
 
     def recorded_forward(params, inputs):
         slice_rows.append(inputs.shape[-2])

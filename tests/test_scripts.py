@@ -52,6 +52,13 @@ def test_ab_rounds_times_both_trees_in_alternating_processes(tmp_path):
     proc = run_script("ab_rounds.py", src, src, "--workload", "small_np", "--pairs", "2", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["pair 0", "pair 1", "parent", "change", lines[-1]]
-    assert re.fullmatch(r"change faster in [0-2]/2 pairs", lines[-1])
+    assert [line.split(":")[0] for line in lines[:6]] == [
+        "pair 0", "pair 1", "parent", "change", "parent VmHWM", "change VmHWM"
+    ]
     assert all(" MB, ratio " in line for line in lines[:2])
+    assert all(re.fullmatch(r"\w+: median [\d.]+ ms \(Q1 [\d.]+, Q3 [\d.]+\)", line) for line in lines[2:4])
+    for line in lines[4:6]:
+        assert re.fullmatch(r"\w+ VmHWM: median [\d.]+ MB \(Q1 [\d.]+, Q3 [\d.]+\)", line)
+    assert re.fullmatch(r"change faster in [0-2]/2 pairs", lines[6])
+    assert re.fullmatch(r"change lower in [0-2]/2 pairs", lines[7])
+    assert len(lines) == 8
