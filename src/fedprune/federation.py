@@ -447,11 +447,10 @@ def local_update(
 
     def commit(c: int, lane: int) -> None:
         nonlocal next_slot
-        for k, row in zip(chunks[c], local[lane]):
-            waiting[k] = row
-            while next_slot in waiting:
-                take(next_slot, waiting.pop(next_slot))
-                next_slot += 1
+        waiting.update(zip(chunks[c], local[lane]))
+        while next_slot in waiting:
+            take(next_slot, waiting.pop(next_slot))
+            next_slot += 1
         for k in chunks[c]:
             if k in waiting:  # the lane reuses its rows for its next chunk
                 waiting[k] = waiting[k].copy()
