@@ -4,9 +4,10 @@ Each round q (1-based):
   1. sample floor(c*N) participants; slot k follows codename digit k
   2. rank the current global model once, as one segment label per unit;
      `pruning.segment_fill` writes from it one mask per distinct codename
-     digit, and the round's coverage counts. Slot k prunes with its digit's
-     mask and runs T local epochs of masked SGD; slots with equally long
-     shards train in lockstep, as rows of one (g, total) matrix
+     digit (a read-only 0/1 vector), and the round's coverage counts. Slot k
+     prunes with its digit's mask and runs T local epochs of masked SGD;
+     slots with equally long shards train in lockstep, as rows of one
+     (g, total) matrix
   3. set every parameter to the mean of its value over exactly the slots
      whose masks cover it: the round holds only the sum of the slots' local
      models, each +0.0 off its mask and added as it finishes, in slot order
@@ -51,8 +52,8 @@ from . import lanes, pruning
 from .data import Dataset, PartitionSpec, load_idx, partition, stratified_subset, synth_blobs
 from .metrics import (AmortizedAccount, RoundMetrics, account, full_account, theory_learning_rate,
                       weighted_accuracy)
-from .nn import LayerLayout, OptimizerState, ParamVector, evaluate, forward, init_params, loss_and_grad, masked_sgd_step
-from .pruning import (Mask, apply_mask, check_layout, codename_coverage, parse_codename, pruning_noise,
+from .nn import LayerLayout, ParamVector, evaluate, forward, init_params, loss_and_grad, masked_sgd_step
+from .pruning import (apply_mask, check_layout, codename_coverage, parse_codename, pruning_noise,
                       round_masks, segment_fill)
 from .tables import computed_row
 
@@ -366,7 +367,7 @@ def sample_participants(state: GlobalState, config: FederationConfig) -> list[in
 
 def local_update(
     global_params: ParamVector,
-    masks: list[Mask],
+    masks: list[np.ndarray],
     train: Dataset,
     shards: list[np.ndarray],
     config: FederationConfig,
@@ -375,16 +376,18 @@ def local_update(
 ) -> np.ndarray:
     """T epochs of masked minibatch SGD for every slot, from the pruned global model.
 
-    Slot k trains on the rows `shards[k]` of `train`. Each finished local
-    model goes to `take(k, row)`, once per slot, in ascending slot order;
-    `row` is a buffer the next chunk reuses, so `take` must not keep it.
-    Returns an (S,) int64 array of how many examples of its own shard each
-    model classifies correctly. Slots whose shards have the same length
-    share one batch schedule, short last batch included, and train in
-    lockstep: up to `max(1, _LOCKSTEP_BYTES // (8 * total))` of them at a
-    time, as the rows of one stacked forward/backward pass and SGD step.
-    Slot k draws one permutation of its shard per epoch from `rngs[k]`, so
-    its row has the bits it would have if slot k trained alone.
+    Slot k prunes with `masks[k]`, a 0/1 vector of shape (total,) that
+    training only reads, and trains on the rows `shards[k]` of `train`.
+    Each finished local model goes to `take(k, row)`, once per slot, in
+    ascending slot order; `row` is a buffer the next chunk reuses, so
+    `take` must not keep it. Returns an (S,) int64 array of how many
+    examples of its own shard each model classifies correctly. Slots whose
+    shards have the same length share one batch schedule, short last batch
+    included, and train in lockstep: up to `max(1, _LOCKSTEP_BYTES // (8 *
+    total))` of them at a time, as the rows of one stacked forward/backward
+    pass and SGD step. Slot k draws one permutation of its shard per epoch
+    from `rngs[k]`, so its row has the bits it would have if slot k trained
+    alone.
 
     The chunks run on the lanes: lane j trains chunks j, j + L, ... in place
     in its own rows of a (lanes, chunk width, total) buffer, with momentum,
@@ -392,11 +395,13 @@ def local_update(
     call; each chunk's momentum starts at 0. A chunk builds its gradient
     vector once and gathers its permuted rows straight from `train` once per
     epoch, so a step is one `loss_and_grad` and one `masked_sgd_step` call on
-    views. It then counts the chunk's correct predictions in slices of
-    `config.test_batch` rows, as `evaluate` would for each slot alone. The
-    ordered commit hands the chunk's rows to `take`. Chunks group slots by
-    shard length, so with unequal lengths a chunk can finish before an
-    earlier slot's chunk: its rows then wait, as copies, for their turn.
+    views: the chunk's rows, gradient, mask bits and momentum rows, with
+    `config.momentum` and the effective learning rate. It then counts the
+    chunk's correct predictions in slices of `config.test_batch` rows, as
+    `evaluate` would for each slot alone. The ordered commit hands the
+    chunk's rows to `take`. Chunks group slots by shard length, so with
+    unequal lengths a chunk can finish before an earlier slot's chunk: its
+    rows then wait, as copies, for their turn.
     """
     if not len(masks) == len(shards) == len(rngs):
         raise ValueError("one mask, shard and rng per slot required")
@@ -427,10 +432,11 @@ def local_update(
             apply_mask(global_params, masks[k], out=row)
         idx = np.stack([shards[k] for k in chunk])
         n = idx.shape[1]  # one shard length: every step has one batch size for all rows
-        chunk_bits = np.stack([masks[k].bits for k in chunk], out=bits[lane, :g])
+        chunk_bits = np.stack([masks[k] for k in chunk], out=bits[lane, :g])
         chunk_grad = ParamVector(grad[lane, :g], layout)
-        momentum[lane, :g] = 0.0
-        opt = OptimizerState(momentum[lane, :g], config.momentum, config.effective_learning_rate)
+        chunk_momentum = momentum[lane, :g]
+        chunk_momentum[...] = 0.0
+        coef, lr = config.momentum, config.effective_learning_rate
         at = np.arange(g)[:, None]
         for _ in range(config.local_epochs):
             order = idx[at, np.stack([rngs[k].permutation(n) for k in chunk])]
@@ -438,7 +444,7 @@ def local_update(
             for start in range(0, n, config.local_batch):
                 stop = start + config.local_batch
                 loss_and_grad(rows, xs[:, start:stop], ys[:, start:stop], out=chunk_grad)
-                masked_sgd_step(rows, chunk_grad.values, chunk_bits, opt)
+                masked_sgd_step(rows, chunk_grad.values, chunk_bits, chunk_momentum, coef, lr)
         del xs, ys  # the accuracy count gathers its own slices
         for start in range(0, n, config.test_batch):
             part = idx[:, start : start + config.test_batch]
@@ -478,7 +484,7 @@ def run_round(
         units = pruning.segment_index_sets(state.params, family)
     freeze = config.freeze_after_round
     frozen = units if freeze is not None and q >= freeze else None
-    masks = round_masks(codename, family, state.params, units)
+    masks = round_masks(codename, family, layout, units)
     n_slots = len(participants)
     counts = segment_fill(layout, family, units, facts.segment_coverage,
                           np.full(layout.total, n_slots, dtype=np.min_scalar_type(n_slots)))

@@ -17,7 +17,8 @@ as the unstacked product, so a row of a stacked step gets exactly the
 bits it would get alone.
 
 The optimizer step works in place: `masked_sgd_step` overwrites the
-parameter values, the momentum buffer and the gradient it is given.
+parameter values, the momentum buffer and the gradient it is given; it
+takes the buffer and its two coefficients as plain arguments.
 A `ParamVector` makes its per-layer views once, when it is built
 (`layers`); the layer loop adds each bias and applies ReLU in place.
 `loss_and_grad` writes through the `layers` of an `out=` `ParamVector`, so
@@ -125,22 +126,6 @@ class ParamVector:
             )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "layers", self.layout.unpack(values))
-
-
-@dataclass
-class OptimizerState:
-    """SGD-with-momentum state over the flat vector."""
-
-    momentum_buffer: np.ndarray
-    momentum_coef: float = 0.0
-    learning_rate: float = 0.01
-
-    def __post_init__(self):
-        self.momentum_buffer = np.asarray(self.momentum_buffer, dtype=np.float64)
-        if not 0.0 <= self.momentum_coef < 1.0:
-            raise ValueError("momentum_coef must be in [0, 1)")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be non-negative")
 
 
 def init_params(layout: LayerLayout, seed: int) -> ParamVector:
@@ -269,26 +254,28 @@ def loss_and_grad(
 
 
 def masked_sgd_step(
-    params: ParamVector, grad: np.ndarray, bits: np.ndarray, opt: OptimizerState
+    params: ParamVector, grad: np.ndarray, bits: np.ndarray, momentum: np.ndarray, coef: float, lr: float
 ) -> None:
     """One SGD-with-momentum step on the coordinates where `bits` is 1, in place.
 
-    `params.values`, `grad`, `bits` (a mask's 0/1 bits) and
-    `opt.momentum_buffer` share one shape: (total,), or (g, total) for a
-    stack of g vectors stepped together. The values and the momentum buffer
-    are updated in place; `grad` is consumed as scratch space.
+    `params.values`, `grad`, `bits` (a mask's 0/1 bits) and the float64
+    `momentum` buffer share one shape: (total,), or (g, total) for a stack
+    of g vectors stepped together. The values and the momentum buffer are
+    updated in place; `grad` is consumed as scratch space. `coef` is the
+    momentum coefficient and `lr` the learning rate, which the caller has
+    checked (`FederationConfig` does).
 
     The gradient is masked before entering the momentum buffer, so
     coordinates that start at exactly zero stay exactly zero. The order is
     g = grad*bits, buf = coef*buf + g, values -= lr*buf.
     """
-    values, buf = params.values, opt.momentum_buffer
-    if not (grad.shape == np.shape(bits) == buf.shape == values.shape):
+    values = params.values
+    if not (grad.shape == np.shape(bits) == momentum.shape == values.shape):
         raise ValueError("params, grad, mask and momentum buffer shapes differ")
     np.multiply(grad, bits, out=grad)
-    buf *= opt.momentum_coef
-    buf += grad
-    np.multiply(opt.learning_rate, buf, out=grad)
+    momentum *= coef
+    momentum += grad
+    np.multiply(lr, momentum, out=grad)
     values -= grad
 
 

@@ -20,15 +20,16 @@ needs; the run config, the ranking and the accounting all apply it.
 
 Codename digits 1-7 pick the kept segments per participation slot, and the
 family is one for the whole run, so a round has one mask per distinct digit:
-`round_masks` ranks the global model once (or takes a given ranking) and
-returns them keyed by digit. The run-level freeze round lives in the round
-engine, which freezes the ranking.
+`round_masks` writes them from the round's one ranking and returns them
+keyed by digit. A mask is a plain read-only uint8 0/1 vector over the
+parameters (1 = trainable), which `apply_mask` and `pruning_noise` take as
+it is. The run-level freeze round lives in the round engine, which freezes
+the ranking.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,23 +48,6 @@ DIGIT_SEGMENTS: dict[str, frozenset[int]] = {
     "6": frozenset({1, 3}),
     "7": frozenset({1, 4}),
 }
-
-
-@dataclass(frozen=True)
-class Mask:
-    """Binary vector over parameter indices; 1 = trainable, 0 = pruned."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.ascontiguousarray(np.asarray(self.bits, dtype=np.uint8))
-        if bits.ndim != 1 or bits.max(initial=0) > 1:
-            raise ValueError("mask bits must be a 1-D 0/1 vector")
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -170,53 +154,51 @@ def segment_fill(
     return out
 
 
-def round_masks(
-    codename: str, family: str, params: ParamVector, units: np.ndarray | None = None
-) -> dict[str, Mask]:
+def round_masks(codename: str, family: str, layout: LayerLayout, units: np.ndarray) -> dict[str, np.ndarray]:
     """One mask per distinct codename digit, keyed by digit, in first-use order.
 
-    All slots prune the same global model under one family, so the ranking
-    (`units`, else `segment_index_sets` of `params`) serves every slot and
-    slot k's mask is `masks[codename[k]]`.
+    All slots prune the same global model under one family, so one ranking
+    (`units`, one segment label per unit) serves every slot, and slot k's
+    mask is `masks[codename[k]]`: a read-only uint8 0/1 vector of shape
+    (total,), 1 = trainable. Several slots read one mask, so none may
+    write into it.
     """
-    if units is None:
-        units = segment_index_sets(params, family)
-    layout = params.layout
-    return {
-        d: Mask(segment_fill(layout, family, units, [int(s in DIGIT_SEGMENTS[d]) for s in (1, 2, 3, 4)],
-                             np.ones(layout.total, dtype=np.uint8)))
-        for d in dict.fromkeys(codename)
-    }
+    masks = {}
+    for d in dict.fromkeys(codename):
+        kept = [int(s in DIGIT_SEGMENTS[d]) for s in (1, 2, 3, 4)]
+        masks[d] = segment_fill(layout, family, units, kept, np.ones(layout.total, dtype=np.uint8))
+        masks[d].flags.writeable = False
+    return masks
 
 
-def apply_mask(params: ParamVector, mask: Mask, out: np.ndarray | None = None) -> np.ndarray:
-    """Element-wise product; for finite values pruned coordinates become exactly +0.0.
+def apply_mask(params: ParamVector, bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Element-wise product with a 0/1 mask; for finite values pruned coordinates become exactly +0.0.
 
-    Returns the masked values, written into `out` (shape (total,)) when one
-    is given, else into a new array. Adding +0.0 after the product turns the
-    -0.0 of a pruned negative value (and a kept -0.0) into +0.0 and leaves
-    every other value as it is.
+    `bits` has shape (total,). Returns the masked values, written into `out`
+    (shape (total,)) when one is given, else into a new array. Adding +0.0
+    after the product turns the -0.0 of a pruned negative value (and a kept
+    -0.0) into +0.0 and leaves every other value as it is.
     """
-    if len(mask) != params.layout.total:
+    if np.shape(bits) != (params.layout.total,):
         raise ValueError("mask length does not match parameter vector")
-    out = np.multiply(params.values, mask.bits, out=out)
+    out = np.multiply(params.values, bits, out=out)
     out += 0.0
     return out
 
 
-def pruning_noise(params: ParamVector, masks: list[Mask]) -> tuple[float, ...]:
-    """Relative energy each mask discards: ||t - t*m||^2 / ||t||^2, in [0, 1].
+def pruning_noise(params: ParamVector, masks: list[np.ndarray]) -> tuple[float, ...]:
+    """Relative energy each 0/1 mask discards: ||t - t*m||^2 / ||t||^2, in [0, 1].
 
     ||t||^2 is computed once for all masks; the round engine passes each
     distinct mask once.
     """
-    if any(len(mask) != params.layout.total for mask in masks):
+    if any(np.shape(bits) != (params.layout.total,) for bits in masks):
         raise ValueError("mask length does not match parameter vector")
     total = float(params.values @ params.values)
     if total == 0.0:
         warnings.warn("pruning_noise of a zero-norm parameter vector is defined as 0")
         return tuple(0.0 for _ in masks)
-    dropped = (params.values[mask.bits == 0] for mask in masks)
+    dropped = (params.values[bits == 0] for bits in masks)
     return tuple(float(d @ d) / total for d in dropped)
 
 

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .federation import aggregate
-from .nn import LayerLayout, OptimizerState, ParamVector, loss_and_grad, masked_sgd_step
-from .pruning import (DIGIT_SEGMENTS, FAMILIES, Mask, apply_mask, codename_coverage, segment_fill,
-                      segment_sizes)
+from .nn import LayerLayout, ParamVector, loss_and_grad, masked_sgd_step
+from .pruning import DIGIT_SEGMENTS, FAMILIES, apply_mask, codename_coverage, segment_fill, segment_sizes
 
 
 @dataclass(frozen=True)
@@ -115,11 +114,7 @@ def aggregation_check(rng: np.random.Generator, runs: int = 200) -> CheckResult:
         bits = rng.integers(0, 2, (n_slots, n_params), dtype=np.uint8)
         layout = LayerLayout((n_params - 1, 1))  # (n-1) weights + 1 bias: only the length matters
         prev = rng.normal(0.0, 1.0, n_params)
-        masks = [Mask(bits[s]) for s in range(n_slots)]
-        locals_ = [
-            apply_mask(ParamVector(rng.normal(0.0, 1.0, n_params), layout), mask)
-            for mask in masks
-        ]
+        locals_ = [apply_mask(ParamVector(rng.normal(0.0, 1.0, n_params), layout), row) for row in bits]
         local_sum = np.zeros(n_params)
         for row in locals_:
             np.add(local_sum, row, out=local_sum)
@@ -138,16 +133,16 @@ def mask_closure_check(rng: np.random.Generator, runs: int = 50) -> CheckResult:
     for _ in range(runs):
         sizes = (int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(2, 4)))
         layout = LayerLayout(sizes)
-        mask = Mask(rng.integers(0, 2, layout.total, dtype=np.uint8))
-        values = apply_mask(ParamVector(rng.normal(0.0, 1.0, layout.total), layout), mask)
+        bits = rng.integers(0, 2, layout.total, dtype=np.uint8)
+        values = apply_mask(ParamVector(rng.normal(0.0, 1.0, layout.total), layout), bits)
         params = ParamVector(values, layout)
-        opt = OptimizerState(np.zeros(layout.total), 0.5, 0.1)
+        momentum = np.zeros(layout.total)
         inputs, labels = rng.normal(0.0, 1.0, (4, sizes[0])), rng.integers(0, sizes[-1], 4)
         for _ in range(10):
             _, grad = loss_and_grad(params, inputs, labels)
-            masked_sgd_step(params, grad, mask.bits, opt)
-            off = mask.bits == 0
-            if params.values[off].any() or opt.momentum_buffer[off].any():
+            masked_sgd_step(params, grad, bits, momentum, 0.5, 0.1)
+            off = bits == 0
+            if params.values[off].any() or momentum[off].any():
                 return CheckResult("mask_closure", False, "pruned coordinate moved off zero")
     return CheckResult("mask_closure", True, f"{runs} random trajectories, 10 steps each")
 

@@ -5,7 +5,7 @@ import numpy as np
 from fedprune.federation import local_rng, model_layout, sample_rng
 from fedprune.metrics import RoundMetrics, account, amortized, full_account
 from fedprune.nn import ParamVector, init_params, loss_and_grad
-from fedprune.pruning import DIGIT_SEGMENTS, Mask, codename_coverage, parse_codename
+from fedprune.pruning import DIGIT_SEGMENTS, codename_coverage, parse_codename
 
 
 def reference_fedavg_rounds(config, data, rounds):
@@ -177,10 +177,9 @@ def reference_masks(codename, family, freeze, params, round_no, frozen):
         bits[maskable] = 0
         for s in DIGIT_SEGMENTS[digit]:
             bits[segments[s - 1]] = 1
-        mask = Mask(bits)
         if freeze is not None and round_no >= freeze and k not in frozen:
-            frozen[k] = mask
-        masks.append(mask)
+            frozen[k] = bits
+        masks.append(bits)
     return masks, frozen
 
 
@@ -207,7 +206,7 @@ def coverage_counts(masks, holders):
         raise ValueError("masks differ in length")
     counts = np.zeros(length, dtype=np.int64)
     for mask, n in zip(masks, holders):
-        counts += np.int64(n) * mask.bits
+        counts += np.int64(n) * mask
     return counts
 
 
@@ -243,15 +242,15 @@ def reference_run(config, data):
         covered_sum = np.zeros(layout.total)
         local_acc = 0.0
         for k, (client, mask) in enumerate(zip(participants, masks)):
-            dropped = theta.values[mask.bits == 0]
+            dropped = theta.values[mask == 0]
             deltas.append(float(dropped @ dropped) / norm_sq)
             shard = data.train.subset(data.shards[client])
-            values = reference_local_update(theta, mask.bits, shard, config, local_rng(config.seed, q, k))
-            kept = mask.bits != 0
+            values = reference_local_update(theta, mask, shard, config, local_rng(config.seed, q, k))
+            kept = mask != 0
             covered_sum[kept] += values[kept]
             _, acc = reference_evaluate(ParamVector(values, layout), shard, config.test_batch)
             local_acc += (1.0 / n_slots) * acc
-        counts = np.stack([mask.bits for mask in masks]).sum(axis=0, dtype=np.int64)
+        counts = np.stack(masks).sum(axis=0, dtype=np.int64)
         covered = counts > 0
         new_values = theta.values.copy()
         new_values[covered] = covered_sum[covered] / counts[covered]

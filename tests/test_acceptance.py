@@ -41,7 +41,6 @@ from fedprune.federation import (
 from fedprune.metrics import TheoryConstants, theorem1_rhs, theorem2_rhs
 from fedprune.nn import LayerLayout, ParamVector, init_params, loss_and_grad
 from fedprune.pruning import (
-    Mask,
     apply_mask,
     codename_coverage,
     pruning_noise,
@@ -58,7 +57,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def kept_mask(layout, family, units, kept):
     """The mask that keeps the segments `kept` of the ranking `units`: the writer's 0/1 case."""
     per_segment = [int(s in kept) for s in (1, 2, 3, 4)]
-    return Mask(segment_fill(layout, family, units, per_segment, np.ones(layout.total, np.uint8)))
+    return segment_fill(layout, family, units, per_segment, np.ones(layout.total, np.uint8))
 
 
 @contextmanager
@@ -149,7 +148,7 @@ def test_criterion_3_region_and_aggregation_oracles():
             n_params = int(rng.integers(2, 65))
             n_slots = int(rng.integers(1, 7))
             bits = rng.integers(0, 2, (n_slots, n_params), dtype=np.uint8)
-            masks = [Mask(bits[s]) for s in range(n_slots)]
+            masks = list(bits)
             counts = coverage_counts(masks, [1] * n_slots)
 
             expected_signatures = brute_force_signatures(bits)
@@ -336,7 +335,7 @@ def test_criterion_7_pruning_noise_properties():
             family = ("WP", "NP", "FS")[int(rng.integers(3))]
             digit = str(rng.integers(1, 8))
             params = ParamVector(rng.normal(0, 1, layout.total), layout)
-            mask = round_masks(digit, family, params)[digit]
+            mask = round_masks(digit, family, layout, segment_index_sets(params, family))[digit]
             noise = pruning_noise(params, [mask])[0]
             assert 0.0 <= noise < 1.0
 
@@ -354,7 +353,7 @@ def test_criterion_7_pruning_noise_properties():
                 bits = np.ones(wp_layout.total, dtype=np.uint8)
                 bits[:16] = 0  # W1 comes first in the flat vector
                 bits[list(keep)] = 1
-                assert wp_noise <= pruning_noise(params, [Mask(bits)])[0] + 1e-15
+                assert wp_noise <= pruning_noise(params, [bits])[0] + 1e-15
 
         # monotone under segment inclusion, 100 random instances
         for _ in range(100):

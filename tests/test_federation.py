@@ -42,7 +42,6 @@ from fedprune.federation import (
 from fedprune.metrics import account, emit_csv, full_account
 from fedprune.nn import LayerLayout, ParamVector, evaluate, init_params, loss_and_grad
 from fedprune.pruning import (
-    Mask,
     apply_mask,
     codename_coverage,
     pruning_noise,
@@ -58,12 +57,12 @@ def flat_layout(n):
 
 
 def masks_from(rows):
-    return [Mask(np.asarray(r, dtype=np.uint8)) for r in rows]
+    return [np.asarray(r, dtype=np.uint8) for r in rows]
 
 
 def codename_masks(codename, family, params):
     """The masks of a codename's slots, ranked from `params`: slot k's is its digit's."""
-    masks = round_masks(codename, family, params)
+    masks = round_masks(codename, family, params.layout, segment_index_sets(params, family))
     return [masks[d] for d in codename]
 
 
@@ -174,7 +173,7 @@ def test_aggregate_all_ones_is_fedavg_mean():
     rng = np.random.default_rng(3)
     prev = ParamVector(rng.normal(size=6), layout)
     locals_ = [rng.normal(size=6) for _ in range(4)]
-    masks = [Mask(np.ones(6)) for _ in range(4)]
+    masks = [np.ones(6, np.uint8) for _ in range(4)]
     out = aggregate(prev, slot_sum(locals_), slot_counts(masks))
     manual = np.zeros(6)
     for lv in locals_:
@@ -239,14 +238,14 @@ def test_aggregate_matches_brute_force_bitwise_on_generated_masks(family, codena
     rng = np.random.default_rng(7)
     params = init_params(layout, 0)
     masks = codename_masks(codename, family, params)
-    bits = np.stack([m.bits for m in masks])
+    bits = np.stack(masks)
     signed_zeros = rng.random(layout.total) < 0.25
     prev = rng.normal(size=layout.total)
     prev[signed_zeros] = -0.0
     local_values = []
     for mask in masks:
         values = apply_mask(ParamVector(rng.normal(size=layout.total), layout), mask)
-        values[signed_zeros & (mask.bits != 0)] = -0.0
+        values[signed_zeros & (mask != 0)] = -0.0
         local_values.append(values)
     got = aggregate(ParamVector(prev, layout), slot_sum(local_values), slot_counts(masks)).values
     want = brute_force_aggregate(prev, local_values, bits)
@@ -276,7 +275,7 @@ def test_generated_coverage_is_the_codenames(family, codename, hidden, d_in, tie
     rng = np.random.default_rng(seed)
     values = rng.integers(-2, 3, layout.total) if tied else rng.normal(size=layout.total)
     params = ParamVector(values.astype(float), layout)
-    masks = round_masks(codename, family, params)
+    masks = round_masks(codename, family, layout, segment_index_sets(params, family))
     counts = coverage_counts(list(masks.values()), [codename.count(d) for d in masks])
     segments, gamma_min = codename_coverage(codename)
     # the engine's counts: the codename's per-segment coverage written over the ranking
@@ -401,7 +400,7 @@ def test_local_update_single_full_batch_step_oracle():
     layout = model_layout(config, data)
     params = init_params(layout, 4)
     shard = data.train.subset(data.shards[0])
-    mask = Mask(np.ones(layout.total))
+    mask = np.ones(layout.total, np.uint8)
     got, _ = trained_rows(params, [mask], data.train, [data.shards[0]], config, [local_rng(4, 1, 0)])
     # one full-batch step over the same seed-shuffled epoch order
     order = local_rng(4, 1, 0).permutation(len(shard))
@@ -420,7 +419,7 @@ def test_local_update_matches_reference_with_momentum_bitwise():
     shard = data.train.subset(data.shards[2])
     assert len(shard) % config.local_batch != 0
     (got,), _ = trained_rows(params, [mask], data.train, [data.shards[2]], config, [local_rng(6, 1, 0)])
-    want = reference_local_update(params, mask.bits, shard, config, local_rng(6, 1, 0))
+    want = reference_local_update(params, mask, shard, config, local_rng(6, 1, 0))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert not np.array_equal(got, apply_mask(params, mask))
     assert np.array_equal(params.values.view(np.int64), theta.view(np.int64))
@@ -433,7 +432,7 @@ def test_local_update_preserves_masked_zeros():
     params = init_params(layout, 5)
     (mask,) = codename_masks("5", "WP", params)
     (out,), _ = trained_rows(params, [mask], data.train, [data.shards[3]], config, [local_rng(5, 1, 0)])
-    off = mask.bits == 0
+    off = mask == 0
     assert (out[off] == 0.0).all()
     assert np.isfinite(out).all()
 
@@ -443,7 +442,7 @@ def test_local_update_rejects_empty_shard():
     data = build_federated_data(config)
     layout = model_layout(config, data)
     params = init_params(layout, 0)
-    full = Mask(np.ones(layout.total))
+    full = np.ones(layout.total, np.uint8)
     empty = np.array([], dtype=np.int64)
     with pytest.raises(ValueError, match="empty"):
         local_update(params, [full], data.train, [empty], config, [local_rng(0, 1, 0)], lambda k, row: None)
@@ -525,7 +524,7 @@ def test_lockstep_matches_reference_local_update_bitwise(case):
     got, _ = trained_rows(params, masks, train, shards, config, rngs(), add)
     want_sum = np.zeros(params.layout.total)
     for k, (mask, shard, rng) in enumerate(zip(masks, shards, rngs())):
-        want = reference_local_update(params, mask.bits, train.subset(shard), config, rng)
+        want = reference_local_update(params, mask, train.subset(shard), config, rng)
         assert np.array_equal(got[k].view(np.int64), want.view(np.int64)), f"slot {k}"
         want_sum += want
     assert np.array_equal(local_sum.view(np.int64), want_sum.view(np.int64))
@@ -599,9 +598,9 @@ def test_each_chunk_calls_the_kernel_once_per_step_and_sets_up_its_views_once(mo
 def test_lockstep_keeps_masked_coordinates_at_positive_zero(case):
     config, params, masks, train, shards, rngs = lockstep_round(case)
     got, _ = trained_rows(params, masks, train, shards, config, rngs())
-    assert any((mask.bits == 0).any() for mask in masks)
+    assert any((mask == 0).any() for mask in masks)
     for k, mask in enumerate(masks):
-        off = mask.bits == 0
+        off = mask == 0
         assert (got[k][off].view(np.int64) == 0).all(), f"slot {k}"  # +0.0, not -0.0
         assert (got[k][~off] != apply_mask(params, mask)[~off]).any(), f"slot {k}"
     assert np.isfinite(got).all()
@@ -708,8 +707,8 @@ def test_round_results_independent_of_slot_execution_order():
 
 
 # Whole runs against `reference_run`: each family, a freeze, a codename that
-# leaves S4 unkept, and label-skew shards of 23 and 24 examples (two chunks
-# per round, so chunk order is not slot order).
+# leaves S4 unkept, label-skew shards of 23 and 24 examples (two chunks per
+# round, so chunk order is not slot order), and fixed participants.
 REFERENCE_RUNS = {
     "WP": {},
     "NP": {"family": "NP"},
@@ -718,6 +717,7 @@ REFERENCE_RUNS = {
     "NP-freeze2": {"family": "NP", "freeze_after_round": 2},
     "WP-uncovered-S4": {"codename": "5555566666"},
     "WP-skew-two-shard-lengths": {"partition": "label-skew", "dataset": SynthSpec(10, 47, 20, 0.3, 20)},
+    "WP-static-slots": {"num_clients": 10, "participation_ratio": 1.0, "static_slots": True},
 }
 
 
@@ -727,13 +727,25 @@ def csv_text(history):
     return sink.getvalue()
 
 
-@pytest.mark.parametrize("lanes", [1, 2])
-@pytest.mark.parametrize("case", sorted(REFERENCE_RUNS))
-def test_run_matches_the_straight_line_reference_run(use_lanes, case, lanes):
+# (case, lanes, slots per lockstep chunk; None keeps the engine's width). With
+# 3 slots per chunk, 10 slots of one length make 4 chunks, so 3 lanes all
+# train and lane 0 trains twice; with two shard lengths, rows wait for
+# earlier slots in another chunk.
+@pytest.mark.parametrize(
+    ("case", "lanes", "width"),
+    [pytest.param(case, lanes, None, id=f"{case}-{lanes}")
+     for case in sorted(REFERENCE_RUNS) for lanes in (1, 2)]
+    + [pytest.param("WP", 3, 3, id="WP-lockstep3-3"),
+       pytest.param("WP-skew-two-shard-lengths", 2, 3, id="WP-skew-two-shard-lengths-lockstep3-2")],
+)
+def test_run_matches_the_straight_line_reference_run(monkeypatch, use_lanes, case, lanes, width):
     config = desk_config(local_epochs=2, **REFERENCE_RUNS[case])
     data = build_federated_data(config)
     if case.startswith("WP-skew"):
         assert len({len(shard) for shard in data.shards}) > 1
+    if width is not None:
+        total = model_layout(config, data).total
+        monkeypatch.setattr(fedprune.federation, "_LOCKSTEP_BYTES", 8 * total * width)
     use_lanes(lanes)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the uncovered codename warns once
@@ -764,7 +776,7 @@ def test_aggregate_is_fed_what_local_update_returns(monkeypatch, overrides):
 
     def spy_local_update(global_params, masks, train, shards, config, rngs, take):
         rows, correct = trained_rows(global_params, masks, train, shards, config, rngs, take)
-        trained.append((np.stack([m.bits for m in masks]), rows))
+        trained.append((np.stack(masks), rows))
         waited.append(chunk_order_is_not_slot_order(shards))
         return correct
 
@@ -883,14 +895,14 @@ def test_engine_ranks_once_per_round_and_uses_generate_mask_masks(
         want, frozen = reference_masks(codename, family, freeze, state.params, q, frozen)
         assert len(used) == len(want)
         for k, mask in enumerate(want):
-            assert np.array_equal(used[k].bits, mask.bits), f"round {q}, slot {k}"
+            assert np.array_equal(used[k], mask), f"round {q}, slot {k}"
         # the state freezes the ranking; the masks rebuilt from it are the oracle's frozen masks
         ranking = new_state.frozen_ranking
         assert len(frozen) == (0 if ranking is None else len(codename)), f"round {q}"
         if ranking is not None:
-            rebuilt = round_masks(codename, family, new_state.params, ranking)
+            rebuilt = round_masks(codename, family, layout, ranking)
             for k, mask in frozen.items():
-                assert np.array_equal(rebuilt[codename[k]].bits, mask.bits), f"round {q}, slot {k}"
+                assert np.array_equal(rebuilt[codename[k]], mask), f"round {q}, slot {k}"
         state = new_state
 
 
@@ -1055,7 +1067,7 @@ def test_pretrained_freeze_in_engine():
     assert isinstance(ranking, np.ndarray) and ranking.dtype == np.uint8
     assert len(ranking) == layout.offsets[0].weight_len and np.array_equal(ranking, want)
     assert states[3].frozen_ranking is ranking and states[4].frozen_ranking is ranking
-    frozen_masks = round_masks(config.codename, config.family, states[2].params, ranking)
+    frozen_masks = round_masks(config.codename, config.family, layout, ranking)
     assert list(frozen_masks) == ["1", "2", "3", "4"]
 
     # rounds 3 and 4 must reuse the round-2 masks even though theta moved
@@ -1066,13 +1078,14 @@ def test_pretrained_freeze_in_engine():
             frozen = frozen_masks[config.codename[k]]
             expected = pruning_noise(theta_before, [frozen])[0]
             assert metrics[q - 1].per_slot_delta_sq[k] == pytest.approx(expected, abs=1e-15)
-            if not np.array_equal(adaptive.bits, frozen.bits):
+            if not np.array_equal(adaptive, frozen):
                 assert metrics[q - 1].per_slot_delta_sq[k] != pytest.approx(
                     pruning_noise(theta_before, [adaptive])[0], abs=1e-18
                 )
-    adaptive_masks = round_masks(config.codename, config.family, states[3].params)
+    adaptive_masks = round_masks(config.codename, config.family, layout,
+                                 segment_index_sets(states[3].params, config.family))
     assert any(
-        not np.array_equal(adaptive.bits, frozen_masks[d].bits)
+        not np.array_equal(adaptive, frozen_masks[d])
         for d, adaptive in adaptive_masks.items()
         if d != "1"
     )

@@ -24,7 +24,7 @@ from fedprune.metrics import (
     weighted_accuracy,
 )
 from fedprune.nn import LayerLayout, ParamVector, evaluate, forward, init_params
-from fedprune.pruning import DIGIT_SEGMENTS, parse_codename, round_masks
+from fedprune.pruning import DIGIT_SEGMENTS, parse_codename, round_masks, segment_index_sets
 from fedprune.tables import TABLE_ROWS, computed_row
 
 MNIST_LAYOUT = LayerLayout((784, 200, 10))
@@ -69,7 +69,7 @@ def test_policy_account_values(family, kept, expected):
 def test_mask_and_policy_accounts_agree(family, digit):
     # dual route: analytic counting vs popcounts of a real generated mask
     params = init_params(MNIST_LAYOUT, 3)
-    bits = round_masks(digit, family, params)[digit].bits
+    bits = round_masks(digit, family, MNIST_LAYOUT, segment_index_sets(params, family))[digit]
     popcounts = ModelAccount(
         int(bits.sum()), sum(int(bits[sl.weights].sum()) for sl in MNIST_LAYOUT.offsets)
     )

@@ -9,7 +9,6 @@ import fedprune.nn
 from fedprune.data import synth_blobs
 from fedprune.nn import (
     LayerLayout,
-    OptimizerState,
     ParamVector,
     _backward,
     _label_index,
@@ -21,7 +20,6 @@ from fedprune.nn import (
     loss_and_grad,
     masked_sgd_step,
 )
-from fedprune.pruning import Mask
 
 
 def finite_difference_grad(params, inputs, labels, h=1e-6):
@@ -261,16 +259,15 @@ def test_stacked_kernel_rows_match_unstacked_calls_bitwise(sizes):
     for i in range(g):
         row = ParamVector(values[i].copy(), layout)
         loss, grad = loss_and_grad(row, inputs[i], labels[i])
-        opt = OptimizerState(buf[i].copy(), momentum_coef=0.5, learning_rate=0.1)
-        masked_sgd_step(row, grad, bits[i], opt)
-        want.append((loss, row.values, opt.momentum_buffer))
+        row_buf = buf[i].copy()
+        masked_sgd_step(row, grad, bits[i], row_buf, 0.5, 0.1)
+        want.append((loss, row.values, row_buf))
 
     stacked = ParamVector(values, layout)
     grad = ParamVector(np.empty((g, layout.total)), layout)
     losses, got = loss_and_grad(stacked, inputs, labels, out=grad)
     assert got is grad.values
-    opt = OptimizerState(buf, momentum_coef=0.5, learning_rate=0.1)
-    masked_sgd_step(stacked, got, bits, opt)
+    masked_sgd_step(stacked, got, bits, buf, 0.5, 0.1)
     for i, (loss, row_values, row_buf) in enumerate(want):
         assert losses[i] == loss
         assert np.array_equal(values[i].view(np.int64), row_values.view(np.int64)), i
@@ -367,10 +364,9 @@ def test_step_reduces_to_plain_sgd():
     params = ParamVector(np.array([1.0, -2.0, 0.5]), layout)
     grad = np.array([0.5, 1.0, -1.0])
     expected = params.values - 0.2 * grad
-    values, opt = params.values, OptimizerState(np.zeros(layout.total), 0.0, 0.2)
-    buf = opt.momentum_buffer
-    assert masked_sgd_step(params, grad, Mask(np.ones(3)).bits, opt) is None
-    assert params.values is values and opt.momentum_buffer is buf
+    values, buf = params.values, np.zeros(layout.total)
+    assert masked_sgd_step(params, grad, np.ones(3, np.uint8), buf, 0.0, 0.2) is None
+    assert params.values is values
     assert np.array_equal(values, expected)
     assert np.array_equal(buf, np.array([0.5, 1.0, -1.0]))
 
@@ -379,10 +375,9 @@ def test_step_all_zero_mask_is_identity():
     layout = LayerLayout((2, 1))
     params = ParamVector(np.array([1.0, -2.0, 0.5]), layout)
     expected = params.values.copy()
-    values, opt = params.values, OptimizerState(np.zeros(layout.total), 0.5, 0.2)
-    buf = opt.momentum_buffer
-    masked_sgd_step(params, np.array([9.0, 9.0, 9.0]), np.zeros(3, dtype=np.uint8), opt)
-    assert params.values is values and opt.momentum_buffer is buf
+    values, buf = params.values, np.zeros(layout.total)
+    masked_sgd_step(params, np.array([9.0, 9.0, 9.0]), np.zeros(3, dtype=np.uint8), buf, 0.5, 0.2)
+    assert params.values is values
     assert np.array_equal(values, expected)
     assert not buf.any()
 
@@ -391,33 +386,31 @@ def test_step_two_coordinate_arithmetic():
     # masked index 1 is untouched here; apply_mask is what zeroes it upstream
     layout = LayerLayout((1, 1))
     params = ParamVector(np.array([1.0, 1.0]), layout)
-    values, opt = params.values, OptimizerState(np.zeros(layout.total), 0.0, 0.5)
-    buf = opt.momentum_buffer
-    masked_sgd_step(params, np.array([2.0, 4.0]), Mask([1, 0]).bits, opt)
-    assert params.values is values and opt.momentum_buffer is buf
+    values, buf = params.values, np.zeros(layout.total)
+    masked_sgd_step(params, np.array([2.0, 4.0]), np.array([1, 0], np.uint8), buf, 0.0, 0.5)
+    assert params.values is values
     assert np.array_equal(values, np.array([0.0, 1.0]))
+    assert buf.tolist() == [2.0, 0.0]  # the masked gradient, in the caller's buffer
 
 
 def test_step_momentum_accumulates():
     layout = LayerLayout((1, 1))
     params = ParamVector(np.zeros(2), layout)
-    opt = OptimizerState(np.zeros(layout.total), 0.5, 1.0)
-    values, buf = params.values, opt.momentum_buffer
+    values, buf = params.values, np.zeros(layout.total)
     # the step consumes its gradient argument, so each call gets a fresh one
-    masked_sgd_step(params, np.array([1.0, 0.0]), Mask(np.ones(2)).bits, opt)
+    masked_sgd_step(params, np.array([1.0, 0.0]), np.ones(2, np.uint8), buf, 0.5, 1.0)
     assert values[0] == -1.0
-    masked_sgd_step(params, np.array([1.0, 0.0]), Mask(np.ones(2)).bits, opt)
+    masked_sgd_step(params, np.array([1.0, 0.0]), np.ones(2, np.uint8), buf, 0.5, 1.0)
     assert values[0] == -1.0 - 1.5  # buffer 0.5*1 + 1
-    assert params.values is values and opt.momentum_buffer is buf
+    assert params.values is values
     assert buf.tolist() == [1.5, 0.0]
 
 
 def test_step_rejects_length_mismatch():
     layout = LayerLayout((1, 1))
     params = ParamVector(np.zeros(2), layout)
-    opt = OptimizerState(np.zeros(layout.total), 0.0, 0.1)
     with pytest.raises(ValueError):
-        masked_sgd_step(params, np.zeros(3), Mask(np.ones(2)).bits, opt)
+        masked_sgd_step(params, np.zeros(3), np.ones(2, np.uint8), np.zeros(layout.total), 0.0, 0.1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -428,14 +421,14 @@ def test_mask_closure_is_bitwise(seed, steps):
     mask = rng.integers(0, 2, layout.total).astype(np.uint8)
     values = rng.normal(0, 1, layout.total) * mask  # start pruned-to-zero
     params = ParamVector(np.where(mask == 1, values, 0.0), layout)
-    opt = OptimizerState(np.zeros(layout.total), 0.5, 0.1)
+    buf = np.zeros(layout.total)
     inputs, labels = rng.normal(size=(4, 3)), rng.integers(0, 2, 4)
     for _ in range(steps):
         _, grad = loss_and_grad(params, inputs, labels)
-        masked_sgd_step(params, grad, mask, opt)
+        masked_sgd_step(params, grad, mask, buf, 0.5, 0.1)
         off = mask == 0
         assert (params.values[off] == 0.0).all()
-        assert (opt.momentum_buffer[off] == 0.0).all()
+        assert (buf[off] == 0.0).all()
         assert np.isfinite(params.values).all()
 
 
@@ -448,11 +441,11 @@ def test_trajectory_determinism_is_bitwise():
 
     def trajectory():
         params = init_params(layout, seed=5)
-        opt = OptimizerState(np.zeros(layout.total), 0.5, 0.05)
+        buf = np.zeros(layout.total)
         out = []
         for inputs, labels in batches:
             _, grad = loss_and_grad(params, inputs, labels)
-            masked_sgd_step(params, grad, Mask(np.ones(layout.total)).bits, opt)
+            masked_sgd_step(params, grad, np.ones(layout.total, np.uint8), buf, 0.5, 0.05)
             out.append(params.values.copy())
         return out
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fedprune.nn import LayerLayout, ParamVector, evaluate, init_params, loss_and_grad
-from fedprune.pruning import apply_mask, round_masks
+from fedprune.pruning import apply_mask, round_masks, segment_index_sets
 
 SMALL = LayerLayout((20, 32, 10))
 MNIST = LayerLayout((784, 200, 10))
@@ -41,7 +41,7 @@ def batch(layout, lead, rows, seed):
 def np_masked(g):
     """NP-pruned rows: every pruned hidden unit has zero weights in and out, so it is dead."""
     params = init_params(SMALL, 3)
-    masks = round_masks("1234567", "NP", params)
+    masks = round_masks("1234567", "NP", SMALL, segment_index_sets(params, "NP"))
     rows = [apply_mask(params, masks[d]) for d in "1234567"]
     return np.stack((rows * 2)[:g])
 

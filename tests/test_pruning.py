@@ -18,7 +18,6 @@ from fedprune.nn import LayerLayout, ParamVector, init_params
 from fedprune.pruning import (
     DIGIT_SEGMENTS,
     FAMILIES,
-    Mask,
     apply_mask,
     codename_coverage,
     parse_codename,
@@ -40,8 +39,8 @@ def flat_params(values):
 def one_mask(family, kept, params):
     """The mask that keeps the segments `kept` of the ranking of `params`: the writer's 0/1 case."""
     layout = params.layout
-    return Mask(segment_fill(layout, family, segment_index_sets(params, family),
-                             [int(s in kept) for s in (1, 2, 3, 4)], np.ones(layout.total, np.uint8)))
+    return segment_fill(layout, family, segment_index_sets(params, family),
+                        [int(s in kept) for s in (1, 2, 3, 4)], np.ones(layout.total, np.uint8))
 
 
 def unit_ids(layout, family, segment):
@@ -87,7 +86,7 @@ def test_np_ranking_prefers_heavier_neuron():
     params = ParamVector(values, layout)
     assert ranking(params, "NP") == [1, 3, 0, 2]
     # S1 is neuron 1: its W1 column, its bias and its W2 row survive, and b2
-    assert np.flatnonzero(one_mask("NP", {1}, params).bits).tolist() == [1, 5, 9, 13, 16]
+    assert np.flatnonzero(one_mask("NP", {1}, params)).tolist() == [1, 5, 9, 13, 16]
 
 
 def test_np_rejects_layout_without_hidden_layer():
@@ -112,13 +111,13 @@ def test_neuron_block_contents():
     params = init_params(layout, 0)
     # flat order: W1 (2x4), b1 (4), W2 (4x1), b2 (1); digit 2 drops S2 = neuron 1
     mask = one_mask("FS", DIGIT_SEGMENTS["2"], params)
-    assert np.flatnonzero(mask.bits == 0).tolist() == [1, 5, 9, 13]
+    assert np.flatnonzero(mask == 0).tolist() == [1, 5, 9, 13]
 
 
 def test_neuron_block_size_mnist():
     params = init_params(MNIST_LAYOUT, 0)
     mask = one_mask("FS", {1, 2, 3}, params)
-    (w1, b1), (w2, b2) = MNIST_LAYOUT.unpack(1 - mask.bits.astype(np.int64))
+    (w1, b1), (w2, b2) = MNIST_LAYOUT.unpack(1 - mask.astype(np.int64))
     pruned = w1.sum(axis=0) + b1 + w2.sum(axis=1)
     assert pruned.tolist() == [0] * 150 + [795] * 50
     assert not b2.any()
@@ -165,28 +164,28 @@ def test_full_policy_gives_all_ones_for_every_family():
         layout = LayerLayout((6, 8, 3))
         params = init_params(layout, 1)
         mask = one_mask(family, {1, 2, 3, 4}, params)
-        assert mask.bits.all()
+        assert mask.all()
 
 
 def test_wp_75_percent_counts_on_mnist_mlp():
     params = init_params(MNIST_LAYOUT, 0)
     mask = one_mask("WP", {1, 2, 3}, params)
-    assert int(mask.bits[MNIST_LAYOUT.offsets[0].weights].sum()) == 117600
-    assert int(mask.bits.sum()) == 119810
+    assert int(mask[MNIST_LAYOUT.offsets[0].weights].sum()) == 117600
+    assert int(mask.sum()) == 119810
 
 
 def test_np_75_percent_counts_on_mnist_mlp():
     params = init_params(MNIST_LAYOUT, 0)
     mask = one_mask("NP", {1, 2, 3}, params)
-    assert int(mask.bits.sum()) == 159010 - 50 * 795 == 119260
+    assert int(mask.sum()) == 159010 - 50 * 795 == 119260
 
 
 def test_mask_keeps_non_maskable_indices():
     layout = LayerLayout((4, 4, 2))
     params = init_params(layout, 3)
     mask = one_mask("WP", {1}, params)
-    assert mask.bits[layout.offsets[0].weight_len :].all()
-    assert int(mask.bits[layout.offsets[0].weights].sum()) == 4
+    assert mask[layout.offsets[0].weight_len :].all()
+    assert int(mask[layout.offsets[0].weights].sum()) == 4
 
 
 def test_pretrained_freeze_reuses_round3_mask():
@@ -199,7 +198,8 @@ def test_pretrained_freeze_reuses_round3_mask():
     state, facts = init_state(config, layout), codename_facts(config, layout)
     history = []
     for round_no in range(1, 8):
-        adaptive = round_masks(config.codename, config.family, state.params)
+        adaptive = round_masks(config.codename, config.family, layout,
+                               segment_index_sets(state.params, config.family))
         if round_no == 3:
             round3 = adaptive  # the masks round 3 trains under, ranked from its model
         state, _ = run_round(state, config, data, facts)
@@ -208,19 +208,19 @@ def test_pretrained_freeze_reuses_round3_mask():
     ranking = history[2]
     assert all(later is ranking for later in history[3:])
     # the masks rebuilt from the frozen ranking are round 3's
-    frozen = round_masks(config.codename, config.family, state.params, ranking)
+    frozen = round_masks(config.codename, config.family, layout, ranking)
     assert list(frozen) == ["1", "5"]
     for d in frozen:
-        assert np.array_equal(frozen[d].bits, round3[d].bits)
+        assert np.array_equal(frozen[d], round3[d])
     # the model drifted: masks ranked afresh would differ from the frozen ones
-    assert not np.array_equal(adaptive["5"].bits, frozen["5"].bits)
+    assert not np.array_equal(adaptive["5"], frozen["5"])
 
 
 def test_adaptive_mask_tracks_parameters():
     layout = LayerLayout((4, 8, 2))
     a = ParamVector(np.arange(layout.total, dtype=float), layout)
     b = ParamVector(np.arange(layout.total, dtype=float)[::-1].copy(), layout)
-    assert not np.array_equal(one_mask("WP", {1}, a).bits, one_mask("WP", {1}, b).bits)
+    assert not np.array_equal(one_mask("WP", {1}, a), one_mask("WP", {1}, b))
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,16 +247,16 @@ def test_round_masks_match_the_index_set_oracle(seed, family, two_hidden, freeze
         # the freeze rule of run_round: the ranking in use from round F on is kept
         units = segment_index_sets(params, family) if frozen_got is None else frozen_got
         frozen_got = units if freeze is not None and round_no >= freeze else None
-        masks = round_masks(codename, family, params, units)
+        masks = round_masks(codename, family, layout, units)
         want, frozen_want = reference_masks(codename, family, freeze, params, round_no, frozen_want)
         got = [masks[d] for d in codename]
         assert len(got) == len(want) == len(codename)
         for k, (g, w) in enumerate(zip(got, want)):
-            assert np.array_equal(g.bits, w.bits), f"round {round_no}, slot {k}"
+            assert np.array_equal(g, w), f"round {round_no}, slot {k}"
         assert len(frozen_want) == (0 if frozen_got is None else len(codename))
-        rebuilt = {} if frozen_got is None else round_masks(codename, family, params, frozen_got)
+        rebuilt = {} if frozen_got is None else round_masks(codename, family, layout, frozen_got)
         for k, w in frozen_want.items():
-            assert np.array_equal(rebuilt[codename[k]].bits, w.bits), f"round {round_no}, slot {k}"
+            assert np.array_equal(rebuilt[codename[k]], w), f"round {round_no}, slot {k}"
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,19 +282,19 @@ def test_selection_ranking_equals_the_stable_argsort_oracle(quarters, remainder,
     assert np.bincount(got, minlength=4).tolist() == segment_sizes(units)
     for s, w in enumerate(want):
         assert np.flatnonzero(got == s).tolist() == unit_ids(layout, family, w), f"S{s + 1}"
-    masks = round_masks("1234567", family, params)
+    masks = round_masks("1234567", family, layout, got)
     want, _ = reference_masks("1234567", family, None, params, 1, {})
     for k, (d, w) in enumerate(zip("1234567", want)):
-        assert np.array_equal(masks[d].bits, w.bits), f"slot {k}"
+        assert np.array_equal(masks[d], w), f"slot {k}"
 
 
 def test_slots_with_one_policy_share_one_mask_and_its_measures():
     params = init_params(MNIST_LAYOUT, 0)
     codename = "1111223344"
     for family in FAMILIES:
-        masks = round_masks(codename, family, params)
+        masks = round_masks(codename, family, MNIST_LAYOUT, segment_index_sets(params, family))
         assert list(masks) == ["1", "2", "3", "4"]  # one mask per distinct digit, first use first
-        want = np.stack([masks[d].bits for d in codename]).sum(axis=0, dtype=np.int64)
+        want = np.stack([masks[d] for d in codename]).sum(axis=0, dtype=np.int64)
         got = coverage_counts(list(masks.values()), [codename.count(d) for d in masks])
         assert np.array_equal(got, want)
         segments, _ = codename_coverage(codename)
@@ -305,15 +305,15 @@ def test_slots_with_one_policy_share_one_mask_and_its_measures():
 
 def test_apply_mask_identity_and_zeroing():
     params = flat_params([4.0, 3.0, 2.0, 1.0])
-    assert np.array_equal(apply_mask(params, Mask(np.ones(4))), params.values)
-    masked = apply_mask(params, Mask(np.array([1, 1, 0, 0], dtype=np.uint8)))
+    assert np.array_equal(apply_mask(params, np.ones(4, np.uint8)), params.values)
+    masked = apply_mask(params, np.array([1, 1, 0, 0], dtype=np.uint8))
     assert masked.tolist() == [4.0, 3.0, 0.0, 0.0]
 
 
 def test_apply_mask_writes_positive_zero_where_negative_values_are_pruned():
     params = flat_params([-4.0, -3.0, 2.0, -1.0])
     out = np.full(4, np.nan)
-    masked = apply_mask(params, Mask(np.array([0, 1, 0, 0], dtype=np.uint8)), out=out)
+    masked = apply_mask(params, np.array([0, 1, 0, 0], dtype=np.uint8), out=out)
     assert masked is out
     assert out.tolist() == [0.0, -3.0, 0.0, 0.0]
     assert not np.signbit(out[[0, 2, 3]]).any()  # +0.0, not the -0.0 of -4.0 * 0
@@ -321,7 +321,22 @@ def test_apply_mask_writes_positive_zero_where_negative_values_are_pruned():
 
 def test_apply_mask_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        apply_mask(flat_params([1.0, 2.0]), Mask(np.ones(3)))
+        apply_mask(flat_params([1.0, 2.0]), np.ones(3, np.uint8))
+    # a 2-D mask of the right length would broadcast to a (total, total) product
+    with pytest.raises(ValueError, match="mask length does not match parameter vector"):
+        apply_mask(flat_params([1.0, 2.0, 3.0]), np.ones((3, 1), np.uint8))
+
+
+def test_round_masks_are_read_only():
+    params = init_params(LayerLayout((6, 8, 3)), 2)
+    for family in FAMILIES:
+        masks = round_masks("1234567", family, params.layout, segment_index_sets(params, family))
+        for d, bits in masks.items():
+            assert bits.dtype == np.uint8 and bits.shape == (params.layout.total,)
+            with pytest.raises(ValueError, match="read-only"):
+                bits[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                np.multiply(bits, 0, out=bits)
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +346,27 @@ def test_apply_mask_rejects_length_mismatch():
 
 def test_noise_zero_for_full_mask():
     params = flat_params([1.0, -2.0, 3.0])
-    assert pruning_noise(params, [Mask(np.ones(3))])[0] == 0.0
+    assert pruning_noise(params, [np.ones(3, np.uint8)])[0] == 0.0
 
 
 def test_noise_arithmetic_top_two():
     params = flat_params([4.0, 3.0, 2.0, 1.0])
-    mask = Mask(np.array([1, 1, 0, 0], dtype=np.uint8))
+    mask = np.array([1, 1, 0, 0], dtype=np.uint8)
     assert pruning_noise(params, [mask])[0] == pytest.approx(5.0 / 30.0, abs=1e-15)
 
 
 def test_noise_zero_norm_warns():
     params = flat_params([0.0, 0.0, 0.0])
     with pytest.warns(UserWarning):
-        assert pruning_noise(params, [Mask(np.array([1, 0, 0], dtype=np.uint8))])[0] == 0.0
+        assert pruning_noise(params, [np.array([1, 0, 0], dtype=np.uint8)])[0] == 0.0
     with pytest.warns(UserWarning):
-        assert pruning_noise(params, [Mask(np.ones(3)), Mask(np.array([1, 0, 0], dtype=np.uint8))]) == (0.0, 0.0)
+        assert pruning_noise(params, [np.ones(3, np.uint8), np.array([1, 0, 0], np.uint8)]) == (0.0, 0.0)
 
 
 def test_noise_one_value_per_mask_in_order():
     params = flat_params([4.0, 3.0, 2.0, 1.0])
     rows = ([1, 1, 0, 0], [1, 1, 1, 1], [0, 0, 0, 1], [0, 1, 1, 0])
-    masks = [Mask(np.array(r, dtype=np.uint8)) for r in rows]
+    masks = [np.array(r, dtype=np.uint8) for r in rows]
     noise = pruning_noise(params, masks)
     assert isinstance(noise, tuple)
     assert noise == (5.0 / 30.0, 0.0, 29.0 / 30.0, 17.0 / 30.0)
@@ -362,7 +377,9 @@ def test_noise_one_value_per_mask_in_order():
 def test_noise_rejects_wrong_length_mask():
     params = flat_params([1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        pruning_noise(params, [Mask(np.ones(3)), Mask(np.ones(4))])
+        pruning_noise(params, [np.ones(3, np.uint8), np.ones(4, np.uint8)])
+    with pytest.raises(ValueError, match="mask length does not match parameter vector"):
+        pruning_noise(params, [np.ones(3, np.uint8), np.ones((3, 1), np.uint8)])
 
 
 def test_wp_mask_minimizes_noise_exhaustively():
@@ -375,7 +392,7 @@ def test_wp_mask_minimizes_noise_exhaustively():
             bits = np.ones(layout.total, dtype=np.uint8)
             bits[:16] = 0
             bits[list(keep)] = 1
-            assert wp_noise <= pruning_noise(params, [Mask(bits)])[0] + 1e-15
+            assert wp_noise <= pruning_noise(params, [bits])[0] + 1e-15
 
 
 @settings(max_examples=100, deadline=None)
@@ -408,7 +425,7 @@ def test_segment_partition_and_sparsity_accounting(seed):
     kept_units = sum(int((labels == s - 1).sum()) for s in kept)
     # a WP unit is one parameter; an NP/FS unit is 5 incoming + 1 bias + 3 outgoing
     per_unit = 1 if family == "WP" else 5 + 1 + 3
-    assert int((mask.bits == 0).sum()) == (units - kept_units) * per_unit
+    assert int((mask == 0).sum()) == (units - kept_units) * per_unit
     assert pruning_noise(params, [mask])[0] < 1.0  # delta^2 in [0, 1) for generated masks
 
 
