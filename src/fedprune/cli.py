@@ -12,7 +12,7 @@ error names its key. `run` flags set the keys named by their dests;
 A `codenames` config runs each codename into `out_dir/<codename>/`, as a
 `codename` config runs into `out_dir`, and tabulates them in `sweep.csv`.
 `run` reads the data, deals shards and judges codenames before any output.
-Exit codes for `run`: 1 config error, bad flag or unreadable dataset, 2
+Exit codes for `run`: 1 config error, bad flag or bad dataset file, 2
 coverage violation, 3 I/O error writing outputs, 4 training diverged (a
 non-finite model, test-set loss or gradient; the message names where).
 Every subcommand exits 1 on a bad flag, with argparse's message.
@@ -31,6 +31,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
+from .data import PARTITIONS, IdxFormatError
 from .federation import (
     CodenameFacts,
     CoverageError,
@@ -45,7 +46,7 @@ from .federation import (
 )
 from .metrics import account, emit_csv, emit_jsonl
 from .nn import LayerLayout
-from .pruning import DIGIT_SEGMENTS, codename_coverage
+from .pruning import DIGIT_SEGMENTS, FAMILIES, codename_coverage
 from .selfcheck import run_selfcheck
 from .tables import MNIST_LAYOUT, TABLE_ROWS, check_tables, computed_row
 
@@ -188,6 +189,8 @@ def cmd_run(args) -> int:
             return _fail(1, f"cannot read config {args.config}: {exc.strerror or exc}")
         problem = "not found" if isinstance(exc, FileNotFoundError) else "unreadable"
         return _fail(1, f"dataset file {problem}: {exc}")
+    except IdxFormatError as exc:
+        return _fail(1, f"dataset file malformed: {exc}")
     except ValueError as exc:  # json.JSONDecodeError included
         return _fail(1, f"bad config {args.config}: {exc}")
     except CoverageError as exc:
@@ -211,7 +214,7 @@ def cmd_run(args) -> int:
                 with open(jsonl_path, "w") as jsonl_file:
                     emit_jsonl(history, jsonl_file)
                 last = history[-1] if history else None
-                acc, loss = (last.global_accuracy, last.global_loss) if last else (None, None)
+                acc, loss = (last.acc_global, last.loss) if last else (None, None)
                 final_accuracies.append(acc)
                 final_losses.append(loss)
                 print(f"seed {seed}: rounds={len(history)} final_acc={_four(acc)} "
@@ -372,19 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./runs)")
     p_run.add_argument("--rounds", type=int)
     p_run.add_argument("--codename")
-    p_run.add_argument("--family", choices=("WP", "NP", "FS"))
+    p_run.add_argument("--family", choices=FAMILIES)
     p_run.add_argument("--learning-rate", dest="learning_rate", type=float)
     p_run.add_argument("--momentum", type=float)
     p_run.add_argument("--local-epochs", dest="local_epochs", type=int)
     p_run.add_argument("--local-batch", dest="local_batch", type=int)
-    p_run.add_argument("--partition", choices=("iid", "label-skew"))
+    p_run.add_argument("--partition", choices=PARTITIONS)
     p_run.add_argument("--uncovered-region-action", dest="uncovered_region_action",
                        choices=("warn", "error"))
     p_run.set_defaults(func=cmd_run)
 
     p_acc = sub.add_parser("account", help="parameter/FLOP accounting for a codename")
     p_acc.add_argument("--codename")
-    p_acc.add_argument("--family", default="WP", choices=("WP", "NP", "FS"))
+    p_acc.add_argument("--family", default="WP", choices=FAMILIES)
     p_acc.add_argument("--layout", help="comma-separated layer sizes, default 784,200,10")
     p_acc.add_argument("--check-table", dest="check_table", action="store_true",
                        help="verify against the embedded benchmark grid")

@@ -5,6 +5,8 @@ temporaries, in numpy loops (and, for gzipped files, zlib's inflate) that
 release the GIL; so `federation.build_federated_data`, once per command,
 can build the train and test set on two lanes at once, when they are large
 enough to be worth it (`lanes.MIN_WORK`); each seed then only partitions.
+`PARTITIONS` lists the partition modes: `FederationConfig` checks the mode
+and counts before any data is read, `partition` only what needs the data.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+PARTITIONS = ("iid", "label-skew")  # the client partition modes
 
 
 class IdxFormatError(ValueError):
@@ -49,22 +52,6 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.inputs[idx], self.labels[idx], self.num_classes)
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    mode: str  # "iid" | "label-skew"
-    num_clients: int
-    classes_per_client: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("iid", "label-skew"):
-            raise ValueError(f"unknown partition mode {self.mode!r}")
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        if self.classes_per_client < 1:
-            raise ValueError("classes_per_client must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +101,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     images = _read_idx_images(images_path)
     labels = _read_idx_labels(labels_path)
     if len(images) != len(labels):
-        raise IdxFormatError(
-            f"count mismatch: {len(images)} images vs {len(labels)} labels"
-        )
+        raise IdxFormatError(f"count mismatch: {len(images)} images in {images_path} vs "
+                             f"{len(labels)} labels in {labels_path}")
     num_classes = int(labels.max()) + 1 if len(labels) else 0
     inputs = images.astype(np.float64)
     inputs /= 255.0  # in place: no second float64 copy of the images
@@ -158,7 +144,8 @@ def synth_blobs(
 # ---------------------------------------------------------------------------
 
 
-def partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
+def partition(dataset: Dataset, mode: str, num_clients: int, classes_per_client: int,
+              seed: int) -> list[np.ndarray]:
     """Split sample indices across clients; exact partition in either mode.
 
     iid: seed-shuffled equal-size (+-1) shards.
@@ -168,18 +155,20 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
     deal classes_per_client of them to each client. Every client therefore
     sees at most classes_per_client distinct labels.
     """
+    if mode not in PARTITIONS:
+        raise ValueError(f"unknown partition mode {mode!r}")
     n = len(dataset)
-    if n < spec.num_clients:
-        raise ValueError(f"cannot split {n} samples across {spec.num_clients} clients")
-    rng = np.random.default_rng(spec.seed)
+    if n < num_clients:
+        raise ValueError(f"cannot split {n} samples across {num_clients} clients")
+    rng = np.random.default_rng(seed)
 
-    if spec.mode == "iid":
+    if mode == "iid":
         perm = rng.permutation(n)
-        return [np.sort(s) for s in np.array_split(perm, spec.num_clients)]
+        return [np.sort(s) for s in np.array_split(perm, num_clients)]
 
-    if spec.classes_per_client > dataset.num_classes:
+    if classes_per_client > dataset.num_classes:
         raise ValueError("classes_per_client exceeds the number of classes")
-    total_shards = spec.num_clients * spec.classes_per_client
+    total_shards = num_clients * classes_per_client
     class_indices = [np.flatnonzero(dataset.labels == c) for c in range(dataset.num_classes)]
     class_counts = np.array([len(ci) for ci in class_indices])
     nonempty = np.flatnonzero(class_counts)
@@ -212,8 +201,8 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
         shards.extend(np.array_split(members, shards_per_class[i]))
     deal = rng.permutation(len(shards))
     out = []
-    for k in range(spec.num_clients):
-        take = deal[k * spec.classes_per_client : (k + 1) * spec.classes_per_client]
+    for k in range(num_clients):
+        take = deal[k * classes_per_client : (k + 1) * classes_per_client]
         out.append(np.sort(np.concatenate([shards[j] for j in take])))
     return out
 

@@ -12,6 +12,8 @@ Each round q (1-based):
      whose masks cover it: the round holds only the sum of the slots' local
      models, each +0.0 off its mask and added as it finishes, in slot order
      (see `aggregate`), and divides it by the coverage count
+  4. measure the round's metrics-file row (`metrics.RoundMetrics`): test-set
+     loss, accuracy and gradient, slot means of pruning noise and local accuracy
 Parameters covered by no slot keep the previous global value. Every mask
 keeps whole quartile segments, so the codename alone fixes how many slots
 cover each segment, and with that gamma_min and the amortized cost; the
@@ -49,7 +51,8 @@ from functools import partial
 import numpy as np
 
 from . import lanes, pruning
-from .data import Dataset, PartitionSpec, load_idx, partition, stratified_subset, synth_blobs
+from .data import (PARTITIONS, Dataset, IdxFormatError, load_idx, partition, stratified_subset,
+                   synth_blobs)
 from .metrics import (AmortizedAccount, RoundMetrics, account, full_account, theory_learning_rate,
                       weighted_accuracy)
 from .nn import LayerLayout, ParamVector, evaluate, forward, init_params, loss_and_grad, masked_sgd_step
@@ -175,7 +178,8 @@ class FederationConfig:
     smoothness_L: float | None = None
 
     def __post_init__(self):
-        counts = ("num_clients", "local_epochs", "local_batch", "test_batch", "freeze_after_round")
+        counts = ("num_clients", "local_epochs", "local_batch", "test_batch", "freeze_after_round",
+                  "classes_per_client")
         _check_ranges(self, "", counts, ("seed", "init_seed"))
         for key, valid, rule in (  # NaN fails every comparison
             ("participation_ratio", 0.0 < self.participation_ratio <= 1.0, "in (0, 1]"),
@@ -185,6 +189,7 @@ class FederationConfig:
             ("smoothness_L", self.smoothness_L is None or self.smoothness_L > 0.0, "positive"),
             ("uncovered_region_action", self.uncovered_region_action in ("warn", "error"),
              "'warn' or 'error'"),
+            ("partition", self.partition in PARTITIONS, " or ".join(map(repr, PARTITIONS))),
         ):
             if not valid:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
@@ -251,8 +256,9 @@ def build_federated_data(config: FederationConfig) -> FederatedData:
     the GIL, so they build in parallel when the smaller set holds at least
     `lanes.MIN_WORK` values. For IDX files the smaller image file's size
     stands in for its values (equal for plain files, fewer when gzipped).
-    An IDX test set takes the train set's class count once both are loaded;
-    subsets are drawn after the loads. With two lanes, a train-set error
+    An IDX test set takes the train set's class count once both are loaded,
+    and a test label beyond it is an `IdxFormatError` that names both label
+    files; subsets are drawn after the loads. With two lanes, a train-set error
     still wins over a test-set error. Last, the config checks that need the
     data: WP's rule on the first weight matrix, and a non-empty test set.
     The shards are `config.seed`'s; a partition error would be every seed's.
@@ -279,6 +285,9 @@ def build_federated_data(config: FederationConfig) -> FederatedData:
     lanes.on_lanes([0, 1], build, lanes.width(values))
     train, test = sets
     if isinstance(spec, IdxSpec):
+        if test.num_classes > train.num_classes:
+            raise IdxFormatError(f"test labels {spec.test_labels} reach {test.num_classes} classes, "
+                                 f"but train labels {spec.train_labels} have {train.num_classes}")
         test = Dataset(test.inputs, test.labels, train.num_classes)
         if spec.train_subset is not None:
             train = stratified_subset(train, spec.train_subset, spec.subset_seed)
@@ -294,8 +303,9 @@ def build_federated_data(config: FederationConfig) -> FederatedData:
 
 def partition_clients(data: FederatedData, config: FederationConfig) -> FederatedData:
     """`data` with its clients' train shards for `config`'s partition and seed."""
-    spec = PartitionSpec(config.partition, config.num_clients, config.classes_per_client, config.seed)
-    return replace(data, shards=tuple(partition(data.train, spec)))
+    shards = partition(data.train, config.partition, config.num_clients, config.classes_per_client,
+                       config.seed)
+    return replace(data, shards=tuple(shards))
 
 
 def model_layout(config: FederationConfig, data: FederatedData) -> LayerLayout:
@@ -491,7 +501,7 @@ def run_round(
     del units  # training need not hold the ranking; a freeze keeps it as `frozen`
     slot_masks = [masks[d] for d in codename]
     noise = dict(zip(masks, pruning_noise(state.params, list(masks.values()))))
-    deltas = tuple(noise[d] for d in codename)
+    delta_sq_mean = float(np.mean([noise[d] for d in codename]))
 
     shards = [data.shards[client] for client in participants]
     rngs = [local_rng(state.seed, q, k) for k in range(n_slots)]
@@ -519,20 +529,18 @@ def run_round(
             f"round {q}: non-finite test-set loss or gradient of the aggregated model "
             f"(loss {loss}, squared gradient norm {grad_norm_sq})"
         )
-    local_acc = weighted_accuracy(
-        [(1.0 / n_slots, hits, len(shard)) for hits, shard in zip(correct.tolist(), shards)]
-    )
+    local_acc = weighted_accuracy(list(zip(correct.tolist(), map(len, shards))))
     new_state = GlobalState(q, new_params, frozen, state.seed)
     record = RoundMetrics(
         round=q,
-        global_loss=loss,
-        global_accuracy=acc,
-        local_weighted_accuracy=local_acc,
+        loss=loss,
+        acc_global=acc,
+        acc_local=local_acc,
         gamma_min=facts.gamma_min,
-        per_slot_delta_sq=deltas,
-        grad_norm_sq_estimate=grad_norm_sq,
-        amortized_params=facts.cost.params_mean,
-        amortized_flops=facts.cost.flops_mean,
+        delta_sq_mean=delta_sq_mean,
+        grad_norm_sq=grad_norm_sq,
+        params_amortized=facts.cost.params_mean,
+        flops_amortized=facts.cost.flops_mean,
     )
     return new_state, record
 

@@ -6,7 +6,9 @@ bias adds excluded) - the only definition that reproduces the full-MLP
 pair (159010, 158800) for the 784-200-10 network.
 
 `weighted_accuracy` is arithmetic over correct counts that the round engine
-takes while it trains; it sums the weighted accuracies in client order.
+takes while it trains; it sums the slots' accuracies, each times 1/S, in
+slot order. A round's `RoundMetrics` is its row of the metrics files: the
+fields are the columns, so `emit_csv` and `emit_jsonl` write them as they are.
 """
 
 from __future__ import annotations
@@ -14,27 +16,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .nn import LayerLayout
 from .pruning import check_layout, segment_sizes
-
-# metrics-file column -> the RoundMetrics attribute it holds, in column order
-_COLUMNS = {
-    "round": "round",
-    "loss": "global_loss",
-    "acc_global": "global_accuracy",
-    "acc_local": "local_weighted_accuracy",
-    "gamma_min": "gamma_min",
-    "delta_sq_mean": "delta_sq_mean",
-    "grad_norm_sq": "grad_norm_sq_estimate",
-    "params_amortized": "amortized_params",
-    "flops_amortized": "amortized_flops",
-}
-CSV_HEADER = list(_COLUMNS)
-
 
 @dataclass(frozen=True)
 class ModelAccount:
@@ -50,23 +35,22 @@ class AmortizedAccount:
     flops_ratio: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundMetrics:
-    round: int
-    global_loss: float
-    global_accuracy: float
-    local_weighted_accuracy: float
-    gamma_min: int
-    per_slot_delta_sq: tuple[float, ...]
-    grad_norm_sq_estimate: float
-    amortized_params: float
-    amortized_flops: float
+    """One round's row of the metrics files: the fields are the columns, in order."""
 
-    @property
-    def delta_sq_mean(self) -> float:
-        if not self.per_slot_delta_sq:
-            return 0.0
-        return float(np.mean(self.per_slot_delta_sq))
+    round: int
+    loss: float  # global model on the test set
+    acc_global: float
+    acc_local: float  # mean over the slots of each local model's accuracy on its own shard
+    gamma_min: int
+    delta_sq_mean: float  # mean over the slots of the pruning noise
+    grad_norm_sq: float  # squared norm of the test-set gradient
+    params_amortized: float
+    flops_amortized: float
+
+
+CSV_HEADER = [f.name for f in fields(RoundMetrics)]
 
 
 @dataclass(frozen=True)
@@ -151,18 +135,16 @@ def amortized(accounts: list[ModelAccount], full: ModelAccount) -> AmortizedAcco
 # ---------------------------------------------------------------------------
 
 
-def weighted_accuracy(per_client: list[tuple[float, int, int]]) -> float:
-    """Weighted mean of per-client accuracies, each on that client's own data.
+def weighted_accuracy(per_slot: list[tuple[int, int]]) -> float:
+    """Mean of the slots' accuracies, each on that slot's own data.
 
-    Entries are (weight, correct predictions, examples); weights must sum
-    to 1. `w * (correct / count)` is added to the total in client order.
+    Entries are (correct predictions, examples), one per slot of S;
+    `(1/S) * (correct / count)` is added to the total in slot order.
     """
-    weights = [w for w, _, _ in per_client]
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError(f"client weights must sum to 1, got {sum(weights)}")
+    weight = 1 / len(per_slot)
     total = 0.0
-    for w, correct, count in per_client:
-        total += w * (correct / count)
+    for correct, count in per_slot:
+        total += weight * (correct / count)
     return total
 
 
@@ -221,19 +203,14 @@ def theory_learning_rate(T: int, Q: int, L: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _record_row(r: RoundMetrics) -> list:
-    """A record's values in column order."""
-    return [getattr(r, attr) for attr in _COLUMNS.values()]
-
-
 def emit_csv(records: list[RoundMetrics], sink) -> None:
     """Fixed-header CSV; ints as they are, floats at 17 significant digits (exact round-trip)."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in records:
-        writer.writerow(v if isinstance(v, int) else format(v, ".17g") for v in _record_row(r))
+        writer.writerow(v if isinstance(v, int) else format(v, ".17g") for v in astuple(r))
 
 
 def emit_jsonl(records: list[RoundMetrics], sink) -> None:
     for r in records:
-        sink.write(json.dumps(dict(zip(CSV_HEADER, _record_row(r)))) + "\n")
+        sink.write(json.dumps(asdict(r)) + "\n")

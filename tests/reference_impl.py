@@ -261,13 +261,13 @@ def reference_run(config, data):
         )
         history.append(RoundMetrics(
             round=q,
-            global_loss=loss,
-            global_accuracy=acc,
-            local_weighted_accuracy=local_acc,
+            loss=loss,
+            acc_global=acc,
+            acc_local=local_acc,
             gamma_min=gamma_min,
-            per_slot_delta_sq=tuple(deltas),
-            grad_norm_sq_estimate=float(grad @ grad),
-            amortized_params=cost.params_mean,
-            amortized_flops=cost.flops_mean,
+            delta_sq_mean=float(np.mean(deltas)),
+            grad_norm_sq=float(grad @ grad),
+            params_amortized=cost.params_mean,
+            flops_amortized=cost.flops_mean,
         ))
     return history

@@ -365,6 +365,8 @@ def test_run_reports_bad_config_values_without_a_traceback(tmp_path, capsys, ove
     ({"train_subset": 0}, "train_subset must be >= 1, got 0"),
     ({"test_subset": -3}, "test_subset must be >= 1, got -3"),
     ({"subset_seed": -1}, "subset_seed must be non-negative, got -1"),
+    ({"partition": "foo"}, "partition must be 'iid' or 'label-skew', got 'foo'"),
+    ({"classes_per_client": 0}, "classes_per_client must be >= 1, got 0"),
 ])
 def test_idx_config_errors_name_their_key_before_any_file_is_read(tmp_path, capsys, overrides,
                                                                    named):
@@ -455,7 +457,7 @@ def test_a_command_builds_its_data_and_judges_each_codename_once(tmp_path, monke
     for module in (fedprune.cli, federation):  # wherever the facts are looked up
         spy(module, "codename_facts", lambda config, layout: ("facts", config.codename))
         spy(module, "computed_row", lambda family, codename, layout: ("computed_row", codename))
-    spy(federation, "partition", lambda train, spec: ("partition", spec.seed))
+    spy(federation, "partition", lambda train, mode, clients, classes, seed: ("partition", seed))
     spy(federation, "local_update", lambda *args: ("local_update",))
     mixes = ["1111223344", "1111444444"]
     path = write_config(tmp_path, codename=ABSENT, codenames=mixes, seeds=[1, 2, 3], rounds=1)
@@ -784,21 +786,39 @@ def test_run_dataset_idx_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: dataset file not found: ")
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "truncated",
+                                  "test-labels-beyond-train-classes"])
 def test_run_dataset_read_error_exits_1_naming_the_path_with_no_output(tmp_path, capsys, kind):
-    images = tmp_path / "train-images"
+    import numpy as np
+
+    from file_formats import write_idx
+
+    from fedprune.data import Dataset
+
+    ti, tl, vi, vl = (tmp_path / name for name in ("ti", "tl", "vi", "vl"))
+    if kind in ("truncated", "test-labels-beyond-train-classes"):
+        train_labels = np.arange(40) % 3
+        test_labels = np.arange(20) % (5 if kind == "test-labels-beyond-train-classes" else 3)
+        write_idx(Dataset(np.eye(16)[train_labels], train_labels, 3), ti, tl)
+        write_idx(Dataset(np.eye(16)[test_labels], test_labels, 5), vi, vl)
+    if kind == "truncated":
+        ti.write_bytes(ti.read_bytes()[:40])  # the header and 24 of 640 pixels
     if kind == "directory":
-        images.mkdir()
-    path = write_config(
-        tmp_path, IDX_CONFIG, dataset="idx", train_images=str(images),
-        train_labels=str(tmp_path / "tl"), test_images=str(tmp_path / "vi"),
-        test_labels=str(tmp_path / "vl"),
-    )
+        ti.mkdir()
+    path = write_config(tmp_path, IDX_CONFIG, dataset="idx", train_images=str(ti),
+                        train_labels=str(tl), test_images=str(vi), test_labels=str(vl))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    problem = "not found" if kind == "missing" else "unreadable"
-    assert err.startswith(f"error: dataset file {problem}: ") and str(images) in err
+    want = {
+        "missing": f"error: dataset file not found: [Errno 2] No such file or directory: '{ti}'",
+        "directory": f"error: dataset file unreadable: [Errno 21] Is a directory: '{ti}'",
+        "truncated": f"error: dataset file malformed: truncated IDX file {ti}: wanted 640 bytes, "
+                     f"got 24",
+        "test-labels-beyond-train-classes": f"error: dataset file malformed: test labels {vl} "
+                                            f"reach 5 classes, but train labels {tl} have 3",
+    }[kind]
+    assert err == want + "\n"
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from fedprune.data import (
     Dataset,
     IdxFormatError,
-    PartitionSpec,
     load_idx,
     partition,
     stratified_subset,
@@ -85,8 +85,10 @@ def test_load_idx_rejects_truncation(tmp_path):
 def test_load_idx_rejects_count_mismatch(tmp_path):
     images, _ = tiny_idx_bytes()
     labels3 = struct.pack(">ii", LABELS_MAGIC, 3) + bytes([0, 1, 0])
-    with pytest.raises(IdxFormatError, match="mismatch"):
-        load_idx(*write_pair(tmp_path, images, labels3))
+    ipath, lpath = write_pair(tmp_path, images, labels3)
+    want = f"count mismatch: 2 images in {ipath} vs 3 labels in {lpath}"
+    with pytest.raises(IdxFormatError, match=f"^{re.escape(want)}$"):
+        load_idx(ipath, lpath)
 
 
 def test_load_idx_flattens_28x28(tmp_path):
@@ -154,7 +156,7 @@ def test_blobs_reject_the_spreads_rng_normal_rejects(spread):
 
 def test_iid_partition_even_shards():
     dataset = synth_blobs(10, 10, 10, 0.1, seed=2)
-    shards = partition(dataset, PartitionSpec("iid", 10, seed=3))
+    shards = partition(dataset, "iid", 10, 2, 3)
     assert len(shards) == 10
     assert all(len(s) == 10 for s in shards)
     joined = np.concatenate(shards)
@@ -163,7 +165,7 @@ def test_iid_partition_even_shards():
 
 def test_label_skew_cardinality_bound():
     dataset = synth_blobs(10, 100, 10, 0.1, seed=4)
-    shards = partition(dataset, PartitionSpec("label-skew", 10, classes_per_client=2, seed=5))
+    shards = partition(dataset, "label-skew", 10, 2, 5)
     for shard in shards:
         assert len(np.unique(dataset.labels[shard])) <= 2
     joined = np.concatenate(shards)
@@ -172,7 +174,7 @@ def test_label_skew_cardinality_bound():
 
 def test_label_skew_is_actually_skewed():
     dataset = synth_blobs(10, 100, 10, 0.1, seed=4)
-    shards = partition(dataset, PartitionSpec("label-skew", 10, classes_per_client=2, seed=5))
+    shards = partition(dataset, "label-skew", 10, 2, 5)
     cardinalities = [len(np.unique(dataset.labels[s])) for s in shards]
     assert max(cardinalities) <= 2
     assert min(len(s) for s in shards) > 0
@@ -186,9 +188,7 @@ def test_label_skew_is_actually_skewed():
 )
 def test_partition_is_exact(mode, num_clients, seed):
     dataset = synth_blobs(5, 30, 6, 0.2, seed=6)
-    shards = partition(
-        dataset, PartitionSpec(mode, num_clients, classes_per_client=2, seed=seed)
-    )
+    shards = partition(dataset, mode, num_clients, 2, seed)
     joined = np.concatenate(shards)
     assert len(joined) == len(dataset)
     assert len(np.unique(joined)) == len(dataset)
@@ -199,15 +199,21 @@ def test_partition_is_exact(mode, num_clients, seed):
 
 def test_partition_determinism():
     dataset = synth_blobs(4, 25, 5, 0.2, seed=7)
-    a = partition(dataset, PartitionSpec("label-skew", 5, 2, seed=8))
-    b = partition(dataset, PartitionSpec("label-skew", 5, 2, seed=8))
+    a = partition(dataset, "label-skew", 5, 2, 8)
+    b = partition(dataset, "label-skew", 5, 2, 8)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_partition_rejects_a_mode_outside_partitions():
+    dataset = synth_blobs(2, 10, 3, 0.1, seed=0)
+    with pytest.raises(ValueError, match="^unknown partition mode 'foo'$"):
+        partition(dataset, "foo", 5, 2, 0)
 
 
 def test_partition_rejects_more_clients_than_samples():
     dataset = synth_blobs(2, 2, 3, 0.1, seed=0)
     with pytest.raises(ValueError):
-        partition(dataset, PartitionSpec("iid", 5))
+        partition(dataset, "iid", 5, 2, 0)
 
 
 def test_label_skew_rejects_too_few_samples_per_class():
@@ -215,13 +221,13 @@ def test_label_skew_rejects_too_few_samples_per_class():
     labels = np.array([0, 0, 0, 0, 1, 1, 1])
     dataset = Dataset(inputs, labels, 2)
     with pytest.raises(ValueError):
-        partition(dataset, PartitionSpec("label-skew", 5, classes_per_client=2, seed=0))
+        partition(dataset, "label-skew", 5, 2, 0)
 
 
 def test_label_skew_rejects_too_many_classes_per_client():
     dataset = synth_blobs(3, 10, 4, 0.1, seed=0)
     with pytest.raises(ValueError):
-        partition(dataset, PartitionSpec("label-skew", 3, classes_per_client=4, seed=0))
+        partition(dataset, "label-skew", 3, 4, 0)
 
 
 # ---------------------------------------------------------------------------

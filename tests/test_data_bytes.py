@@ -9,6 +9,7 @@ whatever number of lanes it runs on.
 import gzip
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -124,8 +125,10 @@ def test_idx_federated_data_bytes_on_one_and_two_lanes(tmp_path, use_lanes, lane
 @pytest.mark.parametrize("lane_count", [1, 2])
 def test_idx_test_labels_beyond_the_train_classes_are_rejected(tmp_path, use_lanes, lane_count):
     use_lanes(lane_count)
-    with pytest.raises(ValueError, match="labels out of range for num_classes"):
-        build_federated_data(idx_config(write_idx_sets(tmp_path, test_classes=6)))
+    paths = write_idx_sets(tmp_path, test_classes=6)
+    want = f"test labels {paths[3]} reach 6 classes, but train labels {paths[1]} have 4"
+    with pytest.raises(IdxFormatError, match=f"^{re.escape(want)}$"):
+        build_federated_data(idx_config(paths))
 
 
 @pytest.mark.parametrize("lane_count", [1, 2])

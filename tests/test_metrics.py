@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import json
 import math
 
 import numpy as np
@@ -161,7 +163,7 @@ def test_weighted_accuracy_single_perfect_client():
     layout = LayerLayout((2, 2))
     params = ParamVector(np.array([5.0, 0.0, 0.0, 5.0, 0.0, 0.0]), layout)
     data = synth_blobs(2, 10, 2, 0.0, seed=0)
-    assert weighted_accuracy([(1.0, *correct_and_count(params, data))]) == 1.0
+    assert weighted_accuracy([correct_and_count(params, data)]) == 1.0
 
 
 def test_weighted_accuracy_mixes_linearly():
@@ -169,13 +171,8 @@ def test_weighted_accuracy_mixes_linearly():
     good = ParamVector(np.array([5.0, 0.0, 0.0, 5.0, 0.0, 0.0]), layout)
     bad = ParamVector(np.array([0.0, 5.0, 5.0, 0.0, 0.0, 0.0]), layout)  # labels flipped
     data = synth_blobs(2, 10, 2, 0.0, seed=0)
-    mixed = [(0.5, *correct_and_count(good, data)), (0.5, *correct_and_count(bad, data))]
+    mixed = [correct_and_count(good, data), correct_and_count(bad, data)]
     assert weighted_accuracy(mixed) == pytest.approx(0.5)
-
-
-def test_weighted_accuracy_rejects_unnormalized_weights():
-    with pytest.raises(ValueError):
-        weighted_accuracy([(0.7, 3, 10), (0.7, 5, 10)])
 
 
 def test_uniform_weights_over_equal_shards_equal_global_accuracy():
@@ -184,7 +181,7 @@ def test_uniform_weights_over_equal_shards_equal_global_accuracy():
     data = synth_blobs(3, 20, 4, 0.4, seed=6)
     shard_a, shard_b = data.subset(np.arange(30)), data.subset(np.arange(30, 60))
     per_client = weighted_accuracy(
-        [(0.5, *correct_and_count(params, shard_a)), (0.5, *correct_and_count(params, shard_b))]
+        [correct_and_count(params, shard_a), correct_and_count(params, shard_b)]
     )
     _, global_acc, _ = evaluate(params, data)
     assert per_client == pytest.approx(global_acc, abs=1e-12)
@@ -326,15 +323,27 @@ def record(round_no):
     rng = np.random.default_rng(round_no)
     return RoundMetrics(
         round=round_no,
-        global_loss=float(rng.uniform(0, 3)),
-        global_accuracy=float(rng.uniform(0, 1)),
-        local_weighted_accuracy=float(rng.uniform(0, 1)),
+        loss=float(rng.uniform(0, 3)),
+        acc_global=float(rng.uniform(0, 1)),
+        acc_local=float(rng.uniform(0, 1)),
         gamma_min=int(rng.integers(0, 11)),
-        per_slot_delta_sq=tuple(rng.uniform(0, 0.5, 3)),
-        grad_norm_sq_estimate=float(rng.uniform(0, 2)),
-        amortized_params=float(rng.uniform(1e5, 2e5)),
-        amortized_flops=float(rng.uniform(1e5, 2e5)),
+        delta_sq_mean=float(rng.uniform(0, 0.5)),
+        grad_norm_sq=float(rng.uniform(0, 2)),
+        params_amortized=float(rng.uniform(1e5, 2e5)),
+        flops_amortized=float(rng.uniform(1e5, 2e5)),
     )
+
+
+def test_the_record_is_the_row():
+    # the header is the fields' names, in the order the metrics files have always had them
+    assert CSV_HEADER == ["round", "loss", "acc_global", "acc_local", "gamma_min", "delta_sq_mean",
+                          "grad_norm_sq", "params_amortized", "flops_amortized"]
+    rec = record(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.loss = 0.0
+    sink = io.StringIO()
+    emit_jsonl([rec], sink)
+    assert list(json.loads(sink.getvalue())) == CSV_HEADER
 
 
 def test_emit_header_only_for_empty_records():
@@ -351,7 +360,7 @@ def test_emit_one_record_two_lines():
 
 def test_emit_csv_formats_by_value_type():
     # ints as they are, floats at 17 significant digits, whatever the column
-    rec = RoundMetrics(3, 0.1, 0.5, 0.25, 8, (0.1, 0.2), 2.0, 135490.0, 1e-300)
+    rec = RoundMetrics(3, 0.1, 0.5, 0.25, 8, 0.15000000000000002, 2.0, 135490.0, 1e-300)
     sink = io.StringIO()
     emit_csv([rec], sink)
     assert sink.getvalue().splitlines()[1] == (
@@ -368,16 +377,14 @@ def test_emit_round_trip_is_exact():
     assert len(parsed) == len(records)
     for row, rec in zip(parsed, records):
         assert row["round"] == rec.round
-        assert row["loss"] == rec.global_loss
-        assert row["acc_global"] == rec.global_accuracy
-        assert row["acc_local"] == rec.local_weighted_accuracy
+        assert row["loss"] == rec.loss
+        assert row["acc_global"] == rec.acc_global
+        assert row["acc_local"] == rec.acc_local
         assert row["gamma_min"] == rec.gamma_min
         assert row["delta_sq_mean"] == rec.delta_sq_mean
-        assert row["grad_norm_sq"] == rec.grad_norm_sq_estimate
-        assert row["params_amortized"] == rec.amortized_params
-        assert row["flops_amortized"] == rec.amortized_flops
+        assert row["grad_norm_sq"] == rec.grad_norm_sq
+        assert row["params_amortized"] == rec.params_amortized
+        assert row["flops_amortized"] == rec.flops_amortized
     # the JSON twin carries the same values
-    import json
-
     json_rows = [json.loads(line) for line in jsonl_sink.getvalue().splitlines()]
-    assert [r["loss"] for r in json_rows] == [r.global_loss for r in records]
+    assert [r["loss"] for r in json_rows] == [r.loss for r in records]
