@@ -195,6 +195,8 @@ def cmd_run(args) -> int:
         return _fail(1, f"bad config {args.config}: {exc}")
     except CoverageError as exc:
         return _fail(2, f"coverage violation: {exc}")
+    except MemoryError as exc:  # the data a config asks for (numpy names the size)
+        return _fail(1, f"out of memory for config {args.config}: {exc}")
 
     sweep = []  # a codenames config's sweep.csv rows
     try:
@@ -244,6 +246,8 @@ def cmd_run(args) -> int:
             print(f"sweep: {len(sweep)} codenames -> {sweep_path}")
     except FloatingPointError as exc:
         return _fail(4, f"training diverged: {exc}")
+    except MemoryError as exc:  # the model a config asks for, made at a seed's first run
+        return _fail(1, f"out of memory for config {args.config}: {exc}")
     except OSError as exc:  # writing the outputs
         return _fail(3, f"I/O failure: {exc}")
     return 0

@@ -12,6 +12,7 @@ and counts before any data is read, `partition` only what needs the data.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -67,39 +68,35 @@ def _open_maybe_gzip(path):
     return open(path, "rb")
 
 
-def _read_exact(f, n: int, path) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise IdxFormatError(f"truncated IDX file {path}: wanted {n} bytes, got {len(data)}")
-    return data
+def _read_idx(path, magic: int, ndim: int) -> tuple[np.ndarray, list[int]]:
+    """(flat uint8 payload, the `ndim` sizes) of an IDX file whose header starts with `magic`.
 
-
-def _read_idx_images(path) -> np.ndarray:
+    The header is outside input: its sizes are checked against the bytes the
+    file holds, read a megabyte at a time, so a size the file does not back
+    is a malformed file, never a request for that many bytes.
+    """
     with _open_maybe_gzip(path) as f:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, path))
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(
-                f"bad magic {magic:#010x} in {path}, expected {IDX_IMAGES_MAGIC:#010x}"
-            )
-        pixels = np.frombuffer(_read_exact(f, count * rows * cols, path), dtype=np.uint8)
-    return pixels.reshape(count, rows * cols)
+        def take(n: int) -> bytearray:
+            data = bytearray()
+            while len(data) < n and (chunk := f.read(min(n - len(data), 1 << 20))):
+                data += chunk  # grows in place: a gzipped file is not held twice
+            if len(data) < n:
+                raise IdxFormatError(f"truncated IDX file {path}: wanted {n} bytes, got {len(data)}")
+            return data
 
-
-def _read_idx_labels(path) -> np.ndarray:
-    with _open_maybe_gzip(path) as f:
-        magic, count = struct.unpack(">ii", _read_exact(f, 8, path))
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxFormatError(
-                f"bad magic {magic:#010x} in {path}, expected {IDX_LABELS_MAGIC:#010x}"
-            )
-        labels = np.frombuffer(_read_exact(f, count, path), dtype=np.uint8)
-    return labels
+        found, *shape = struct.unpack(f">{1 + ndim}i", take(4 * (1 + ndim)))
+        if found != magic:
+            raise IdxFormatError(f"bad magic {found:#010x} in {path}, expected {magic:#010x}")
+        if min(shape) < 0:
+            raise IdxFormatError(f"negative size in the header of {path}: {shape}")
+        return np.frombuffer(take(math.prod(shape)), dtype=np.uint8), shape
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Big-endian IDX image/label pair -> Dataset: pixels scaled by 1/255, max label + 1 classes."""
-    images = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
+    pixels, (count, rows, cols) = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    images = pixels.reshape(count, rows * cols)
+    labels, _ = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if len(images) != len(labels):
         raise IdxFormatError(f"count mismatch: {len(images)} images in {images_path} vs "
                              f"{len(labels)} labels in {labels_path}")

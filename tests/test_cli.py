@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -786,8 +787,8 @@ def test_run_dataset_idx_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: dataset file not found: ")
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "truncated",
-                                  "test-labels-beyond-train-classes"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "truncated", "negative-size",
+                                  "claims-2**61-bytes", "test-labels-beyond-train-classes"])
 def test_run_dataset_read_error_exits_1_naming_the_path_with_no_output(tmp_path, capsys, kind):
     import numpy as np
 
@@ -796,13 +797,16 @@ def test_run_dataset_read_error_exits_1_naming_the_path_with_no_output(tmp_path,
     from fedprune.data import Dataset
 
     ti, tl, vi, vl = (tmp_path / name for name in ("ti", "tl", "vi", "vl"))
-    if kind in ("truncated", "test-labels-beyond-train-classes"):
+    if kind not in ("missing", "directory"):
         train_labels = np.arange(40) % 3
         test_labels = np.arange(20) % (5 if kind == "test-labels-beyond-train-classes" else 3)
         write_idx(Dataset(np.eye(16)[train_labels], train_labels, 3), ti, tl)
         write_idx(Dataset(np.eye(16)[test_labels], test_labels, 5), vi, vl)
     if kind == "truncated":
         ti.write_bytes(ti.read_bytes()[:40])  # the header and 24 of 640 pixels
+    if kind in ("negative-size", "claims-2**61-bytes"):  # 40 images of 4 x 4 in the header
+        sizes = (40, 4, -4) if kind == "negative-size" else (2**30, 2**15, 2**16)
+        ti.write_bytes(struct.pack(">iiii", 0x803, *sizes) + ti.read_bytes()[16:])
     if kind == "directory":
         ti.mkdir()
     path = write_config(tmp_path, IDX_CONFIG, dataset="idx", train_images=str(ti),
@@ -815,6 +819,10 @@ def test_run_dataset_read_error_exits_1_naming_the_path_with_no_output(tmp_path,
         "directory": f"error: dataset file unreadable: [Errno 21] Is a directory: '{ti}'",
         "truncated": f"error: dataset file malformed: truncated IDX file {ti}: wanted 640 bytes, "
                      f"got 24",
+        "negative-size": f"error: dataset file malformed: negative size in the header of {ti}: "
+                         f"[40, 4, -4]",
+        "claims-2**61-bytes": f"error: dataset file malformed: truncated IDX file {ti}: "
+                              f"wanted {2**61} bytes, got 640",
         "test-labels-beyond-train-classes": f"error: dataset file malformed: test labels {vl} "
                                             f"reach 5 classes, but train labels {tl} have 3",
     }[kind]
@@ -870,6 +878,23 @@ def test_run_from_idx_files_end_to_end(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     lines = (out / "metrics_seed1.csv").read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+# Requests of 1 PiB and more lie beyond a 47-bit address space, so they fail at once
+# whatever the overcommit setting.
+@pytest.mark.parametrize("key, value, nbytes", [
+    ("synth_samples_per_class", 10**14, "142. PiB"),  # the data, before any output
+    ("hidden_layers", [10**13], "2.20 PiB"),  # the model, at the first run: its directory exists
+], ids=["data", "model"])
+def test_a_config_too_large_to_allocate_is_one_error_line(tmp_path, capsys, key, value, nbytes):
+    path = write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out of memory for config {path}: Unable to allocate {nbytes} ")
+    assert err.count("\n") == 1
+    assert out.exists() == (key == "hidden_layers")  # as README's exit-code paragraph says
+    assert not out.exists() or not any(out.iterdir())  # and no file is written
 
 
 # ---------------------------------------------------------------------------

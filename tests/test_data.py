@@ -1,4 +1,5 @@
 import gzip
+import math
 import re
 import struct
 
@@ -80,6 +81,29 @@ def test_load_idx_rejects_truncation(tmp_path):
     images, labels = tiny_idx_bytes()
     with pytest.raises(IdxFormatError, match="truncated"):
         load_idx(*write_pair(tmp_path, images[:-1], labels))
+
+
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+@pytest.mark.parametrize("file, sizes", [
+    ("images", (-2, 2, 2)), ("images", (2, 2, -2)), ("labels", (-1,)),
+    ("images", (2**30, 2**15, 2**16)),  # 2**61 bytes: more than any address space
+    ("labels", (2**31 - 1,)),
+], ids=["negative-count", "negative-row-size", "negative-label-count", "2**61-pixels",
+        "2**31-labels"])
+def test_load_idx_checks_header_sizes_against_the_bytes_the_file_holds(tmp_path, gz, file, sizes):
+    images, labels = tiny_idx_bytes()
+    if file == "images":
+        images = struct.pack(">iiii", IMAGES_MAGIC, *sizes) + images[16:]
+        path, held = write_pair(tmp_path, images, labels, gz)[0], len(images) - 16
+    else:
+        labels = struct.pack(">ii", LABELS_MAGIC, *sizes) + labels[8:]
+        path, held = write_pair(tmp_path, images, labels, gz)[1], len(labels) - 8
+    if min(sizes) < 0:  # refused before any payload is read
+        want = f"negative size in the header of {path}: {list(sizes)}"
+    else:  # a size the file does not hold is a short file, not a request for that many bytes
+        want = f"truncated IDX file {path}: wanted {math.prod(sizes)} bytes, got {held}"
+    with pytest.raises(IdxFormatError, match=f"^{re.escape(want)}$"):
+        load_idx(tmp_path / "images.idx", tmp_path / "labels.idx")
 
 
 def test_load_idx_rejects_count_mismatch(tmp_path):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fedprune.cli import main
 from fedprune.nn import LayerLayout
 from fedprune.tables import computed_row
@@ -47,17 +49,26 @@ def test_synth_sweep_row_matches_computed_row(tmp_path):
     assert 0.0 <= float(row["acc_mean"]) <= 1.0
 
 
-def test_ab_rounds_times_both_trees_in_alternating_processes(tmp_path):
-    src = str(SCRIPTS.parent / "src")
-    proc = run_script("ab_rounds.py", src, src, "--workload", "small_np", "--pairs", "2", cwd=tmp_path)
+@pytest.mark.parametrize("workload", ["small_np", "account_grid"])
+def test_ab_rounds_reports_the_benchmark_metrics_of_both_checkouts(tmp_path, workload):
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    proc = run_script("ab_rounds.py", str(ROOT), str(ROOT), "--workload", workload, "--pairs", "1",
+                      cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines[:6]] == [
-        "pair 0", "pair 1", "parent", "change", "parent VmHWM", "change VmHWM"
-    ]
-    assert all(" MB, ratio " in line for line in lines[:2])
-    for line in lines[4:6]:
-        assert re.fullmatch(r"\w+ VmHWM: median [\d.]+ MB \(Q1 [\d.]+, Q3 [\d.]+\)", line)
-    assert re.fullmatch(r"change faster in [0-2]/2 pairs", lines[6])
-    assert re.fullmatch(r"change lower in [0-2]/2 pairs", lines[7])
-    assert len(lines) == 8
+    pair, *summary = proc.stdout.splitlines()
+    number = r"\d[\d.e+-]*"
+    side = " ".join(f"{m['name']} {number}" for m in end_to_end)
+    assert re.fullmatch(f"pair 0: parent {side}, change {side}", pair)
+    # the summary names BENCHMARK.json's end-to-end metrics, in order, with their units
+    assert [line.split(":")[0] for line in summary] == [m["name"] for m in end_to_end]
+    for line, metric in zip(summary, end_to_end):
+        median = rf"{number} {metric['unit']} \(Q1 {number}, Q3 {number}\)"
+        assert re.fullmatch(rf"{metric['name']}: parent {median}, change {median}, "
+                            r"change lower in [01]/1 pairs", line)
+
+
+def test_ab_rounds_needs_at_least_one_pair(tmp_path):
+    proc = run_script("ab_rounds.py", str(ROOT), str(ROOT), "--pairs", "0", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: --pairs must be at least 1\n")
+    assert proc.stdout == ""
