@@ -29,25 +29,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-import numpy as np
-
-from .data import PARTITIONS, IdxFormatError
-from .federation import (
-    CodenameFacts,
-    CoverageError,
-    FederationConfig,
-    IdxSpec,
-    SynthSpec,
-    build_federated_data,
-    codename_facts,
-    model_layout,
-    partition_clients,
-    run as run_federation,
-)
 from .metrics import account, emit_csv, emit_jsonl
-from .nn import LayerLayout
-from .pruning import DIGIT_SEGMENTS, FAMILIES, codename_coverage
-from .selfcheck import run_selfcheck
+from .spec import (DIGIT_SEGMENTS, FAMILIES, PARTITIONS, FederationConfig, IdxSpec, LayerLayout,
+                   SynthSpec, codename_coverage)
 from .tables import MNIST_LAYOUT, TABLE_ROWS, check_tables, computed_row
 
 OUT_DIR_ENV = "FEDPRUNE_OUT"
@@ -165,92 +149,107 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-# The engine names every non-finite value by round and phase, so numpy's own
-# overflow/invalid warnings would only repeat it; lanes inherit this state.
-@np.errstate(over="ignore", invalid="ignore")
+def build_federated_data(config: FederationConfig):
+    """`federation.build_federated_data`, with the engine imported on the first call."""
+    from .federation import build_federated_data
+
+    return build_federated_data(config)
+
+
 def cmd_run(args) -> int:
     # a flag's dest is the field it sets
     overrides = {f.name: getattr(args, f.name, None) for f in fields(FederationConfig)}
     overrides["out_dir"] = args.out
-    config = None  # set once the config is read: a later read error is a dataset file's
-    try:  # every read and every codename's verdict, before any output exists
+    try:
         if args.seeds is not None:
             overrides["seeds"] = _int_list("--seeds", args.seeds)
         config = load_run_config(args.config, overrides)
-        base = config.federation
-        runs = [(c, config.out_dir / c) for c in config.codenames] or [(base.codename, config.out_dir)]
-        built = build_federated_data(base)  # the sets once, with the shards of base.seed = seeds[0]
-        data = {s: built if s == base.seed else partition_clients(built, replace(base, seed=s))
-                for s in config.seeds}  # each seed's shards once, shared by every codename
-        layout = model_layout(base, built)
-        facts = {c: codename_facts(replace(base, codename=c), layout) for c, _ in runs}
     except OSError as exc:  # missing, a directory, unreadable
-        if config is None:
-            return _fail(1, f"cannot read config {args.config}: {exc.strerror or exc}")
-        problem = "not found" if isinstance(exc, FileNotFoundError) else "unreadable"
-        return _fail(1, f"dataset file {problem}: {exc}")
-    except IdxFormatError as exc:
-        return _fail(1, f"dataset file malformed: {exc}")
+        return _fail(1, f"cannot read config {args.config}: {exc.strerror or exc}")
     except ValueError as exc:  # json.JSONDecodeError included
         return _fail(1, f"bad config {args.config}: {exc}")
-    except CoverageError as exc:
-        return _fail(2, f"coverage violation: {exc}")
-    except MemoryError as exc:  # the data a config asks for (numpy names the size)
-        return _fail(1, f"out of memory for config {args.config}: {exc}")
 
-    sweep = []  # a codenames config's sweep.csv rows
-    try:
-        for codename, out_dir in runs:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            if config.codenames:
-                print(f"codename {codename}:")
-            final_accuracies = []  # None for a seed with no rounds: null in summary.json
-            final_losses = []
-            for seed in config.seeds:
-                fed = replace(base, codename=codename, seed=seed)
-                history, _ = run_federation(fed, data[seed], facts[codename])
-                csv_path = out_dir / f"metrics_seed{seed}.csv"
-                jsonl_path = out_dir / f"metrics_seed{seed}.jsonl"
-                with open(csv_path, "w") as csv_file:
-                    emit_csv(history, csv_file)
-                with open(jsonl_path, "w") as jsonl_file:
-                    emit_jsonl(history, jsonl_file)
-                last = history[-1] if history else None
-                acc, loss = (last.acc_global, last.loss) if last else (None, None)
-                final_accuracies.append(acc)
-                final_losses.append(loss)
-                print(f"seed {seed}: rounds={len(history)} final_acc={_four(acc)} "
-                      f"final_loss={_four(loss)} -> {csv_path}")
-            ran = None not in final_accuracies  # every seed runs the same number of rounds
-            summary = {
-                "codename": codename,
-                "family": base.family,
-                "seeds": list(config.seeds),
-                "final_accuracy_per_seed": final_accuracies,
-                "final_accuracy_mean": float(np.mean(final_accuracies)) if ran else None,
-                "final_accuracy_std": float(np.std(final_accuracies)) if ran else None,
-                "final_loss_mean": float(np.mean(final_losses)) if ran else None,
-            }
-            text = json.dumps(summary, indent=2, allow_nan=False)
-            (out_dir / "summary.json").write_text(text + "\n")
-            print(f"summary: mean final accuracy {_four(summary['final_accuracy_mean'])} "
-                  f"(std {_four(summary['final_accuracy_std'])}) over seeds {list(config.seeds)}")
-            if config.codenames:
-                sweep.append(_sweep_row(summary, facts[codename]))
-        if sweep:
-            sweep_path = config.out_dir / "sweep.csv"
-            with open(sweep_path, "w", newline="") as sweep_file:
-                writer = csv.DictWriter(sweep_file, fieldnames=list(sweep[0]))
-                writer.writeheader()
-                writer.writerows(sweep)
-            print(f"sweep: {len(sweep)} codenames -> {sweep_path}")
-    except FloatingPointError as exc:
-        return _fail(4, f"training diverged: {exc}")
-    except MemoryError as exc:  # the model a config asks for, made at a seed's first run
-        return _fail(1, f"out of memory for config {args.config}: {exc}")
-    except OSError as exc:  # writing the outputs
-        return _fail(3, f"I/O failure: {exc}")
-    return 0
+    import numpy as np  # numpy and the engine load only for a config that can run
+
+    from . import federation
+    from .data import IdxFormatError
+
+    base = config.federation
+    runs = [(c, config.out_dir / c) for c in config.codenames] or [(base.codename, config.out_dir)]
+    # The engine names every non-finite value by round and phase, so numpy's own
+    # overflow/invalid warnings would only repeat it; lanes inherit this state.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:  # every read and every codename's verdict, before any output exists
+            built = build_federated_data(base)  # the sets once, with the shards of base.seed = seeds[0]
+            data = {s: built if s == base.seed else federation.partition_clients(
+                built, replace(base, seed=s)) for s in config.seeds}  # one partition per seed
+            layout = federation.model_layout(base, built)
+            facts = {c: federation.codename_facts(replace(base, codename=c), layout) for c, _ in runs}
+        except OSError as exc:  # missing, a directory, unreadable
+            problem = "not found" if isinstance(exc, FileNotFoundError) else "unreadable"
+            return _fail(1, f"dataset file {problem}: {exc}")
+        except IdxFormatError as exc:
+            return _fail(1, f"dataset file malformed: {exc}")
+        except ValueError as exc:  # a config check that needs the data
+            return _fail(1, f"bad config {args.config}: {exc}")
+        except federation.CoverageError as exc:
+            return _fail(2, f"coverage violation: {exc}")
+        except MemoryError as exc:  # the data a config asks for (numpy names the size)
+            return _fail(1, f"out of memory for config {args.config}: {exc}")
+
+        sweep = []  # a codenames config's sweep.csv rows
+        try:
+            for codename, out_dir in runs:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                if config.codenames:
+                    print(f"codename {codename}:")
+                final_accuracies = []  # None for a seed with no rounds: null in summary.json
+                final_losses = []
+                for seed in config.seeds:
+                    fed = replace(base, codename=codename, seed=seed)
+                    history, _ = federation.run(fed, data[seed], facts[codename])
+                    csv_path = out_dir / f"metrics_seed{seed}.csv"
+                    jsonl_path = out_dir / f"metrics_seed{seed}.jsonl"
+                    with open(csv_path, "w") as csv_file:
+                        emit_csv(history, csv_file)
+                    with open(jsonl_path, "w") as jsonl_file:
+                        emit_jsonl(history, jsonl_file)
+                    last = history[-1] if history else None
+                    acc, loss = (last.acc_global, last.loss) if last else (None, None)
+                    final_accuracies.append(acc)
+                    final_losses.append(loss)
+                    print(f"seed {seed}: rounds={len(history)} final_acc={_four(acc)} "
+                          f"final_loss={_four(loss)} -> {csv_path}")
+                ran = None not in final_accuracies  # every seed runs the same number of rounds
+                summary = {
+                    "codename": codename,
+                    "family": base.family,
+                    "seeds": list(config.seeds),
+                    "final_accuracy_per_seed": final_accuracies,
+                    "final_accuracy_mean": float(np.mean(final_accuracies)) if ran else None,
+                    "final_accuracy_std": float(np.std(final_accuracies)) if ran else None,
+                    "final_loss_mean": float(np.mean(final_losses)) if ran else None,
+                }
+                text = json.dumps(summary, indent=2, allow_nan=False)
+                (out_dir / "summary.json").write_text(text + "\n")
+                print(f"summary: mean final accuracy {_four(summary['final_accuracy_mean'])} "
+                      f"(std {_four(summary['final_accuracy_std'])}) over seeds {list(config.seeds)}")
+                if config.codenames:
+                    sweep.append(_sweep_row(summary, facts[codename]))
+            if sweep:
+                sweep_path = config.out_dir / "sweep.csv"
+                with open(sweep_path, "w", newline="") as sweep_file:
+                    writer = csv.DictWriter(sweep_file, fieldnames=list(sweep[0]))
+                    writer.writeheader()
+                    writer.writerows(sweep)
+                print(f"sweep: {len(sweep)} codenames -> {sweep_path}")
+        except FloatingPointError as exc:
+            return _fail(4, f"training diverged: {exc}")
+        except MemoryError as exc:  # the model a config asks for, made at a seed's first run
+            return _fail(1, f"out of memory for config {args.config}: {exc}")
+        except OSError as exc:  # writing the outputs
+            return _fail(3, f"I/O failure: {exc}")
+        return 0
 
 
 def _fail(code: int, message: str) -> int:
@@ -259,7 +258,7 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _sweep_row(summary: dict, facts: CodenameFacts) -> dict:
+def _sweep_row(summary: dict, facts) -> dict:
     """A codename's sweep.csv row: gamma_min and cost from its `codename_facts`, accuracy from
     the floats of its summary."""
     mean, std = summary["final_accuracy_mean"], summary["final_accuracy_std"]
@@ -347,6 +346,8 @@ def cmd_coverage(args) -> int:
 def cmd_selfcheck(args) -> int:
     if args.seed < 0:
         return _fail(1, "--seed must be non-negative")
+    from .selfcheck import run_selfcheck  # the engine loads only for the check
+
     results = run_selfcheck(seed=args.seed)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

@@ -5,8 +5,9 @@ temporaries, in numpy loops (and, for gzipped files, zlib's inflate) that
 release the GIL; so `federation.build_federated_data`, once per command,
 can build the train and test set on two lanes at once, when they are large
 enough to be worth it (`lanes.MIN_WORK`); each seed then only partitions.
-`PARTITIONS` lists the partition modes: `FederationConfig` checks the mode
-and counts before any data is read, `partition` only what needs the data.
+`partition` checks only what needs the data: `spec.FederationConfig`
+checks the partition mode (one of `spec.PARTITIONS`) and the counts before
+any data is read.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spec import PARTITIONS
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-PARTITIONS = ("iid", "label-skew")  # the client partition modes
 
 
 class IdxFormatError(ValueError):

@@ -32,6 +32,8 @@ each row's correct predictions on its shard for the round's local accuracy;
 its ordered commit hands the rows on to the round's sum.
 `build_federated_data` builds the train and test set as two items on the
 lanes, and `partition_clients` deals the clients a seed's train shards.
+A run's `FederationConfig` and its dataset spec come from `fedprune.spec`,
+checked there before any data is read.
 
 Determinism: all randomness flows from named streams derived from
 (seed, stream, round[, slot]), so the grouping of slots into lockstep
@@ -45,19 +47,17 @@ from __future__ import annotations
 import os
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from . import lanes, pruning
-from .data import (PARTITIONS, Dataset, IdxFormatError, load_idx, partition, stratified_subset,
-                   synth_blobs)
-from .metrics import (AmortizedAccount, RoundMetrics, account, full_account, theory_learning_rate,
-                      weighted_accuracy)
-from .nn import LayerLayout, ParamVector, evaluate, forward, init_params, loss_and_grad, masked_sgd_step
-from .pruning import (apply_mask, check_layout, codename_coverage, parse_codename, pruning_noise,
-                      round_masks, segment_fill)
+from .data import Dataset, IdxFormatError, load_idx, partition, stratified_subset, synth_blobs
+from .metrics import AmortizedAccount, RoundMetrics, account, full_account, weighted_accuracy
+from .nn import ParamVector, evaluate, forward, init_params, loss_and_grad, masked_sgd_step
+from .pruning import apply_mask, pruning_noise, round_masks, segment_fill
+from .spec import FederationConfig, IdxSpec, LayerLayout, SynthSpec, check_layout, codename_coverage
 from .tables import computed_row
 
 # named RNG streams; keep stable or recorded runs stop being reproducible
@@ -106,118 +106,8 @@ def aggregate(previous_global: ParamVector, local_sum: np.ndarray, counts: np.nd
 
 
 # ---------------------------------------------------------------------------
-# Configuration and state
+# State
 # ---------------------------------------------------------------------------
-
-
-def _check_ranges(spec, prefix: str, counts: tuple[str, ...], seeds: tuple[str, ...]) -> None:
-    """Counts must be >= 1 (or None) and seeds >= 0; an error names the key `prefix` + field."""
-    for name in counts:
-        value = getattr(spec, name)
-        if value is not None and value < 1:
-            raise ValueError(f"{prefix}{name} must be >= 1, got {value}")
-    for name in seeds:
-        value = getattr(spec, name)
-        if value < 0:
-            raise ValueError(f"{prefix}{name} must be non-negative, got {value}")
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    classes: int = 10
-    samples_per_class: int = 100
-    dim: int = 20
-    spread: float = 0.3
-    test_samples_per_class: int = 50
-    data_seed: int = 0  # dataset is shared across run seeds, like real files
-
-    def __post_init__(self):
-        counts = ("classes", "samples_per_class", "test_samples_per_class")
-        _check_ranges(self, "synth_", counts, ("data_seed",))
-        if self.dim < self.classes:
-            raise ValueError(f"synth_dim must be >= synth_classes, got {self.dim} < {self.classes}")
-        if not self.spread >= 0:
-            raise ValueError(f"synth_spread must be non-negative, got {self.spread}")
-
-
-@dataclass(frozen=True)
-class IdxSpec:
-    train_images: str
-    train_labels: str
-    test_images: str
-    test_labels: str
-    train_subset: int | None = None
-    test_subset: int | None = None
-    subset_seed: int = 0
-
-    def __post_init__(self):
-        _check_ranges(self, "", ("train_subset", "test_subset"), ("subset_seed",))
-
-
-@dataclass(frozen=True)
-class FederationConfig:
-    codename: str
-    dataset: SynthSpec | IdxSpec = field(default_factory=SynthSpec)
-    num_clients: int = 100
-    participation_ratio: float = 0.1
-    rounds: int = 100
-    local_epochs: int = 5
-    local_batch: int = 10
-    learning_rate: float | None = None  # None -> 1/sqrt(T*Q), capped by smoothness_L
-    momentum: float = 0.5
-    family: str = "WP"
-    freeze_after_round: int | None = None
-    seed: int = 0
-    init_seed: int = 0  # one starting model shared across run seeds
-    partition: str = "iid"
-    classes_per_client: int = 2
-    uncovered_region_action: str = "warn"
-    hidden_layers: tuple[int, ...] = (200,)
-    test_batch: int = 128
-    static_slots: bool = False
-    smoothness_L: float | None = None
-
-    def __post_init__(self):
-        counts = ("num_clients", "local_epochs", "local_batch", "test_batch", "freeze_after_round",
-                  "classes_per_client")
-        _check_ranges(self, "", counts, ("seed", "init_seed"))
-        for key, valid, rule in (  # NaN fails every comparison
-            ("participation_ratio", 0.0 < self.participation_ratio <= 1.0, "in (0, 1]"),
-            ("rounds", self.rounds >= 0, ">= 0"),
-            ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
-            ("learning_rate", self.learning_rate is None or self.learning_rate >= 0.0, "non-negative"),
-            ("smoothness_L", self.smoothness_L is None or self.smoothness_L > 0.0, "positive"),
-            ("uncovered_region_action", self.uncovered_region_action in ("warn", "error"),
-             "'warn' or 'error'"),
-            ("partition", self.partition in PARTITIONS, " or ".join(map(repr, PARTITIONS))),
-        ):
-            if not valid:
-                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
-        slots = self.slots_per_round
-        if slots < 1:
-            raise ValueError(f"participation_ratio must be at least 1 / num_clients = "
-                             f"{1 / self.num_clients:g}, got {self.participation_ratio!r}")
-        if slots != len(self.codename):
-            raise ValueError(f"codename length {len(self.codename)} must equal floor(c*N) = {slots}")
-        if self.static_slots and self.num_clients != slots:
-            raise ValueError(f"num_clients must equal the codename length {slots} "
-                             f"when static_slots is true, got {self.num_clients}")
-        object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
-        if any(h < 1 for h in self.hidden_layers):
-            raise ValueError(f"hidden layer sizes must be positive, got {list(self.hidden_layers)}")
-        parse_codename(self.codename)  # validates
-        check_layout(self.family, self.hidden_layers)
-
-    @property
-    def slots_per_round(self) -> int:
-        # floor(c*N) with a guard against float dust (0.29 * 100 == 28.999...)
-        return int(self.participation_ratio * self.num_clients + 1e-9)
-
-    @property
-    def effective_learning_rate(self) -> float:
-        if self.learning_rate is not None:
-            return self.learning_rate
-        return theory_learning_rate(self.local_epochs, max(self.rounds, 1), self.smoothness_L)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,13 @@ L is fixed at import. Importing this module sets numpy's bundled OpenBLAS
 to one thread, whatever the BLAS environment variables say, so the metrics
 bytes do not depend on them, and L is C, the CPUs this process may run on.
 Without a bundled OpenBLAS (another BLAS picks its own threads), L is 1 and
-a warning says so. A caller asks `width(work)` how many lanes its items are
-worth; work whose matrix products or fills are too small to leave the GIL
-for long gets one lane, and so does work started inside a lane (none is
-today), which could otherwise wait on pool threads its caller holds.
+a warning says so. `BLAS_KERNEL` names the kernel OpenBLAS picked for this
+CPU, e.g. "SkylakeX" (None without one): kernels round differently in the
+last bits, so the bytes do depend on it. A caller asks `width(work)` how
+many lanes its items are worth; work whose matrix products or fills are too
+small to leave the GIL for long gets one lane, and so does work started
+inside a lane (none is today), which could otherwise wait on pool threads
+its caller holds.
 """
 
 from __future__ import annotations
@@ -42,21 +45,26 @@ from pathlib import Path
 import numpy as np
 
 
-def _pin_blas() -> bool:
-    """Set numpy's bundled OpenBLAS to one thread; False, with a warning, if there is none."""
+def _pin_blas() -> str | None:
+    """Set numpy's bundled OpenBLAS to one thread and name its kernel; None, with a warning, if none."""
     for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
         with contextlib.suppress(OSError, AttributeError):  # not loadable, or no such symbol
-            ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(1)
-            return True
+            blas = ctypes.CDLL(str(lib))
+            pin, corename = blas.scipy_openblas_set_num_threads64_, blas.scipy_openblas_get_corename64_
+            pin.argtypes, pin.restype = [ctypes.c_int], None
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            pin(1)
+            return corename().decode()
     warnings.warn("no bundled OpenBLAS to pin to one thread: running on one lane", RuntimeWarning)
-    return False
+    return None
 
 
 try:
     _CPUS = len(os.sched_getaffinity(0))  # the CPUs this process may run on
 except AttributeError:  # no affinity call on this platform
     _CPUS = os.cpu_count() or 1
-LANES = _CPUS if _pin_blas() else 1
+BLAS_KERNEL = _pin_blas()
+LANES = _CPUS if BLAS_KERNEL else 1
 
 # Fewest multiply-adds per matrix product (rows x parameters) for which an
 # item gets more than one lane. BLAS releases the GIL only inside a product;

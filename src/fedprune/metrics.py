@@ -18,8 +18,7 @@ import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 
-from .nn import LayerLayout
-from .pruning import check_layout, segment_sizes
+from .spec import LayerLayout, check_layout, segment_sizes
 
 @dataclass(frozen=True)
 class ModelAccount:
@@ -188,14 +187,6 @@ def theorem2_rhs(c: TheoryConstants, variant: str = "main") -> float:
         + v0 / math.sqrt(c.Q)
         + (i0 / c.gamma_star) * c.delta_sq * c.avg_theta_norm_sq
     )
-
-
-def theory_learning_rate(T: int, Q: int, L: float | None = None) -> float:
-    """Analysis-mode step size 1/sqrt(TQ), capped at 1/(6LT) when L is known."""
-    gamma = 1.0 / math.sqrt(T * Q)
-    if L is not None:
-        gamma = min(gamma, 1.0 / (6.0 * L * T))
-    return gamma
 
 
 # ---------------------------------------------------------------------------

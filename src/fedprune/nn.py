@@ -2,8 +2,7 @@
 
 Everything operates on a flat float64 parameter vector so that pruning
 masks, region-wise averaging, and parameter accounting can all index the
-same address space. Layer l occupies [W_l | b_l] slices of the flat
-vector, with W_l stored row-major as (fan_in, fan_out).
+same address space, which `spec.LayerLayout` lays out.
 
 One layer loop (`_activations`) and one backward pass (`_backward`) serve
 both a training minibatch (`loss_and_grad`) and a chunked pass over a
@@ -39,68 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lanes
-
-
-@dataclass(frozen=True)
-class LayerSlices:
-    weight_start: int
-    weight_len: int
-    bias_start: int
-    bias_len: int
-
-    @property
-    def weights(self) -> slice:
-        return slice(self.weight_start, self.weight_start + self.weight_len)
-
-    @property
-    def biases(self) -> slice:
-        return slice(self.bias_start, self.bias_start + self.bias_len)
-
-
-@dataclass(frozen=True)
-class LayerLayout:
-    """Shape metadata for the flat parameter vector of an MLP."""
-
-    layer_sizes: tuple[int, ...]
-    offsets: tuple[LayerSlices, ...] = field(init=False)
-    total: int = field(init=False)
-
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2:
-            raise ValueError("layer_sizes needs at least an input and an output layer")
-        if any(s <= 0 for s in sizes):
-            raise ValueError(f"layer sizes must be positive, got {sizes}")
-        offsets = []
-        cursor = 0
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            wlen = fan_in * fan_out
-            offsets.append(LayerSlices(cursor, wlen, cursor + wlen, fan_out))
-            cursor += wlen + fan_out
-        object.__setattr__(self, "layer_sizes", sizes)
-        object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "total", cursor)
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.layer_sizes[-1]
-
-    def unpack(self, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Views of (W_l, b_l) per layer; W_l reshaped to (..., fan_in, fan_out).
-
-        `values` is one vector (total,) or a stack (g, total); a stack's
-        leading axis carries through to every view.
-        """
-        lead = values.shape[:-1]
-        out = []
-        for l, sl in enumerate(self.offsets):
-            shape = (*lead, self.layer_sizes[l], self.layer_sizes[l + 1])
-            out.append((values[..., sl.weights].reshape(shape), values[..., sl.biases]))
-        return out
+from .spec import LayerLayout
 
 
 @dataclass(frozen=True)

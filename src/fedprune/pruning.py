@@ -1,9 +1,9 @@
-"""Pruning-mask generation, quartile segments, codenames, and noise measurement.
+"""Pruning-mask generation and noise measurement.
 
-Every family ranks units, splits the ranking into four quartile segments
-S1..S4 (S1 = strongest-ranked; `segment_sizes` decides the split) and
-keeps the segments a codename digit names. A ranking is one segment label
-per unit (`segment_index_sets`: 0 for S1 ... 3 for S4):
+Every family ranks units, splits the ranking into the four quartile
+segments S1..S4 of `spec.segment_sizes` (S1 = strongest-ranked) and keeps
+the segments a codename digit names (`spec.DIGIT_SEGMENTS`). A ranking is
+one segment label per unit (`segment_index_sets`: 0 for S1 ... 3 for S4):
   WP - units are the first-layer weights, ranked by magnitude
   NP - units are the hidden neurons of a one-hidden-layer MLP, ranked by the
        L1 norm of their incoming weights; pruning a neuron drops its
@@ -15,16 +15,13 @@ unit's value one lookup of its label in a four-entry table, with no index
 set over the units or the parameters: a mask is its 0/1 case, and the
 round's coverage counts are the codename's per-segment coverage written the
 same way.
-`check_layout` is the one rule for whether a layout has the 4 units a family
-needs; the run config, the ranking and the accounting all apply it.
 
-Codename digits 1-7 pick the kept segments per participation slot, and the
-family is one for the whole run, so a round has one mask per distinct digit:
-`round_masks` writes them from the round's one ranking and returns them
-keyed by digit. A mask is a plain read-only uint8 0/1 vector over the
-parameters (1 = trainable), which `apply_mask` and `pruning_noise` take as
-it is. The run-level freeze round lives in the round engine, which freezes
-the ranking.
+The family is one for the whole run, so a round has one mask per distinct
+codename digit: `round_masks` writes them from the round's one ranking and
+returns them keyed by digit. A mask is a plain read-only uint8 0/1 vector
+over the parameters (1 = trainable), which `apply_mask` and `pruning_noise`
+take as it is. The run-level freeze round lives in the round engine, which
+freezes the ranking.
 """
 
 from __future__ import annotations
@@ -33,60 +30,9 @@ import warnings
 
 import numpy as np
 
-from .nn import LayerLayout, ParamVector
-
-FAMILIES = ("WP", "NP", "FS")
-
-# digit -> kept quartile segments (1 = full model; 2-4 drop one quartile;
-# 5-7 keep two quartiles, S1 always kept)
-DIGIT_SEGMENTS: dict[str, frozenset[int]] = {
-    "1": frozenset({1, 2, 3, 4}),
-    "2": frozenset({1, 3, 4}),
-    "3": frozenset({1, 2, 4}),
-    "4": frozenset({1, 2, 3}),
-    "5": frozenset({1, 2}),
-    "6": frozenset({1, 3}),
-    "7": frozenset({1, 4}),
-}
-
-
-# ---------------------------------------------------------------------------
-# Ranking and masks
-# ---------------------------------------------------------------------------
-
-
-def segment_sizes(n: int) -> list[int]:
-    """Sizes of S1..S4 for n ranked units: they differ by at most one, largest first.
-
-    These are the sizes `np.array_split(ranking, 4)` gives.
-    """
-    if n < 4:
-        raise ValueError("ranking must have at least 4 entries")
-    return [n // 4 + (i < n % 4) for i in range(4)]
-
-
-def check_layout(family: str, hidden: tuple[int, ...], first_weights: int | None = None) -> None:
-    """Raise ValueError unless `family` has at least 4 units to split into S1..S4.
-
-    `hidden` holds the hidden-layer sizes. NP and FS units are the neurons of
-    the one hidden layer; WP units are the `first_weights` entries of the
-    first layer's weight matrix, checked when that count is given (it needs
-    the input width).
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if family != "WP":
-        # neuron pruning on deeper nets has no unambiguous reading
-        if len(hidden) != 1 or hidden[0] < 4:
-            raise ValueError(
-                f"family {family} needs exactly one hidden layer of at least 4 neurons, "
-                f"got {list(hidden)}"
-            )
-    elif first_weights is not None and first_weights < 4:
-        raise ValueError(
-            "family WP needs at least 4 entries in the first layer's weight matrix, "
-            f"got {first_weights}"
-        )
+from .nn import ParamVector
+from .spec import DIGIT_SEGMENTS, LayerLayout, check_layout, segment_sizes
+from .spec import codename_coverage  # noqa: F401  (perfbench imports it from here)
 
 
 def _ranked_segments(strength: np.ndarray) -> np.ndarray:
@@ -200,24 +146,3 @@ def pruning_noise(params: ParamVector, masks: list[np.ndarray]) -> tuple[float, 
         return tuple(0.0 for _ in masks)
     dropped = (params.values[bits == 0] for bits in masks)
     return tuple(float(d @ d) / total for d in dropped)
-
-
-def codename_coverage(codename: str) -> tuple[dict[int, int], int]:
-    """Per-quartile coverage counts for a codename and their minimum.
-
-    Parameters outside every unit are kept by every slot, so the minimum
-    over S1..S4 is the minimum coverage index of the whole model.
-    """
-    slots = parse_codename(codename)
-    counts = {s: sum(s in kept for kept in slots) for s in (1, 2, 3, 4)}
-    return counts, min(counts.values())
-
-
-def parse_codename(codename: str) -> tuple[frozenset[int], ...]:
-    """Digit string -> the quartile segments each participation slot keeps."""
-    if not codename:
-        raise ValueError("codename must be non-empty")
-    bad = sorted(set(codename) - set(DIGIT_SEGMENTS))
-    if bad:
-        raise ValueError(f"codename may only contain digits 1-7, got {bad}")
-    return tuple(DIGIT_SEGMENTS[d] for d in codename)

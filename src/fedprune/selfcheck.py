@@ -7,8 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .federation import aggregate
-from .nn import LayerLayout, ParamVector, loss_and_grad, masked_sgd_step
-from .pruning import DIGIT_SEGMENTS, FAMILIES, apply_mask, codename_coverage, segment_fill, segment_sizes
+from .nn import ParamVector, loss_and_grad, masked_sgd_step
+from .pruning import apply_mask, segment_fill
+from .spec import DIGIT_SEGMENTS, FAMILIES, LayerLayout, codename_coverage, segment_sizes
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .metrics import AmortizedAccount, account, amortized, full_account
-from .nn import LayerLayout
-from .pruning import DIGIT_SEGMENTS, codename_coverage
+from .spec import DIGIT_SEGMENTS, LayerLayout, codename_coverage
 
 MNIST_LAYOUT = LayerLayout((784, 200, 10))
 

@@ -5,7 +5,7 @@ import numpy as np
 from fedprune.federation import local_rng, model_layout, sample_rng
 from fedprune.metrics import RoundMetrics, account, amortized, full_account
 from fedprune.nn import ParamVector, init_params, loss_and_grad
-from fedprune.pruning import DIGIT_SEGMENTS, codename_coverage, parse_codename
+from fedprune.spec import DIGIT_SEGMENTS, codename_coverage, parse_codename
 
 
 def reference_fedavg_rounds(config, data, rounds):

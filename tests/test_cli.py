@@ -22,7 +22,7 @@ from fedprune.cli import CONFIG_KEYS, json_type, load_run_config, main
 from fedprune.federation import FederationConfig, IdxSpec, SynthSpec
 from fedprune.metrics import account
 from fedprune.nn import LayerLayout
-from fedprune.pruning import DIGIT_SEGMENTS, parse_codename
+from fedprune.spec import DIGIT_SEGMENTS, parse_codename
 from fedprune.tables import MNIST_LAYOUT, TABLE_ROWS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -212,6 +212,34 @@ def test_account_codename_accounts_each_distinct_digit_once(capsys, monkeypatch)
 def test_account_check_missing_row_fails(capsys):
     assert main(["account", "--check-table", "--codename", "1234567777", "--family", "FS"]) == 1
     assert capsys.readouterr().out == "no stored row for FS 1234567777\n"
+
+
+def test_account_coverage_and_a_bad_run_config_never_load_numpy_or_the_engine(tmp_path):
+    """The analytic commands are arithmetic on the layout and the codename, and `run` judges its
+    config before it imports the engine: none of them pays for importing numpy."""
+    malformed, bad_value = tmp_path / "malformed.json", tmp_path / "bad_value.json"
+    malformed.write_text("{not json")
+    bad_value.write_text(json.dumps({**QUICK_CONFIG, "rounds": -1}))
+    script = f"""
+import sys
+from fedprune.cli import main
+engine = {{"numpy", "fedprune.lanes", "fedprune.federation"}}
+assert not engine & sys.modules.keys(), "importing fedprune.cli"
+for argv, code in (
+    (["account", "--check-table"], 0),
+    (["account", "--codename", "1111223344", "--family", "NP"], 0),
+    (["coverage", "--codename", "1111223344"], 0),
+    (["run", "--config", {str(malformed)!r}], 1),
+    (["run", "--config", {str(bad_value)!r}], 1),
+):
+    assert main(argv) == code, argv
+    assert not engine & sys.modules.keys(), (argv, sorted(engine & sys.modules.keys()))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert "table check passed: 37 stored rows match" in proc.stdout
+    assert proc.stderr.count("error: bad config") == 2, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +483,8 @@ def test_a_command_builds_its_data_and_judges_each_codename_once(tmp_path, monke
         monkeypatch.setattr(module, name, wrapper)
 
     spy(fedprune.cli, "build_federated_data", lambda config: ("build",))
-    for module in (fedprune.cli, federation):  # wherever the facts are looked up
-        spy(module, "codename_facts", lambda config, layout: ("facts", config.codename))
+    spy(federation, "codename_facts", lambda config, layout: ("facts", config.codename))  # cli's too
+    for module in (fedprune.cli, federation):  # wherever the cost is looked up
         spy(module, "computed_row", lambda family, codename, layout: ("computed_row", codename))
     spy(federation, "partition", lambda train, mode, clients, classes, seed: ("partition", seed))
     spy(federation, "local_update", lambda *args: ("local_update",))

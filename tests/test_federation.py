@@ -43,7 +43,6 @@ from fedprune.federation import (
 from fedprune.metrics import account, emit_csv, full_account
 from fedprune.nn import LayerLayout, ParamVector, evaluate, init_params, loss_and_grad
 from fedprune.pruning import (
-    FAMILIES,
     apply_mask,
     codename_coverage,
     pruning_noise,
@@ -52,6 +51,7 @@ from fedprune.pruning import (
     segment_index_sets,
 )
 from fedprune.selfcheck import brute_force_aggregate
+from fedprune.spec import FAMILIES
 
 
 def flat_layout(n):

@@ -14,7 +14,11 @@ import json
 
 import pytest
 
+import fedprune.lanes
 from fedprune.cli import main
+
+# OpenBLAS kernels round differently in the last bits: the digests hold on this one
+BLAS_NOTE = f"digests recorded on OpenBLAS kernel SkylakeX, run on {fedprune.lanes.BLAS_KERNEL}"
 
 BASE = {
     "codename": "1111223344",
@@ -145,7 +149,7 @@ def run_case(tmp_path, config: dict, names: list[str]) -> dict[str, str]:
 def test_metrics_bytes_are_pinned(tmp_path, capsys, recwarn, case):
     got = run_case(tmp_path, {**BASE, **CASES[case]}, METRICS)
     capsys.readouterr()
-    assert got == DIGESTS[case]
+    assert got == DIGESTS[case], BLAS_NOTE
     warned = any("gamma_min = 0" in str(w.message) for w in recwarn)
     assert warned == (case in UNCOVERED)
 
@@ -155,4 +159,4 @@ def test_codenames_run_bytes_are_pinned(tmp_path, capsys, recwarn):
     names = [f"{c}/{name}" for c in SWEEP_CODENAMES for name in METRICS] + ["sweep.csv"]
     got = run_case(tmp_path, config, names)
     capsys.readouterr()
-    assert got == SWEEP_DIGESTS
+    assert got == SWEEP_DIGESTS, BLAS_NOTE

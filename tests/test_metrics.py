@@ -22,11 +22,11 @@ from fedprune.metrics import (
     full_account,
     theorem1_rhs,
     theorem2_rhs,
-    theory_learning_rate,
     weighted_accuracy,
 )
 from fedprune.nn import LayerLayout, ParamVector, evaluate, forward, init_params
-from fedprune.pruning import DIGIT_SEGMENTS, parse_codename, round_masks, segment_index_sets
+from fedprune.pruning import round_masks, segment_index_sets
+from fedprune.spec import DIGIT_SEGMENTS, parse_codename, theory_learning_rate
 from fedprune.tables import TABLE_ROWS, computed_row
 
 MNIST_LAYOUT = LayerLayout((784, 200, 10))

@@ -15,18 +15,8 @@ from fedprune.federation import (
     run_round,
 )
 from fedprune.nn import LayerLayout, ParamVector, init_params
-from fedprune.pruning import (
-    DIGIT_SEGMENTS,
-    FAMILIES,
-    apply_mask,
-    codename_coverage,
-    parse_codename,
-    pruning_noise,
-    round_masks,
-    segment_fill,
-    segment_index_sets,
-    segment_sizes,
-)
+from fedprune.pruning import apply_mask, pruning_noise, round_masks, segment_fill, segment_index_sets
+from fedprune.spec import DIGIT_SEGMENTS, FAMILIES, codename_coverage, parse_codename, segment_sizes
 
 MNIST_LAYOUT = LayerLayout((784, 200, 10))
 

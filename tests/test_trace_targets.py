@@ -5,12 +5,15 @@ instead of failing, so a rename in the engine would silently drop a span
 from the benchmark. This test fails in the change that does the rename.
 """
 
+import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 # Targets whose functions are already gone from the engine; the tracer reports
 # them as absent until the benchmark drops or retargets them.
@@ -60,3 +63,21 @@ def test_the_data_build_span_wraps_the_one_build_of_a_command():
     """`data.build_share` measures the build `cmd_run` makes once, through this name."""
     assert ("data.build", "fedprune.cli", "build_federated_data") in TRACER.TARGETS
     assert TRACER._resolve("fedprune.cli", "build_federated_data") is not None
+
+
+# perfbench's output check imports these; the README documents the last two paths
+CHECK_IMPORTS = re.findall(r"from (fedprune\.\w+) import (\w+)", (ROOT / "perfbench" / "run.py").read_text())
+README_IMPORTS = [("fedprune.federation", "FederationConfig"), ("fedprune.nn", "LayerLayout")]
+
+
+def test_perfbench_checks_its_outputs_with_the_names_it_imported_before():
+    assert sorted(CHECK_IMPORTS) == [("fedprune.metrics", "CSV_HEADER"), ("fedprune.nn", "LayerLayout"),
+                                     ("fedprune.pruning", "codename_coverage"),
+                                     ("fedprune.tables", "computed_row")]
+
+
+@pytest.mark.parametrize(("module", "name"), CHECK_IMPORTS + README_IMPORTS)
+def test_each_name_perfbench_and_the_readme_import_resolves(module, name):
+    """A name moved out of its module leaves perfbench's check of every mnist_wp and small_np
+    command failing (`correct: false`) while every other test passes."""
+    assert hasattr(importlib.import_module(module), name), f"{module}.{name} is gone"
