@@ -6,16 +6,16 @@ Run configs are flat JSON. A key is a field name of `FederationConfig`,
 an error. An int field takes an integer (not true, not 20.0), a float field
 a finite number, a str field a string, a bool field true or false,
 `hidden_layers` and `seeds` a list of integers, `codenames` a list of
-strings, `out_dir` a string, and an `X | None` field also null. A config
-error names its key. `run` flags set the keys named by their dests;
-`--codename` replaces a file's `codenames`.
+strings, `out_dir` a non-empty string, and an `X | None` field also null.
+A config error names its key; a key given twice is one. The file sets every
+run parameter, and `run --out` replaces its `out_dir`.
 A `codenames` config runs each codename into `out_dir/<codename>/`, as a
 `codename` config runs into `out_dir`, and tabulates them in `sweep.csv`.
 `run` reads the data, deals shards and judges codenames before any output.
-Exit codes for `run`: 1 config error, bad flag or bad dataset file, 2
-coverage violation, 3 I/O error writing outputs, 4 training diverged (a
-non-finite model, test-set loss or gradient; the message names where).
-Every subcommand exits 1 on a bad flag, with argparse's message.
+Exit codes for `run`: 1 config error or bad dataset file, 2 coverage
+violation, 3 I/O error writing outputs, 4 training diverged (a non-finite
+model, test-set loss or gradient; the message names where). Every
+subcommand exits 1 on a bad flag, with argparse's message.
 """
 
 from __future__ import annotations
@@ -23,18 +23,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .metrics import account, emit_csv, emit_jsonl
-from .spec import (DIGIT_SEGMENTS, FAMILIES, PARTITIONS, FederationConfig, IdxSpec, LayerLayout,
-                   SynthSpec, codename_coverage)
+from .spec import (DIGIT_SEGMENTS, FAMILIES, FederationConfig, IdxSpec, LayerLayout, SynthSpec,
+                   codename_coverage)
 from .tables import MNIST_LAYOUT, TABLE_ROWS, check_tables, computed_row
-
-OUT_DIR_ENV = "FEDPRUNE_OUT"
 
 
 @dataclass(frozen=True)
@@ -48,8 +45,8 @@ class RunConfig:
 _DATASETS = {"synthetic": SynthSpec, "idx": IdxSpec}
 _PREFIXES = {SynthSpec: "synth_"}
 _JSON_TYPES = {
-    int: "an integer", float: "a finite number", str: "a string", bool: "true or false",
-    tuple[int, ...]: "a list of integers", tuple[str, ...]: "a list of strings", Path: "a string",
+    int: "an integer", float: "a finite number", str: "a string", Path: "a non-empty string",
+    bool: "true or false", tuple[int, ...]: "a list of integers", tuple[str, ...]: "a list of strings",
 }
 CONFIG_KEYS = {  # every accepted key -> the type of the field it sets
     _PREFIXES.get(cls, "") + name: hint
@@ -76,8 +73,8 @@ def _parse(key: str, value):
     if kind in (tuple[int, ...], tuple[str, ...]) and type(value) is list and all(
             type(v) is get_args(kind)[0] for v in value):
         return tuple(value)
-    if kind in (int, str, bool) and type(value) is kind or kind is Path and type(value) is str:
-        return value  # type(), not isinstance(): true is no integer
+    if kind in (int, str, bool) and type(value) is kind or kind is Path and type(value) is str and value:
+        return value  # type(), not isinstance(): true is no integer; Path("") is the cwd
     raise ValueError(f"{key} must be {json_type(hint)}, got {json.dumps(value)}")
 
 
@@ -93,17 +90,25 @@ def _make(cls, values: dict, **given):
     return cls(**kwargs)
 
 
-def load_run_config(path, overrides: dict | None = None) -> RunConfig:
-    raw = json.loads(Path(path).read_text())
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object from its pairs; a key given twice is an error, not its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
+def load_run_config(path, out_dir: str | None = None) -> RunConfig:
+    raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     if not isinstance(raw, dict):
         raise ValueError("a run config must be a JSON object")
     for one, many in (("seed", "seeds"), ("codename", "codenames")):
         if one in raw and many in raw:
             raise ValueError(f"give {one} or {many}, not both")
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    if "codename" in overrides:
-        raw.pop("codenames", None)  # the flag replaces the file's list
-    raw.update(overrides)
+    if out_dir is not None:
+        raw["out_dir"] = out_dir  # --out replaces the file's value
     unknown = raw.keys() - CONFIG_KEYS.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -113,10 +118,12 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     if kind not in _DATASETS:
         raise ValueError(f"dataset must be 'synthetic' or 'idx', got {kind!r}")
     seeds = values["seeds"] if "seeds" in values else (values.get("seed", 0),)
-    if not seeds:
-        raise ValueError("at least one seed is required")
-    if len(set(seeds)) < len(seeds):
-        raise ValueError(f"seeds must not repeat, got {list(seeds)}")
+    codenames = values.get("codenames", ())
+    for key, items in (("seeds", seeds), ("codenames", codenames)):
+        if key in values and not items:
+            raise ValueError(f"{key} must list at least one {key[:-1]}, got []")
+        if len(set(items)) < len(items):
+            raise ValueError(f"{key} must not repeat, got {json.dumps(items)}")
     if min(seeds) < 0:
         raise ValueError(f"seeds must be non-negative, got {list(seeds)}")
 
@@ -126,11 +133,6 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         stray = sorted(values.keys() & {_PREFIXES.get(cls, "") + f.name for f in fields(cls)})
         if stray:
             raise ValueError(f"{', '.join(stray)} apply only to dataset {json.dumps(other)}")
-    codenames = values.get("codenames", ())
-    if "codenames" in values and not codenames:
-        raise ValueError("codenames must list at least one codename, got []")
-    if len(set(codenames)) < len(codenames):
-        raise ValueError(f"codenames must not repeat, got {json.dumps(codenames)}")
     federations = []
     for codename in codenames:  # each entry must make a valid run on its own
         try:
@@ -140,8 +142,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
             raise ValueError(f"codenames entry {json.dumps(codename)}: {exc}") from None
     federation = federations[0] if codenames else _make(
         FederationConfig, values, dataset=dataset, seed=seeds[0])
-    out_dir = values.get("out_dir") or os.environ.get(OUT_DIR_ENV, "runs")
-    return RunConfig(federation, seeds, Path(out_dir), codenames)
+    return RunConfig(federation, seeds, Path(values.get("out_dir", "runs")), codenames)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +158,8 @@ def build_federated_data(config: FederationConfig):
 
 
 def cmd_run(args) -> int:
-    # a flag's dest is the field it sets
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(FederationConfig)}
-    overrides["out_dir"] = args.out
     try:
-        if args.seeds is not None:
-            overrides["seeds"] = _int_list("--seeds", args.seeds)
-        config = load_run_config(args.config, overrides)
+        config = load_run_config(args.config, args.out)
     except OSError as exc:  # missing, a directory, unreadable
         return _fail(1, f"cannot read config {args.config}: {exc.strerror or exc}")
     except ValueError as exc:  # json.JSONDecodeError included
@@ -279,13 +275,6 @@ def _four(x: float | None) -> str:
     return "null" if x is None else f"{x:.4f}"
 
 
-def _int_list(flag: str, text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",")]
-    except ValueError:
-        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
-
-
 def cmd_account(args) -> int:
     try:
         return _account(args)
@@ -296,7 +285,11 @@ def cmd_account(args) -> int:
 def _account(args) -> int:
     layout = MNIST_LAYOUT
     if args.layout:
-        layout = LayerLayout(tuple(_int_list("--layout", args.layout)))
+        try:
+            sizes = tuple(int(p) for p in args.layout.split(","))
+        except ValueError:
+            raise ValueError(f"--layout must be comma-separated integers, got {args.layout!r}") from None
+        layout = LayerLayout(sizes)
     if args.check_table:
         rows = TABLE_ROWS
         if args.codename is not None:
@@ -376,18 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seeds", help="comma-separated seeds, e.g. 1,2,3")
-    p_run.add_argument("--out", help=f"output directory (default ${OUT_DIR_ENV} or ./runs)")
-    p_run.add_argument("--rounds", type=int)
-    p_run.add_argument("--codename")
-    p_run.add_argument("--family", choices=FAMILIES)
-    p_run.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p_run.add_argument("--momentum", type=float)
-    p_run.add_argument("--local-epochs", dest="local_epochs", type=int)
-    p_run.add_argument("--local-batch", dest="local_batch", type=int)
-    p_run.add_argument("--partition", choices=PARTITIONS)
-    p_run.add_argument("--uncovered-region-action", dest="uncovered_region_action",
-                       choices=("warn", "error"))
+    p_run.add_argument("--out", help="output directory; replaces the config's out_dir")
     p_run.set_defaults(func=cmd_run)
 
     p_acc = sub.add_parser("account", help="parameter/FLOP accounting for a codename")

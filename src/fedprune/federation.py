@@ -122,7 +122,6 @@ class GlobalState:
     round: int  # completed rounds
     params: ParamVector
     frozen_ranking: np.ndarray | None  # the freeze round's segment labels; None before it
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +202,7 @@ def model_layout(config: FederationConfig, data: FederatedData) -> LayerLayout:
 
 
 def init_state(config: FederationConfig, layout: LayerLayout) -> GlobalState:
-    return GlobalState(0, init_params(layout, config.init_seed), None, config.seed)
+    return GlobalState(0, init_params(layout, config.init_seed), None)
 
 
 def local_rng(seed: int, round_no: int, slot: int) -> np.random.Generator:
@@ -261,7 +260,7 @@ def sample_participants(state: GlobalState, config: FederationConfig) -> list[in
     m = config.slots_per_round
     if config.static_slots:
         return list(range(m))
-    rng = sample_rng(state.seed, state.round + 1)
+    rng = sample_rng(config.seed, state.round + 1)
     return [int(i) for i in rng.choice(config.num_clients, size=m, replace=False)]
 
 
@@ -394,7 +393,7 @@ def run_round(
     delta_sq_mean = float(np.mean([noise[d] for d in codename]))
 
     shards = [data.shards[client] for client in participants]
-    rngs = [local_rng(state.seed, q, k) for k in range(n_slots)]
+    rngs = [local_rng(config.seed, q, k) for k in range(n_slots)]
     local_sum = np.zeros(layout.total)
 
     def take(k: int, row: np.ndarray) -> None:  # called in ascending slot order
@@ -420,7 +419,7 @@ def run_round(
             f"(loss {loss}, squared gradient norm {grad_norm_sq})"
         )
     local_acc = weighted_accuracy(list(zip(correct.tolist(), map(len, shards))))
-    new_state = GlobalState(q, new_params, frozen, state.seed)
+    new_state = GlobalState(q, new_params, frozen)
     record = RoundMetrics(
         round=q,
         loss=loss,

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -61,6 +62,9 @@ def write_config(tmp_path, base=QUICK_CONFIG, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+QUICKSTART = json.loads((ROOT / "configs" / "quickstart.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +141,7 @@ def test_coverage_flags_uncovered(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--config", "configs/quickstart.json", "--seeds", "1,x"],
+    ["run", "--config", "configs/quickstart.json", "--out", ""],
     ["account", "--layout", "784,x"],
     ["account", "--layout", "0,5"],
     ["account", "--family", "NP", "--layout", "20,32,16,10", "--codename", "1111223344"],
@@ -152,26 +156,35 @@ def test_malformed_input_is_an_error_not_a_crash(argv, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize(("flag", "value", "named"), [
-    ("--family", "ZZ", "argument --family: invalid choice: 'ZZ'"),
-    ("--rounds", "abc", "argument --rounds: invalid int value: 'abc'"),
-])
-def test_a_bad_run_flag_exits_1_with_the_argparse_message(capsys, flag, value, named):
-    # 2 is the exit code of a coverage violation, not of a usage error
+@pytest.mark.parametrize("flag", [["--rounds", "2"], ["--family", "ZZ"]], ids=["rounds", "family"])
+def test_a_bad_run_flag_exits_1_with_the_argparse_message(tmp_path, capsys, flag):
+    # a run parameter is a config key, not a flag; 2 is the exit code of a coverage violation
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_info:
-        main(["run", "--config", "configs/quickstart.json", flag, value])
+        main(["run", "--config", "configs/quickstart.json", "--out", str(out), *flag])
     assert exit_info.value.code == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("usage: fedprune run")
-    assert f"fedprune run: error: {named}" in captured.err
+    assert captured.err.startswith("usage: fedprune ")
+    assert captured.err.endswith(f"fedprune: error: unrecognized arguments: {' '.join(flag)}\n")
     assert captured.out == ""
+    assert not out.exists()
 
 
 def test_run_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["run", "--help"])
     assert exit_info.value.code == 0
-    assert "--uncovered-region-action" in capsys.readouterr().out
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config", "--out"}
+
+
+def test_readme_commands_parse():
+    """Every `fedprune` command in the README's code blocks is one the parser takes."""
+    blocks = (ROOT / "README.md").read_text().split("```")[1::2]
+    commands = [line for block in blocks for line in block.splitlines() if line.startswith("fedprune ")]
+    assert len(commands) >= 8
+    parser = fedprune.cli.build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line, comments=True)[1:])  # SystemExit on a bad flag
 
 
 @pytest.mark.parametrize("layout", [None, "20,32,10"])
@@ -312,6 +325,7 @@ BAD_CONFIGS = {
     "seeds-string": ({"seeds": "12"}, "seeds must be a list of integers"),
     "seeds-fraction": ({"seeds": [1.5]}, "seeds must be a list of integers"),
     "seeds-bool": ({"seeds": [True]}, "seeds must be a list of integers, got [true]"),
+    "seeds-empty": ({"seeds": []}, "seeds must list at least one seed, got []"),
     "local-epochs-bool": ({"local_epochs": True}, "local_epochs must be an integer, got true"),
     "codename-list": ({"codename": list("1111223344")}, "codename must be a string"),
     "seed-and-seeds": ({"seed": 5}, "give seed or seeds, not both"),
@@ -423,20 +437,28 @@ def test_a_missing_codename_is_named(tmp_path):
         load_run_config(path)
 
 
-def test_seeds_flag_replaces_a_file_seed(tmp_path):
-    config = {k: v for k, v in QUICK_CONFIG.items() if k != "seeds"}
+def test_a_key_given_twice_is_an_error_not_its_last_value(tmp_path, capsys, monkeypatch):
+    def no_data(config):
+        raise AssertionError("data built for a config with a repeated key")
+
+    monkeypatch.setattr(fedprune.cli, "build_federated_data", no_data)
+    text = json.dumps({**QUICK_CONFIG, "rounds": 1})
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**config, "seed": 5}))
-    assert load_run_config(path).seeds == (5,)
-    assert load_run_config(path, {"seeds": [3, 4]}).seeds == (3, 4)
+    path.write_text(text.replace('"rounds": 1', '"rounds": 1, "rounds": 0'))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f'error: bad config {path}: duplicate key "rounds"\n'
+    assert not out.exists()
 
 
-def test_codename_flag_replaces_a_file_codenames_list(tmp_path):
-    path = write_config(tmp_path, codename=ABSENT, codenames=["1111223344", "1111444444"])
-    assert load_run_config(path).codenames == ("1111223344", "1111444444")
-    config = load_run_config(path, {"codename": "1111114444"})
-    assert config.codenames == ()
-    assert config.federation.codename == "1111114444"
+@pytest.mark.parametrize("source", ["key", "flag"])
+def test_an_empty_out_dir_is_an_error(tmp_path, capsys, monkeypatch, source):
+    monkeypatch.chdir(tmp_path)  # where an empty path would write
+    path = write_config(tmp_path, out_dir="" if source == "key" else str(tmp_path / "out"))
+    assert main(["run", "--config", str(path), *(["--out", ""] if source == "flag" else [])]) == 1
+    err = capsys.readouterr().err
+    assert err == f'error: bad config {path}: out_dir must be a non-empty string, got ""\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_codenames_run_each_codename_as_a_codename_run_would(tmp_path, capsys):
@@ -569,23 +591,21 @@ def test_run_rejects_neuron_pruning_layouts_before_building_data(
     assert not (out / "metrics_seed1.csv").exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["config"])  # the one source of a run's seeds
 def test_run_rejects_repeated_seeds(tmp_path, capsys, source):
-    path = write_config(tmp_path, seeds=[1, 2, 1] if source == "config" else [1])
+    path = write_config(tmp_path, seeds=[1, 2, 1])
     out = tmp_path / "out"
-    argv = ["run", "--config", str(path), "--out", str(out)]
-    assert main(argv + (["--seeds", "1,2,1"] if source == "flag" else [])) == 1
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: bad config {path}: seeds must not repeat, got [1, 2, 1]\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["config"])  # the one source of a run's seeds
 def test_run_rejects_negative_seeds_naming_them(tmp_path, capsys, source):
-    path = write_config(tmp_path, seeds=[2, -1] if source == "config" else [1])
+    path = write_config(tmp_path, seeds=[2, -1])
     out = tmp_path / "out"
-    argv = ["run", "--config", str(path), "--out", str(out)]
-    assert main(argv + (["--seeds", "2,-1"] if source == "flag" else [])) == 1
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: bad config {path}: seeds must be non-negative, got [2, -1]\n"
     assert not out.exists()
@@ -593,12 +613,9 @@ def test_run_rejects_negative_seeds_naming_them(tmp_path, capsys, source):
 
 def test_run_reports_a_non_finite_test_set_loss_as_divergence(tmp_path, capsys):
     # the aggregated model stays finite, but its test-set loss overflows to nan in round 3
+    path = write_config(tmp_path, QUICKSTART, seeds=[0], rounds=3, learning_rate=1500)
     out = tmp_path / "out"
-    code = main([
-        "run", "--config", "configs/quickstart.json", "--seeds", "0", "--rounds", "3",
-        "--learning-rate", "1500", "--out", str(out),
-    ])
-    assert code == 4
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith(
         "error: training diverged: round 3: non-finite test-set loss or gradient "
@@ -609,9 +626,9 @@ def test_run_reports_a_non_finite_test_set_loss_as_divergence(tmp_path, capsys):
 
 
 def test_run_divergence_prints_one_line_and_no_numpy_warnings(tmp_path):
+    path = write_config(tmp_path, QUICKSTART, seeds=[0], rounds=3, learning_rate=1e300)
     proc = subprocess.run(
-        [sys.executable, "-m", "fedprune.cli", "run", "--config", "configs/quickstart.json",
-         "--seeds", "0", "--rounds", "3", "--learning-rate", "1e300", "--out", str(tmp_path)],
+        [sys.executable, "-m", "fedprune.cli", "run", "--config", str(path), "--out", str(tmp_path)],
         capture_output=True, text=True, cwd=ROOT, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
@@ -621,13 +638,11 @@ def test_run_divergence_prints_one_line_and_no_numpy_warnings(tmp_path):
 
 
 def test_run_reports_divergence_without_a_traceback(tmp_path, capsys):
+    path = write_config(tmp_path, QUICKSTART, rounds=3, learning_rate=1e300)
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # numpy notes the overflow first
-        code = main([
-            "run", "--config", "configs/quickstart.json", "--rounds", "3",
-            "--learning-rate", "1e300", "--out", str(out),
-        ])
+        code = main(["run", "--config", str(path), "--out", str(out)])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error: training diverged: round 1: non-finite local model ")
@@ -639,9 +654,9 @@ def test_run_with_no_rounds_writes_null_not_nan(tmp_path, capsys):
     def no_constants(name):
         raise AssertionError(f"summary.json holds {name}, which is not JSON")
 
-    path = write_config(tmp_path, rounds=0)
+    path = write_config(tmp_path, rounds=0, seeds=[1, 2])
     out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--seeds", "1,2", "--out", str(out)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text(), parse_constant=no_constants)
     assert summary["seeds"] == [1, 2]
     assert summary["final_accuracy_per_seed"] == [None, None]
@@ -653,10 +668,9 @@ def test_run_with_no_rounds_writes_null_not_nan(tmp_path, capsys):
 
 
 def test_run_three_seeds_three_files_plus_summary(tmp_path, capsys):
-    path = write_config(tmp_path)
+    path = write_config(tmp_path, seeds=[1, 2, 3])
     out = tmp_path / "out"
-    code = main(["run", "--config", str(path), "--seeds", "1,2,3", "--out", str(out)])
-    assert code == 0
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     for seed in (1, 2, 3):
         assert (out / f"metrics_seed{seed}.csv").exists()
         assert (out / f"metrics_seed{seed}.jsonl").exists()
@@ -699,11 +713,11 @@ def test_run_warn_mode_flags_gamma_zero(tmp_path):
 
 
 def test_run_cli_overrides_beat_file_values(tmp_path):
-    path = write_config(tmp_path, rounds=1)
+    path = write_config(tmp_path, rounds=1, out_dir=str(tmp_path / "file_out"))
     out = tmp_path / "o"
-    assert main(["run", "--config", str(path), "--rounds", "3", "--out", str(out)]) == 0
-    lines = (out / "metrics_seed1.csv").read_text().strip().splitlines()
-    assert len(lines) == 1 + 3
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0  # --out replaces out_dir
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "o"]
+    assert (out / "metrics_seed1.csv").read_text().count("\n") == 1 + 1
 
 
 def test_run_unwritable_output_is_io_error(tmp_path):
@@ -713,31 +727,20 @@ def test_run_unwritable_output_is_io_error(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(blocker / "sub")]) == 3
 
 
-def test_run_uses_env_output_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("FEDPRUNE_OUT", str(tmp_path / "env_out"))
-    path = write_config(tmp_path, rounds=1)
-    assert main(["run", "--config", str(path)]) == 0
-    assert (tmp_path / "env_out" / "metrics_seed1.csv").exists()
-
-
 def test_shipped_quickstart_config_runs(tmp_path):
-    assert main([
-        "run", "--config", "configs/quickstart.json",
-        "--rounds", "2", "--seeds", "1", "--out", str(tmp_path / "q"),
-    ]) == 0
+    path = write_config(tmp_path, QUICKSTART, rounds=2, seeds=[1])
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "q")]) == 0
     assert (tmp_path / "q" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("partition", ["iid", "label-skew"])
 def test_run_outputs_are_independent_of_lanes(tmp_path, use_lanes, partition):
+    config = write_config(tmp_path, QUICKSTART, rounds=3, seeds=[1, 2], partition=partition)
     outputs = {}
     for lanes in (1, 2, 3):
         use_lanes(lanes)
         out = tmp_path / f"lanes{lanes}"
-        assert main([
-            "run", "--config", "configs/quickstart.json", "--rounds", "3", "--seeds", "1,2",
-            "--partition", partition, "--out", str(out),
-        ]) == 0
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         outputs[lanes] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     assert sorted(outputs[1]) == [
         "metrics_seed1.csv", "metrics_seed1.jsonl", "metrics_seed2.csv", "metrics_seed2.jsonl",
@@ -775,7 +778,7 @@ def check_parses_to_its_own_values(path, raw: dict):
     assert config.federation == direct_federation(raw)
     assert config.seeds == tuple(raw["seeds"])
     assert config.codenames == tuple(raw.get("codenames", ()))
-    assert config.out_dir == Path(raw.get("out_dir") or os.environ.get("FEDPRUNE_OUT", "runs"))
+    assert config.out_dir == Path(raw.get("out_dir", "runs"))
 
 
 SHIPPED_CONFIGS = sorted(ROOT.glob("configs/*.json"))

@@ -701,7 +701,7 @@ def test_round_results_independent_of_slot_execution_order():
         # each slot trains alone, so no lockstep group spans two slots
         (alone,), _ = trained_rows(
             state.params, [mask], data.train, [data.shards[participants[k]]],
-            config, [local_rng(state.seed, 1, k)],
+            config, [local_rng(config.seed, 1, k)],
         )
         slot_models[k] = alone
     redone = aggregate(state.params, slot_sum(slot_models), slot_counts(slot_masks))
@@ -860,7 +860,7 @@ def test_round_names_the_slot_and_client_of_a_non_finite_local_model(use_lanes):
         with np.errstate(all="ignore"):
             local, _ = trained_rows(
                 state.params, masks, data.train, shards, config,
-                [local_rng(state.seed, 1, k) for k in range(len(participants))],
+                [local_rng(config.seed, 1, k) for k in range(len(participants))],
             )
             finite = np.isfinite(local).all(axis=1)
             assert not finite.all() and finite.any()
