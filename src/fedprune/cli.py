@@ -199,7 +199,7 @@ def cmd_run(args) -> int:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 if config.codenames:
                     print(f"codename {codename}:")
-                final_accuracies = []  # None for a seed with no rounds: null in summary.json
+                final_accuracies = []
                 final_losses = []
                 for seed in config.seeds:
                     fed = replace(base, codename=codename, seed=seed)
@@ -210,26 +210,24 @@ def cmd_run(args) -> int:
                         emit_csv(history, csv_file)
                     with open(jsonl_path, "w") as jsonl_file:
                         emit_jsonl(history, jsonl_file)
-                    last = history[-1] if history else None
-                    acc, loss = (last.acc_global, last.loss) if last else (None, None)
-                    final_accuracies.append(acc)
-                    final_losses.append(loss)
-                    print(f"seed {seed}: rounds={len(history)} final_acc={_four(acc)} "
-                          f"final_loss={_four(loss)} -> {csv_path}")
-                ran = None not in final_accuracies  # every seed runs the same number of rounds
+                    last = history[-1]  # rounds >= 1
+                    final_accuracies.append(last.acc_global)
+                    final_losses.append(last.loss)
+                    print(f"seed {seed}: rounds={len(history)} final_acc={last.acc_global:.4f} "
+                          f"final_loss={last.loss:.4f} -> {csv_path}")
                 summary = {
                     "codename": codename,
                     "family": base.family,
                     "seeds": list(config.seeds),
                     "final_accuracy_per_seed": final_accuracies,
-                    "final_accuracy_mean": float(np.mean(final_accuracies)) if ran else None,
-                    "final_accuracy_std": float(np.std(final_accuracies)) if ran else None,
-                    "final_loss_mean": float(np.mean(final_losses)) if ran else None,
+                    "final_accuracy_mean": float(np.mean(final_accuracies)),
+                    "final_accuracy_std": float(np.std(final_accuracies)),
+                    "final_loss_mean": float(np.mean(final_losses)),
                 }
                 text = json.dumps(summary, indent=2, allow_nan=False)
                 (out_dir / "summary.json").write_text(text + "\n")
-                print(f"summary: mean final accuracy {_four(summary['final_accuracy_mean'])} "
-                      f"(std {_four(summary['final_accuracy_std'])}) over seeds {list(config.seeds)}")
+                print(f"summary: mean final accuracy {summary['final_accuracy_mean']:.4f} "
+                      f"(std {summary['final_accuracy_std']:.4f}) over seeds {list(config.seeds)}")
                 if config.codenames:
                     sweep.append(_sweep_row(summary, facts[codename]))
             if sweep:
@@ -257,7 +255,6 @@ def _fail(code: int, message: str) -> int:
 def _sweep_row(summary: dict, facts) -> dict:
     """A codename's sweep.csv row: gamma_min and cost from its `codename_facts`, accuracy from
     the floats of its summary."""
-    mean, std = summary["final_accuracy_mean"], summary["final_accuracy_std"]
     return {
         "codename": summary["codename"],
         "family": summary["family"],
@@ -266,13 +263,9 @@ def _sweep_row(summary: dict, facts) -> dict:
         "params_ratio": facts.cost.params_ratio,
         "flops_amortized": round(facts.cost.flops_mean),
         "flops_ratio": facts.cost.flops_ratio,
-        "acc_mean": None if mean is None else round(mean, 4),  # None: an empty field
-        "acc_std": None if std is None else round(std, 4),
+        "acc_mean": round(summary["final_accuracy_mean"], 4),
+        "acc_std": round(summary["final_accuracy_std"], 4),
     }
-
-
-def _four(x: float | None) -> str:
-    return "null" if x is None else f"{x:.4f}"
 
 
 def cmd_account(args) -> int:
@@ -283,33 +276,31 @@ def cmd_account(args) -> int:
 
 
 def _account(args) -> int:
+    if args.check_table:
+        given = [f"--{k}" for k in ("codename", "family", "layout") if getattr(args, k) is not None]
+        if given:
+            raise ValueError(f"--check-table checks the stored 784-200-10 grid and takes no other "
+                             f"flag, got {' '.join(given)}")
+        problems = check_tables()
+        if problems:
+            for p in problems:
+                print(f"MISMATCH {p}")
+            return 1
+        print(f"table check passed: {len(TABLE_ROWS)} stored rows match")
+        return 0
+
     layout = MNIST_LAYOUT
-    if args.layout:
+    if args.layout is not None:  # "" too: it is no layout, not the default one
         try:
             sizes = tuple(int(p) for p in args.layout.split(","))
         except ValueError:
             raise ValueError(f"--layout must be comma-separated integers, got {args.layout!r}") from None
         layout = LayerLayout(sizes)
-    if args.check_table:
-        rows = TABLE_ROWS
-        if args.codename is not None:
-            wanted = (args.family, args.codename)
-            rows = tuple(r for r in TABLE_ROWS if (r.family, r.codename) == wanted)
-            if not rows:
-                print(f"no stored row for {args.family} {args.codename}")
-                return 1
-        problems = check_tables(layout, rows)
-        if problems:
-            for p in problems:
-                print(f"MISMATCH {p}")
-            return 1
-        print(f"table check passed: {len(rows)} stored rows match")
-        return 0
-
     if not args.codename:
         return _fail(1, "--codename is required unless --check-table is given")
-    amt, gamma = computed_row(args.family, args.codename, layout)  # checks codename and layout
-    accounts = {d: account(layout, args.family, DIGIT_SEGMENTS[d]) for d in dict.fromkeys(args.codename)}
+    family = args.family or "WP"
+    amt, gamma = computed_row(family, args.codename, layout)  # checks codename and layout
+    accounts = {d: account(layout, family, DIGIT_SEGMENTS[d]) for d in dict.fromkeys(args.codename)}
     for k, digit in enumerate(args.codename):
         acct = accounts[digit]
         segments = ",".join(f"S{s}" for s in sorted(DIGIT_SEGMENTS[digit]))
@@ -374,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_acc = sub.add_parser("account", help="parameter/FLOP accounting for a codename")
     p_acc.add_argument("--codename")
-    p_acc.add_argument("--family", default="WP", choices=FAMILIES)
+    p_acc.add_argument("--family", choices=FAMILIES, help="mask family, default WP")
     p_acc.add_argument("--layout", help="comma-separated layer sizes, default 784,200,10")
     p_acc.add_argument("--check-table", dest="check_table", action="store_true",
-                       help="verify against the embedded benchmark grid")
+                       help="verify the embedded 784-200-10 grid; takes no other flag")
     p_acc.set_defaults(func=cmd_account)
 
     p_cov = sub.add_parser("coverage", help="per-quartile coverage for a codename")

@@ -227,12 +227,11 @@ class FederationConfig:
     smoothness_L: float | None = None
 
     def __post_init__(self):
-        counts = ("num_clients", "local_epochs", "local_batch", "test_batch", "freeze_after_round",
-                  "classes_per_client")
+        counts = ("num_clients", "rounds", "local_epochs", "local_batch", "test_batch",
+                  "freeze_after_round", "classes_per_client")
         _check_ranges(self, "", counts, ("seed", "init_seed"))
         for key, valid, rule in (  # NaN fails every comparison
             ("participation_ratio", 0.0 < self.participation_ratio <= 1.0, "in (0, 1]"),
-            ("rounds", self.rounds >= 0, ">= 0"),
             ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
             ("learning_rate", self.learning_rate is None or self.learning_rate >= 0.0, "non-negative"),
             ("smoothness_L", self.smoothness_L is None or self.smoothness_L > 0.0, "positive"),
@@ -266,4 +265,4 @@ class FederationConfig:
     def effective_learning_rate(self) -> float:
         if self.learning_rate is not None:
             return self.learning_rate
-        return theory_learning_rate(self.local_epochs, max(self.rounds, 1), self.smoothness_L)
+        return theory_learning_rate(self.local_epochs, self.rounds, self.smoothness_L)

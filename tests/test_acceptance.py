@@ -49,7 +49,7 @@ from fedprune.pruning import (
     segment_index_sets,
 )
 from fedprune.selfcheck import brute_force_aggregate
-from fedprune.tables import MNIST_LAYOUT, TABLE_ROWS, check_tables
+from fedprune.tables import TABLE_ROWS, check_tables
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,7 +90,7 @@ GAMMA_MIN_FLOOR = {
 def test_criterion_1_table_accounting():
     with criterion("criterion 1 (table accounting, exact, <1s)"):
         start = time.perf_counter()
-        problems = check_tables(MNIST_LAYOUT)
+        problems = check_tables()
         for codename, expected in GAMMA_MIN_FLOOR.items():
             _, gamma = codename_coverage(codename)
             assert gamma == expected, f"{codename}: gamma {gamma} != {expected}"

@@ -9,9 +9,10 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference_impl import reference_computed_row
@@ -105,14 +106,51 @@ def test_account_names_the_family_and_layer_a_layout_lacks(capsys, family, layou
     assert captured.out == ""
 
 
-def test_account_check_table_full_grid(capsys):
+def test_account_check_table_full_grid(capsys, monkeypatch):
+    # the account_grid benchmark op is this one check_tables call, and perfbench checks this line
+    calls = []
+    check_tables = fedprune.cli.check_tables
+    monkeypatch.setattr(fedprune.cli, "check_tables", lambda *a: calls.append(a) or check_tables(*a))
     assert main(["account", "--check-table"]) == 0
-    assert "table check passed" in capsys.readouterr().out
+    assert capsys.readouterr().out == "table check passed: 37 stored rows match\n"
+    assert calls == [()]
 
 
-def test_account_check_single_row(capsys):
-    assert main(["account", "--check-table", "--codename", "1111556677", "--family", "WP"]) == 0
-    capsys.readouterr()
+@pytest.mark.parametrize("flags", [
+    ["--codename", "1111556677"],
+    ["--family", "NP"],
+    ["--layout", "784,200,10"],
+    ["--codename", "1234567777", "--family", "FS"],
+], ids=["codename", "family", "layout", "codename-family"])
+def test_check_table_takes_no_other_flag(capsys, monkeypatch, flags):
+    def no_check():
+        raise AssertionError("the grid was checked")
+
+    monkeypatch.setattr(fedprune.cli, "check_tables", no_check)
+    assert main(["account", "--check-table", *flags]) == 1
+    captured = capsys.readouterr()
+    given = " ".join(f for f in flags if f.startswith("--"))
+    assert captured.err == ("error: --check-table checks the stored 784-200-10 grid and takes no "
+                            f"other flag, got {given}\n")
+    assert captured.out == ""
+
+
+COST_LINE = "WP 1111556677: computed (111970, 111760) != stored (111971, 111760)"
+GAMMA_LINE = "WP 1111556677: computed gamma_min 6 != stored 7"
+
+
+@pytest.mark.parametrize("altered, lines", [
+    ({"params": 111971}, [COST_LINE]),
+    ({"gamma_min": 7}, [GAMMA_LINE]),
+    ({"params": 111971, "gamma_min": 7}, [COST_LINE, GAMMA_LINE]),
+], ids=["params", "gamma_min", "both"])
+def test_check_table_prints_one_mismatch_line_per_differing_column(capsys, monkeypatch, altered,
+                                                                   lines):
+    rows = tuple(replace(r, **altered) if (r.family, r.codename) == ("WP", "1111556677") else r
+                 for r in TABLE_ROWS)
+    monkeypatch.setattr(fedprune.tables, "TABLE_ROWS", rows)
+    assert main(["account", "--check-table"]) == 1
+    assert capsys.readouterr().out == "".join(f"MISMATCH {line}\n" for line in lines)
 
 
 def test_account_rejects_bad_codename(capsys):
@@ -148,6 +186,9 @@ def test_coverage_flags_uncovered(capsys):
     ["account", "--family", "NP", "--layout", "20,32,16,10", "--check-table"],
     ["account", "--family", "NP", "--layout", "20,32,16,10", "--check-table",
      "--codename", "1111223344"],
+    ["account", "--codename", "1111223344", "--layout", ""],
+    ["account", "--family", "NP"],
+    ["coverage", "--codename", "12x"],
 ])
 def test_malformed_input_is_an_error_not_a_crash(argv, capsys):
     assert main(argv) == 1
@@ -222,11 +263,6 @@ def test_account_codename_accounts_each_distinct_digit_once(capsys, monkeypatch)
     assert [kept for where, kept in calls if where == "fedprune.tables"] == [DIGIT_SEGMENTS[d] for d in "1234"]
 
 
-def test_account_check_missing_row_fails(capsys):
-    assert main(["account", "--check-table", "--codename", "1234567777", "--family", "FS"]) == 1
-    assert capsys.readouterr().out == "no stored row for FS 1234567777\n"
-
-
 def test_account_coverage_and_a_bad_run_config_never_load_numpy_or_the_engine(tmp_path):
     """The analytic commands are arithmetic on the layout and the codename, and `run` judges its
     config before it imports the engine: none of them pays for importing numpy."""
@@ -297,7 +333,7 @@ BAD_CONFIGS = {
     "test-batch-0": ({"test_batch": 0}, "test_batch"),
     "local-epochs-0": ({"local_epochs": 0}, "local_epochs must be >= 1, got 0"),
     "local-batch-0": ({"local_batch": 0}, "local_batch must be >= 1, got 0"),
-    "rounds-negative": ({"rounds": -1}, "rounds must be >= 0, got -1"),
+    "rounds-negative": ({"rounds": -1}, "rounds must be >= 1, got -1"),
     "hidden-0": ({"hidden_layers": [0]}, "hidden layer sizes must be positive"),
     "hidden-negative": ({"hidden_layers": [16, -2]}, "hidden layer sizes must be positive"),
     "classes-per-client-0": (
@@ -650,21 +686,16 @@ def test_run_reports_divergence_without_a_traceback(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
-def test_run_with_no_rounds_writes_null_not_nan(tmp_path, capsys):
-    def no_constants(name):
-        raise AssertionError(f"summary.json holds {name}, which is not JSON")
-
-    path = write_config(tmp_path, rounds=0, seeds=[1, 2])
+def test_run_with_no_rounds_is_a_config_error(tmp_path, capsys):
+    paths = {k: str(tmp_path / k) for k in ("train_images", "train_labels", "test_images",
+                                            "test_labels")}  # none of them exists
+    path = write_config(tmp_path, IDX_CONFIG, dataset="idx", **paths, rounds=0)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text(), parse_constant=no_constants)
-    assert summary["seeds"] == [1, 2]
-    assert summary["final_accuracy_per_seed"] == [None, None]
-    assert summary["final_accuracy_mean"] is None
-    assert summary["final_accuracy_std"] is None
-    assert summary["final_loss_mean"] is None
-    assert (out / "metrics_seed1.csv").read_text().count("\n") == 1  # the header alone
-    assert "final_acc=null" in capsys.readouterr().out
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad config {path}: rounds must be >= 1, got 0\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_run_three_seeds_three_files_plus_summary(tmp_path, capsys):
@@ -967,6 +998,32 @@ def test_selfcheck_fault_injection_in_the_writer_only_breaks_coverage(capsys, mo
     assert main(["selfcheck", "--seed", "3"]) == 1
     out = capsys.readouterr().out
     assert "FAIL coverage_oracle" in out
+    assert out.count("PASS") == 3
+
+
+def test_selfcheck_fault_injection_in_aggregate_only_breaks_aggregation(capsys, monkeypatch):
+    aggregate = fedprune.selfcheck.aggregate
+
+    def one_slot_too_many(previous, local_sum, counts):  # ... and an uncovered entry moves
+        return aggregate(previous, local_sum, counts + 1)
+
+    monkeypatch.setattr(fedprune.selfcheck, "aggregate", one_slot_too_many)
+    assert main(["selfcheck", "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL aggregation_oracle" in out
+    assert out.count("PASS") == 3
+
+
+def test_selfcheck_fault_injection_in_the_step_only_breaks_mask_closure(capsys, monkeypatch):
+    step = fedprune.selfcheck.masked_sgd_step
+
+    def unmasked(params, grad, bits, momentum, coef, lr):  # steps every coordinate
+        return step(params, grad, np.ones_like(bits), momentum, coef, lr)
+
+    monkeypatch.setattr(fedprune.selfcheck, "masked_sgd_step", unmasked)
+    assert main(["selfcheck", "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL mask_closure: pruned coordinate moved off zero" in out
     assert out.count("PASS") == 3
 
 

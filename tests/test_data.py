@@ -248,6 +248,40 @@ def test_label_skew_rejects_too_few_samples_per_class():
         partition(dataset, "label-skew", 5, 2, 0)
 
 
+def test_label_skew_takes_shards_back_from_the_largest_class():
+    # 8 shards over 8 populated classes: the floors bump the seven singletons to one shard
+    # each, so the 200-sample class gives back all but one of its 7
+    labels = np.repeat(np.arange(8), [200, 1, 1, 1, 1, 1, 1, 1])
+    dataset = Dataset(np.zeros((len(labels), 2)), labels, 8)
+    shards = partition(dataset, "label-skew", 4, 2, 0)
+    joined = np.concatenate(shards)
+    assert sorted(joined.tolist()) == list(range(len(labels)))
+    assert all(len(np.unique(labels[shard])) <= 2 for shard in shards)
+    assert sorted(map(len, shards)) == [2, 2, 2, 201]
+
+
+def test_label_skew_needs_a_shard_per_populated_class():
+    dataset = synth_blobs(5, 10, 6, 0.1, seed=0)
+    with pytest.raises(ValueError, match="^4 shards cannot cover 5 populated classes$"):
+        partition(dataset, "label-skew", 2, 2, 0)
+
+
+@pytest.mark.parametrize("inputs, labels", [
+    (np.zeros(3), np.zeros(3)),
+    (np.zeros((3, 2)), np.zeros(2)),
+    (np.zeros((3, 2)), np.zeros((3, 1))),
+])
+def test_dataset_rejects_a_shape_without_one_label_per_row(inputs, labels):
+    with pytest.raises(ValueError, match=re.escape("inputs must be (n, d) with one label per row")):
+        Dataset(inputs, labels, 2)
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_dataset_rejects_labels_out_of_range(label):
+    with pytest.raises(ValueError, match="^labels out of range for num_classes$"):
+        Dataset(np.zeros((2, 2)), np.array([0, label]), 2)
+
+
 def test_label_skew_rejects_too_many_classes_per_client():
     dataset = synth_blobs(3, 10, 4, 0.1, seed=0)
     with pytest.raises(ValueError):

@@ -894,6 +894,23 @@ def test_round_names_the_slot_and_client_of_a_non_finite_local_model(use_lanes):
             run_round(state, config, poisoned, codename_facts(config, layout))
 
 
+def test_round_names_an_aggregate_that_overflows(monkeypatch):
+    # every local model is finite, but the sum of ten rows of 1.5e308 is not
+    def huge_rows(global_params, masks, train, shards, config, rngs, take):
+        for k in range(len(masks)):
+            take(k, np.full(global_params.layout.total, 1.5e308))
+        return np.zeros(len(masks), dtype=np.int64)
+
+    config = desk_config(rounds=1)
+    data = build_federated_data(config)
+    layout = model_layout(config, data)
+    state = init_state(config, layout)
+    monkeypatch.setattr(fedprune.federation, "local_update", huge_rows)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=re.escape(
+            "round 1: non-finite global parameters after aggregation")):
+        run_round(state, config, data, codename_facts(config, layout))
+
+
 @pytest.mark.parametrize(
     ("family", "codename", "freeze"),
     [("WP", "1111223344", None), ("NP", "1111223344", None), ("FS", "2233445677", None),
@@ -978,12 +995,12 @@ def test_run_works_out_the_codename_facts_once_whatever_the_rounds(monkeypatch):
     monkeypatch.setattr(fedprune.federation, "run_round", tracked_run_round)
 
     per_rounds = {}
-    for rounds in (0, 1, 4):
+    for rounds in (1, 2, 4):
         calls.clear()
         history, _ = run(replace(config, rounds=rounds), data)
         assert len(history) == rounds
         per_rounds[rounds] = list(calls)
-    assert per_rounds[0] == per_rounds[1] == per_rounds[4]
+    assert per_rounds[1] == per_rounds[2] == per_rounds[4]
     assert not any(inside for _, _, inside in calls)  # no account, no computed_row in a round
     engine = [name for where, name, _ in calls if where == "fedprune.federation"]
     assert sorted(engine) == ["codename_coverage", "computed_row"]
@@ -1091,7 +1108,7 @@ def test_local_accuracy_equals_a_per_slot_evaluate_sum_bitwise(use_lanes, monkey
 
 
 def test_pretrained_freeze_in_engine():
-    config = desk_config(freeze_after_round=2, rounds=0)
+    config = desk_config(freeze_after_round=2, rounds=4)
     data = build_federated_data(config)
     layout = model_layout(config, data)
     state, facts = init_state(config, layout), codename_facts(config, layout)
@@ -1175,7 +1192,7 @@ def test_wp_coverage_failure_counts_first_layer_weights():
         codename_facts(config, LayerLayout((20, 32, 10)))
 
 
-@pytest.mark.parametrize("rounds", [0, 3])
+@pytest.mark.parametrize("rounds", [1, 3])
 def test_error_mode_raises_before_any_training(monkeypatch, rounds):
     def no_training(*args):
         raise AssertionError("local training ran in a run whose coverage fails")
@@ -1217,12 +1234,10 @@ def test_uncovered_region_parameters_never_move():
     assert not np.array_equal(final.values[moved], theta0[moved])
 
 
-def test_run_zero_rounds_returns_initial_model():
-    config = desk_config(rounds=0)
-    data = build_federated_data(config)
-    history, final = run(config, data)
-    assert history == []
-    assert np.array_equal(final.values, init_params(model_layout(config, data), config.init_seed).values)
+def test_a_run_has_at_least_one_round():
+    for rounds in (0, -1):
+        with pytest.raises(ValueError, match=re.escape(f"rounds must be >= 1, got {rounds}")):
+            desk_config(rounds=rounds)
 
 
 def test_run_is_bitwise_deterministic():

@@ -243,6 +243,15 @@ def test_theorem1_ignores_norms_when_delta_zero():
 def test_theorem_rejects_bad_variant_and_constants():
     with pytest.raises(ValueError):
         theorem1_rhs(constants(), variant="midpoint")
+    with pytest.raises(ValueError, match="^variant must be 'main' or 'alt'$"):
+        theorem2_rhs(constants(), variant="midpoint")
+    for name in ("L", "G", "K", "N", "T", "Q", "f0"):
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+                constants(**{name: value})
+    for name in ("sigma_sq", "avg_theta_norm_sq"):
+        with pytest.raises(ValueError, match="^sigma_sq and avg_theta_norm_sq must be non-negative$"):
+            constants(**{name: -1e-9})
     with pytest.raises(ValueError):
         constants(gamma_star=0.0)
     with pytest.raises(ValueError):

@@ -215,6 +215,14 @@ def test_evaluate_rejects_out_of_range_labels(label):
         evaluate(params, dataset, batch_size=2)
 
 
+@pytest.mark.parametrize("labels", [np.zeros(2, dtype=int), np.zeros((3, 1), dtype=int)])
+def test_evaluate_rejects_labels_that_do_not_match_the_rows(labels):
+    layout = LayerLayout((2, 3))
+    params = ParamVector(np.zeros(layout.total), layout)
+    with pytest.raises(ValueError, match="^labels must be 1-D and match the batch size$"):
+        evaluate(params, SmallDataset(np.zeros((3, 2)), labels), batch_size=2)
+
+
 @pytest.mark.parametrize(
     "inputs,labels,out,message",
     [

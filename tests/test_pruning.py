@@ -181,7 +181,7 @@ def test_mask_keeps_non_maskable_indices():
 def test_pretrained_freeze_reuses_round3_mask():
     config = FederationConfig(
         "15", dataset=SynthSpec(3, 8, 6, 0.3, 4), num_clients=2, participation_ratio=1.0,
-        rounds=0, local_epochs=3, learning_rate=0.5, hidden_layers=(8,), freeze_after_round=3,
+        rounds=7, local_epochs=3, learning_rate=0.5, hidden_layers=(8,), freeze_after_round=3,
     )
     data = build_federated_data(config)
     layout = model_layout(config, data)
